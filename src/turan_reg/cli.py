@@ -12,6 +12,7 @@ in this package (DERIVED).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import random
 import sys
@@ -103,23 +104,23 @@ def _k3_spec():
 
 
 def _op_exr_k3(args, ctx):
-    return exr_exact(args["n"], _k3_spec()).objective
+    return exr_exact(args["n"], _k3_spec(), jobs=ctx["jobs"]).objective
 
 
 def _op_exr_closed_match(args, ctx):
-    got = exr_exact(args["n"], _k3_spec()).objective
+    got = exr_exact(args["n"], _k3_spec(), jobs=ctx["jobs"]).objective
     return got == exr_closed_form(args["n"], FamilySpec("triangle")).value
 
 
 def _op_exr_family(args, ctx):
     return exr_exact(
-        args["n"], HSpec(family=FamilySpec("odd-cycle-family", args["ell"]))
+        args["n"], HSpec(family=FamilySpec("odd-cycle-family", args["ell"])), jobs=ctx["jobs"]
     ).objective
 
 
 def _op_exr_single_cycle(args, ctx):
     return exr_exact(
-        args["n"], HSpec(family=FamilySpec("odd-cycle", args["ell"]))
+        args["n"], HSpec(family=FamilySpec("odd-cycle", args["ell"])), jobs=ctx["jobs"]
     ).objective
 
 
@@ -132,15 +133,15 @@ def _op_exr_parity(args, ctx):
 
 
 def _op_min_triangles(args, ctx):
-    return min_triangles_regular(args["n"], args["k"]).objective
+    return min_triangles_regular(args["n"], args["k"], jobs=ctx["jobs"]).objective
 
 
 def _op_min_triangles_classes(args, ctx):
-    return min_triangles_regular(args["n"], args["k"]).classes
+    return min_triangles_regular(args["n"], args["k"], jobs=ctx["jobs"]).classes
 
 
 def _op_supersat_unique(args, ctx):
-    res = min_triangles_regular(9, 4)
+    res = min_triangles_regular(9, 4, jobs=ctx["jobs"])
     target = canonical_label(constructions.triangle_min_extremal(4).graph)
     return (
         res.objective == 2
@@ -212,7 +213,7 @@ def _op_goodman_exhaustive(args, ctx):
         def visit(g):
             nonlocal worst
             worst = max(worst, abs(goodman_defect(g)))
-        enumerate_graphs(GenFilter(n=n), visitor=visit)
+        enumerate_graphs(GenFilter(n=n), visitor=visit, jobs=ctx["jobs"])
     return worst
 
 
@@ -292,7 +293,7 @@ def _op_star_count_prop(args, ctx):
     from .graphs import star_graph
 
     n, r, s = args["n"], args["r"], args["s"]
-    res = max_copies_free(n, star_graph(s), r)
+    res = max_copies_free(n, star_graph(s), r, jobs=ctx["jobs"])
     value_regular = n * comb(r, s)
     witnesses_regular = all(
         graph6_decode(w).is_regular(r) for w in res.witnesses
@@ -304,14 +305,14 @@ def _op_biclique_prop(args, ctx):
     from .graphs import complete_bipartite
 
     n, r, a, b = args["n"], args["r"], args["a"], args["b"]
-    res = max_copies_free(n, complete_bipartite(a, b), r)
+    res = max_copies_free(n, complete_bipartite(a, b), r, jobs=ctx["jobs"])
     target = canonical_label(complete_bipartite(r, r))
     hit = any(canonical_label(graph6_decode(w)) == target for w in res.witnesses)
     return hit and n == 2 * r
 
 
 def _op_enumeration_count(args, ctx):
-    return enumerate_graphs(GenFilter(n=args["n"])).classes
+    return enumerate_graphs(GenFilter(n=args["n"]), jobs=ctx["jobs"]).classes
 
 
 def _op_enumeration_dual(args, ctx):
@@ -323,13 +324,16 @@ def _op_enumeration_dual(args, ctx):
             GenFilter(n=args["n"]),
             visitor=lambda g, i=idx: seen[i].add(canon_core(g.rows, g.n)[1]) and None,
             desc=desc,
+            jobs=ctx["jobs"],
         )
     return seen[0] == seen[1]
 
 
 def _op_regular_count(args, ctx):
     count = [0]
-    enumerate_regular(args["n"], args["k"], visitor=lambda g: count.__setitem__(0, count[0] + 1))
+    enumerate_regular(
+        args["n"], args["k"], visitor=lambda g: count.__setitem__(0, count[0] + 1), jobs=ctx["jobs"]
+    )
     return count[0]
 
 
@@ -588,12 +592,13 @@ def build_parser():
     return top
 
 
+def _open_out(out):
+    return contextlib.nullcontext(sys.stdout) if out == "-" else open(out, "w")
+
+
 def _write(text, out):
-    if out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(out, "w") as fh:
-            fh.write(text)
+    with _open_out(out) as fh:
+        fh.write(text)
 
 
 def _cmd_construct(ns):
@@ -623,19 +628,17 @@ def _cmd_enumerate(ns):
         regular_k=ns.regular_k,
         connected=True if ns.connected else None,
     )
-    lines = []
-    stats = enumerate_graphs(
-        filt, visitor=lambda g: lines.append(graph6_encode(g)) and None,
-        desc=ns.desc, force=ns.force,
-    )
-    text = "".join(line + "\n" for line in lines)
+    with _open_out(ns.out) as fh:
+        stats = enumerate_graphs(
+            filt, visitor=lambda g: fh.write(graph6_encode(g) + "\n") and None,
+            desc=ns.desc, force=ns.force, jobs=ns.jobs,
+        )
     if stats.infeasible:
         print("infeasible filter: empty stream", file=sys.stderr)
     print(
         f"classes={stats.classes} nodes={stats.nodes} seconds={stats.seconds:.2f}",
         file=sys.stderr,
     )
-    _write(text, ns.out)
     return 0
 
 
@@ -643,7 +646,7 @@ def _cmd_exr(ns):
     hspec = HSpec.parse(ns.forbid)
     res = exr_exact(
         ns.n, hspec,
-        all_witnesses=ns.all_witnesses, witness_cap=ns.witness_cap,
+        all_witnesses=ns.all_witnesses, witness_cap=ns.witness_cap, jobs=ns.jobs,
     )
     payload = res.to_json()
     if hspec.family is not None and ns.n >= 3:
@@ -654,7 +657,7 @@ def _cmd_exr(ns):
 
 
 def _cmd_census_triangles(ns):
-    res = min_triangles_regular(ns.n, ns.k, witness_cap=ns.witness_cap)
+    res = min_triangles_regular(ns.n, ns.k, witness_cap=ns.witness_cap, jobs=ns.jobs)
     print(json.dumps(res.to_json(), indent=2))
     return 0 if res.feasible else 1
 
@@ -687,7 +690,7 @@ def _cmd_probe(ns):
         kwargs = {"n": ns.n, "hspec": HSpec.parse(ns.pattern)}
     elif ns.name == "cycle-question":
         kwargs = {"m": ns.m, "r": ns.r, "n": ns.n}
-    print(json.dumps(probe_conjecture(ns.name, **kwargs), indent=2))
+    print(json.dumps(probe_conjecture(ns.name, jobs=ns.jobs, **kwargs), indent=2))
     return 0
 
 

@@ -91,6 +91,15 @@ class GenStats:
     def bump(self, reason, amount=1):
         self.pruned[reason] = self.pruned.get(reason, 0) + amount
 
+    def merge(self, other):
+        """Add the counts of another run: a subtree or an earlier scan."""
+        self.classes += other.classes
+        self.nodes += other.nodes
+        self.seconds += other.seconds
+        self.infeasible = self.infeasible or other.infeasible
+        for key, val in other.pruned.items():
+            self.bump(key, val)
+
 
 class _Stop(Exception):
     pass
@@ -166,7 +175,8 @@ def _accept(rows, nc, desc):
 
 
 class _Run:
-    def __init__(self, filt, visitor, desc):
+    def __init__(self, filt, visitor, desc, split=None):
+        self.filt = filt
         self.n = filt.n
         self.r = filt.max_degree if filt.max_degree is not None else filt.n - 1
         if filt.regular_k is not None:
@@ -180,6 +190,10 @@ class _Run:
         self.visitor = visitor
         self.desc = desc
         self.stats = GenStats()
+        # nodes at depth ``split`` are recorded as seeds, not descended
+        self.split = split
+        self.seeds = []
+        self.leaf = self.emit
         # max edges addable by vertices j+1..n-1 given the degree cap
         self.future = [0] * (self.n + 1)
         for j in range(self.n - 1, -1, -1):
@@ -231,9 +245,12 @@ class _Run:
         return True
 
     def descend(self, rows, j, gens, edges):
+        if j == self.split:
+            self.seeds.append((rows, gens, edges))
+            return
         self.stats.nodes += 1
         if j == self.n:
-            self.emit(rows)
+            self.leaf(rows)
             return
         for s in _subset_orbit_reps(j, gens):
             if not self.child_ok(rows, j, s, edges):
@@ -250,12 +267,29 @@ class _Run:
                 continue
             self.descend(child, j + 1, child_gens, edges + s.bit_count())
 
+    def subtree(self, seed):
+        """Descend one seed without emitting: its leaf rows in order and
+        the counts of its subtree."""
+        rows, gens, edges = seed
+        sub = _Run(self.filt, None, self.desc)
+        leaves = []
+        sub.leaf = leaves.append
+        sub.descend(rows, len(rows), gens, edges)
+        return leaves, sub.stats
 
-def enumerate_graphs(filt, visitor=None, desc=False, force=False):
+
+def enumerate_graphs(filt, visitor=None, desc=False, force=False, jobs=1):
     """Run the generator; the visitor sees one Graph per class.
 
     A visitor returning a truthy value stops the run early.  Orders
     beyond the hard cap (n = 11) require ``force``.
+
+    With ``jobs > 1`` the descent stops at depth n - 2 and records the
+    accepted graphs there as seeds; a pool of ``jobs`` processes
+    descends the seeds' subtrees (see ``parallel``), and their leaves
+    are emitted here in seed order.  The visitor runs in this process
+    and sees the classes in serial order, so results and counts are
+    those of a serial run.
     """
     filt.validate()
     if filt.n > HARD_CAP and not force:
@@ -263,22 +297,23 @@ def enumerate_graphs(filt, visitor=None, desc=False, force=False):
             f"order {filt.n} beyond enumeration cap {HARD_CAP}; pass force=True"
         )
     t0 = time.perf_counter()
-    run = _Run(filt, visitor, desc)
+    run = _Run(filt, visitor, desc, split=max(1, filt.n - 2) if jobs > 1 else None)
     if filt.infeasible():
         run.stats.infeasible = True
     else:
         try:
-            if filt.n == 0:
-                pass
-            else:
-                run.descend((0,), 1, [], 0)
+            run.descend((0,), 1, [], 0)
+            if jobs > 1:
+                from . import parallel
+
+                parallel.parallel_scan(run, jobs)
         except _Stop:
             pass
     run.stats.seconds = time.perf_counter() - t0
     return run.stats
 
 
-def enumerate_regular(n, k, visitor=None, desc=False, forbidden=(), force=False):
+def enumerate_regular(n, k, visitor=None, desc=False, forbidden=(), force=False, jobs=1):
     """One representative per isomorphism class of k-regular graphs.
 
     Enumerates the sparser of the graph and its complement; forbidden
@@ -303,11 +338,12 @@ def enumerate_regular(n, k, visitor=None, desc=False, forbidden=(), force=False)
         # stats.classes counts all k-regular classes here; callers needing
         # exact H-free counts tally matches inside their visitor.
         return enumerate_graphs(
-            GenFilter(n=n, regular_k=kc), visitor=wrapped, desc=desc, force=force
+            GenFilter(n=n, regular_k=kc), visitor=wrapped, desc=desc, force=force, jobs=jobs
         )
     return enumerate_graphs(
         GenFilter(n=n, regular_k=k, forbidden=tuple(forbidden)),
         visitor=visitor,
         desc=desc,
         force=force,
+        jobs=jobs,
     )

@@ -47,9 +47,6 @@ class FamilySpec:
         return tuple(range(3, 2 * self.ell, 2))
 
 
-K3_FAMILY = FamilySpec("triangle")
-
-
 @dataclass(frozen=True)
 class ClosedFormValue:
     value: int
@@ -144,27 +141,3 @@ def conjectured_triangle_min(n, k):
     p = (n - 1) // 2
     q = p - k
     return (k // 2) * (k // 2 - q - 1)
-
-
-@dataclass(frozen=True)
-class GLSParams:
-    """Order/size/degree-cap parameters with the derived split n=a(r+1)+b."""
-
-    n: int
-    r: int
-    m: int
-    t: int = 3
-
-    def __post_init__(self):
-        if self.t < 2:
-            raise FormulaError("clique size must be >= 2")
-        if 2 * self.m > self.n * self.r:
-            raise FormulaError("size exceeds the degree cap")
-
-    @property
-    def a(self):
-        return self.n // (self.r + 1)
-
-    @property
-    def b(self):
-        return self.n % (self.r + 1)

@@ -1,80 +1,42 @@
-"""Deterministic parallel scans over the augmentation tree.
+"""Parallel descent of the augmentation tree for ``enumerate_graphs``.
 
-The tree is split into independent subtrees rooted at the accepted
-graphs a few levels below the target order; workers enumerate their
-subtrees with a private accumulator and the partial results are merged
-in subtree order, so the outcome is identical to a serial run.
+With ``jobs > 1`` the enumeration stops its descent at depth n - 2 and
+records the accepted graphs there as seeds.  The subtrees below the
+seeds are independent (canonical augmentation decides each child from
+the child alone), so a pool of workers descends them, one seed per
+task, and sends back each seed's leaf rows with its subtree counts.
+The parent merges the counts and emits the leaves in seed order
+through the run's own ``emit``: the visitor sees the classes in the
+order of a serial run, and stops the scan the same way.  A scan that
+runs to the end has the counts of a serial run; one that stops early
+also counts the nodes past the stop that were descended before it.
+
+The pool forks, so workers inherit the run and the visitor need not be
+picklable.  Results arrive one seed at a time, so the parent holds only
+the leaves of seeds it has not emitted yet.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
 
-from .enumeration import _Run, _Stop
-
-_WORK = {}
+_RUN = None  # the run a worker process descends seeds for
 
 
-def _collect_seeds(filt, depth, desc):
-    """Serial descent recording (rows, gens, edges) at the split depth."""
-    seeds = []
-
-    class _SeedRun(_Run):
-        def descend(self, rows, j, gens, edges):
-            if j == depth and j < self.n:
-                seeds.append((rows, gens, edges))
-                return
-            super().descend(rows, j, gens, edges)
-
-    run = _SeedRun(filt, None, desc)
-    if filt.infeasible():
-        run.stats.infeasible = True
-    else:
-        run.descend((0,), 1, [], 0)
-    return seeds, run.stats
+def _init_worker(run):
+    global _RUN
+    _RUN = run
 
 
-def _init_worker(filt, desc, acc_factory):
-    _WORK["filt"] = filt
-    _WORK["desc"] = desc
-    _WORK["factory"] = acc_factory
+def _subtree(seed):
+    return _RUN.subtree(seed)
 
 
-def _run_seed(seed):
-    rows, gens, edges = seed
-    acc = _WORK["factory"]()
-    run = _Run(_WORK["filt"], lambda g: acc.update(g), _WORK["desc"])
-    try:
-        run.descend(rows, len(rows), list(gens), edges)
-    except _Stop:
-        pass
-    return acc, run.stats.classes, run.stats.nodes, run.stats.pruned
-
-
-def parallel_scan(filt, acc_factory, jobs, desc=False, split_margin=3):
-    """Accumulate over all emitted classes using ``jobs`` processes.
-
-    ``acc_factory`` must be picklable (a top-level callable or partial)
-    and produce objects with update(graph) and merge(other).
-    """
-    filt.validate()
-    depth = max(1, filt.n - split_margin)
-    seeds, stats = _collect_seeds(filt, depth, desc)
-    acc = acc_factory()
-    if not seeds:
-        return acc, stats
-    if jobs <= 1 or len(seeds) == 1:
-        from .enumeration import enumerate_graphs
-
-        run_stats = enumerate_graphs(filt, visitor=lambda g: acc.update(g), desc=desc)
-        return acc, run_stats
+def parallel_scan(run, jobs):
+    """Descend ``run.seeds`` in ``jobs`` processes and emit their leaves."""
     ctx = mp.get_context("fork")
-    with ctx.Pool(jobs, initializer=_init_worker, initargs=(filt, desc, acc_factory)) as pool:
-        parts = pool.map(_run_seed, seeds, chunksize=max(1, len(seeds) // (jobs * 8)))
-    for part_acc, classes, nodes, pruned in parts:
-        acc.merge(part_acc)
-        stats.classes += classes
-        stats.nodes += nodes
-        for key, val in pruned.items():
-            stats.bump(key, val)
-    return acc, stats
+    with ctx.Pool(jobs, initializer=_init_worker, initargs=(run,)) as pool:
+        for leaves, stats in pool.imap(_subtree, run.seeds):
+            run.stats.merge(stats)
+            for rows in leaves:
+                run.emit(rows)

@@ -140,7 +140,7 @@ class SearchResult:
             "stats": {
                 "classes": self.stats.classes,
                 "nodes": self.stats.nodes,
-                "pruned": self.stats.pruned,
+                "pruned": dict(sorted(self.stats.pruned.items())),
                 "seconds": round(self.stats.seconds, 3),
                 "infeasible": self.stats.infeasible,
             },
@@ -148,24 +148,12 @@ class SearchResult:
         }
 
 
-def _merge_stats(parts):
-    total = GenStats()
-    for s in parts:
-        total.classes += s.classes
-        total.nodes += s.nodes
-        total.seconds += s.seconds
-        total.infeasible = total.infeasible or s.infeasible
-        for key, val in s.pruned.items():
-            total.bump(key, val)
-    return total
-
-
 def _canonical_g6(g):
     return graph6_encode(canonical_form(g))
 
 
 # ---------------------------------------------------------------------------
-# objective accumulators (top-level so parallel workers can pickle them)
+# objective accumulators
 
 
 class ExtremeAccumulator:
@@ -190,31 +178,10 @@ class ExtremeAccumulator:
             if len(self.witnesses) < self.cap:
                 self.witnesses.append(_canonical_g6(g))
 
-    def merge(self, other):
-        if other.best is None:
-            return
-        if self.best is None or self.sign * (other.best - self.best) > 0:
-            self.best = other.best
-            self.count = other.count
-            self.witnesses = other.witnesses[: self.cap]
-        elif other.best == self.best:
-            self.count += other.count
-            room = self.cap - len(self.witnesses)
-            if room > 0:
-                self.witnesses.extend(other.witnesses[:room])
-
-
-def _scan_extreme(filt, score_fn, sign, cap, jobs=1, desc=False):
-    if jobs > 1:
-        from .parallel import parallel_scan
-
-        acc, stats = parallel_scan(
-            filt, partial(ExtremeAccumulator, score_fn, sign, cap), jobs, desc
-        )
-        return acc, stats
+def _scan_extreme(filt, score_fn, sign, cap, jobs):
     acc = ExtremeAccumulator(score_fn, sign, cap)
-    stats = enumerate_graphs(filt, visitor=lambda g: acc.update(g), desc=desc)
-    return acc, stats
+    stats = enumerate_graphs(filt, visitor=acc.update, jobs=jobs)
+    return _result_from_acc(acc, stats)
 
 
 def _result_from_acc(acc, stats):
@@ -254,7 +221,7 @@ def _free_of(g, hspec, og_cache=None):
 # searches
 
 
-def exr_exact(n, hspec, all_witnesses=False, witness_cap=DEFAULT_WITNESS_CAP):
+def exr_exact(n, hspec, all_witnesses=False, witness_cap=DEFAULT_WITNESS_CAP, jobs=1):
     """Largest degree of a regular pattern-free graph on n vertices.
 
     Iterates the degree downward (skipping odd products nk) and stops at
@@ -263,7 +230,7 @@ def exr_exact(n, hspec, all_witnesses=False, witness_cap=DEFAULT_WITNESS_CAP):
     keeps scanning so the extremal class count is exact.
     """
     members = hspec.members()
-    level_stats = []
+    total = GenStats()
     for k in range(n - 1, -1, -1):
         if (n * k) % 2 != 0:
             continue
@@ -276,14 +243,13 @@ def exr_exact(n, hspec, all_witnesses=False, witness_cap=DEFAULT_WITNESS_CAP):
                 found.append(_canonical_g6(g))
             return not all_witnesses  # stop at first witness unless counting
 
-        stats = enumerate_regular(n, k, visitor=visit, forbidden=members)
-        level_stats.append(stats)
+        total.merge(enumerate_regular(n, k, visitor=visit, forbidden=members, jobs=jobs))
         if count[0] or k == 0:
             return SearchResult(
                 k,
                 tuple(found),
                 count[0] if all_witnesses else None,
-                _merge_stats(level_stats),
+                total,
                 extra={"pattern": hspec.describe()},
             )
     raise SearchError("unreachable: k=0 always admits the empty graph")
@@ -306,8 +272,7 @@ def max_kt(n, m, r, t, witness_cap=DEFAULT_WITNESS_CAP, jobs=1):
     """Maximum number of t-cliques among graphs with given order, size
     and maximum degree; exact extremal class count."""
     filt = GenFilter(n=n, max_degree=r, edge_count=m)
-    acc, stats = _scan_extreme(filt, partial(_score_kt, t), +1, witness_cap, jobs)
-    return _result_from_acc(acc, stats)
+    return _scan_extreme(filt, partial(_score_kt, t), +1, witness_cap, jobs)
 
 
 def max_k_total(n, m, r, witness_cap=DEFAULT_WITNESS_CAP, jobs=1):
@@ -319,16 +284,13 @@ def max_k_total(n, m, r, witness_cap=DEFAULT_WITNESS_CAP, jobs=1):
     classes are identical either way.
     """
     filt = GenFilter(n=n, max_degree=r, edge_count=m)
-    acc, stats = _scan_extreme(
-        filt, _score_k_total_above_edges, +1, witness_cap, jobs
-    )
-    return _result_from_acc(acc, stats)
+    return _scan_extreme(filt, _score_k_total_above_edges, +1, witness_cap, jobs)
 
 
 def min_triangles_regular(n, k, witness_cap=DEFAULT_WITNESS_CAP, jobs=1):
     """Minimum triangle count over k-regular graphs on n vertices."""
     acc = ExtremeAccumulator(_score_triangles, -1, witness_cap)
-    stats = enumerate_regular(n, k, visitor=lambda g: acc.update(g))
+    stats = enumerate_regular(n, k, visitor=acc.update, jobs=jobs)
     result = _result_from_acc(acc, stats)
     if stats.infeasible:
         result.extra["reason"] = "no k-regular graph: nk is odd"
@@ -388,8 +350,7 @@ def max_copies_free(n, pattern, forbidden_star_r, witness_cap=DEFAULT_WITNESS_CA
     most r (avoiding the star K_{1,r+1})."""
     filt = GenFilter(n=n, max_degree=forbidden_star_r)
     counter = PatternCounter(pattern)
-    acc, stats = _scan_extreme(filt, counter, +1, witness_cap, jobs)
-    result = _result_from_acc(acc, stats)
+    result = _scan_extreme(filt, counter, +1, witness_cap, jobs)
     result.extra["pattern_kind"] = counter.kind
     return result
 
@@ -414,13 +375,13 @@ def _kr1_component_split(g, r):
     return kr1, rest
 
 
-def probe_gls_critical(n, r, t=3, witness_cap=8):
+def probe_gls_critical(n, r, t=3, witness_cap=8, jobs=1):
     """Check critical-regime extremal witnesses for (a-1)K_{r+1}+H shape."""
     low, high = gls_critical_range(n, r)
     a = n // (r + 1)
     rows = []
     for m in range(low + 1, high + 1):
-        res = max_kt(n, m, r, t, witness_cap=witness_cap)
+        res = max_kt(n, m, r, t, witness_cap=witness_cap, jobs=jobs)
         wit_rows = []
         for w in res.witnesses:
             g = graph6_decode(w)
@@ -451,7 +412,7 @@ def probe_gls_critical(n, r, t=3, witness_cap=8):
     }
 
 
-def probe_triangle_floor(n_max, witness_cap=4):
+def probe_triangle_floor(n_max, witness_cap=4, jobs=1):
     """Conjectured triangle minimum vs exhaustive minimum in the window."""
     rows = []
     for n in range(7, n_max + 1, 2):
@@ -459,7 +420,7 @@ def probe_triangle_floor(n_max, witness_cap=4):
             if not forced_triangle_window(n, k):
                 continue
             bound = conjectured_triangle_min(n, k)
-            res = min_triangles_regular(n, k, witness_cap=witness_cap)
+            res = min_triangles_regular(n, k, witness_cap=witness_cap, jobs=jobs)
             rows.append(
                 {
                     "n": n,
@@ -481,11 +442,11 @@ def probe_triangle_floor(n_max, witness_cap=4):
     }
 
 
-def probe_odd_girth_question(n, hspec):
+def probe_odd_girth_question(n, hspec, jobs=1):
     """Data point for the odd-girth refinement question."""
     members = hspec.members()
     g_odd = min((odd_girth(h) for h in members if odd_girth(h) is not None), default=None)
-    res = exr_exact(n, hspec, all_witnesses=False)
+    res = exr_exact(n, hspec, all_witnesses=False, jobs=jobs)
     row = {
         "n": n,
         "pattern": hspec.describe(),
@@ -500,12 +461,12 @@ def probe_odd_girth_question(n, hspec):
     }
 
 
-def probe_cycle_question(m, r, n, witness_cap=4):
+def probe_cycle_question(m, r, n, witness_cap=4, jobs=1):
     """Normalized cycle-count maxima vs the balanced candidates."""
     if not 3 <= m <= 8:
         raise SearchError("cycle length must be between 3 and 8")
     pattern = cycle_graph(m)
-    res = max_copies_free(n, pattern, r, witness_cap=witness_cap)
+    res = max_copies_free(n, pattern, r, witness_cap=witness_cap, jobs=jobs)
     from .graphs import complete_bipartite
 
     candidates = {}

@@ -62,6 +62,16 @@ def test_enumerate_command(tmp_path, capsys):
     assert graph6_decode(lines[0]).is_regular(2)
 
 
+def test_enumerate_command_jobs(tmp_path):
+    outs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"q{jobs}.g6"
+        rc = main(["enumerate", "--n", "7", "--regular-k", "4", "--jobs", jobs, "--out", str(out)])
+        assert rc == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1] and len(outs[0].split()) == 2
+
+
 def test_exr_command(capsys):
     rc = main(["exr", "--n", "7", "--forbid", "K3"])
     assert rc == 0
@@ -72,6 +82,17 @@ def test_exr_command(capsys):
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["closed_form"]["exact"] is False
+
+
+def test_exr_command_jobs(capsys):
+    payloads = []
+    for jobs in ("1", "2"):
+        rc = main(["exr", "--n", "9", "--forbid", "K3", "--all-witnesses", "--jobs", jobs])
+        assert rc == 0
+        payload = json.loads(capsys.readouterr().out)
+        del payload["stats"]["seconds"]
+        payloads.append(payload)
+    assert payloads[0] == payloads[1]
 
 
 def test_census_triangles_command(capsys):

@@ -116,15 +116,19 @@ def test_regular_k_zero():
 
 
 def test_visitor_early_stop():
-    seen = []
+    firsts = []
+    for jobs in (1, 2):
+        seen = []
 
-    def visit(g):
-        seen.append(g)
-        return True
+        def visit(g):
+            seen.append(g.rows)
+            return True
 
-    stats = enumerate_graphs(GenFilter(n=6), visitor=visit)
-    assert len(seen) == 1
-    assert stats.classes == 1
+        stats = enumerate_graphs(GenFilter(n=6), visitor=visit, jobs=jobs)
+        assert len(seen) == 1
+        assert stats.classes == 1
+        firsts.append(seen[0])
+    assert firsts[0] == firsts[1]
 
 
 def test_hard_cap():
@@ -151,14 +155,34 @@ def test_infeasible_flag():
     assert not stats.infeasible and stats.classes == 2
 
 
-def test_parallel_matches_serial():
-    from functools import partial
+K3 = (complete_graph(3),)
+PARALLEL_CASES = {
+    **{
+        f"n{n}": lambda visit, jobs, n=n: enumerate_graphs(GenFilter(n=n), visitor=visit, jobs=jobs)
+        for n in range(1, 9)
+    },
+    "connected": lambda visit, jobs: enumerate_graphs(
+        GenFilter(n=7, connected=True), visitor=visit, jobs=jobs
+    ),
+    "desc": lambda visit, jobs: enumerate_graphs(
+        GenFilter(n=7), visitor=visit, desc=True, jobs=jobs
+    ),
+    "regular-9-4": lambda visit, jobs: enumerate_regular(9, 4, visitor=visit, jobs=jobs),
+    "regular-9-4-K3": lambda visit, jobs: enumerate_regular(
+        9, 4, visitor=visit, forbidden=K3, jobs=jobs
+    ),
+    "regular-9-6": lambda visit, jobs: enumerate_regular(9, 6, visitor=visit, jobs=jobs),
+    "regular-9-6-K3": lambda visit, jobs: enumerate_regular(
+        9, 6, visitor=visit, forbidden=K3, jobs=jobs
+    ),
+}
 
-    from turan_reg.parallel import parallel_scan
-    from turan_reg.search import ExtremeAccumulator, _score_kt
 
-    filt = GenFilter(n=6, max_degree=4)
-    serial = ExtremeAccumulator(partial(_score_kt, 3), 1, 8)
-    enumerate_graphs(filt, visitor=lambda g: serial.update(g))
-    par, stats = parallel_scan(filt, partial(ExtremeAccumulator, partial(_score_kt, 3), 1, 8), jobs=2)
-    assert (par.best, par.count, par.witnesses) == (serial.best, serial.count, serial.witnesses)
+@pytest.mark.parametrize("case", sorted(PARALLEL_CASES))
+def test_parallel_matches_serial(case):
+    runs = []
+    for jobs in (1, 2):
+        rows = []
+        stats = PARALLEL_CASES[case](lambda g: rows.append(g.rows) and None, jobs)
+        runs.append((rows, stats.classes, stats.nodes, stats.pruned))
+    assert runs[0] == runs[1]

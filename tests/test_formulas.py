@@ -5,7 +5,6 @@ from helpers import random_graph, seeded_rng
 from turan_reg.formulas import (
     FamilySpec,
     FormulaError,
-    GLSParams,
     c5_star_forest_count,
     conjectured_triangle_min,
     forced_triangle_window,
@@ -104,12 +103,3 @@ def test_conjectured_triangle_min():
         conjectured_triangle_min(11, 4)
     with pytest.raises(FormulaError):
         conjectured_triangle_min(9, 3)
-
-
-def test_gls_params():
-    p = GLSParams(n=8, r=4, m=14)
-    assert (p.a, p.b) == (1, 3)
-    with pytest.raises(FormulaError):
-        GLSParams(n=6, r=4, m=13)
-    with pytest.raises(FormulaError):
-        GLSParams(n=6, r=4, m=10, t=1)

@@ -232,3 +232,8 @@ def test_search_result_json():
     assert payload["classes"] >= 1
     assert isinstance(payload["witnesses"], list)
     assert payload["stats"]["classes"] > 0
+
+
+def test_parallel_search_reports_seconds():
+    res = max_copies_free(8, cycle_graph(5), 4, jobs=2)
+    assert res.to_json()["stats"]["seconds"] > 0
