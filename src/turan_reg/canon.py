@@ -39,11 +39,15 @@ class CanonicalLabel:
     data: bytes
 
 
-def _refine(rows, n, cells, desc):
+def _refine(rows, n, cells, desc, keep=None):
     """Coarsest stable refinement of an ordered partition.
 
     Split keys pack per-cell neighbor counts into one int when n < 16,
     falling back to tuples for larger graphs.
+
+    With ``keep`` set, returns None as soon as vertex ``keep`` leaves the
+    last cell.  A round only splits cells and keeps their order, so the
+    last cells of successive rounds are nested and the exit is exact.
     """
     small = n < 16
     while True:
@@ -53,6 +57,8 @@ def _refine(rows, n, cells, desc):
             for v in c:
                 m |= 1 << v
             masks.append(m)
+        if keep is not None and not (masks[-1] >> keep) & 1:
+            return None
         new_cells = []
         changed = False
         for c in cells:

@@ -15,13 +15,24 @@ Because refinement orders cells by degree, the canonical-deletion vertex
 always carries the extremal degree, which gives two cheap rejection
 tests before any canonical search: the new vertex must attain the
 extremal degree, and must land in the last cell of the refined
-partition.  When the refined partition is discrete the graph is rigid
-and the acceptance decision needs no search at all.
+partition; refinement stops at the first round that moves it out (the
+vertex-invariant cascade of McKay, J. Algorithms 26, 1998).  When the
+refined partition is discrete the graph is rigid and the acceptance
+decision needs no search at all.
 
 Filters push down only hereditary consequences (degree caps, edge-count
 reachability, regularity deficiency bounds, forbidden-subgraph
 freeness); exact conditions such as the edge count are enforced at
-emission, so pruning never changes the emitted set.
+emission, so pruning never changes the emitted set.  The first three
+shape a per-parent window of admissible attachment sets, so no
+inadmissible child is ever built (the regular-graph generation scheme
+of Meringer, J. Graph Theory 30, 1999).
+
+``GenStats.pruned`` counts the children dropped after they were built,
+by reason: ``forbidden`` (the child contains a forbidden pattern
+through the new vertex), ``canonical`` (the new vertex is not in the
+orbit of the canonical-deletion vertex) and ``connectivity`` (a leaf
+failing the ``connected`` filter at emission).
 
 The ``desc`` flag flips the cell-ordering convention of the canonical
 form, producing a second, independently structured augmentation tree
@@ -117,12 +128,32 @@ def _extend(rows, j, s):
     return tuple(new)
 
 
-def _subset_orbit_reps(j, gens):
+def _attachment_reps(j, gens, window):
+    """Orbit representatives of the admissible attachment sets, increasing.
+
+    The candidates are ``forced | t`` for the submasks ``t`` of ``free``
+    with ``lo <= |forced | t| <= hi``.  The window is a union of orbits of
+    the parent's automorphism group, so the first candidate met in each
+    orbit is the orbit's minimum, as in a scan of all 2^j subsets.
+    """
+    free, forced, lo, hi = window
+    if free == (1 << j) - 1:
+        cands = range(1 << j)
+    else:
+        cands = []
+        t = 0
+        while True:
+            cands.append(forced | t)
+            t = (t - free) & free
+            if not t:
+                break
+    if lo > forced.bit_count() or hi < (free | forced).bit_count():
+        cands = [s for s in cands if lo <= s.bit_count() <= hi]
     if not gens:
-        return range(1 << j)
+        return cands
     seen = bytearray(1 << j)
     reps = []
-    for s in range(1 << j):
+    for s in cands:
         if seen[s]:
             continue
         reps.append(s)
@@ -159,9 +190,8 @@ def _accept(rows, nc, desc):
         for r in rows:
             if r.bit_count() > deg_j:
                 return False, None
-    cells = _refine(rows, nc, [list(range(nc))], desc)
-    last = cells[-1]
-    if j not in last:
+    cells = _refine(rows, nc, [list(range(nc))], desc, keep=j)
+    if cells is None:
         return False, None
     if len(cells) == nc:
         # discrete refinement: rigid graph, j is the canonical-last vertex
@@ -209,40 +239,45 @@ class _Run:
             if self.visitor(g):
                 raise _Stop
 
-    def child_ok(self, rows, j, s, edges):
-        """Hereditary pushdown for attaching set ``s`` to vertex j."""
-        size = s.bit_count()
-        if size > self.r:
-            self.stats.bump("degree")
-            return False
+    def window(self, rows, j, edges):
+        """Admissible attachment sets for vertex j, as ``(free, forced, lo, hi)``.
+
+        A set s is admissible when ``s == forced | t`` for a submask t of
+        ``free`` and ``lo <= |s| <= hi``; None when no set is.  These are
+        the hereditary pushdowns: the degree cap, edge-count reachability
+        and, for a regular filter, the deficiencies that the remaining
+        f = n - j - 1 vertices can still make up.
+        """
+        r, m, k = self.r, self.m, self.k
+        avail = 0
         for v in range(j):
-            if (s >> v) & 1 and rows[v].bit_count() >= self.r:
-                self.stats.bump("degree")
-                return False
-        e2 = edges + size
-        if self.m is not None:
-            if e2 > self.m or e2 + self.future[j + 1] < self.m:
-                self.stats.bump("edges")
-                return False
-        if self.k is not None:
+            if rows[v].bit_count() < r:
+                avail |= 1 << v
+        forced = 0
+        lo, hi = 0, r
+        if m is not None:
+            lo = m - edges - self.future[j + 1]
+            hi = min(hi, m - edges)
+        if k is not None:
             f = self.n - j - 1
-            total_def = 0
+            # a vertex short of f + 1 edges needs the new one; a forced
+            # vertex has degree k - f - 1 < k = r, so it is in avail
             for v in range(j):
-                d = rows[v].bit_count() + ((s >> v) & 1)
-                deficit = self.k - d
+                deficit = k - rows[v].bit_count()
                 if deficit > f:
-                    self.stats.bump("deficiency")
-                    return False
-                total_def += deficit
-            deficit = self.k - size
-            if deficit > f:
-                self.stats.bump("deficiency")
-                return False
-            total_def += deficit
-            if total_def > f * self.k or (total_def - f * self.k) % 2 != 0:
-                self.stats.bump("deficiency")
-                return False
-        return True
+                    if deficit > f + 1:
+                        return None
+                    forced |= 1 << v
+            # the total deficiency left, (j + 1)*k - 2*(edges + |s|), must
+            # fit in the f*k degrees of the last f vertices; with m = n*k/2
+            # and future[j + 1] <= f*k that is already the edge bound above
+            lo = max(lo, k - f)
+        lo = max(lo, forced.bit_count())
+        free = avail & ~forced
+        hi = min(hi, forced.bit_count() + free.bit_count())
+        if lo > hi:
+            return None
+        return free, forced, lo, hi
 
     def descend(self, rows, j, gens, edges):
         if j == self.split:
@@ -252,9 +287,10 @@ class _Run:
         if j == self.n:
             self.leaf(rows)
             return
-        for s in _subset_orbit_reps(j, gens):
-            if not self.child_ok(rows, j, s, edges):
-                continue
+        window = self.window(rows, j, edges)
+        if window is None:
+            return
+        for s in _attachment_reps(j, gens, window):
             child = _extend(rows, j, s)
             if self.forbidden:
                 cg = Graph(j + 1, child)
@@ -286,10 +322,10 @@ def enumerate_graphs(filt, visitor=None, desc=False, force=False, jobs=1):
 
     With ``jobs > 1`` the descent stops at depth n - 2 and records the
     accepted graphs there as seeds; a pool of ``jobs`` processes
-    descends the seeds' subtrees (see ``parallel``), and their leaves
-    are emitted here in seed order.  The visitor runs in this process
-    and sees the classes in serial order, so results and counts are
-    those of a serial run.
+    descends the seeds' subtrees (see ``parallel``; a lone seed is
+    descended in this process), and their leaves are emitted here in
+    seed order.  The visitor runs in this process and sees the classes
+    in serial order, so results and counts are those of a serial run.
     """
     filt.validate()
     if filt.n > HARD_CAP and not force:

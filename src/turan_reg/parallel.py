@@ -33,10 +33,21 @@ def _subtree(seed):
 
 
 def parallel_scan(run, jobs):
-    """Descend ``run.seeds`` in ``jobs`` processes and emit their leaves."""
+    """Descend ``run.seeds`` in ``jobs`` processes and emit their leaves.
+
+    Fewer than two seeds leave nothing to split: they are descended in
+    this process, without a pool.
+    """
+    if len(run.seeds) < 2:
+        _emit_all(run, map(run.subtree, run.seeds))
+        return
     ctx = mp.get_context("fork")
     with ctx.Pool(jobs, initializer=_init_worker, initargs=(run,)) as pool:
-        for leaves, stats in pool.imap(_subtree, run.seeds):
-            run.stats.merge(stats)
-            for rows in leaves:
-                run.emit(rows)
+        _emit_all(run, pool.imap(_subtree, run.seeds))
+
+
+def _emit_all(run, results):
+    for leaves, stats in results:
+        run.stats.merge(stats)
+        for rows in leaves:
+            run.emit(rows)

@@ -101,3 +101,37 @@ def naive_contains(g, h):
 
 def seeded_rng():
     return random.Random(987123)
+
+
+def child_ok_oracle(filt, rows, j, s, edges):
+    """Whether attaching set ``s`` to a new vertex j keeps the filter reachable.
+
+    The per-candidate test of the generator before it built only
+    admissible sets: the degree cap, edge-count reachability and, for a
+    regular filter, every deficiency the remaining vertices must make up.
+    """
+    n = filt.n
+    r = filt.max_degree if filt.max_degree is not None else n - 1
+    if filt.regular_k is not None:
+        r = min(r, filt.regular_k)
+    k = filt.regular_k
+    m = n * k // 2 if k is not None else filt.edge_count
+    size = s.bit_count()
+    if size > r:
+        return False
+    if any((s >> v) & 1 and rows[v].bit_count() >= r for v in range(j)):
+        return False
+    if m is not None:
+        future = sum(min(i, r) for i in range(j + 1, n))
+        if edges + size > m or edges + size + future < m:
+            return False
+    if k is not None:
+        f = n - j - 1
+        deficits = [k - rows[v].bit_count() - ((s >> v) & 1) for v in range(j)]
+        deficits.append(k - size)
+        if max(deficits) > f:
+            return False
+        total = sum(deficits)
+        if total > f * k or (total - f * k) % 2 != 0:
+            return False
+    return True

@@ -1,15 +1,20 @@
+import hashlib
+
 import pytest
 
-from helpers import all_labeled_graphs
+from helpers import all_labeled_graphs, child_ok_oracle
 
-from turan_reg.canon import canon_core, canonical_label
+from turan_reg import parallel
+from turan_reg.canon import _refine, canon_core, canonical_label
 from turan_reg.enumeration import (
     EnumerationError,
     GenFilter,
+    _attachment_reps,
+    _Run,
     enumerate_graphs,
     enumerate_regular,
 )
-from turan_reg.graphs import complete_graph, contains_subgraph, is_connected
+from turan_reg.graphs import complete_graph, contains_subgraph, graph6_encode, is_connected
 
 KNOWN_CLASS_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
 
@@ -43,14 +48,24 @@ def test_no_duplicates_by_label():
         assert len(labels) == len(emitted)
 
 
+def _max_degree(g):
+    return max(g.degree(v) for v in range(g.n))
+
+
 def test_filter_pushdown_soundness():
     # pruned runs agree with a full run post-filtered, per filter kind
-    for n in (5, 6, 7):
+    for n in (5, 6, 7, 8):
         full, _ = collect(GenFilter(n=n))
         cases = [
-            (GenFilter(n=n, max_degree=3), lambda g: max(g.degree(v) for v in range(g.n)) <= 3),
+            (GenFilter(n=n, max_degree=3), lambda g: _max_degree(g) <= 3),
             (GenFilter(n=n, edge_count=7), lambda g: g.edge_count == 7),
+            (
+                GenFilter(n=n, edge_count=n + 1, max_degree=3),
+                lambda g: g.edge_count == g.n + 1 and _max_degree(g) <= 3,
+            ),
             (GenFilter(n=n, regular_k=2), lambda g: g.is_regular(2)),
+            (GenFilter(n=n, regular_k=3), lambda g: g.is_regular(3)),
+            (GenFilter(n=n, regular_k=4), lambda g: g.is_regular(4)),
             (
                 GenFilter(n=n, forbidden=(complete_graph(3),)),
                 lambda g: not contains_subgraph(g, complete_graph(3)),
@@ -75,6 +90,145 @@ def test_dual_orders_agree():
         asc, _ = collect(GenFilter(n=n))
         desc, _ = collect(GenFilter(n=n), desc=True)
         assert {canonical_label(g) for g in asc} == {canonical_label(g) for g in desc}
+    asc, desc = [], []
+    enumerate_regular(10, 4, visitor=lambda g: asc.append(canonical_label(g)) and None)
+    enumerate_regular(10, 4, visitor=lambda g: desc.append(canonical_label(g)) and None, desc=True)
+    assert len(asc) == len(desc) == 60
+    assert set(asc) == set(desc)
+
+
+# SHA-256 of the emitted graph6 lines, each ending in a newline, and the
+# class count: pinned so that a change in the candidate or acceptance
+# order shows, not only a change in the emitted set.
+ORDER_GOLDENS = {
+    "max-degree-8-4": (
+        lambda visit: enumerate_graphs(GenFilter(n=8, max_degree=4), visitor=visit),
+        "b642d27f23d4f852c31af94071d02bc13fc6950ec0a216d0b61c341ac37d3a59",
+        2590,
+    ),
+    "edges-max-degree-8-12-4": (
+        lambda visit: enumerate_graphs(
+            GenFilter(n=8, edge_count=12, max_degree=4), visitor=visit
+        ),
+        "84cfb16b236c8f42b72ff6b56123b726f87390c6841e5119e35a38bbd2029fc9",
+        465,
+    ),
+    "regular-10-4": (
+        lambda visit: enumerate_regular(10, 4, visitor=visit),
+        "35ae8be05e217ec8bab5a7cfca900ccb353e8ab9327901f387c54bb732f4406c",
+        60,
+    ),
+    "regular-10-3-K3": (
+        lambda visit: enumerate_regular(10, 3, visitor=visit, forbidden=(complete_graph(3),)),
+        "427a8705c2d2ee4b8f0a53101b4e4ea7db8a3209d227eaf0bf54d3a620352b72",
+        6,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORDER_GOLDENS))
+def test_emission_order_golden(case):
+    run, digest, count = ORDER_GOLDENS[case]
+    h = hashlib.sha256()
+    lines = []
+
+    def visit(g):
+        line = graph6_encode(g).encode("ascii") + b"\n"
+        h.update(line)
+        lines.append(line)
+
+    run(visit)
+    assert (h.hexdigest(), len(lines)) == (digest, count)
+
+
+def _orbit_minima(j, gens, sets):
+    """Smallest member of each orbit of Aut on ``sets``, by closure."""
+    left = set(sets)
+    minima = []
+    while left:
+        s = min(left)
+        minima.append(s)
+        orbit, frontier = {s}, [s]
+        while frontier:
+            t = frontier.pop()
+            for a in gens:
+                u = sum(1 << a[v] for v in range(j) if (t >> v) & 1)
+                if u not in orbit:
+                    orbit.add(u)
+                    frontier.append(u)
+        assert orbit <= left
+        left -= orbit
+    return minima
+
+
+WINDOW_FILTERS = {
+    "max-degree": GenFilter(n=8, max_degree=3),
+    "edges-max-degree": GenFilter(n=8, edge_count=10, max_degree=3),
+    "regular": GenFilter(n=8, regular_k=3),
+    "regular-forced": GenFilter(n=8, regular_k=4),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WINDOW_FILTERS))
+def test_window_matches_oracle(case):
+    # every parent of the tree, at every depth: the window admits exactly
+    # the subsets the per-candidate test admits, and yields their orbit
+    # minima in increasing order
+    filt = WINDOW_FILTERS[case]
+    parents = forced_parents = 0
+    for j in range(1, filt.n):
+        run = _Run(filt, None, False, split=j)
+        run.descend((0,), 1, [], 0)
+        for rows, gens, edges in run.seeds:
+            want = [s for s in range(1 << j) if child_ok_oracle(filt, rows, j, s, edges)]
+            window = run.window(rows, j, edges)
+            got = list(_attachment_reps(j, [], window)) if window else []
+            assert got == want, (rows, j)
+            reps = list(_attachment_reps(j, gens, window)) if window else []
+            assert reps == _orbit_minima(j, gens, want), (rows, j)
+            parents += 1
+            forced_parents += bool(window and window[1])
+    assert parents > 50
+    if case == "regular-forced":
+        assert forced_parents > 0
+
+
+def test_refine_keep_exact():
+    for n in range(1, 6):
+        for g in all_labeled_graphs(n):
+            for desc in (False, True):
+                full = _refine(g.rows, n, [list(range(n))], desc)
+                for v in range(n):
+                    got = _refine(g.rows, n, [list(range(n))], desc, keep=v)
+                    if v in full[-1]:
+                        assert got == full
+                    else:
+                        assert got is None
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda visit, jobs: enumerate_graphs(GenFilter(n=3), visitor=visit, jobs=jobs),
+        lambda visit, jobs: enumerate_regular(11, 10, visitor=visit, jobs=jobs),
+    ],
+    ids=["n3", "regular-11-10"],
+)
+def test_parallel_without_pool_below_two_seeds(run, monkeypatch):
+    # one seed or none: descended in this process, like a serial run
+    serial = []
+    stats = run(lambda g: serial.append(g.rows) and None, 1)
+
+    def no_pool(*args):
+        raise AssertionError("a pool was started for fewer than two seeds")
+
+    monkeypatch.setattr(parallel.mp, "get_context", no_pool)
+    got = []
+    stats2 = run(lambda g: got.append(g.rows) and None, 2)
+    assert got == serial
+    assert (stats2.classes, stats2.nodes, stats2.pruned) == (
+        stats.classes, stats.nodes, stats.pruned
+    )
 
 
 def test_regular_examples():
