@@ -15,8 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-
-import numpy as np
+from operator import mul
 
 
 class GraphError(ValueError):
@@ -113,7 +112,13 @@ def complement(g):
 
 
 def induced_subgraph(g, vertices):
-    """Induced subgraph on ``vertices`` (kept in the given order)."""
+    """Induced subgraph on ``vertices`` (kept in the given order).
+
+    ``vertices == range(k)`` keeps the labels, so the rows are only masked.
+    """
+    if isinstance(vertices, range) and vertices == range(len(vertices)):
+        mask = (1 << len(vertices)) - 1
+        return Graph(len(vertices), tuple(g.rows[v] & mask for v in vertices))
     idx = {v: i for i, v in enumerate(vertices)}
     rows = [0] * len(vertices)
     for i, v in enumerate(vertices):
@@ -295,75 +300,93 @@ def triangle_count(g):
     return total
 
 
-def _twin_reduced(g):
-    """Induced subgraph keeping one vertex per identical-row class.
+def _twin_mask(g):
+    """Bitmask keeping the first vertex of each identical-row class.
 
-    Equal rows force non-adjacency, so this deletes false twins only;
-    both the odd girth and triangle existence are preserved.
+    Equal rows force non-adjacency, so the other vertices are false twins;
+    odd girth and triangle existence are the same on the kept vertices.
     """
-    seen = {}
-    reps = []
+    seen = set()
+    keep = 0
     for v, r in enumerate(g.rows):
         if r not in seen:
-            seen[r] = v
-            reps.append(v)
-    if len(reps) == g.n:
-        return g
-    return induced_subgraph(g, reps)
+            seen.add(r)
+            keep |= 1 << v
+    return keep
 
 
 def is_triangle_free(g):
-    h = _twin_reduced(g)
-    rows = h.rows
-    for u in range(h.n):
-        ru = rows[u]
-        m = ru >> (u + 1) << (u + 1)
-        while m:
-            low = m & -m
+    rows = g.rows
+    keep = _twin_mask(g)
+    m = keep
+    while m:
+        low = m & -m
+        u = low.bit_length() - 1
+        m ^= low
+        ru = rows[u] & keep
+        above = ru >> (u + 1) << (u + 1)
+        while above:
+            low = above & -above
             v = low.bit_length() - 1
-            m ^= low
+            above ^= low
             if ru & rows[v]:
                 return False
     return True
 
 
+def _odd_layer(rows, keep, s, bound):
+    """BFS from ``s`` over the vertices of ``keep``.
+
+    Returns ``(2d + 1, seen)`` for the first layer d that holds an edge,
+    checking only layers with 2d + 1 < ``bound``, else ``(None, seen)``;
+    ``seen`` is the set of vertices reached, which with an infinite
+    ``bound`` and no hit is the component of ``s``.
+    """
+    seen = layer = 1 << s
+    d = 0
+    while layer and 2 * d + 1 < bound:
+        grow = 2 * d + 3 < bound  # whether the next layer is checked
+        nxt = 0
+        m = layer
+        while m:
+            low = m & -m
+            r = rows[low.bit_length() - 1]
+            m ^= low
+            if r & layer:
+                return 2 * d + 1, seen
+            if grow:
+                nxt |= r
+        layer = nxt & keep & ~seen
+        seen |= layer
+        d += 1
+    return None, seen
+
+
 def odd_girth(g):
     """Length of a shortest odd cycle, or None iff bipartite.
 
-    BFS from every vertex of the twin-reduced graph; an edge inside the
-    layer at distance d witnesses an odd closed walk of length 2d+1.
+    Works on one vertex per identical-row class.  One BFS per component
+    first: if no BFS layer holds an edge the graph is bipartite.
+    Otherwise BFS runs from every kept vertex s over the kept vertices
+    from s up, stopping at depth d once 2d + 1 reaches the best length so
+    far.  An edge inside the layer at distance d witnesses an odd closed
+    walk of length 2d + 1, and the lowest vertex of a shortest odd cycle
+    attains its length.
     """
-    h = _twin_reduced(g)
-    rows = h.rows
-    n = h.n
-    best = None
-    for s in range(n):
-        seen = 1 << s
-        layer = 1 << s
-        d = 0
-        while layer:
-            if best is not None and 2 * d + 1 >= best:
-                break
-            m = layer
-            hit = False
-            nxt = 0
-            while m:
-                low = m & -m
-                v = low.bit_length() - 1
-                m ^= low
-                r = rows[v]
-                if r & layer:
-                    hit = True
-                    break
-                nxt |= r
-            if hit:
-                cand = 2 * d + 1
-                if best is None or cand < best:
-                    best = cand
-                break
-            layer = nxt & ~seen
-            seen |= layer
-            d += 1
+    rows = g.rows
+    keep = _twin_mask(g)
+    left = keep
+    while left:
+        best, comp = _odd_layer(rows, keep, (left & -left).bit_length() - 1, math.inf)
+        if best is not None:
+            break
+        left &= ~comp
+    else:
+        return None
+    for s in bits(keep):
+        cand, _ = _odd_layer(rows, keep >> s << s, s, best)
+        if cand is not None:
+            best = cand
     return best
 
 
@@ -539,14 +562,6 @@ def count_subgraph_embeddings(g, h):
 # cycle counting
 
 
-def _adjacency_matrix(g):
-    a = np.zeros((g.n, g.n), dtype=np.int64)
-    for u in range(g.n):
-        for v in bits(g.rows[u]):
-            a[u, v] = 1
-    return a
-
-
 def _count_cycles_dfs(g, m):
     """Anchored simple-path search; each cycle found twice, halved."""
     rows = g.rows
@@ -581,8 +596,16 @@ def _count_cycles_dfs(g, m):
 def count_cycles(g, m):
     """Number of m-cycle subgraphs, 3 <= m <= 8, each counted once.
 
-    Short cycles go through closed-walk trace identities; longer ones
-    fall back to anchored path search.
+    With a2[u][v] = |N(u) & N(v)| (so a2[u][u] = d(u)), exact integer
+    closed-walk identities give the short cycles:
+
+    - C4 = sum over u < v of C(a2[u][v], 2), halved: each 4-cycle has two
+      diagonals;
+    - C5 = (tr A^5 - 5 * sum_u t3(u) (d(u) - 1)) / 10 (Alon, Yuster and
+      Zwick 1997), with t3(u) = sum over w in N(u) of a2[u][w] and
+      tr A^5 = 2 * sum over edges uw of sum_v a2[u][v] a2[w][v].
+
+    Longer cycles fall back to anchored path search.
     """
     if not 3 <= m <= 8:
         raise GraphError("cycle length must be between 3 and 8")
@@ -590,20 +613,23 @@ def count_cycles(g, m):
         return 0
     if m == 3:
         return triangle_count(g)
-    a = _adjacency_matrix(g)
-    deg = a.sum(axis=1)
-    a2 = a @ a
+    if m > 5:
+        return _count_cycles_dfs(g, m)
+    rows = g.rows
+    a2 = [[(ru & rv).bit_count() for rv in rows] for ru in rows]
     if m == 4:
-        # tr(A^4) = 2*sum(d^2) - sum(d) + 8*c4
-        tr4 = int((a2 * a2).sum())
-        return (tr4 - 2 * int((deg * deg).sum()) + int(deg.sum())) // 8
-    if m == 5:
-        a3 = a2 @ a
-        tr3 = int(np.trace(a3))
-        tr5 = int((a2 * (a3.T)).sum())
-        wedge = int((np.diag(a3) * (deg - 2)).sum())
-        return (tr5 - 5 * tr3 - 5 * wedge) // 10
-    return _count_cycles_dfs(g, m)
+        pairs = sum(c * (c - 1) for u, au in enumerate(a2) for c in au[u + 1:])
+        return pairs // 4
+    tr5 = 0
+    wedges = 0
+    for u, au in enumerate(a2):
+        t3 = 0
+        for w in bits(rows[u]):
+            t3 += au[w]
+            if w > u:
+                tr5 += sum(map(mul, au, a2[w]))
+        wedges += t3 * (au[u] - 1)
+    return (2 * tr5 - 5 * wedges) // 10
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,134 @@
+"""Differential tests of the census against networkx.
+
+networkx shares no code with the bitset census: cycles come from its
+``simple_cycles`` enumeration with a length bound, bipartiteness from
+``is_bipartite`` and triangles from ``triangles``.  The graphs include
+false twins (the census keeps one vertex per identical-row class),
+disconnected graphs whose odd cycle sits after a bipartite component,
+and orders 0, 1 and 2.
+"""
+
+import itertools
+
+import pytest
+
+from helpers import random_graph, seeded_rng
+
+from turan_reg.graphs import (
+    Graph,
+    bits,
+    complete_bipartite,
+    count_cycles,
+    cycle_graph,
+    disjoint_union,
+    empty_graph,
+    from_edges,
+    induced_subgraph,
+    is_triangle_free,
+    odd_girth,
+    path_graph,
+    petersen_graph,
+)
+
+nx = pytest.importorskip("networkx")
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+
+def to_nx(g):
+    G = nx.Graph()
+    G.add_nodes_from(range(g.n))
+    G.add_edges_from(g.edges())
+    return G
+
+
+def with_false_twins(g, sources):
+    """Append, for each source vertex, a new vertex with its neighbourhood."""
+    rows = list(g.rows)
+    for s in sources:
+        v = len(rows)
+        rows.append(rows[s])
+        for w in bits(rows[s]):
+            rows[w] |= 1 << v
+    return Graph(len(rows), tuple(rows))
+
+
+def cycles_of_length(G, m):
+    return sum(1 for c in nx.simple_cycles(G, length_bound=m) if len(c) == m)
+
+
+def shortest_odd_cycle(G):
+    for m in range(3, G.number_of_nodes() + 1, 2):
+        if any(len(c) == m for c in nx.simple_cycles(G, length_bound=m)):
+            return m
+    return None
+
+
+def check_census(g):
+    G = to_nx(g)
+    og = odd_girth(g)
+    if nx.is_bipartite(G):
+        assert og is None, g.rows
+    else:
+        assert og == shortest_odd_cycle(G), g.rows
+    triangles = sum(nx.triangles(G).values()) // 3
+    assert is_triangle_free(g) == (triangles == 0), g.rows
+    assert count_cycles(g, 3) == triangles, g.rows
+    for m in (4, 5, 6):
+        assert count_cycles(g, m) == cycles_of_length(G, m), (g.rows, m)
+    for k in (0, g.n // 2, g.n):
+        sub = to_nx(induced_subgraph(g, range(k)))
+        assert nx.utils.graphs_equal(sub, G.subgraph(range(k))), (g.rows, k)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        empty_graph(0),
+        empty_graph(1),
+        empty_graph(2),
+        from_edges(2, [(0, 1)]),
+        disjoint_union(complete_bipartite(2, 3), cycle_graph(5)),
+        disjoint_union(path_graph(4), empty_graph(2), cycle_graph(7), cycle_graph(5)),
+        with_false_twins(disjoint_union(complete_bipartite(3, 3), cycle_graph(5)), [0, 6, 7, 8]),
+        with_false_twins(petersen_graph(), [0, 0, 5]),
+    ],
+    ids=["n0", "n1", "n2-empty", "n2-edge", "K23+C5", "P4+2K1+C7+C5", "twins-K33+C5", "twins-petersen"],
+)
+def test_census_examples(g):
+    check_census(g)
+
+
+def test_census_random_with_false_twins():
+    rng = seeded_rng()
+    for _ in range(150):
+        g = random_graph(rng, rng.randint(1, 8))
+        g = with_false_twins(g, [rng.randrange(g.n) for _ in range(rng.randint(0, 3))])
+        check_census(g)
+
+
+@st.composite
+def graphs(draw, max_n=7):
+    n = draw(st.integers(0, max_n))
+    pairs = list(itertools.combinations(range(n), 2))
+    picks = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    g = from_edges(n, [p for p, keep in zip(pairs, picks) if keep])
+    if n:
+        g = with_false_twins(g, draw(st.lists(st.integers(0, n - 1), max_size=3)))
+    return g
+
+
+@st.composite
+def bipartite_then_any(draw):
+    """A bipartite component first, so the odd cycle is in a later one."""
+    a, b = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    cross = list(itertools.product(range(a), range(a, a + b)))
+    picks = draw(st.lists(st.booleans(), min_size=len(cross), max_size=len(cross)))
+    bip = from_edges(a + b, [e for e, keep in zip(cross, picks) if keep])
+    return disjoint_union(bip, draw(graphs(max_n=6)))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.one_of(graphs(), bipartite_then_any()))
+def test_census_property(g):
+    check_census(g)

@@ -1,3 +1,9 @@
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from helpers import naive_contains, naive_cycle_count, random_graph, seeded_rng
@@ -220,6 +226,34 @@ def test_count_cycles_vs_naive():
     for _ in range(15):
         g = random_graph(rng, rng.randint(9, 10))
         assert count_cycles(g, 5) == naive_cycle_count(g, 5)
+
+
+def test_count_cycles_closed_forms():
+    for n in range(61):
+        k = complete_graph(n)
+        assert count_cycles(k, 4) == 3 * math.comb(n, 4)
+        assert count_cycles(k, 5) == 12 * math.comb(n, 5)
+    for a in range(1, 25, 3):
+        for b in range(a, 40, 4):
+            kab = complete_bipartite(a, b)
+            assert count_cycles(kab, 4) == math.comb(a, 2) * math.comb(b, 2)
+            assert count_cycles(kab, 5) == 0
+
+
+def test_census_imports_no_numpy():
+    import turan_reg
+
+    code = (
+        "import sys, turan_reg\n"
+        "from turan_reg.graphs import count_cycles, odd_girth, petersen_graph\n"
+        "assert count_cycles(petersen_graph(), 5) == 12\n"
+        "assert odd_girth(petersen_graph()) == 5\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+    )
+    src = str(Path(turan_reg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_count_cycles_range_errors():
