@@ -8,9 +8,9 @@ certificates (together with the order) coincide.
 The ordered-partition machinery follows the usual scheme:
 
   * ``_refine`` drives a partition to its coarsest stable refinement,
-    splitting cells by neighbor counts against every current cell;
-    sub-cells are ordered by their split key, so the cell order of the
-    result is itself an isomorphism invariant.
+    splitting cells by neighbor counts against the cells that changed
+    last; sub-cells are ordered by their split key, so the cell order of
+    the result is itself an isomorphism invariant.
   * If the stable partition is discrete the graph is rigid (every
     automorphism preserves the cells) and the single leaf is canonical.
   * Otherwise the search individualizes each vertex of the first
@@ -39,28 +39,49 @@ class CanonicalLabel:
     data: bytes
 
 
-def _refine(rows, n, cells, desc, keep=None):
+def _refine(rows, n, cells, desc, keep=None, active=None, alone=False):
     """Coarsest stable refinement of an ordered partition.
 
-    Split keys pack per-cell neighbor counts into one int when n < 16,
-    falling back to tuples for larger graphs.
+    Each round splits every cell by its vertices' neighbour counts in the
+    splitter cells and orders the sub-cells by those counts.  The first
+    round's splitters are the cells at the indices ``active`` (all cells
+    by default); a caller passes fewer only when the counts against the
+    others are constant on every cell.  Later rounds split only against
+    the cells the previous round created, less the last sub-cell of each
+    split: the counts against an unchanged cell are constant on every
+    current cell, and so is the sum over the sub-cells of a split one, so
+    dropping them changes neither the split nor the order of the
+    sub-cells, whose keys compare lexicographically (the splitter rule of
+    McKay and Piperno, J. Symbolic Comput. 60, 2014).  The result is the
+    one a refinement against all cells in every round gives.
+
+    Split keys pack the counts into one int when n < 16, falling back to
+    tuples for larger graphs.
 
     With ``keep`` set, returns None as soon as vertex ``keep`` leaves the
     last cell.  A round only splits cells and keeps their order, so the
     last cells of successive rounds are nested and the exit is exact.
+    With ``alone`` also set, the partition of the first round whose last
+    cell is ``keep`` alone is returned as it is, not yet stable: every
+    later round, and every leaf of a search from it, keeps ``keep`` last.
     """
     small = n < 16
+    if active is None:
+        active = range(len(cells))
     while True:
+        if keep is not None:
+            if keep not in cells[-1]:
+                return None
+            if alone and len(cells[-1]) == 1:
+                return cells
         masks = []
-        for c in cells:
+        for i in active:
             m = 0
-            for v in c:
+            for v in cells[i]:
                 m |= 1 << v
             masks.append(m)
-        if keep is not None and not (masks[-1] >> keep) & 1:
-            return None
         new_cells = []
-        changed = False
+        active = []
         for c in cells:
             if len(c) == 1:
                 new_cells.append(c)
@@ -89,10 +110,12 @@ def _refine(rows, n, cells, desc, keep=None):
             if len(buckets) == 1:
                 new_cells.append(c)
             else:
-                changed = True
-                for k in sorted(buckets, reverse=desc):
+                keys = sorted(buckets, reverse=desc)
+                for k in keys[:-1]:
+                    active.append(len(new_cells))
                     new_cells.append(buckets[k])
-        if not changed:
+                new_cells.append(buckets[keys[-1]])
+        if not active:
             return new_cells
         cells = new_cells
 
@@ -111,15 +134,6 @@ def _compose_auto(p0, p1, n):
     for i in range(n):
         a[p0[i]] = p1[i]
     return tuple(a)
-
-
-def _stabilizes_cells(auto, cells):
-    for c in cells:
-        cs = set(c)
-        for v in c:
-            if auto[v] not in cs:
-                return False
-    return True
 
 
 def _search(rows, n, cells0, desc):
@@ -159,9 +173,21 @@ def _search(rows, n, cells0, desc):
         prefix = cells[:idx]
         suffix = cells[idx + 1:]
         explored = []
+        stab = []  # the automorphisms found so far that fix every cell
+        tested = 0
+        cell_of = None
         for v in cell:
             if explored:
-                stab = [a for a in autos if _stabilizes_cells(a, cells)]
+                if tested < len(autos):
+                    if cell_of is None:
+                        cell_of = [0] * n
+                        for i, c in enumerate(cells):
+                            for u in c:
+                                cell_of[u] = i
+                    for a in autos[tested:]:
+                        if [cell_of[u] for u in a] == cell_of:
+                            stab.append(a)
+                    tested = len(autos)
                 if stab:
                     orb = set(explored)
                     frontier = list(explored)
@@ -175,7 +201,7 @@ def _search(rows, n, cells0, desc):
                     if v in orb:
                         continue
             rest = [u for u in cell if u != v]
-            descend(_refine(rows, n, prefix + [[v], rest] + suffix, desc))
+            descend(_refine(rows, n, prefix + [[v], rest] + suffix, desc, active=(idx,)))
             explored.append(v)
 
     descend(cells0)

@@ -720,8 +720,22 @@ COMMANDS = {
 }
 
 
+# the options each probe needs and has no default for
+PROBE_REQUIRED = {
+    "gls-critical": ("n", "r"),
+    "odd-girth-question": ("n", "pattern"),
+    "cycle-question": ("m", "r", "n"),
+}
+
+
 def main(argv=None):
-    ns = build_parser().parse_args(argv)
+    parser = build_parser()
+    ns = parser.parse_args(argv)
+    if ns.command == "probe":
+        required = PROBE_REQUIRED.get(ns.name, ())
+        missing = [f"--{opt}" for opt in required if getattr(ns, opt) is None]
+        if missing:
+            parser.error(f"probe {ns.name} requires {' '.join(missing)}")
     return COMMANDS[ns.command](ns)
 
 

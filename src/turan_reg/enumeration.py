@@ -11,28 +11,30 @@ isomorphism class without any global seen-set:
     canonical-deletion vertex, taken as the vertex in the last position
     of the canonical labeling.
 
-Because refinement orders cells by degree, the canonical-deletion vertex
-always carries the extremal degree, which gives two cheap rejection
-tests before any canonical search: the new vertex must attain the
-extremal degree, and must land in the last cell of the refined
-partition; refinement stops at the first round that moves it out (the
-vertex-invariant cascade of McKay, J. Algorithms 26, 1998).  When the
-refined partition is discrete the graph is rigid and the acceptance
-decision needs no search at all.
+Acceptance runs its cheapest stage first (the vertex-invariant cascade
+of McKay, J. Algorithms 26, 1998).  Because refinement orders cells by
+degree, the canonical-deletion vertex always carries the extremal
+degree; that depends only on the parent and the attachment set, so it
+is part of the parent's window and no child failing it is built.  A
+built child is then refined, stopping at the first round that moves the
+new vertex out of the last cell.  When the refined partition is
+discrete the graph is rigid and the decision needs no search at all,
+nor does it at a leaf whose last cell is the new vertex alone.
 
 Filters push down only hereditary consequences (degree caps, edge-count
 reachability, regularity deficiency bounds, forbidden-subgraph
 freeness); exact conditions such as the edge count are enforced at
 emission, so pruning never changes the emitted set.  The first three
-shape a per-parent window of admissible attachment sets, so no
-inadmissible child is ever built (the regular-graph generation scheme
-of Meringer, J. Graph Theory 30, 1999).
+shape a per-parent window of admissible attachment sets, together with
+the degree stage above, so no inadmissible child is ever built (the
+regular-graph generation scheme of Meringer, J. Graph Theory 30, 1999).
 
 ``GenStats.pruned`` counts the children dropped after they were built,
 by reason: ``forbidden`` (the child contains a forbidden pattern
-through the new vertex), ``canonical`` (the new vertex is not in the
-orbit of the canonical-deletion vertex) and ``connectivity`` (a leaf
-failing the ``connected`` filter at emission).
+through the new vertex), ``canonical`` (the new vertex has the
+extremal degree but is not in the orbit of the canonical-deletion
+vertex) and ``connectivity`` (a leaf failing the ``connected`` filter
+at emission).
 
 The ``desc`` flag flips the cell-ordering convention of the canonical
 form, producing a second, independently structured augmentation tree
@@ -128,15 +130,10 @@ def _extend(rows, j, s):
     return tuple(new)
 
 
-def _attachment_reps(j, gens, window):
-    """Orbit representatives of the admissible attachment sets, increasing.
-
-    The candidates are ``forced | t`` for the submasks ``t`` of ``free``
-    with ``lo <= |forced | t| <= hi``.  The window is a union of orbits of
-    the parent's automorphism group, so the first candidate met in each
-    orbit is the orbit's minimum, as in a scan of all 2^j subsets.
-    """
-    free, forced, lo, hi = window
+def _box_sets(j, box):
+    """The sets of one box ``(free, forced, lo, hi)``, increasing: ``forced | t``
+    for the submasks ``t`` of ``free`` with ``lo <= |forced | t| <= hi``."""
+    free, forced, lo, hi = box
     if free == (1 << j) - 1:
         cands = range(1 << j)
     else:
@@ -149,6 +146,25 @@ def _attachment_reps(j, gens, window):
                 break
     if lo > forced.bit_count() or hi < (free | forced).bit_count():
         cands = [s for s in cands if lo <= s.bit_count() <= hi]
+    return cands
+
+
+def _attachment_reps(j, gens, window):
+    """Orbit representatives of the admissible attachment sets, increasing.
+
+    ``window`` is a list of boxes (see ``_Run.window``) holding sets of
+    distinct sizes; their sets are merged into one increasing list.  The
+    window is a union of orbits of the parent's automorphism group, so
+    the first candidate met in each orbit is the orbit's minimum, as in
+    a scan of all 2^j subsets.
+    """
+    if len(window) == 1:
+        cands = _box_sets(j, window[0])
+    else:
+        cands = []
+        for box in window:
+            cands.extend(_box_sets(j, box))
+        cands.sort()
     if not gens:
         return cands
     seen = bytearray(1 << j)
@@ -174,27 +190,25 @@ def _attachment_reps(j, gens, window):
     return reps
 
 
-def _accept(rows, nc, desc):
+def _accept(rows, nc, desc, leaf):
     """Canonical-augmentation acceptance for the vertex added last.
+
+    The window has already admitted only children whose new vertex has
+    the extremal degree.  Refinement stops at the first round that moves
+    the new vertex out of the last cell; a discrete refinement is rigid
+    and needs no search.  Nor does a ``leaf``, whose generators are never
+    used, once the new vertex is alone in the last cell; its refinement
+    stops there.
 
     Returns (accepted, generators); generators are only meaningful on
     acceptance and feed the child's own subset deduplication.
     """
     j = nc - 1
-    deg_j = rows[j].bit_count()
-    if desc:
-        for r in rows:
-            if r.bit_count() < deg_j:
-                return False, None
-    else:
-        for r in rows:
-            if r.bit_count() > deg_j:
-                return False, None
-    cells = _refine(rows, nc, [list(range(nc))], desc, keep=j)
+    cells = _refine(rows, nc, [list(range(nc))], desc, keep=j, alone=leaf)
     if cells is None:
         return False, None
-    if len(cells) == nc:
-        # discrete refinement: rigid graph, j is the canonical-last vertex
+    if len(cells) == nc or (leaf and len(cells[-1]) == 1):
+        # j alone in the last cell of every leaf: the canonical-last vertex
         return True, []
     perm, _, autos = _search(rows, nc, cells, desc)
     w = perm[nc - 1]
@@ -240,18 +254,29 @@ class _Run:
                 raise _Stop
 
     def window(self, rows, j, edges):
-        """Admissible attachment sets for vertex j, as ``(free, forced, lo, hi)``.
+        """Admissible attachment sets for vertex j, as a list of boxes.
 
-        A set s is admissible when ``s == forced | t`` for a submask t of
-        ``free`` and ``lo <= |s| <= hi``; None when no set is.  These are
-        the hereditary pushdowns: the degree cap, edge-count reachability
-        and, for a regular filter, the deficiencies that the remaining
-        f = n - j - 1 vertices can still make up.
+        A box ``(free, forced, lo, hi)`` holds the sets ``s = forced | t``
+        for the submasks t of ``free`` with ``lo <= |s| <= hi``; the boxes
+        hold sets of distinct sizes, and None stands for no box.  The
+        pushdowns are the degree cap, edge-count reachability and, for a
+        regular filter, the deficiencies that the remaining f = n - j - 1
+        vertices can still make up.
+
+        The window also holds the first stage of canonical acceptance:
+        refinement orders cells by degree, so the new vertex must attain
+        the extremal degree of the child.  With D the parent's maximum
+        degree that means |s| >= D, and a set of size D misses every
+        vertex of degree D; in ``desc`` order, with d the minimum degree,
+        |s| <= d + 1, and a set of size d + 1 holds every vertex of
+        degree d.  Every condition is invariant under the parent's
+        automorphisms, so the window is a union of their orbits.
         """
         r, m, k = self.r, self.m, self.k
+        degs = [row.bit_count() for row in rows]
         avail = 0
-        for v in range(j):
-            if rows[v].bit_count() < r:
+        for v, dv in enumerate(degs):
+            if dv < r:
                 avail |= 1 << v
         forced = 0
         lo, hi = 0, r
@@ -262,8 +287,8 @@ class _Run:
             f = self.n - j - 1
             # a vertex short of f + 1 edges needs the new one; a forced
             # vertex has degree k - f - 1 < k = r, so it is in avail
-            for v in range(j):
-                deficit = k - rows[v].bit_count()
+            for v, dv in enumerate(degs):
+                deficit = k - dv
                 if deficit > f:
                     if deficit > f + 1:
                         return None
@@ -272,12 +297,33 @@ class _Run:
             # fit in the f*k degrees of the last f vertices; with m = n*k/2
             # and future[j + 1] <= f*k that is already the edge bound above
             lo = max(lo, k - f)
-        lo = max(lo, forced.bit_count())
         free = avail & ~forced
-        hi = min(hi, forced.bit_count() + free.bit_count())
-        if lo > hi:
-            return None
-        return free, forced, lo, hi
+        d = min(degs) if self.desc else max(degs)
+        ext = 0
+        for v, dv in enumerate(degs):
+            if dv == d:
+                ext |= 1 << v
+        # ext needs no check against the other masks: in desc order a
+        # vertex of degree d outside free | forced is at the cap, so
+        # d + 1 > r >= hi; in ascending order a forced vertex of degree d
+        # makes lo >= k - f = d + 1
+        if self.desc:
+            boxes = [
+                (free, forced, lo, min(hi, d)),
+                (free & ~ext, forced | ext, max(lo, d + 1), min(hi, d + 1)),
+            ]
+        else:
+            boxes = [
+                (free & ~ext, forced, max(lo, d), min(hi, d)),
+                (free, forced, max(lo, d + 1), hi),
+            ]
+        window = []
+        for free, forced, lo, hi in boxes:
+            lo = max(lo, forced.bit_count())
+            hi = min(hi, forced.bit_count() + free.bit_count())
+            if lo <= hi:
+                window.append((free, forced, lo, hi))
+        return window or None
 
     def descend(self, rows, j, gens, edges):
         if j == self.split:
@@ -297,21 +343,20 @@ class _Run:
                 if any(contains_subgraph(cg, h, anchor=j) for h in self.forbidden):
                     self.stats.bump("forbidden")
                     continue
-            ok, child_gens = _accept(child, j + 1, self.desc)
+            ok, child_gens = _accept(child, j + 1, self.desc, j + 1 == self.n)
             if not ok:
                 self.stats.bump("canonical")
                 continue
             self.descend(child, j + 1, child_gens, edges + s.bit_count())
 
-    def subtree(self, seed):
-        """Descend one seed without emitting: its leaf rows in order and
-        the counts of its subtree."""
+    def subtree(self, seed, leaf):
+        """Descend one seed without emitting: ``leaf`` gets the rows of its
+        leaves in order; returns the counts of its subtree."""
         rows, gens, edges = seed
         sub = _Run(self.filt, None, self.desc)
-        leaves = []
-        sub.leaf = leaves.append
+        sub.leaf = leaf
         sub.descend(rows, len(rows), gens, edges)
-        return leaves, sub.stats
+        return sub.stats
 
 
 def enumerate_graphs(filt, visitor=None, desc=False, force=False, jobs=1):

@@ -101,10 +101,6 @@ def from_edges(n, edges):
     return Graph(n, tuple(rows))
 
 
-def from_rows(n, rows):
-    return Graph(n, tuple(rows))
-
-
 def complement(g):
     """Complement off the diagonal; an involution."""
     full = (1 << g.n) - 1
@@ -185,18 +181,6 @@ def complete_bipartite(a, b):
 def star_graph(leaves):
     """Star K_{1,leaves}: vertex 0 is the center."""
     return complete_bipartite(1, leaves)
-
-
-def complete_multipartite(sizes):
-    n = sum(sizes)
-    full = (1 << n) - 1
-    rows = []
-    start = 0
-    for s in sizes:
-        part = ((1 << s) - 1) << start
-        rows.extend([full ^ part] * s)
-        start += s
-    return Graph(n, tuple(rows))
 
 
 def petersen_graph():

@@ -13,12 +13,15 @@ also counts the nodes past the stop that were descended before it.
 
 The pool forks, so workers inherit the run and the visitor need not be
 picklable.  Results arrive one seed at a time, so the parent holds only
-the leaves of seeds it has not emitted yet.
+the leaves of seeds it has not emitted yet: each seed's leaf rows come
+packed in one ``array``, n entries per leaf (a byte or two per row for
+the orders enumerated here), not as a list of tuples of ints.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
+from array import array
 
 _RUN = None  # the run a worker process descends seeds for
 
@@ -28,8 +31,16 @@ def _init_worker(run):
     _RUN = run
 
 
+def _descend(run, seed):
+    """The leaf rows of one seed, packed n to a leaf in one array (a list
+    past 64 vertices), and the counts of its subtree."""
+    code = next((c for c in "BHILQ" if array(c).itemsize * 8 >= run.n), None)
+    leaves = array(code) if code else []
+    return leaves, run.subtree(seed, leaves.extend)
+
+
 def _subtree(seed):
-    return _RUN.subtree(seed)
+    return _descend(_RUN, seed)
 
 
 def parallel_scan(run, jobs):
@@ -39,7 +50,7 @@ def parallel_scan(run, jobs):
     this process, without a pool.
     """
     if len(run.seeds) < 2:
-        _emit_all(run, map(run.subtree, run.seeds))
+        _emit_all(run, (_descend(run, seed) for seed in run.seeds))
         return
     ctx = mp.get_context("fork")
     with ctx.Pool(jobs, initializer=_init_worker, initargs=(run,)) as pool:
@@ -47,7 +58,8 @@ def parallel_scan(run, jobs):
 
 
 def _emit_all(run, results):
+    n = run.n
     for leaves, stats in results:
         run.stats.merge(stats)
-        for rows in leaves:
-            run.emit(rows)
+        for i in range(0, len(leaves), n):
+            run.emit(tuple(leaves[i:i + n]))

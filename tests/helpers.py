@@ -8,7 +8,7 @@ the package's own algorithms.
 import itertools
 import random
 
-from turan_reg.graphs import Graph, from_edges
+from turan_reg.graphs import Graph, bits, from_edges, relabel
 
 
 def all_labeled_graphs(n):
@@ -27,6 +27,25 @@ def random_graph(rng, n, p=None):
         p = rng.random()
     edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
     return from_edges(n, edges)
+
+
+def random_graph_with_twins(rng, n_max):
+    """A random graph on up to 10 vertices grown to at most ``n_max`` by
+    copies of random vertices, each a false twin (same neighbourhood) or
+    a true twin (also adjacent to its source), then randomly relabeled."""
+    n0 = rng.randint(1, 10)
+    rows = list(random_graph(rng, n0).rows)
+    for _ in range(rng.randint(0, n_max - n0)):
+        s = rng.randrange(len(rows))
+        v = len(rows)
+        row = rows[s] | (1 << s) if rng.random() < 0.5 else rows[s]
+        rows.append(row)
+        for w in bits(row):
+            rows[w] |= 1 << v
+    n = len(rows)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return relabel(Graph(n, tuple(rows)), perm)
 
 
 def brute_cert(g):
@@ -103,12 +122,15 @@ def seeded_rng():
     return random.Random(987123)
 
 
-def child_ok_oracle(filt, rows, j, s, edges):
-    """Whether attaching set ``s`` to a new vertex j keeps the filter reachable.
+def child_ok_oracle(filt, rows, j, s, edges, desc=False):
+    """Whether attaching set ``s`` to a new vertex j keeps the filter reachable
+    and gives the new vertex the extremal degree of the child.
 
     The per-candidate test of the generator before it built only
     admissible sets: the degree cap, edge-count reachability and, for a
     regular filter, every deficiency the remaining vertices must make up.
+    The degree test comes from canonical acceptance: the new vertex has
+    the largest degree of the child, or the smallest with ``desc``.
     """
     n = filt.n
     r = filt.max_degree if filt.max_degree is not None else n - 1
@@ -118,6 +140,11 @@ def child_ok_oracle(filt, rows, j, s, edges):
     m = n * k // 2 if k is not None else filt.edge_count
     size = s.bit_count()
     if size > r:
+        return False
+    child_degrees = [rows[v].bit_count() + ((s >> v) & 1) for v in range(j)]
+    if desc and any(d < size for d in child_degrees):
+        return False
+    if not desc and any(d > size for d in child_degrees):
         return False
     if any((s >> v) & 1 and rows[v].bit_count() >= r for v in range(j)):
         return False
@@ -135,3 +162,19 @@ def child_ok_oracle(filt, rows, j, s, edges):
         if total > f * k or (total - f * k) % 2 != 0:
             return False
     return True
+
+
+def refine_oracle(rows, cells, desc):
+    """Stable refinement that splits every cell against every cell each
+    round, keyed by the tuple of counts, until a round changes nothing."""
+    while True:
+        new = []
+        for c in cells:
+            keys = {}
+            for v in c:
+                key = tuple(sum((rows[v] >> u) & 1 for u in d) for d in cells)
+                keys.setdefault(key, []).append(v)
+            new.extend(keys[k] for k in sorted(keys, reverse=desc))
+        if len(new) == len(cells):
+            return new
+        cells = new

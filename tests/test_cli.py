@@ -130,6 +130,23 @@ def test_probe_command(capsys):
     assert payload["rows"][0]["consistent"] is True
 
 
+@pytest.mark.parametrize(
+    "args, missing",
+    [
+        (["odd-girth-question", "--n", "7"], "--pattern"),
+        (["gls-critical", "--n", "7"], "--r"),
+        (["gls-critical", "--r", "3"], "--n"),
+        (["cycle-question", "--n", "7"], "--m --r"),
+    ],
+    ids=["odd-girth-question", "gls-critical-r", "gls-critical-n", "cycle-question"],
+)
+def test_probe_missing_option(args, missing, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["probe", *args])
+    assert exc.value.code == 2
+    assert f"probe {args[0]} requires {missing}" in capsys.readouterr().err
+
+
 def test_suite_command(tmp_path, capsys):
     report_path = tmp_path / "report.json"
     rc = main(["suite", "table1", "--report", str(report_path)])

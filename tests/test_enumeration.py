@@ -169,27 +169,35 @@ WINDOW_FILTERS = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(WINDOW_FILTERS))
+@pytest.mark.parametrize(
+    "case", sorted(WINDOW_FILTERS) + [f"{case}-desc" for case in sorted(WINDOW_FILTERS)]
+)
 def test_window_matches_oracle(case):
-    # every parent of the tree, at every depth: the window admits exactly
-    # the subsets the per-candidate test admits, and yields their orbit
-    # minima in increasing order
-    filt = WINDOW_FILTERS[case]
+    # every parent of the tree, at every depth and in both orders: the
+    # window admits exactly the subsets the per-candidate test admits, and
+    # yields their orbit minima in increasing order
+    desc = case.endswith("-desc")
+    filt = WINDOW_FILTERS[case.removesuffix("-desc")]
     parents = forced_parents = 0
     for j in range(1, filt.n):
-        run = _Run(filt, None, False, split=j)
+        run = _Run(filt, None, desc, split=j)
         run.descend((0,), 1, [], 0)
         for rows, gens, edges in run.seeds:
-            want = [s for s in range(1 << j) if child_ok_oracle(filt, rows, j, s, edges)]
+            want = [
+                s for s in range(1 << j) if child_ok_oracle(filt, rows, j, s, edges, desc)
+            ]
             window = run.window(rows, j, edges)
             got = list(_attachment_reps(j, [], window)) if window else []
             assert got == want, (rows, j)
             reps = list(_attachment_reps(j, gens, window)) if window else []
             assert reps == _orbit_minima(j, gens, want), (rows, j)
             parents += 1
-            forced_parents += bool(window and window[1])
+            k = filt.regular_k
+            if window and k is not None:
+                # a vertex short of n - j edges must take the new vertex
+                forced_parents += any(k - row.bit_count() == filt.n - j for row in rows)
     assert parents > 50
-    if case == "regular-forced":
+    if filt is WINDOW_FILTERS["regular-forced"]:
         assert forced_parents > 0
 
 
@@ -200,10 +208,15 @@ def test_refine_keep_exact():
                 full = _refine(g.rows, n, [list(range(n))], desc)
                 for v in range(n):
                     got = _refine(g.rows, n, [list(range(n))], desc, keep=v)
+                    alone = _refine(g.rows, n, [list(range(n))], desc, keep=v, alone=True)
                     if v in full[-1]:
                         assert got == full
+                        if full[-1] == [v]:
+                            assert alone[-1] == [v]
+                        else:
+                            assert alone == full
                     else:
-                        assert got is None
+                        assert got is None and alone is None
 
 
 @pytest.mark.parametrize(
@@ -329,6 +342,10 @@ PARALLEL_CASES = {
     "regular-9-6-K3": lambda visit, jobs: enumerate_regular(
         9, 6, visitor=visit, forbidden=K3, jobs=jobs
     ),
+    # rows of more than 16 bits: leaves are packed in wider array items
+    "regular-18-1": lambda visit, jobs: enumerate_regular(
+        18, 1, visitor=visit, force=True, jobs=jobs
+    ),
 }
 
 
@@ -340,3 +357,13 @@ def test_parallel_matches_serial(case):
         stats = PARALLEL_CASES[case](lambda g: rows.append(g.rows) and None, jobs)
         runs.append((rows, stats.classes, stats.nodes, stats.pruned))
     assert runs[0] == runs[1]
+
+
+def test_subtree_packs_leaves():
+    # each seed's leaf rows come back as one array, two bytes a row at n = 9
+    filt = GenFilter(n=9, max_degree=3)
+    run = _Run(filt, None, False, split=7)
+    run.descend((0,), 1, [], 0)
+    packed = [parallel._descend(run, seed)[0] for seed in run.seeds]
+    assert all(leaves.itemsize == 2 for leaves in packed)
+    assert sum(map(len, packed)) == 9 * enumerate_graphs(filt).classes
