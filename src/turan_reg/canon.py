@@ -274,9 +274,3 @@ def automorphism_group_order(g):
                 group.add(q)
                 frontier.append(q)
     return len(group)
-
-
-def are_isomorphic(g, h):
-    if g.n != h.n or g.edge_count != h.edge_count:
-        return False
-    return canon_core(g.rows, g.n)[1] == canon_core(h.rows, h.n)[1]

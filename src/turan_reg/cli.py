@@ -23,18 +23,24 @@ from math import comb
 
 from . import constructions
 from .canon import canonical_label
-from .enumeration import GenFilter, enumerate_graphs, enumerate_regular
+from .enumeration import EnumerationError, GenFilter, enumerate_graphs
 from .formulas import (
     FamilySpec,
+    FormulaError,
     c5_star_forest_count,
     conjectured_triangle_min,
     ex_c5_closed_form,
     exr_closed_form,
+    forced_triangle_window,
     gls_critical_range,
     goodman_defect,
 )
 from .graphs import (
+    GraphError,
+    complement,
+    complete_bipartite,
     complete_graph,
+    count_cliques,
     count_cycles,
     cycle_graph,
     disjoint_union,
@@ -43,9 +49,12 @@ from .graphs import (
     from_edges,
     graph6_decode,
     graph6_encode,
+    star_graph,
+    triangle_count,
 )
 from .search import (
     HSpec,
+    SearchError,
     exr_exact,
     max_copies_free,
     max_k_total,
@@ -99,29 +108,13 @@ def emit_table(r, n_lo, n_hi, fmt="csv", jobs=1):
 # suite check operations
 
 
-def _k3_spec():
-    return HSpec(family=FamilySpec("triangle"))
+def _field(res, args):
+    """The SearchResult field a search check reads: args["field"], else the objective."""
+    return getattr(res, args.get("field", "objective"))
 
 
-def _op_exr_k3(args, ctx):
-    return exr_exact(args["n"], _k3_spec(), jobs=ctx["jobs"]).objective
-
-
-def _op_exr_closed_match(args, ctx):
-    got = exr_exact(args["n"], _k3_spec(), jobs=ctx["jobs"]).objective
-    return got == exr_closed_form(args["n"], FamilySpec("triangle")).value
-
-
-def _op_exr_family(args, ctx):
-    return exr_exact(
-        args["n"], HSpec(family=FamilySpec("odd-cycle-family", args["ell"])), jobs=ctx["jobs"]
-    ).objective
-
-
-def _op_exr_single_cycle(args, ctx):
-    return exr_exact(
-        args["n"], HSpec(family=FamilySpec("odd-cycle", args["ell"])), jobs=ctx["jobs"]
-    ).objective
+def _op_exr(args, ctx):
+    return _field(exr_exact(args["n"], HSpec.parse(args["forbid"]), jobs=ctx["jobs"]), args)
 
 
 def _op_exr_parity(args, ctx):
@@ -133,11 +126,7 @@ def _op_exr_parity(args, ctx):
 
 
 def _op_min_triangles(args, ctx):
-    return min_triangles_regular(args["n"], args["k"], jobs=ctx["jobs"]).objective
-
-
-def _op_min_triangles_classes(args, ctx):
-    return min_triangles_regular(args["n"], args["k"], jobs=ctx["jobs"]).classes
+    return _field(min_triangles_regular(args["n"], args["k"], jobs=ctx["jobs"]), args)
 
 
 def _op_supersat_unique(args, ctx):
@@ -154,8 +143,6 @@ def _op_apex_window(args, ctx):
     n = args["n"]
     k = 2 * (n // 5) + 2
     g = constructions.apex_construction(n, k).graph
-    from .graphs import triangle_count
-
     t = triangle_count(g)
     return n * n / 75 <= t <= n * n / 40
 
@@ -163,38 +150,24 @@ def _op_apex_window(args, ctx):
 def _op_split_apex_equality(args, ctx):
     n, k = args["n"], args["k"]
     res = constructions.split_apex_equality(n, k)
-    from .graphs import triangle_count
-
     return triangle_count(res.graph) == conjectured_triangle_min(n, k)
 
 
 def _op_max_kt(args, ctx):
-    return max_kt(args["n"], args["m"], args["r"], args["t"], jobs=ctx["jobs"]).objective
-
-
-def _op_max_kt_classes(args, ctx):
-    return max_kt(args["n"], args["m"], args["r"], args["t"], jobs=ctx["jobs"]).classes
+    return _field(max_kt(args["n"], args["m"], args["r"], args["t"], jobs=ctx["jobs"]), args)
 
 
 def _op_max_k_total(args, ctx):
-    return max_k_total(args["n"], args["m"], args["r"], jobs=ctx["jobs"]).objective
-
-
-def _op_max_k_total_classes(args, ctx):
-    return max_k_total(args["n"], args["m"], args["r"], jobs=ctx["jobs"]).classes
+    return _field(max_k_total(args["n"], args["m"], args["r"], jobs=ctx["jobs"]), args)
 
 
 def _op_k_total_profile(args, ctx):
-    from .graphs import count_cliques
-
     res = max_k_total(args["n"], args["m"], args["r"], jobs=ctx["jobs"])
     g = graph6_decode(res.witnesses[0])
     return [count_cliques(g, t) for t in (3, 4, 5)]
 
 
 def _op_complement_triangles(args, ctx):
-    from .graphs import complement, triangle_count
-
     res = max_kt(args["n"], args["m"], args["r"], 3, jobs=ctx["jobs"])
     return sorted(triangle_count(complement(graph6_decode(w))) for w in res.witnesses)
 
@@ -290,8 +263,6 @@ def _op_c5_search(args, ctx):
 
 
 def _op_star_count_prop(args, ctx):
-    from .graphs import star_graph
-
     n, r, s = args["n"], args["r"], args["s"]
     res = max_copies_free(n, star_graph(s), r, jobs=ctx["jobs"])
     value_regular = n * comb(r, s)
@@ -302,39 +273,11 @@ def _op_star_count_prop(args, ctx):
 
 
 def _op_biclique_prop(args, ctx):
-    from .graphs import complete_bipartite
-
     n, r, a, b = args["n"], args["r"], args["a"], args["b"]
     res = max_copies_free(n, complete_bipartite(a, b), r, jobs=ctx["jobs"])
     target = canonical_label(complete_bipartite(r, r))
     hit = any(canonical_label(graph6_decode(w)) == target for w in res.witnesses)
     return hit and n == 2 * r
-
-
-def _op_enumeration_count(args, ctx):
-    return enumerate_graphs(GenFilter(n=args["n"]), jobs=ctx["jobs"]).classes
-
-
-def _op_enumeration_dual(args, ctx):
-    from .canon import canon_core
-
-    seen = [set(), set()]
-    for idx, desc in enumerate((False, True)):
-        enumerate_graphs(
-            GenFilter(n=args["n"]),
-            visitor=lambda g, i=idx: seen[i].add(canon_core(g.rows, g.n)[1]) and None,
-            desc=desc,
-            jobs=ctx["jobs"],
-        )
-    return seen[0] == seen[1]
-
-
-def _op_regular_count(args, ctx):
-    count = [0]
-    enumerate_regular(
-        args["n"], args["k"], visitor=lambda g: count.__setitem__(0, count[0] + 1), jobs=ctx["jobs"]
-    )
-    return count[0]
 
 
 def _op_construction_sweep(args, ctx):
@@ -402,8 +345,6 @@ def _sweep_params(name, args):
     elif name == "split-apex-equality":
         for n in range(9, args["n_max"] + 1, 2):
             for k in range(2, n, 2):
-                from .formulas import forced_triangle_window
-
                 if forced_triangle_window(n, k):
                     yield {"n": n, "k": k}
     elif name == "kbe":
@@ -419,20 +360,14 @@ def _sweep_params(name, args):
 
 
 CHECK_OPS = {
-    "exr_k3": _op_exr_k3,
-    "exr_closed_match": _op_exr_closed_match,
-    "exr_family": _op_exr_family,
-    "exr_single_cycle": _op_exr_single_cycle,
+    "exr": _op_exr,
     "exr_parity": _op_exr_parity,
     "min_triangles": _op_min_triangles,
-    "min_triangles_classes": _op_min_triangles_classes,
     "supersat_unique": _op_supersat_unique,
     "apex_window": _op_apex_window,
     "split_apex_equality": _op_split_apex_equality,
     "max_kt": _op_max_kt,
-    "max_kt_classes": _op_max_kt_classes,
     "max_k_total": _op_max_k_total,
-    "max_k_total_classes": _op_max_k_total_classes,
     "k_total_profile": _op_k_total_profile,
     "complement_triangles": _op_complement_triangles,
     "table_cells": _op_table_cells,
@@ -444,9 +379,6 @@ CHECK_OPS = {
     "c5_search": _op_c5_search,
     "star_count_prop": _op_star_count_prop,
     "biclique_prop": _op_biclique_prop,
-    "enumeration_count": _op_enumeration_count,
-    "enumeration_dual": _op_enumeration_dual,
-    "regular_count": _op_regular_count,
     "construction_sweep": _op_construction_sweep,
 }
 
@@ -454,6 +386,13 @@ CHECK_OPS = {
 def load_suites():
     with resources.files("turan_reg").joinpath("suites.json").open() as fh:
         return json.load(fh)
+
+
+def run_check(check, ctx):
+    """Run one registry check: its value, whether that is the expected one, seconds."""
+    t0 = time.perf_counter()
+    actual = CHECK_OPS[check["op"]](check.get("args", {}), ctx)
+    return actual, actual == check["expect"], time.perf_counter() - t0
 
 
 def run_suite(suite_id, jobs=1, seed=DEFAULT_SEED, stream=None):
@@ -467,10 +406,7 @@ def run_suite(suite_id, jobs=1, seed=DEFAULT_SEED, stream=None):
     report = {"suite": suite_id, "seed": seed, "checks": [], "passed": True}
     print(f"suite {suite_id}: {suite['description']} (seed={seed})", file=stream)
     for check in suite["checks"]:
-        t0 = time.perf_counter()
-        actual = CHECK_OPS[check["op"]](check.get("args", {}), ctx)
-        dt = time.perf_counter() - t0
-        ok = actual == check["expect"]
+        actual, ok, dt = run_check(check, ctx)
         report["checks"].append(
             {
                 "id": check["id"],
@@ -674,8 +610,10 @@ def _cmd_max_cliques(ns):
 
 
 def _cmd_max_copies(ns):
-    pattern = HSpec.parse(ns.pattern).members()[0]
-    res = max_copies_free(ns.n, pattern, ns.max_degree, witness_cap=ns.witness_cap, jobs=ns.jobs)
+    members = HSpec.parse(ns.pattern).members()
+    if len(members) > 1:
+        raise SearchError(f"max-copies counts one pattern; {ns.pattern} has {len(members)} members")
+    res = max_copies_free(ns.n, members[0], ns.max_degree, witness_cap=ns.witness_cap, jobs=ns.jobs)
     print(json.dumps(res.to_json(), indent=2))
     return 0
 
@@ -720,6 +658,11 @@ COMMANDS = {
 }
 
 
+# the package's own errors; main reports them as usage errors (exit 2)
+NAMED_ERRORS = (
+    constructions.ConstructionError, EnumerationError, FormulaError, GraphError, SearchError
+)
+
 # the options each probe needs and has no default for
 PROBE_REQUIRED = {
     "gls-critical": ("n", "r"),
@@ -736,7 +679,10 @@ def main(argv=None):
         missing = [f"--{opt}" for opt in required if getattr(ns, opt) is None]
         if missing:
             parser.error(f"probe {ns.name} requires {' '.join(missing)}")
-    return COMMANDS[ns.command](ns)
+    try:
+        return COMMANDS[ns.command](ns)
+    except NAMED_ERRORS as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

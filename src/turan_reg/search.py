@@ -21,7 +21,6 @@ from .graphs import (
     bits,
     complete_graph,
     connected_components,
-    contains_subgraph,
     count_cliques,
     count_complete_bipartite,
     count_cycles,
@@ -188,33 +187,6 @@ def _result_from_acc(acc, stats):
     if acc.best is None:
         return SearchResult(None, (), 0, stats, feasible=False)
     return SearchResult(acc.best, tuple(acc.witnesses), acc.count, stats)
-
-
-# ---------------------------------------------------------------------------
-# pattern freeness
-
-
-def _free_of(g, hspec, og_cache=None):
-    """True iff g contains no member of the forbidden pattern.
-
-    Odd-cycle members are screened through the odd girth first; only
-    ambiguous cases fall back to containment search.
-    """
-    og = og_cache
-    for h in hspec.members():
-        is_odd_cycle = h.n >= 3 and h.edge_count == h.n and all(
-            r.bit_count() == 2 for r in h.rows
-        ) and h.n % 2 == 1
-        if is_odd_cycle:
-            if og is None:
-                og = odd_girth(g)
-            if og is not None and og == h.n:
-                return False
-            if og is None or og > h.n:
-                continue
-        if contains_subgraph(g, h):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -1,44 +1,65 @@
 """Acceptance criteria, one test per criterion, every tolerance exact.
 
+Criteria 1-6 name checks of the suite registry (``suites.json``) by
+``suite/id`` glob pattern and run each through ``cli.run_check``, so
+each expected value is written once, in the registry.  The checks no
+criterion names run in ``test_registry_check``; every registry check
+runs exactly once in this module.  Criterion 7 (brute force and dual
+augmentation orders) is in no suite.
+
 Asymptotic statements (exactness of the odd-cycle degree formula at
 large order, the chromatic-threshold behaviour of regular hosts, and
 the universal quadratic supersaturation constant) are exercised only
 through the exact small-order minima and the construction-side bounds
 below; no limit statement is tested as a limit.
 
-Runtime is dominated by the order-9 enumeration (criterion 5) and the
-construction sweeps up to n = 2000 (criterion 6); the whole module is a
-few minutes of CPU.
+Runtime is dominated by the order-9 pentagon search (criterion 5) and
+the construction sweeps up to n = 2000 (criterion 6b).
 """
 
-import time
+from fnmatch import fnmatchcase
 
-from turan_reg.canon import canonical_label
-from turan_reg.cli import (
-    DEFAULT_SEED,
-    _op_c5_forest_oracle,
-    _op_construction_sweep,
-    _op_goodman_exhaustive,
-    _op_goodman_random,
-    emit_table,
-)
-from turan_reg.constructions import apex_construction, triangle_min_extremal
+import pytest
+
+from turan_reg.canon import canon_core, canonical_label
+from turan_reg.cli import DEFAULT_SEED, load_suites, run_check
 from turan_reg.enumeration import GenFilter, enumerate_graphs
-from turan_reg.formulas import FamilySpec, ex_c5_closed_form
-from turan_reg.graphs import (
-    complement,
-    complete_graph,
-    count_cliques,
-    cycle_graph,
-    disjoint_union,
-    empty_graph,
-    from_edges,
-    graph6_decode,
-    triangle_count,
-)
-from turan_reg.search import HSpec, exr_exact, max_copies_free, max_k_total, max_kt, min_triangles_regular
 
 CTX = {"jobs": 1, "seed": DEFAULT_SEED}
+
+CHECKS = {
+    f"{suite_id}/{check['id']}": check
+    for suite_id, suite in load_suites().items()
+    for check in suite["checks"]
+}
+
+CRITERIA = {
+    "1 regular-mantel": ["mantel/exr-k3-n*"],
+    "2 table-reproduction": ["table1/*"],
+    "3 examples": ["examples/*"],
+    "4 supersaturation-equality": ["supersaturation/min-tri-9-4*"],
+    "5 c5-propositions": [
+        "c5-props/search-n8-r6",
+        "c5-props/search-n9-r7",
+        "c5-props/closed-r6",
+        "c5-props/closed-r7",
+    ],
+    "6a identity-suites": ["goodman/*", "c5-props/forest-oracle-n10"],
+    "6b construction-validators": ["constructions/*", "supersaturation/apex-window-*"],
+}
+
+
+def select(patterns):
+    """Registry keys matching the patterns; each pattern must match a check."""
+    keys = []
+    for pattern in patterns:
+        hits = [key for key in CHECKS if fnmatchcase(key, pattern)]
+        assert hits, f"no registry check matches {pattern}"
+        keys += hits
+    return keys
+
+
+NAMED = [key for patterns in CRITERIA.values() for key in select(patterns)]
 
 
 def report(name, ok):
@@ -46,149 +67,45 @@ def report(name, ok):
     assert ok
 
 
-def test_criterion_1_regular_mantel_exactness():
-    t0 = time.time()
-    k3 = HSpec(family=FamilySpec("triangle"))
+def run_criterion(name):
     ok = True
-    for n in range(4, 12):
-        expect = n // 2 if n % 2 == 0 else 2 * (n // 5)
-        got = exr_exact(n, k3).objective
-        print(f"  exr({n}, K3) = {got}, closed form {expect}")
-        ok = ok and got == expect
-    print(f"  [{time.time() - t0:.1f}s; budget is five minutes]")
-    report("1 regular-mantel", ok)
+    for key in select(CRITERIA[name]):
+        actual, passed, seconds = run_check(CHECKS[key], CTX)
+        print(f"  {key}: expect={CHECKS[key]['expect']!r} actual={actual!r} [{seconds:.1f}s]")
+        ok = ok and passed
+    report(name, ok)
+
+
+def test_criterion_1_regular_mantel_exactness():
+    run_criterion("1 regular-mantel")
 
 
 def test_criterion_2_table_reproduction():
-    values = {
-        (6, 11): 7, (6, 12): 8,
-        (7, 12): 8, (7, 13): 7, (7, 14): 7,
-        (8, 14): 8, (8, 15): 8, (8, 16): 8,
-    }
-    ok = True
-    for (n, m), expect in values.items():
-        got = max_kt(n, m, 4, 3).objective
-        ok = ok and got == expect
-    blank_pattern = (
-        "n\\m,11,12,13,14,15,16\n"
-        "6,7,8,,,,\n"
-        "7,,8,7,7,,\n"
-        "8,,,,8,8,8\n"
-    )
-    ok = ok and emit_table(4, 6, 8, fmt="csv") == blank_pattern
-    report("2 table-reproduction", ok)
+    run_criterion("2 table-reproduction")
 
 
 def test_criterion_3_examples_reproduction():
-    r3 = max_kt(8, 18, 5, 3)
-    r4 = max_kt(8, 18, 5, 4)
-    r5 = max_kt(8, 18, 5, 5)
-    rt = max_k_total(8, 18, 5)
-    wt = graph6_decode(rt.witnesses[0])
-    profile = tuple(count_cliques(wt, t) for t in (3, 4, 5))
-    r17 = max_kt(8, 17, 5, 3)
-    comp_triangles = sorted(
-        triangle_count(complement(graph6_decode(w))) for w in r17.witnesses
-    )
-    checks = [
-        (r3.objective, 16), (r3.classes, 1),
-        (rt.objective, 22), (rt.classes, 1), (profile, (15, 6, 1)),
-        (r4.classes, 2), (r5.classes, 3),
-        (r17.objective, 16), (r17.classes, 3), (comp_triangles, [0, 1, 4]),
-    ]
-    for got, expect in checks:
-        print(f"  got {got}, expect {expect}")
-    report("3 examples", all(got == expect for got, expect in checks))
+    run_criterion("3 examples")
 
 
 def test_criterion_4_supersaturation_equality():
-    res = min_triangles_regular(9, 4)
-    target = canonical_label(triangle_min_extremal(4).graph)
-    ok = (
-        res.objective == 2
-        and res.classes == 1
-        and canonical_label(graph6_decode(res.witnesses[0])) == target
-    )
-    report("4 supersaturation-equality", ok)
+    run_criterion("4 supersaturation-equality")
 
 
 def test_criterion_5_c5_propositions():
-    t0 = time.time()
-    res9 = max_copies_free(9, cycle_graph(5), 7)
-    k8k1 = canonical_label(disjoint_union(complete_graph(8), empty_graph(1)))
-    ok = (
-        res9.objective == 672 == ex_c5_closed_form(7)
-        and res9.classes == 1
-        and canonical_label(graph6_decode(res9.witnesses[0])) == k8k1
-    )
-    res8 = max_copies_free(8, cycle_graph(5), 6)
-    k8_minus_pm = from_edges(
-        8, [(i, j) for i in range(8) for j in range(i + 1, 8) if not (i % 2 == 0 and j == i + 1)]
-    )
-    ok = ok and (
-        res8.objective == 288 == ex_c5_closed_form(6)
-        and res8.classes == 1
-        and canonical_label(graph6_decode(res8.witnesses[0])) == canonical_label(k8_minus_pm)
-    )
-    print(f"  n=9: {res9.objective} over {res9.stats.classes} classes; "
-          f"n=8: {res8.objective} [{time.time() - t0:.1f}s]")
-    report("5 c5-propositions", ok)
+    run_criterion("5 c5-propositions")
 
 
 def test_criterion_6_identity_suites():
-    t0 = time.time()
-    ok = _op_goodman_exhaustive({"n_max": 8}, CTX) == 0
-    print(f"  goodman exhaustive n<=8: defect 0 [{time.time() - t0:.1f}s]")
-    t0 = time.time()
-    ok = ok and _op_goodman_random({"samples": 10000, "n_max": 40}, CTX) == 0
-    print(f"  goodman 10^4 random n<=40 (seed {CTX['seed']}): defect 0 [{time.time() - t0:.1f}s]")
-    ok = ok and _op_c5_forest_oracle({"n_max": 10}, CTX) == 0
-    print("  pentagon formula == census for all star forests n<=10")
-    report("6a identity-suites", ok)
+    run_criterion("6a identity-suites")
 
 
 def test_criterion_6_construction_validators():
-    t0 = time.time()
-    sweeps = [
-        ("pentagon-blowup", {"name": "pentagon-blowup", "n_max": 1999}),
-        ("circulant-small-odd", {"name": "circulant-small-odd"}),
-        (
-            "odd-girth-blowup",
-            {
-                "name": "odd-girth-blowup",
-                "n_max": 301,
-                "ell_max": 8,
-                "spots": [[999, 2], [999, 3], [1001, 5], [1999, 2], [1999, 8]],
-            },
-        ),
-        ("apex", {"name": "apex", "n_max": 301, "spots": [101, 501, 1001]}),
-        ("multipartite-regular", {"name": "multipartite-regular", "n_max": 301, "r_max": 8}),
-        ("odd-half", {"name": "odd-half", "n_max": 1999}),
-        ("triangle-min-extremal", {"name": "triangle-min-extremal", "k_max": 200, "spots": [998]}),
-        ("split-apex-equality", {"name": "split-apex-equality", "n_max": 201}),
-        ("kbe", {"name": "kbe", "x_max": 8}),
-        ("star-forest-complement", {"name": "star-forest-complement", "n_max": 12}),
-    ]
-    ok = True
-    for name, args in sweeps:
-        t1 = time.time()
-        failures = _op_construction_sweep(args, CTX)
-        print(f"  {name}: {failures} validator failures [{time.time() - t1:.1f}s]")
-        ok = ok and failures == 0
-    for n in (101, 501, 1001):
-        k = 2 * (n // 5) + 2
-        t = triangle_count(apex_construction(n, k).graph)
-        inside = n * n / 75 <= t <= n * n / 40
-        print(f"  apex({n},{k}): {t} triangles, window [{n * n / 75:.0f}, {n * n / 40:.0f}]")
-        ok = ok and inside
-    print(f"  [total {time.time() - t0:.1f}s]")
-    report("6b construction-validators", ok)
+    run_criterion("6b construction-validators")
 
 
 def test_criterion_7_enumeration_correctness():
     from helpers import all_labeled_graphs
-
-    from turan_reg.canon import canon_core
 
     ok = True
     for n in range(1, 7):
@@ -208,3 +125,13 @@ def test_criterion_7_enumeration_correctness():
     ok = ok and len(set(asc)) == len(asc) and len(set(desc)) == len(desc)
     print("  n=8: dual augmentation orders agree; 12346 classes, duplicate-free")
     report("7 enumeration-correctness", ok)
+
+
+def test_criteria_name_each_check_once():
+    assert len(NAMED) == len(set(NAMED))
+
+
+@pytest.mark.parametrize("key", [key for key in CHECKS if key not in NAMED])
+def test_registry_check(key):
+    actual, ok, _ = run_check(CHECKS[key], CTX)
+    assert ok, f"{key}: expect={CHECKS[key]['expect']!r} actual={actual!r}"

@@ -19,7 +19,6 @@ from turan_reg.canon import (
     canonical_form,
     canonical_label,
     orbits_from_generators,
-    are_isomorphic,
 )
 from turan_reg.graphs import (
     complete_bipartite,
@@ -123,27 +122,28 @@ def test_generators_are_automorphisms():
                     assert g.has_edge(u, v) == g.has_edge(a[u], a[v])
 
 
-def test_are_isomorphic():
-    assert are_isomorphic(cycle_graph(6), relabel(cycle_graph(6), [3, 1, 5, 0, 4, 2]))
-    assert not are_isomorphic(cycle_graph(6), path_graph(6))
-
-
 # SHA-256 of one "n desc perm cert" line per graph and order, over 2000
 # seeded random graphs with n <= 13 and injected twins: pinned so that a
 # change of the canonical form itself shows, not only of the partition
-# into classes that it induces.
+# into classes that it induces.  The second digest, of one "n desc
+# generators" line each, pins the automorphisms the search returns: a
+# search that prunes with automorphisms not fixing every cell of the
+# current partition keeps perm and cert but returns other generators.
 CANON_GOLDEN = "26ea60bdc1b80f35c98fe50f135d65ddda17664285709f626d6a9a5f4e54e77d"
+AUTOS_GOLDEN = "9c1028c02eab96f5280c8595cfae44590e080ada3b2a500a81665cc821b7dc4b"
 
 
 def test_canon_core_golden():
     rng = random.Random(20261018)
-    h = hashlib.sha256()
+    h, h_autos = hashlib.sha256(), hashlib.sha256()
     for _ in range(2000):
         g = random_graph_with_twins(rng, 13)
         for desc in (False, True):
-            perm, cert, _ = canon_core(g.rows, g.n, desc)
+            perm, cert, autos = canon_core(g.rows, g.n, desc)
             h.update(f"{g.n} {int(desc)} {perm} {cert}\n".encode())
+            h_autos.update(f"{g.n} {int(desc)} {autos}\n".encode())
     assert h.hexdigest() == CANON_GOLDEN
+    assert h_autos.hexdigest() == AUTOS_GOLDEN
 
 
 def test_refine_matches_full_splitting():

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from turan_reg.cli import emit_table, load_suites, main, run_suite
+from turan_reg.cli import CHECK_OPS, emit_table, load_suites, main, run_suite
 from turan_reg.graphs import graph6_decode
 
 PAPER_TABLE_CSV = (
@@ -122,6 +122,25 @@ def test_max_copies_command(capsys):
     assert payload["objective"] == 18
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["construct", "apex"], "apex needs parameters"),
+        (["exr", "--n", "5", "--forbid", "Q7"], "cannot parse pattern 'Q7'"),
+        (["enumerate", "--n", "12"], "beyond enumeration cap 11"),
+        (["probe", "cycle-question", "--m", "9", "--r", "2", "--n", "5"], "cycle length"),
+        # a family pattern has several members; max-copies counts one
+        (["max-copies", "--n", "5", "--pattern", "C3..C7", "--max-degree", "2"], "C3..C7 has 3"),
+    ],
+    ids=["construct", "exr", "enumerate", "probe", "max-copies-family"],
+)
+def test_named_error_is_usage_error(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_probe_command(capsys):
     rc = main(["probe", "triangle-floor", "--n-max", "9"])
     assert rc == 0
@@ -183,7 +202,12 @@ def test_manifest_tags_complete():
         "c5-props",
         "constructions",
     }
+    ops = set()
     for suite in suites.values():
+        ids = [check["id"] for check in suite["checks"]]
+        assert len(ids) == len(set(ids))
         for check in suite["checks"]:
             assert check["tag"] in ("PAPER", "TRIVIAL", "DERIVED")
             assert "expect" in check and "op" in check and "id" in check
+            ops.add(check["op"])
+    assert ops == set(CHECK_OPS)
