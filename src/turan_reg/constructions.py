@@ -397,7 +397,9 @@ def split_apex_equality(n, k):
 def _multipartite_decompose(n, r):
     for x in range(n // (r - 1) - (n // (r - 1)) % 2, 0, -2):
         y = n - (r - 1) * x
-        if 0 <= y <= 2 * r - 3 and (r - 2) * x > y:
+        # the core K_{x,..,x} on r - 2 parts has degree (r - 3)x, which
+        # bounds the y-factor it loses
+        if 0 <= y <= 2 * r - 3 and (r - 3) * x >= y:
             return x, y
     raise ConstructionError(f"no valid even-x decomposition for n={n}, r={r}")
 

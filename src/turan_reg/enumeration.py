@@ -375,7 +375,8 @@ def enumerate_graphs(filt, visitor=None, desc=False, force=False, jobs=1):
     filt.validate()
     if filt.n > HARD_CAP and not force:
         raise EnumerationError(
-            f"order {filt.n} beyond enumeration cap {HARD_CAP}; pass force=True"
+            f"order {filt.n} beyond enumeration cap {HARD_CAP}; pass --force "
+            "(force=True from Python)"
         )
     t0 = time.perf_counter()
     run = _Run(filt, visitor, desc, split=max(1, filt.n - 2) if jobs > 1 else None)

@@ -13,6 +13,7 @@ fresh objects and never mutates its inputs.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from itertools import combinations
 from operator import mul
@@ -268,40 +269,78 @@ def count_complete_bipartite(g, a, b):
     return total
 
 
+def _twin_classes(g):
+    """Classes of identical rows: ``(keep, twins)``.
+
+    ``keep`` masks the first vertex of each class, and ``twins`` maps the
+    kept vertex of each class of m > 1 vertices to m.  Equal rows force
+    non-adjacency, so a class is a set of false twins: odd girth and
+    triangle existence are the same on the kept vertices, and a triangle
+    of kept vertices stands for the product of its three class sizes.
+    """
+    first = {}
+    twins = {}
+    for v, r in enumerate(g.rows):
+        u = first.setdefault(r, v)
+        if u != v:
+            twins[u] = twins.get(u, 1) + 1
+    keep = 0
+    for u in first.values():
+        keep |= 1 << u
+    return keep, twins
+
+
 def triangle_count(g):
-    """Triangle census by per-edge common-neighborhood popcount."""
+    """Triangle census; past one int digit per row, on the twin classes.
+
+    Each triangle is counted once, at its highest vertex u, from the
+    neighbours of u below it, so each AND and popcount runs over about u
+    bits rather than n.  A graph whose rows fit one int digit is counted
+    on its rows: there every AND and popcount costs the same, and the
+    class pass would cost more than the smaller quotient saves.  Larger
+    graphs are counted on the kept vertices of ``_twin_classes``.  There
+    the kept common neighbours X of u and v below v weigh
+    |X| + sum over m > 1 of (m - 1)|X & M_m|, where M_m masks the kept
+    vertices of the classes of m vertices, and the count at v is scaled
+    by the class sizes of u and v.
+    """
     rows = g.rows
     total = 0
-    for u in range(g.n):
-        ru = rows[u]
-        above = ru >> (u + 1) << (u + 1)
-        m = above
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            m ^= low
-            total += (ru & rows[v] & m).bit_count()
+    if g.n <= sys.int_info.bits_per_digit:
+        for u, ru in enumerate(rows):
+            rest = ru & ((1 << u) - 1)
+            while rest:
+                v = rest.bit_length() - 1
+                rest ^= 1 << v
+                total += (rest & rows[v]).bit_count()
+        return total
+    keep, twins = _twin_classes(g)
+    masks = {}  # m - 1 -> M_m
+    for v, m in twins.items():
+        masks[m - 1] = masks.get(m - 1, 0) | 1 << v
+    left = keep
+    while left:
+        low = left & -left
+        left ^= low
+        u = low.bit_length() - 1
+        rest = rows[u] & keep & (low - 1)
+        part = 0
+        while rest:
+            v = rest.bit_length() - 1
+            rest ^= 1 << v
+            common = rest & rows[v]
+            if common:
+                w = common.bit_count()
+                for e, mask in masks.items():
+                    w += e * (common & mask).bit_count()
+                part += twins.get(v, 1) * w
+        total += twins.get(u, 1) * part
     return total
-
-
-def _twin_mask(g):
-    """Bitmask keeping the first vertex of each identical-row class.
-
-    Equal rows force non-adjacency, so the other vertices are false twins;
-    odd girth and triangle existence are the same on the kept vertices.
-    """
-    seen = set()
-    keep = 0
-    for v, r in enumerate(g.rows):
-        if r not in seen:
-            seen.add(r)
-            keep |= 1 << v
-    return keep
 
 
 def is_triangle_free(g):
     rows = g.rows
-    keep = _twin_mask(g)
+    keep, _ = _twin_classes(g)
     m = keep
     while m:
         low = m & -m
@@ -358,7 +397,7 @@ def odd_girth(g):
     attains its length.
     """
     rows = g.rows
-    keep = _twin_mask(g)
+    keep, _ = _twin_classes(g)
     left = keep
     while left:
         best, comp = _odd_layer(rows, keep, (left & -left).bit_length() - 1, math.inf)

@@ -48,6 +48,50 @@ def random_graph_with_twins(rng, n_max):
     return relabel(Graph(n, tuple(rows)), perm)
 
 
+def random_blowup(rng, n):
+    """A random graph on 8 to 12 vertices with each vertex blown up into a
+    class of false twins (an independent set sharing its neighbourhood),
+    n >= 19 vertices in all, randomly relabeled.  Four base vertices get
+    classes of 1, 2, 3 and 5 vertices; the others share the rest, at
+    least one each."""
+    base = random_graph(rng, rng.randint(8, 12))
+    sizes = [1, 2, 3, 5] + [1] * (base.n - 4)
+    for _ in range(n - sum(sizes)):
+        sizes[rng.randrange(4, base.n)] += 1
+    rng.shuffle(sizes)
+    labels = list(range(n))
+    rng.shuffle(labels)
+    classes = []
+    for size in sizes:
+        classes.append(labels[:size])
+        del labels[:size]
+    masks = [sum(1 << v for v in c) for c in classes]
+    rows = [0] * n
+    for i, c in enumerate(classes):
+        row = 0
+        for j in bits(base.rows[i]):
+            row |= masks[j]
+        for v in c:
+            rows[v] = row
+    return Graph(n, tuple(rows))
+
+
+def triangle_count_oracle(g):
+    """Triangles by a per-edge popcount of the two full rows, each edge
+    once, with no twin reduction."""
+    rows = g.rows
+    total = 0
+    for u in range(g.n):
+        ru = rows[u]
+        m = ru >> (u + 1) << (u + 1)
+        while m:
+            low = m & -m
+            v = low.bit_length() - 1
+            m ^= low
+            total += (ru & rows[v] & m).bit_count()
+    return total
+
+
 def brute_cert(g):
     """Maximum packed adjacency bitstring over all n! relabelings."""
     n = g.n

@@ -2,10 +2,11 @@
 
 networkx shares no code with the bitset census: cycles come from its
 ``simple_cycles`` enumeration with a length bound, bipartiteness from
-``is_bipartite`` and triangles from ``triangles``.  The graphs include
-false twins (the census keeps one vertex per identical-row class),
-disconnected graphs whose odd cycle sits after a bipartite component,
-and orders 0, 1 and 2.
+``is_bipartite``, triangles from ``triangles``, anchored containment
+from ``GraphMatcher`` monomorphisms and graph6 from its own codec.  The
+graphs include false twins (the census keeps one vertex per
+identical-row class), disconnected graphs whose odd cycle sits after a
+bipartite component, and orders 0, 1 and 2.
 """
 
 import itertools
@@ -18,19 +19,25 @@ from turan_reg.graphs import (
     Graph,
     bits,
     complete_bipartite,
+    complete_graph,
+    contains_subgraph,
     count_cycles,
     cycle_graph,
     disjoint_union,
     empty_graph,
     from_edges,
+    graph6_decode,
+    graph6_encode,
     induced_subgraph,
     is_triangle_free,
     odd_girth,
     path_graph,
     petersen_graph,
+    star_graph,
 )
 
 nx = pytest.importorskip("networkx")
+from networkx.algorithms.isomorphism import GraphMatcher  # noqa: E402
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
@@ -132,3 +139,48 @@ def bipartite_then_any(draw):
 @given(st.one_of(graphs(), bipartite_then_any()))
 def test_census_property(g):
     check_census(g)
+
+
+def test_long_cycles_random():
+    rng = seeded_rng()
+    for _ in range(60):
+        g = random_graph(rng, rng.randint(6, 9))
+        G = to_nx(g)
+        for m in (7, 8):
+            assert count_cycles(g, m) == cycles_of_length(G, m), (g.rows, m)
+
+
+PATTERNS = {
+    "K3": complete_graph(3),
+    "C4": cycle_graph(4),
+    "C5": cycle_graph(5),
+    "P4": path_graph(4),
+    "K1,3": star_graph(3),
+}
+
+
+@pytest.mark.parametrize("name", PATTERNS)
+def test_anchored_containment_random(name):
+    h = PATTERNS[name]
+    H = to_nx(h)
+    rng = seeded_rng()
+    for _ in range(80):
+        g = random_graph(rng, rng.randint(1, 8))
+        images = [set(m) for m in GraphMatcher(to_nx(g), H).subgraph_monomorphisms_iter()]
+        assert contains_subgraph(g, h) == bool(images), (g.rows, name)
+        for a in range(g.n):
+            expected = any(a in image for image in images)
+            assert contains_subgraph(g, h, anchor=a) == expected, (g.rows, name, a)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 62, 63, 64, 100])
+def test_graph6_round_trip(n):
+    """Orders above 62 take the 4-byte order header."""
+    rng = seeded_rng()
+    for _ in range(5):
+        g = random_graph(rng, n)
+        G = to_nx(g)
+        text = graph6_encode(g)
+        assert nx.to_graph6_bytes(G, header=False) == text.encode() + b"\n"
+        assert nx.utils.graphs_equal(nx.from_graph6_bytes(text.encode()), G)
+        assert graph6_decode(nx.to_graph6_bytes(G).decode()) == g

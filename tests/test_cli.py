@@ -127,7 +127,7 @@ def test_max_copies_command(capsys):
     [
         (["construct", "apex"], "apex needs parameters"),
         (["exr", "--n", "5", "--forbid", "Q7"], "cannot parse pattern 'Q7'"),
-        (["enumerate", "--n", "12"], "beyond enumeration cap 11"),
+        (["enumerate", "--n", "12"], "beyond enumeration cap 11; pass --force"),
         (["probe", "cycle-question", "--m", "9", "--r", "2", "--n", "5"], "cycle length"),
         # a family pattern has several members; max-copies counts one
         (["max-copies", "--n", "5", "--pattern", "C3..C7", "--max-degree", "2"], "C3..C7 has 3"),

@@ -2,11 +2,15 @@ import json
 
 import pytest
 
+from helpers import triangle_count_oracle
+
 from turan_reg.canon import canonical_label
+from turan_reg.cli import _sweep_params
 from turan_reg.constructions import (
     BUILDERS,
     ConstructionError,
     _certify,
+    _multipartite_decompose,
     apex_construction,
     build,
     circulant_small_odd,
@@ -116,6 +120,49 @@ def test_multipartite_regular():
     assert r.graph.is_regular(18)
     with pytest.raises(ConstructionError):
         multipartite_regular(9, 4)
+
+
+@pytest.mark.parametrize(
+    "name, args, stride",
+    [
+        ("triangle-min-extremal", {"k_max": 200}, 1),
+        ("apex", {"n_max": 401}, 20),
+        ("split-apex-equality", {"n_max": 401}, 20),
+    ],
+)
+def test_triangle_count_builders_vs_oracle(name, args, stride):
+    """Every ``stride``-th point of the sweep grid up to n = 401, and its
+    last point, against the per-edge count on full rows."""
+    grid = list(_sweep_params(name, args))
+    for params in grid[::stride] + grid[-1:]:
+        g = build(name, **params).graph
+        assert triangle_count(g) == triangle_count_oracle(g), params
+
+
+def test_multipartite_decompose_fits_core():
+    """The core K_{x,..,x} on r - 2 parts has degree (r - 3)x, so it can
+    lose a y-factor only for y <= (r - 3)x.  The earlier rule (r - 2)x > y
+    admitted six grid points with no such x; every other point keeps the
+    (x, y) that rule chose."""
+
+    def earlier_rule(n, r):
+        for x in range(n // (r - 1) - (n // (r - 1)) % 2, 0, -2):
+            y = n - (r - 1) * x
+            if 0 <= y <= 2 * r - 3 and (r - 2) * x > y:
+                return x, y
+        return None
+
+    over_core = {(9, 4), (17, 4), (13, 5), (17, 6), (21, 7), (25, 8)}
+    for r in range(4, 9):
+        for n in range(3 * (r - 1), 302):
+            earlier = earlier_rule(n, r)
+            if earlier is not None and (n, r) not in over_core:
+                assert _multipartite_decompose(n, r) == earlier, (n, r)
+                continue
+            with pytest.raises(ConstructionError, match="no valid even-x") as err:
+                _multipartite_decompose(n, r)
+            assert err.value.prop is None
+            assert (earlier is not None) == ((n, r) in over_core), (n, r)
 
 
 def test_kbe_graph():

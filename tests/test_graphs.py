@@ -1,12 +1,21 @@
 import math
 import os
+import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from helpers import naive_contains, naive_cycle_count, random_graph, seeded_rng
+from helpers import (
+    naive_contains,
+    naive_cycle_count,
+    random_blowup,
+    random_graph,
+    seeded_rng,
+    triangle_count_oracle,
+)
 
 from turan_reg.graphs import (
     Graph,
@@ -174,6 +183,50 @@ def test_triangle_free_matches_count():
     for _ in range(60):
         g = random_graph(rng, rng.randint(1, 10), rng.random() * 0.5)
         assert is_triangle_free(g) == (triangle_count(g) == 0)
+
+
+def test_triangle_count_twin_classes():
+    # past 30 vertices a row takes two int digits and the count runs on
+    # the twin classes
+    rng = random.Random(20261018)
+    mixed = 0
+    for _ in range(20000):
+        g = random_blowup(rng, rng.randint(31, 40))
+        t = triangle_count(g)
+        assert t == triangle_count_oracle(g), g.rows
+        assert is_triangle_free(g) == (t == 0), g.rows
+        mixed += {1, 2, 3, 5} <= set(Counter(g.rows).values())
+    # most graphs hold classes of 1, 2, 3 and 5 vertices at once
+    assert mixed > 10000
+
+
+@pytest.mark.parametrize(
+    "g, expected",
+    [
+        (empty_graph(0), 0),
+        (empty_graph(7), 0),
+        (empty_graph(70), 0),
+        (complete_graph(3), 1),
+        (complete_graph(12), 220),
+        (complete_graph(70), 54740),
+        (complete_bipartite(5, 8), 0),
+        (complete_bipartite(40, 33), 0),
+    ],
+    ids=["n0", "n7-empty", "n70-empty", "K3", "K12", "K70", "K5,8", "K40,33"],
+)
+def test_triangle_count_examples(g, expected):
+    assert triangle_count(g) == triangle_count_oracle(g) == expected
+
+
+@pytest.mark.parametrize("a, b", [(1, 2), (2, 2), (3, 5), (40, 33)])
+def test_triangle_count_biclique_plus_edge(a, b):
+    """An edge between two vertices of the b side of K_{a,b} closes a
+    triangle with each of the a vertices, and splits the b side's class."""
+    rows = list(complete_bipartite(a, b).rows)
+    rows[a] |= 1 << (a + 1)
+    rows[a + 1] |= 1 << a
+    g = Graph(a + b, tuple(rows))
+    assert triangle_count(g) == triangle_count_oracle(g) == a
 
 
 def test_contains_subgraph_examples():
