@@ -454,25 +454,24 @@ def multipartite_regular(n, r):
     for v in range(core, n):
         rows[v] = core_mask
 
-    def drop(a, b):
-        # doubles as the disjointness check: a repeated or same-part pair
-        # would hit an already-missing edge
-        if not (rows[a] >> b) & 1:
-            raise ConstructionError("y-factor touched a non-edge", prop="y-factor")
-        rows[a] &= ~(1 << b)
-        rows[b] &= ~(1 << a)
-
-    for c in shifts:
-        for a in range(t):
-            bpart = (a + 1) % t
-            for i in range(x):
-                drop(a * x + i, bpart * x + (i + c) % x)
+    # layers (lo, hi, c): part a vertex i in [lo, hi) loses part a + 1
+    # vertex i + c; the half-shift matching pairs x/2 + i with i
+    hhalf = x // 2
+    layers = [(0, x, c) for c in shifts]
     if need_matching:
-        hhalf = x // 2
+        layers.append((hhalf, 2 * hhalf, -hhalf))
+    for lo, hi, c in layers:
         for a in range(t):
-            bpart = (a + 1) % t
-            for i in range(hhalf):
-                drop(a * x + hhalf + i, bpart * x + i)
+            base = (a + 1) % t * x
+            for u in range(a * x + lo, a * x + hi):
+                v = base + (u + c) % x
+                bit = 1 << v
+                # doubles as the disjointness check: a repeated or
+                # same-part pair would hit an already-missing edge
+                if not rows[u] & bit:
+                    raise ConstructionError("y-factor touched a non-edge", prop="y-factor")
+                rows[u] ^= bit
+                rows[v] ^= 1 << u
     g = Graph(n, tuple(rows))
     parts_stable = all(
         (g.rows[v] & part_masks[a]) == 0

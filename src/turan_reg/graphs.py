@@ -338,23 +338,28 @@ def triangle_count(g):
     return total
 
 
+def _has_triangle(rows, keep):
+    """Whether the vertices of ``keep`` span a triangle.
+
+    Each triangle is looked for at its highest vertex u, among the
+    neighbours of u below it: ``rest`` holds those below v, so it shrinks
+    as v goes down and each AND runs over fewer than u bits.
+    """
+    left = keep
+    while left:
+        u = left.bit_length() - 1
+        left ^= 1 << u
+        rest = rows[u] & left
+        while rest:
+            v = rest.bit_length() - 1
+            rest ^= 1 << v
+            if rest & rows[v]:
+                return True
+    return False
+
+
 def is_triangle_free(g):
-    rows = g.rows
-    keep, _ = _twin_classes(g)
-    m = keep
-    while m:
-        low = m & -m
-        u = low.bit_length() - 1
-        m ^= low
-        ru = rows[u] & keep
-        above = ru >> (u + 1) << (u + 1)
-        while above:
-            low = above & -above
-            v = low.bit_length() - 1
-            above ^= low
-            if ru & rows[v]:
-                return False
-    return True
+    return not _has_triangle(g.rows, _twin_classes(g)[0])
 
 
 def _odd_layer(rows, keep, s, bound):
@@ -389,12 +394,15 @@ def odd_girth(g):
     """Length of a shortest odd cycle, or None iff bipartite.
 
     Works on one vertex per identical-row class.  One BFS per component
-    first: if no BFS layer holds an edge the graph is bipartite.
-    Otherwise BFS runs from every kept vertex s over the kept vertices
-    from s up, stopping at depth d once 2d + 1 reaches the best length so
-    far.  An edge inside the layer at distance d witnesses an odd closed
-    walk of length 2d + 1, and the lowest vertex of a shortest odd cycle
-    attains its length.
+    first: if no BFS layer holds an edge the graph is bipartite.  Else the
+    first layer d that holds one closes an odd walk, so 2d + 1 bounds the
+    odd girth from above.  A triangle among the kept vertices makes it 3;
+    without one a bound of 5 is exact.  Only a bound of 7 or more runs BFS
+    from every kept vertex s over the kept vertices from s up, stopping
+    at depth d once 2d + 1 reaches the best length so far.  An edge
+    inside the layer at distance d witnesses an odd closed walk of length
+    2d + 1, and the lowest vertex of a shortest odd cycle attains its
+    length.
     """
     rows = g.rows
     keep, _ = _twin_classes(g)
@@ -406,6 +414,10 @@ def odd_girth(g):
         left &= ~comp
     else:
         return None
+    if best == 3 or _has_triangle(rows, keep):
+        return 3
+    if best == 5:
+        return 5
     for s in bits(keep):
         cand, _ = _odd_layer(rows, keep >> s << s, s, best)
         if cand is not None:

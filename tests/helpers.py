@@ -76,6 +76,30 @@ def random_blowup(rng, n):
     return Graph(n, tuple(rows))
 
 
+def near_bipartite_with_twins(rng, n0, p, inside, twins):
+    """A random bipartite graph on n0 vertices (cross edges with
+    probability p) plus ``inside`` random edges within the sides, grown by
+    ``twins`` false twins (copies of the row of a random vertex), then
+    randomly relabeled.  With no inside edge it is bipartite; each inside
+    edge closes odd cycles whose length the density sets."""
+    side = [rng.randrange(2) for _ in range(n0)]
+    pairs = list(itertools.combinations(range(n0), 2))
+    edges = [(u, v) for u, v in pairs if side[u] != side[v] and rng.random() < p]
+    same = [(u, v) for u, v in pairs if side[u] == side[v]]
+    edges += rng.sample(same, min(inside, len(same)))
+    rows = list(from_edges(n0, edges).rows)
+    for _ in range(twins):
+        s = rng.randrange(len(rows))
+        v = len(rows)
+        rows.append(rows[s])
+        for w in bits(rows[s]):
+            rows[w] |= 1 << v
+    n = len(rows)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return relabel(Graph(n, tuple(rows)), perm)
+
+
 def triangle_count_oracle(g):
     """Triangles by a per-edge popcount of the two full rows, each edge
     once, with no twin reduction."""
@@ -90,6 +114,32 @@ def triangle_count_oracle(g):
             m ^= low
             total += (ru & rows[v] & m).bit_count()
     return total
+
+
+def odd_girth_oracle(g):
+    """Shortest odd cycle by a plain BFS from every vertex on the full
+    rows, or None: the minimum over sources of 2d + 1 for the first BFS
+    layer d that holds an edge.  No twin pass, no bound between sources."""
+    rows = g.rows
+    best = None
+    for s in range(g.n):
+        seen = layer = 1 << s
+        d = 0
+        while layer:
+            nxt = 0
+            m = layer
+            while m:
+                low = m & -m
+                nxt |= rows[low.bit_length() - 1]
+                m ^= low
+            if nxt & layer:
+                if best is None or 2 * d + 1 < best:
+                    best = 2 * d + 1
+                break
+            layer = nxt & ~seen
+            seen |= layer
+            d += 1
+    return best
 
 
 def brute_cert(g):

@@ -6,14 +6,15 @@ networkx shares no code with the bitset census: cycles come from its
 from ``GraphMatcher`` monomorphisms and graph6 from its own codec.  The
 graphs include false twins (the census keeps one vertex per
 identical-row class), disconnected graphs whose odd cycle sits after a
-bipartite component, and orders 0, 1 and 2.
+bipartite component, orders 0, 1 and 2, and sparse graphs of 200 to 600
+vertices, where the odd girth comes from BFS distances.
 """
 
 import itertools
 
 import pytest
 
-from helpers import random_graph, seeded_rng
+from helpers import near_bipartite_with_twins, random_graph, seeded_rng
 
 from turan_reg.graphs import (
     Graph,
@@ -34,6 +35,7 @@ from turan_reg.graphs import (
     path_graph,
     petersen_graph,
     star_graph,
+    triangle_count,
 )
 
 nx = pytest.importorskip("networkx")
@@ -139,6 +141,40 @@ def bipartite_then_any(draw):
 @given(st.one_of(graphs(), bipartite_then_any()))
 def test_census_property(g):
     check_census(g)
+
+
+def odd_girth_from_distances(G):
+    """Minimum of 2d + 1 over the sources s and the edges uv with
+    dist(s, u) = dist(s, v) = d, or None."""
+    best = None
+    edges = list(G.edges())
+    for s in G:
+        dist = nx.single_source_shortest_path_length(G, s)
+        for u, v in edges:
+            d = dist.get(u)
+            if d is not None and d == dist.get(v) and (best is None or 2 * d + 1 < best):
+                best = 2 * d + 1
+    return best
+
+
+def test_census_large_sparse():
+    """Average degree 2 to 4 on 200 to 560 vertices, some edges inside
+    the sides of a bipartition, and up to 40 false twins."""
+    rng = seeded_rng()
+    seen = set()
+    for inside in (0, 1, 2, 3, 6, 10, 20, 40):
+        n0 = rng.randint(200, 560)
+        g = near_bipartite_with_twins(rng, n0, rng.uniform(4, 8) / n0, inside, rng.randint(1, 40))
+        G = to_nx(g)
+        og = odd_girth(g)
+        seen.add(og)
+        if nx.is_bipartite(G):
+            assert og is None, inside
+        assert og == odd_girth_from_distances(G), inside
+        triangles = sum(nx.triangles(G).values()) // 3
+        assert triangle_count(g) == triangles, inside
+        assert is_triangle_free(g) == (triangles == 0), inside
+    assert {None, 3, 5, 7} <= seen, seen
 
 
 def test_long_cycles_random():

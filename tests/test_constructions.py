@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from helpers import triangle_count_oracle
+from helpers import odd_girth_oracle, triangle_count_oracle
 
 from turan_reg.canon import canonical_label
 from turan_reg.cli import _sweep_params
@@ -29,6 +29,7 @@ from turan_reg.graphs import (
     contains_subgraph,
     count_cycles,
     cycle_graph,
+    induced_subgraph,
     is_triangle_free,
     odd_girth,
     triangle_count,
@@ -137,6 +138,46 @@ def test_triangle_count_builders_vs_oracle(name, args, stride):
     for params in grid[::stride] + grid[-1:]:
         g = build(name, **params).graph
         assert triangle_count(g) == triangle_count_oracle(g), params
+
+
+@pytest.mark.parametrize("name", ["pentagon-blowup", "odd-girth-blowup"])
+def test_odd_girth_builders_vs_oracle(name):
+    """Every point of the sweep grid up to n = 301, and n = 401, against a
+    plain BFS from every vertex on the full rows."""
+    grid = list(_sweep_params(name, {"n_max": 301, "ell_max": 8}))
+    if name == "pentagon-blowup":
+        grid.append({"n": 401})
+    else:
+        grid += [{"n": 401, "ell": ell} for ell in range(2, 9)]
+    for params in grid:
+        g = build(name, **params).graph
+        og = odd_girth_oracle(g)
+        assert odd_girth(g) == og == 2 * params.get("ell", 2) + 1, params
+        assert is_triangle_free(g) == (og != 3), params
+
+
+def test_odd_girth_apex_vs_oracle():
+    """Every 10th apex point up to n = 301, and its last: the graph has
+    triangles and the graph off the apex is bipartite."""
+    grid = list(_sweep_params("apex", {"n_max": 301}))
+    for params in grid[::10] + grid[-1:]:
+        g = apex_construction(**params).graph
+        off_apex = induced_subgraph(g, range(g.n - 1))
+        assert odd_girth(g) == odd_girth_oracle(g) == 3, params
+        assert odd_girth(off_apex) is odd_girth_oracle(off_apex) is None, params
+        assert not is_triangle_free(g) and is_triangle_free(off_apex), params
+
+
+def test_multipartite_y_factor_guard(monkeypatch):
+    """A schedule that repeats a pair is refused, not built.  For (14, 4)
+    the core is K_{4,4}, and with two parts shift 3 takes back shift 1's
+    pairs."""
+    from turan_reg import constructions
+
+    monkeypatch.setattr(constructions, "_core_y_factor_layers", lambda t, x, y: ([1, 3], False))
+    with pytest.raises(ConstructionError, match="y-factor touched a non-edge") as exc:
+        multipartite_regular(14, 4)
+    assert exc.value.prop == "y-factor"
 
 
 def test_multipartite_decompose_fits_core():

@@ -11,6 +11,8 @@ import pytest
 from helpers import (
     naive_contains,
     naive_cycle_count,
+    near_bipartite_with_twins,
+    odd_girth_oracle,
     random_blowup,
     random_graph,
     seeded_rng,
@@ -176,6 +178,91 @@ def test_odd_girth_vs_two_coloring():
         else:
             lengths = [m for m in range(3, g.n + 1, 2) if naive_cycle_count(g, m) > 0]
             assert og == min(lengths)
+
+
+def test_odd_girth_random_with_twins_vs_oracle():
+    """Near-bipartite graphs of up to 36 vertices with false twins, whose
+    odd girth is None, 3, 5 or at least 7, against the plain BFS."""
+    rng = random.Random(20261019)
+    seen = Counter()
+    for _ in range(2000):
+        n0 = rng.randint(2, 24)
+        g = near_bipartite_with_twins(rng, n0, rng.uniform(1, 6) / n0, rng.randint(0, 3), rng.randint(0, 12))
+        og = odd_girth_oracle(g)
+        assert odd_girth(g) == og, g.rows
+        assert is_triangle_free(g) == (og != 3), g.rows
+        seen[og if og is None or og < 7 else 7] += 1
+    # every branch after the first pass is taken many times
+    assert min(seen[None], seen[3], seen[5], seen[7]) >= 20, seen
+
+
+def _cycle_blowup(sizes, order=None):
+    """C_len(sizes) with vertex i blown up into ``sizes[i]`` false twins,
+    the classes labeled in ``order`` (default: around the cycle)."""
+    order = order or range(len(sizes))
+    classes, v = {}, 0
+    for i in order:
+        classes[i] = range(v, v + sizes[i])
+        v += sizes[i]
+    edges = []
+    for i in range(len(sizes)):
+        j = (i + 1) % len(sizes)
+        edges += [(u, w) for u in classes[i] for w in classes[j]]
+    return from_edges(v, edges)
+
+
+def _planted_triangle():
+    # class 2 of a C5 blow-up is labeled last, and an edge inside it closes
+    # triangles there; the first BFS, from class 0, meets the class 2-3
+    # edges first, at depth 2
+    g = _cycle_blowup([3, 2, 4, 2, 3], order=[0, 1, 3, 4, 2])
+    rows = list(g.rows)
+    rows[12] |= 1 << 13
+    rows[13] |= 1 << 12
+    return Graph(g.n, tuple(rows))
+
+
+@pytest.mark.parametrize(
+    "g, expected",
+    [
+        (disjoint_union(cycle_graph(5), complete_graph(3)), 3),
+        (disjoint_union(cycle_graph(7), cycle_graph(5)), 5),
+        (disjoint_union(_cycle_blowup([3, 2, 1, 2, 3]), cycle_graph(7)), 5),
+        (_planted_triangle(), 3),
+        (complete_bipartite(4, 6), None),
+    ],
+    ids=["C5-first+K3", "C7-first+C5", "C5-blowup-first+C7", "C5-blowup+planted-K3", "K4,6"],
+)
+def test_odd_girth_first_pass_unions(g, expected):
+    """The first pass bounds the odd girth by the component it meets
+    first; each case needs what comes after it to reach the true value."""
+    assert odd_girth_oracle(g) == expected
+    assert odd_girth(g) == expected
+    assert is_triangle_free(g) == (expected != 3)
+
+
+class _CountingRows(tuple):
+    """Rows that count their reads by index."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return tuple.__getitem__(self, i)
+
+
+@pytest.mark.parametrize(
+    "g, reads",
+    [(_cycle_blowup([3, 1, 4, 2, 5, 1, 2]), 7 + 7), (petersen_graph(), 10 + 15)],
+    ids=["C7-blowup", "petersen"],
+)
+def test_triangle_scan_reads_each_edge_once(g, reads):
+    """The scan meets each kept edge once, from its higher end: on a
+    triangle-free graph it reads one row per kept vertex and one per kept
+    edge."""
+    rows = _CountingRows(g.rows)
+    assert is_triangle_free(Graph(g.n, rows))
+    assert rows.reads == reads
 
 
 def test_triangle_free_matches_count():
