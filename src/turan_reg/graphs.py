@@ -197,27 +197,25 @@ def petersen_graph():
 
 def count_cliques(g, t):
     """Number of t-vertex cliques (unlabeled subgraph count)."""
-    if not 1 <= t <= g.n:
-        if t > g.n:
-            return 0
+    if t < 1:
         raise GraphError("clique size must be >= 1")
-    if t == 1:
-        return g.n
-    rows = g.rows
+    return cliques_within(g.rows, (1 << g.n) - 1, t)
 
-    def rec(cand, depth):
-        if depth == 1:
-            return cand.bit_count()
-        total = 0
-        m = cand
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            m ^= low
-            total += rec(rows[v] & m, depth - 1)
-        return total
 
-    return rec((1 << g.n) - 1, t)
+def cliques_within(rows, mask, t):
+    """Number of t-cliques among the vertices of ``mask``; 1 for t = 0.
+
+    Each clique is counted once, from its lowest vertex: the candidates
+    for the rest are its neighbours above it in ``mask``.
+    """
+    if t <= 1:
+        return mask.bit_count() if t else 1
+    total = 0
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        total += cliques_within(rows, rows[low.bit_length() - 1] & mask, t - 1)
+    return total
 
 
 def total_cliques(g):
@@ -628,6 +626,63 @@ def _count_cycles_dfs(g, m):
     return total // 2
 
 
+def path_counts(rows, length):
+    """Paths of ``length`` edges, 2 <= length <= 3, between vertex pairs.
+
+    Row a of the returned matrix is a ``memoryview``.  Off the diagonal
+    its entry b counts the paths a, ..., b on distinct vertices of the
+    graph with these rows; the diagonal keeps the closed walks
+    (A^length)_aa, which no path count reads.  With A the adjacency matrix,
+    P_2(a, b) = (A^2)_ab = |N(a) & N(b)| and
+    P_3(a, b) = (A^3)_ab - [a ~ b](d(a) + d(b) - 1): a walk a x y b
+    repeats a vertex only as x = b (d(b) walks) or y = a (d(a) walks),
+    both only when a ~ b, and a b a b is both.
+
+    Each row of A^k is one int holding a field per vertex, so the row of
+    a in A^(k + 1) is the sum of the A^k rows of the neighbours of a.  A
+    field is an unsigned machine int of 1, 2 or 8 bytes, wide enough for
+    n^2, which no entry of A^3 reaches: sums never carry from one field
+    into the next, and each corrected row is read as its bytes.
+    """
+    if length not in (2, 3):
+        raise GraphError("path length must be 2 or 3")
+    n = len(rows)
+    code, size = next(
+        (c, k) for c, k in (("B", 1), ("H", 2), ("Q", 8)) if n * n >> (8 * k) == 0
+    )
+    w = 8 * size
+    unit = [1 << (w * b) for b in range(n)]
+    adj = [_sum_at(r, unit) for r in rows]
+    walks = [_sum_at(r, adj) for r in rows]
+    if length == 3:
+        degs = [r.bit_count() << (w * b) for b, r in enumerate(rows)]
+        walks = [
+            _sum_at(r, walks) - (r.bit_count() - 1) * adj[a] - _sum_at(r, degs)
+            for a, r in enumerate(rows)
+        ]
+    return [memoryview(row.to_bytes(n * size, sys.byteorder)).cast(code) for row in walks]
+
+
+def pair_sum(matrix, mask):
+    """Sum of ``matrix[a][b]`` over the pairs a < b of set bits of ``mask``."""
+    total = 0
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        total += _sum_at(mask, matrix[low.bit_length() - 1])
+    return total
+
+
+def _sum_at(mask, vals):
+    """Sum of ``vals[b]`` over the set bits b of ``mask``."""
+    total = 0
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        total += vals[low.bit_length() - 1]
+    return total
+
+
 def count_cycles(g, m):
     """Number of m-cycle subgraphs, 3 <= m <= 8, each counted once.
 
@@ -641,6 +696,14 @@ def count_cycles(g, m):
       tr A^5 = 2 * sum over edges uw of sum_v a2[u][v] a2[w][v].
 
     Longer cycles fall back to anchored path search.
+
+    This is the one full count and the oracle of the searches, which
+    score a graph g from its parent g - v, v = n - 1, by the identity
+    C_m(g) = C_m(g - v) + the m-cycles through v
+    (``search.PatternCounter``): this function counts g - v, once per
+    run of consecutive graphs sharing it in the counter's one-entry
+    cache, and ``path_counts`` gives the cycles through v.  Every count
+    is exact in any order of the graphs; only the speed depends on it.
     """
     if not 3 <= m <= 8:
         raise GraphError("cycle length must be between 3 and 8")

@@ -10,7 +10,6 @@ reported value is the true optimum over the class list.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from math import comb
 
 from .canon import canonical_form
@@ -19,6 +18,7 @@ from .formulas import FamilySpec, conjectured_triangle_min, forced_triangle_wind
 from .graphs import (
     Graph,
     bits,
+    cliques_within,
     complete_graph,
     connected_components,
     count_cliques,
@@ -31,6 +31,8 @@ from .graphs import (
     graph6_encode,
     induced_subgraph,
     odd_girth,
+    pair_sum,
+    path_counts,
     total_cliques,
     two_coloring,
 )
@@ -227,24 +229,16 @@ def exr_exact(n, hspec, all_witnesses=False, witness_cap=DEFAULT_WITNESS_CAP, jo
     raise SearchError("unreachable: k=0 always admits the empty graph")
 
 
-def _score_kt(t, g):
-    return count_cliques(g, t)
-
-
 def _score_k_total_above_edges(g):
     # fixed edge count makes the k2 term constant; report the part above it
     return total_cliques(g) - count_cliques(g, 2)
-
-
-def _score_triangles(g):
-    return count_cliques(g, 3)
 
 
 def max_kt(n, m, r, t, witness_cap=DEFAULT_WITNESS_CAP, jobs=1):
     """Maximum number of t-cliques among graphs with given order, size
     and maximum degree; exact extremal class count."""
     filt = GenFilter(n=n, max_degree=r, edge_count=m)
-    return _scan_extreme(filt, partial(_score_kt, t), +1, witness_cap, jobs)
+    return _scan_extreme(filt, PatternCounter(complete_graph(t)), +1, witness_cap, jobs)
 
 
 def max_k_total(n, m, r, witness_cap=DEFAULT_WITNESS_CAP, jobs=1):
@@ -261,7 +255,7 @@ def max_k_total(n, m, r, witness_cap=DEFAULT_WITNESS_CAP, jobs=1):
 
 def min_triangles_regular(n, k, witness_cap=DEFAULT_WITNESS_CAP, jobs=1):
     """Minimum triangle count over k-regular graphs on n vertices."""
-    acc = ExtremeAccumulator(_score_triangles, -1, witness_cap)
+    acc = ExtremeAccumulator(PatternCounter(complete_graph(3)), -1, witness_cap)
     stats = enumerate_regular(n, k, visitor=acc.update, jobs=jobs)
     result = _result_from_acc(acc, stats)
     if stats.infeasible:
@@ -292,21 +286,43 @@ def _classify_pattern(h):
 
 
 class PatternCounter:
-    """Copy counter for a pattern graph, dispatching to the census ops."""
+    """Copy counter for a pattern graph, dispatching to the census ops.
+
+    Cliques and 4- and 5-cycles score a graph g from its parent g - v,
+    where v = n - 1 is the vertex that canonical augmentation added last,
+    by the exact identity C(g) = C(g - v) + (copies through v).  With
+    s = N(v), the t-cliques through v are the (t - 1)-cliques inside s
+    (``cliques_within``), and the m-cycles through v are the sum over
+    a < b in s of P_{m-2}(a, b), the a-b paths of m - 2 edges in g - v
+    (``pair_sum`` of ``path_counts``).  A one-entry cache keyed by the
+    rows of g - v holds its count and, for cycles, its path matrix; on a
+    miss both are recomputed, the count by ``count_cliques`` or
+    ``count_cycles``.  So any graph is scored exactly whatever came
+    before it: the order only sets how often the cache hits, and
+    enumeration emits the children of one parent one after another, also
+    at ``jobs > 1``, where the visitor runs in the main process.
+
+    Cycles of 6 to 8 vertices go to ``count_cycles``; longer cycles and
+    patterns of no named kind to the embedding count over the order of
+    the automorphism group.
+    """
 
     def __init__(self, pattern):
         self.pattern = pattern
         self.kind, self.param = _classify_pattern(pattern)
-        if self.kind == "generic":
+        self._parent = None  # rows of the last parent g - v
+        self._count = 0  # its copies
+        self._paths = None  # its path matrix, for cycles
+        if self.kind == "generic" or (self.kind == "cycle" and self.param > 8):
             from .canon import automorphism_group_order
 
             self.aut = automorphism_group_order(pattern)
 
     def __call__(self, g):
         kind, p = self.kind, self.param
-        if kind == "clique":
-            return count_cliques(g, p)
-        if kind == "cycle" and 3 <= p <= 8:
+        if kind == "clique" or (kind == "cycle" and p in (4, 5)):
+            return self._from_parent(g)
+        if kind == "cycle" and p <= 8:
             return count_cycles(g, p)
         if kind == "star":
             return count_stars(g, p)
@@ -315,6 +331,24 @@ class PatternCounter:
         embeddings = count_subgraph_embeddings(g, self.pattern)
         assert embeddings % self.aut == 0
         return embeddings // self.aut
+
+    def _from_parent(self, g):
+        if not g.n:
+            return 0
+        p = self.param
+        low = (1 << (g.n - 1)) - 1
+        parent = tuple([r & low for r in g.rows[:-1]])
+        if parent != self._parent:
+            if self.kind == "clique":
+                self._count = count_cliques(Graph(g.n - 1, parent), p)
+            else:
+                self._count = count_cycles(Graph(g.n - 1, parent), p)
+                self._paths = path_counts(parent, p - 2)
+            self._parent = parent
+        s = g.rows[-1]
+        if self.kind == "clique":
+            return self._count + cliques_within(parent, s, p - 1)
+        return self._count + pair_sum(self._paths, s)
 
 
 def max_copies_free(n, pattern, forbidden_star_r, witness_cap=DEFAULT_WITNESS_CAP, jobs=1):

@@ -198,6 +198,19 @@ def naive_cycle_count(g, m):
     return count // 2
 
 
+def naive_path_counts(g, length):
+    """Matrix of a-b paths with ``length`` edges, a != b, by scanning the
+    orderings of the inner vertices; the diagonal is 0."""
+    paths = [[0] * g.n for _ in range(g.n)]
+    for a, b in itertools.permutations(range(g.n), 2):
+        others = [x for x in range(g.n) if x not in (a, b)]
+        for inner in itertools.permutations(others, length - 1):
+            seq = (a,) + inner + (b,)
+            if all(g.has_edge(seq[i], seq[i + 1]) for i in range(length)):
+                paths[a][b] += 1
+    return paths
+
+
 def naive_embedding_count(g, h):
     """Injective edge-preserving maps counted by raw permutation scan."""
     count = 0

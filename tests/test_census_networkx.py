@@ -37,6 +37,7 @@ from turan_reg.graphs import (
     star_graph,
     triangle_count,
 )
+from turan_reg.search import PatternCounter, max_copies_free
 
 nx = pytest.importorskip("networkx")
 from networkx.algorithms.isomorphism import GraphMatcher  # noqa: E402
@@ -184,6 +185,32 @@ def test_long_cycles_random():
         G = to_nx(g)
         for m in (7, 8):
             assert count_cycles(g, m) == cycles_of_length(G, m), (g.rows, m)
+
+
+def test_cycles_through_last_vertex_random():
+    """What the counter adds to the parent's count is the number of
+    m-cycles through the last vertex."""
+    rng = seeded_rng()
+    counters = {m: PatternCounter(cycle_graph(m)) for m in (3, 4, 5)}
+    for _ in range(60):
+        g = random_graph(rng, rng.randint(6, 9))
+        G = to_nx(g)
+        v = g.n - 1
+        parent = induced_subgraph(g, range(v))
+        for m, counter in counters.items():
+            through = counter(g) - count_cycles(parent, m)
+            expected = sum(
+                1 for c in nx.simple_cycles(G, length_bound=m) if len(c) == m and v in c
+            )
+            assert through == expected, (g.rows, m)
+
+
+def test_copies_search_jobs_agree():
+    serial = max_copies_free(8, cycle_graph(5), 4)
+    parallel = max_copies_free(8, cycle_graph(5), 4, jobs=2)
+    assert serial.objective == parallel.objective
+    assert serial.witnesses == parallel.witnesses
+    assert serial.stats.classes == parallel.stats.classes
 
 
 PATTERNS = {

@@ -122,6 +122,16 @@ def test_max_copies_command(capsys):
     assert payload["objective"] == 18
 
 
+def test_max_copies_long_cycle(capsys):
+    # past C8 a cycle is counted by embeddings over its 18 automorphisms
+    rc = main(["max-copies", "--n", "9", "--pattern", "C9", "--max-degree", "2"])
+    assert rc == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["objective"] == 1
+    assert payload["classes"] == 1
+    assert payload["extra"]["pattern_kind"] == "cycle"
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

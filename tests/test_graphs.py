@@ -11,6 +11,7 @@ import pytest
 from helpers import (
     naive_contains,
     naive_cycle_count,
+    naive_path_counts,
     near_bipartite_with_twins,
     odd_girth_oracle,
     random_blowup,
@@ -41,6 +42,7 @@ from turan_reg.graphs import (
     is_triangle_free,
     odd_girth,
     parse_edge_list,
+    path_counts,
     path_graph,
     petersen_graph,
     star_graph,
@@ -378,6 +380,25 @@ def test_count_cycles_closed_forms():
             kab = complete_bipartite(a, b)
             assert count_cycles(kab, 4) == math.comb(a, 2) * math.comb(b, 2)
             assert count_cycles(kab, 5) == 0
+
+
+def test_path_counts_vs_naive():
+    """Orders 16 to 255 take two-byte fields, 256 and 300 eight-byte ones."""
+    rng = seeded_rng()
+    for n in (0, 1, 2, 5, 8, 15, 16, 17):
+        for _ in range(4):
+            g = random_graph(rng, n)
+            for length in (2, 3):
+                paths = path_counts(g.rows, length)
+                naive = naive_path_counts(g, length)
+                off = [(a, b) for a in range(n) for b in range(n) if a != b]
+                assert [paths[a][b] for a, b in off] == [naive[a][b] for a, b in off], (g.rows, length)
+    for n in (15, 16, 17, 255, 256, 300):
+        p2, p3 = (path_counts(complete_graph(n).rows, length) for length in (2, 3))
+        assert {p2[a][b] for a in range(n) for b in range(n) if a != b} == {n - 2}
+        assert {p3[a][b] for a in range(n) for b in range(n) if a != b} == {(n - 2) * (n - 3)}
+    with pytest.raises(GraphError):
+        path_counts(complete_graph(4).rows, 4)
 
 
 def test_census_imports_no_numpy():

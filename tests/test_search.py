@@ -1,3 +1,5 @@
+from functools import partial
+
 import pytest
 
 from helpers import naive_embedding_count, random_graph, seeded_rng
@@ -7,9 +9,11 @@ from turan_reg.constructions import circulant_small_odd, triangle_min_extremal
 from turan_reg.enumeration import GenFilter, enumerate_graphs
 from turan_reg.formulas import FamilySpec
 from turan_reg.graphs import (
+    Graph,
     complete_bipartite,
     complete_graph,
     count_cliques,
+    count_cycles,
     cycle_graph,
     from_edges,
     graph6_decode,
@@ -168,6 +172,46 @@ def test_pattern_counter_dispatch():
         for _ in range(8):
             g = random_graph(rng, rng.randint(4, 7))
             assert counter(g) == naive_embedding_count(g, pat) // aut, (kind, g.rows)
+    # C6..C8 go to count_cycles, longer cycles to the embedding count
+    for m in range(6, 10):
+        pat = cycle_graph(m)
+        counter = PatternCounter(pat)
+        assert counter.kind == "cycle"
+        for _ in range(4):
+            g = random_graph(rng, m, rng.uniform(0.6, 1.0))
+            assert counter(g) == naive_embedding_count(g, pat) // (2 * m), (m, g.rows)
+
+
+def _with_last_row(g, s):
+    """g with the neighbourhood of its last vertex replaced by ``s``."""
+    v = g.n - 1
+    keep = ~(1 << v)
+    rows = [r & keep | ((s >> u) & 1) << v for u, r in enumerate(g.rows[:-1])]
+    return Graph(g.n, tuple(rows) + (s,))
+
+
+def test_pattern_counter_from_parent_any_order():
+    """Scoring from the parent is exact in any order: one counter per
+    pattern sees the n = 8 classes in emission order, then shuffled, then
+    random graphs of orders 1..9, each followed by siblings that share
+    its parent, so a stale cache entry would show."""
+    classes = []
+    enumerate_graphs(GenFilter(n=8, max_degree=4), visitor=classes.append)
+    shuffled = list(classes)
+    seeded_rng().shuffle(shuffled)
+    rng = seeded_rng()
+    mixed = [Graph(0, ())]
+    for _ in range(200):
+        g = random_graph(rng, rng.randint(1, 9))
+        mixed.append(g)
+        for _ in range(rng.randint(0, 3)):
+            mixed.append(_with_last_row(g, rng.getrandbits(g.n - 1)))
+    cases = [(cycle_graph(m), partial(count_cycles, m=m)) for m in (3, 4, 5)]
+    cases += [(complete_graph(t), partial(count_cliques, t=t)) for t in (1, 2, 4)]
+    for pattern, oracle in cases:
+        counter = PatternCounter(pattern)
+        for g in classes + shuffled + mixed:
+            assert counter(g) == oracle(g), (pattern.rows, g.rows)
 
 
 def test_max_copies_free_star_prop():
