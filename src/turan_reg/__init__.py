@@ -16,7 +16,6 @@ from .graphs import (
     count_complete_bipartite,
     count_cycles,
     count_stars,
-    common_neighbors,
     cycle_graph,
     empty_graph,
     from_edges,
@@ -42,7 +41,6 @@ __all__ = [
     "count_complete_bipartite",
     "count_cycles",
     "count_stars",
-    "common_neighbors",
     "cycle_graph",
     "empty_graph",
     "from_edges",

@@ -31,7 +31,6 @@ from .formulas import (
     conjectured_triangle_min,
     ex_c5_closed_form,
     exr_closed_form,
-    forced_triangle_window,
     gls_critical_range,
     goodman_defect,
 )
@@ -131,7 +130,7 @@ def _op_min_triangles(args, ctx):
 
 def _op_supersat_unique(args, ctx):
     res = min_triangles_regular(9, 4, jobs=ctx["jobs"])
-    target = canonical_label(constructions.triangle_min_extremal(4).graph)
+    target = canonical_label(constructions.apex_construction(9, 4).graph)
     return (
         res.objective == 2
         and res.classes == 1
@@ -149,8 +148,8 @@ def _op_apex_window(args, ctx):
 
 def _op_split_apex_equality(args, ctx):
     n, k = args["n"], args["k"]
-    res = constructions.split_apex_equality(n, k)
-    return triangle_count(res.graph) == conjectured_triangle_min(n, k)
+    g = constructions.apex_construction(n, k).graph
+    return triangle_count(g) == conjectured_triangle_min(n, k)
 
 
 def _op_max_kt(args, ctx):
@@ -320,8 +319,10 @@ def _sweep_params(name, args):
                     yield {"n": n, "ell": ell}
         for n, ell in args.get("spots", []):
             yield {"n": n, "ell": ell}
-    elif name == "apex":
-        for n in range(7, args["n_max"] + 1, 2):
+    elif name in ("apex", "split-apex-equality"):
+        # the degree window 2*floor(n/5) < k <= 2*floor(n/4), k even;
+        # it is empty below n = 9
+        for n in range(9, args["n_max"] + 1, 2):
             for k in range(2 * (n // 5) + 2, 2 * (n // 4) + 1, 2):
                 yield {"n": n, "k": k}
         for n in args.get("spots", []):
@@ -342,11 +343,6 @@ def _sweep_params(name, args):
             yield {"k": k}
         for k in args.get("spots", []):
             yield {"k": k}
-    elif name == "split-apex-equality":
-        for n in range(9, args["n_max"] + 1, 2):
-            for k in range(2, n, 2):
-                if forced_triangle_window(n, k):
-                    yield {"n": n, "k": k}
     elif name == "kbe":
         for x in range(1, args.get("x_max", 8) + 1):
             for y in range(0, 2 * x + 1):

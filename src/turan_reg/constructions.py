@@ -12,6 +12,11 @@ down as rotations (i paired with i+c, indices cyclic), which keeps every
 output reproducible; where a simple rotation schedule cannot realize the
 required deletion the builder reports infeasibility instead of
 searching.
+
+Each graph family has one builder.  ``apex``, ``split-apex-equality``
+and ``triangle-min-extremal`` are all ``apex_construction``: the last
+two are its window point and its point n = 2k+1.  ``pentagon-blowup``
+is ``odd_girth_blowup`` at ell = 2.
 """
 
 from __future__ import annotations
@@ -152,6 +157,7 @@ def odd_girth_blowup(n, ell):
         )
     sizes = _blowup_part_sizes(ell, x, y)
     g = _build_cycle_blowup(sizes, y)
+    odd = odd_girth(g)
     return _certify(
         "odd-girth-blowup",
         {"n": n, "ell": ell, "x": x, "y": y, "part_sizes": sizes},
@@ -160,35 +166,8 @@ def odd_girth_blowup(n, ell):
             ("order", n, g.n),
             ("regular", True, _measured_regularity(g, 2 * x)),
             ("degree", 2 * x, g.rows[0].bit_count()),
-            ("odd-girth", m_len, odd_girth(g)),
-        ],
-    )
-
-
-def pentagon_blowup(n):
-    """Triangle-free 2*floor(n/5)-regular graph of odd order n.
-
-    The five stable sets have sizes (x+y, x, x-y, x, x+y) for n = 5x+y;
-    the first and last parts carry a complete bipartite graph minus y
-    rotational matchings.
-    """
-    if n % 2 == 0:
-        raise ConstructionError("order must be odd")
-    x, y = divmod(n, 5)
-    if y >= x:
-        raise ConstructionError(f"n={n}: need y < x in n = 5x + y (got x={x}, y={y})")
-    result = odd_girth_blowup(n, 2)
-    g = result.graph
-    # the census already measured the odd girth; no triangle iff it is not 3
-    odd = next(c["actual"] for c in result.certificate["checks"] if c["property"] == "odd-girth")
-    return _certify(
-        "pentagon-blowup",
-        {"n": n, "x": x, "y": y, "part_sizes": result.params["part_sizes"]},
-        g,
-        [
-            ("order", n, g.n),
-            ("regular", True, _measured_regularity(g, 2 * x)),
-            ("degree", 2 * x, g.rows[0].bit_count()),
+            ("odd-girth", m_len, odd),
+            # no triangle iff the odd girth is not 3
             ("triangle-free", True, odd != 3),
         ],
     )
@@ -220,140 +199,33 @@ def circulant_small_odd(n):
 
 
 # ---------------------------------------------------------------------------
-# apex constructions around a near-balanced bipartite core
+# the apex construction around a balanced bipartite core
 
 
 def apex_construction(n, k):
-    """k-regular graph of odd order whose every triangle uses one vertex.
+    """k-regular graph of odd order n whose every triangle uses one vertex.
 
-    A balanced complete bipartite graph on n-1 vertices loses
-    y = (n-1)/2 - k complete matchings plus half of one more matching on
-    k vertices, whose endpoints all attach to a fresh apex vertex.  The
-    deleted matchings rotate the first k/2 positions and the remaining
-    positions separately, so each one removes a full k/2 edges from
-    inside the future apex neighborhood; the triangle count is then
-    exactly (k/2)(k/2 - y - 1), about n^2/50 at the bottom of the degree
-    window.
-    """
-    if n % 2 == 0:
-        raise ConstructionError("order must be odd")
-    if k % 2 != 0:
-        raise ConstructionError("degree must be even")
-    if not (2 * (n // 5) < k <= 2 * (n // 4)):
-        raise ConstructionError(
-            f"degree k={k} outside the window (2*floor(n/5), 2*floor(n/4)] for n={n}"
-        )
-    x = (n - 1) // 2
-    y = x - k
-    half = k // 2
-    # the degree window forces y < half, so rotations 0..y fit in the block
-    if y >= half:
-        raise ConstructionError("matching schedule infeasible", prop="matchings")
-    apex = n - 1
-    rows = [0] * n
-    left_mask = (1 << x) - 1
-    right_mask = left_mask << x
-    for i in range(x):
-        rows[i] = right_mask
-        rows[x + i] = left_mask
-
-    def block_target(i, c):
-        if i < half:
-            return (i + c) % half
-        return half + (i - half + c) % (x - half)
-
-    for c in range(y):
-        for i in range(x):
-            a, b = i, x + block_target(i, c)
-            rows[a] &= ~(1 << b)
-            rows[b] &= ~(1 << a)
-    # one more matching of size k/2, rotation y inside the first block
-    for i in range(half):
-        a, b = i, x + (i + y) % half
-        rows[a] &= ~(1 << b)
-        rows[b] &= ~(1 << a)
-        rows[a] |= 1 << apex
-        rows[b] |= 1 << apex
-        rows[apex] |= (1 << a) | (1 << b)
-    g = Graph(n, tuple(rows))
-    off_apex = induced_subgraph(g, range(n - 1))
-    return _certify(
-        "apex",
-        {"n": n, "k": k, "x": x, "y": y},
-        g,
-        [
-            ("order", n, g.n),
-            ("regular", True, _measured_regularity(g, k)),
-            ("apex-deleted-bipartite", None, odd_girth(off_apex)),
-            ("triangles", half * (half - y - 1), triangle_count(g)),
-        ],
-    )
-
-
-def triangle_min_extremal(k):
-    """The unique triangle-minimizing k-regular graph on 2k+1 vertices.
-
-    K_{k,k} minus a k/2-matching, with every matching endpoint joined to
-    one extra vertex; it has exactly (k/2)(k/2-1) triangles.
-    """
-    if k % 2 != 0 or k < 4:
-        raise ConstructionError("degree must be even and >= 4")
-    n = 2 * k + 1
-    apex = n - 1
-    rows = [0] * n
-    left_mask = (1 << k) - 1
-    right_mask = left_mask << k
-    for i in range(k):
-        rows[i] = right_mask
-        rows[k + i] = left_mask
-    half = k // 2
-    for i in range(half):
-        a, b = i, k + i
-        rows[a] &= ~(1 << b)
-        rows[b] &= ~(1 << a)
-        rows[a] |= 1 << apex
-        rows[b] |= 1 << apex
-        rows[apex] |= (1 << a) | (1 << b)
-    g = Graph(n, tuple(rows))
-    return _certify(
-        "triangle-min-extremal",
-        {"k": k, "n": n},
-        g,
-        [
-            ("order", n, g.n),
-            ("regular", True, _measured_regularity(g, k)),
-            ("triangles", (k // 2) * (k // 2 - 1), triangle_count(g)),
-        ],
-    )
-
-
-def split_apex_equality(n, k):
-    """Conjectured equality graph: balanced bipartite plus a split apex.
-
-    An apex joins k/2 vertices of each side of K_{p,p} (n = 2p+1); a
+    An apex joins k/2 vertices of each side of K_{p,p} (n = 2p+1).  A
     (q+1)-regular rotational bipartite graph between the apex's two
     neighbor blocks and a q-regular one between the non-neighbor blocks
-    are deleted, leaving a k-regular graph.  Infeasible rotation
-    schedules are reported, never patched.
+    are deleted (q = p - k), leaving a k-regular graph.  Every triangle
+    is the apex and an edge inside its neighborhood, so there are
+    exactly (k/2)(k/2 - q - 1), about n^2/50 at the bottom of the degree
+    window.  At n = 2k+1 (q = 0) this is the unique triangle-minimizing
+    k-regular graph on 2k+1 vertices.
     """
     if not forced_triangle_window(n, k):
         raise ConstructionError(
-            f"(n={n}, k={k}) outside the conjectured window"
+            f"(n={n}, k={k}) outside the window: n odd, k even, "
+            f"2*floor(n/5) < k <= 2*floor(n/4)"
         )
     p = (n - 1) // 2
     q = p - k
     half = k // 2
     rest = p - half
+    # the window gives k >= (n+1)/3, so rotations 0..q fit in the block
     if q + 1 > half:
-        raise ConstructionError(
-            f"deletion schedule infeasible: needs q+1={q + 1} rotations on "
-            f"blocks of size {half}"
-        )
-    if q > rest:
-        raise ConstructionError(
-            f"deletion schedule infeasible: needs q={q} rotations on blocks "
-            f"of size {rest}"
-        )
+        raise ConstructionError("matching schedule infeasible", prop="matchings")
     apex = n - 1
     rows = [0] * n
     left_mask = (1 << p) - 1
@@ -378,13 +250,15 @@ def split_apex_equality(n, k):
             rows[a] &= ~(1 << b)
             rows[b] &= ~(1 << a)
     g = Graph(n, tuple(rows))
+    off_apex = induced_subgraph(g, range(n - 1))
     return _certify(
-        "split-apex-equality",
+        "apex",
         {"n": n, "k": k, "p": p, "q": q},
         g,
         [
             ("order", n, g.n),
             ("regular", True, _measured_regularity(g, k)),
+            ("apex-deleted-bipartite", None, odd_girth(off_apex)),
             ("triangles", conjectured_triangle_min(n, k), triangle_count(g)),
         ],
     )
@@ -614,25 +488,30 @@ def star_forest_complement(n, parts):
     )
 
 
+# name -> (builder, parameter names); see the module docstring for the
+# names that share a builder
 BUILDERS = {
-    "pentagon-blowup": (pentagon_blowup, ("n",)),
+    "pentagon-blowup": (lambda n: odd_girth_blowup(n, 2), ("n",)),
     "circulant-small-odd": (circulant_small_odd, ("n",)),
     "odd-girth-blowup": (odd_girth_blowup, ("n", "ell")),
     "apex": (apex_construction, ("n", "k")),
     "multipartite-regular": (multipartite_regular, ("n", "r")),
     "kbe": (kbe_graph, ("x", "y")),
     "odd-half": (odd_half_construction, ("n",)),
-    "triangle-min-extremal": (triangle_min_extremal, ("k",)),
-    "split-apex-equality": (split_apex_equality, ("n", "k")),
+    "triangle-min-extremal": (lambda k: apex_construction(2 * k + 1, k), ("k",)),
+    "split-apex-equality": (apex_construction, ("n", "k")),
     "star-forest-complement": (star_forest_complement, ("n", "parts")),
 }
 
 
 def build(name, **params):
+    """Run the named builder; the result and its certificate carry ``name``."""
     if name not in BUILDERS:
         raise ConstructionError(f"unknown construction {name!r}")
     fn, argnames = BUILDERS[name]
     missing = [a for a in argnames if a not in params]
     if missing:
         raise ConstructionError(f"{name} needs parameters {missing}")
-    return fn(**{a: params[a] for a in argnames})
+    result = fn(**{a: params[a] for a in argnames})
+    result.name = result.certificate["name"] = name
+    return result

@@ -64,20 +64,6 @@ class Graph:
             return False
         return all(r.bit_count() == d for r in self.rows)
 
-    def check_invariants(self):
-        """Symmetry, empty diagonal, handshaking; raises on violation."""
-        for u, r in enumerate(self.rows):
-            if r < 0 or r >> self.n:
-                raise GraphError(f"row {u} has bits beyond vertex range")
-            if (r >> u) & 1:
-                raise GraphError(f"self-loop at {u}")
-        for u in range(self.n):
-            for v in bits(self.rows[u]):
-                if not (self.rows[v] >> u) & 1:
-                    raise GraphError(f"asymmetric edge {u}-{v}")
-        if sum(r.bit_count() for r in self.rows) % 2 != 0:
-            raise GraphError("odd degree sum")
-
 
 def bits(mask):
     """Yield set-bit positions of a nonnegative int, ascending."""
@@ -169,10 +155,6 @@ def cycle_graph(n):
     return from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
-def path_graph(n):
-    return from_edges(n, [(i, i + 1) for i in range(n - 1)])
-
-
 def complete_bipartite(a, b):
     left = ((1 << b) - 1) << a
     right = (1 << a) - 1
@@ -182,13 +164,6 @@ def complete_bipartite(a, b):
 def star_graph(leaves):
     """Star K_{1,leaves}: vertex 0 is the center."""
     return complete_bipartite(1, leaves)
-
-
-def petersen_graph():
-    edges = [(i, (i + 1) % 5) for i in range(5)]
-    edges += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-    edges += [(i, 5 + i) for i in range(5)]
-    return from_edges(10, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -233,13 +208,6 @@ def total_cliques(g):
         return total
 
     return rec((1 << g.n) - 1) - g.n
-
-
-def common_neighbors(g, u, v):
-    """Common neighborhood of two distinct vertices, as a sorted tuple."""
-    if u == v:
-        raise GraphError("vertices must be distinct")
-    return tuple(bits(g.rows[u] & g.rows[v]))
 
 
 def count_stars(g, s):
@@ -802,29 +770,6 @@ def graph6_decode(text):
                 rows[j] |= 1 << i
             pos -= 1
     return Graph(n, tuple(rows))
-
-
-def parse_edge_list(text):
-    """Parse "u v" per-line edge text; first line may be the order "n N"."""
-    edges = []
-    n = None
-    maxv = -1
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] == "n" and len(parts) == 2 and n is None and not edges:
-            n = int(parts[1])
-            continue
-        if len(parts) != 2:
-            raise GraphError(f"bad edge line: {line!r}")
-        u, v = int(parts[0]), int(parts[1])
-        edges.append((u, v))
-        maxv = max(maxv, u, v)
-    if n is None:
-        n = maxv + 1
-    return from_edges(n, edges)
 
 
 def format_edge_list(g):

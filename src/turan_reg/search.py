@@ -66,6 +66,8 @@ class HSpec:
             raise SearchError("exactly one pattern kind must be given")
         if self.graph is not None and self.graph.edge_count < 1:
             raise SearchError("explicit pattern needs at least one edge")
+        if self.clique is not None and self.clique < 2 or self.star is not None and self.star < 1:
+            raise SearchError("a clique needs at least 2 vertices, a star at least 1 leaf")
 
     def members(self):
         if self.family is not None:
@@ -94,25 +96,32 @@ class HSpec:
     @classmethod
     def parse(cls, text):
         """Parse "K3", "C7", "C3..C9", "K1,4" or "g6:<string>"."""
+
+        def number(part):
+            try:
+                return int(part)
+            except ValueError:
+                raise SearchError(f"cannot parse pattern {text!r}") from None
+
         s = text.strip()
         if s.startswith("g6:"):
             return cls(graph=graph6_decode(s[3:]))
         if s.upper() == "K3":
             return cls(family=FamilySpec("triangle"))
         if s.startswith("K1,"):
-            return cls(star=int(s[3:]))
+            return cls(star=number(s[3:]))
         if s.startswith("K"):
-            return cls(clique=int(s[1:]))
+            return cls(clique=number(s[1:]))
         if ".." in s and s.startswith("C"):
-            lo, hi = s.split("..")
+            lo, _, hi = s.partition("..")
             if lo.strip() != "C3":
                 raise SearchError("cycle families start at C3")
-            top = int(hi.strip().lstrip("C"))
+            top = number(hi.strip().lstrip("C"))
             if top % 2 == 0:
                 raise SearchError("cycle families end at an odd cycle")
             return cls(family=FamilySpec("odd-cycle-family", (top + 1) // 2))
         if s.startswith("C"):
-            m = int(s[1:])
+            m = number(s[1:])
             if m == 3:
                 return cls(family=FamilySpec("triangle"))
             if m % 2 == 0:

@@ -2,13 +2,63 @@
 
 Everything here recomputes values by direct enumeration (permutations,
 vertex subsets, all labeled graphs) and stays deliberately ignorant of
-the package's own algorithms.
+the package's own algorithms.  The fixed graphs, the edge-list parser
+and the invariant check at the top are fixtures the tests share.
 """
 
 import itertools
 import random
 
-from turan_reg.graphs import Graph, bits, from_edges, relabel
+from turan_reg.graphs import Graph, GraphError, bits, from_edges, relabel
+
+
+def path_graph(n):
+    return from_edges(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def petersen_graph():
+    edges = [(i, (i + 1) % 5) for i in range(5)]
+    edges += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    edges += [(i, 5 + i) for i in range(5)]
+    return from_edges(10, edges)
+
+
+def parse_edge_list(text):
+    """Parse "u v" per-line edge text; first line may be the order "n N"."""
+    edges = []
+    n = None
+    maxv = -1
+    for line in text.splitlines():
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if parts[0] == "n" and len(parts) == 2 and n is None and not edges:
+            n = int(parts[1])
+            continue
+        if len(parts) != 2:
+            raise GraphError(f"bad edge line: {line!r}")
+        u, v = int(parts[0]), int(parts[1])
+        edges.append((u, v))
+        maxv = max(maxv, u, v)
+    if n is None:
+        n = maxv + 1
+    return from_edges(n, edges)
+
+
+def check_invariants(g):
+    """Symmetry, empty diagonal, handshaking; raises on violation."""
+    for u, r in enumerate(g.rows):
+        if r < 0 or r >> g.n:
+            raise GraphError(f"row {u} has bits beyond vertex range")
+        if (r >> u) & 1:
+            raise GraphError(f"self-loop at {u}")
+    for u in range(g.n):
+        for v in bits(g.rows[u]):
+            if not (g.rows[v] >> u) & 1:
+                raise GraphError(f"asymmetric edge {u}-{v}")
+    if sum(r.bit_count() for r in g.rows) % 2 != 0:
+        raise GraphError("odd degree sum")
 
 
 def all_labeled_graphs(n):

@@ -3,9 +3,10 @@
 Criteria 1-6 name checks of the suite registry (``suites.json``) by
 ``suite/id`` glob pattern and run each through ``cli.run_check``, so
 each expected value is written once, in the registry.  The checks no
-criterion names run in ``test_registry_check``; every registry check
-runs exactly once in this module.  Criterion 7 (brute force and dual
-augmentation orders) is in no suite.
+criterion names run in ``test_registry_check``, except those whose
+(op, args) a criterion already runs under another id; every distinct
+registry run happens exactly once in this module.  Criterion 7 (brute
+force and dual augmentation orders) is in no suite.
 
 Asymptotic statements (exactness of the odd-cycle degree formula at
 large order, the chromatic-threshold behaviour of regular hosts, and
@@ -17,6 +18,7 @@ Runtime is dominated by the order-9 pentagon search (criterion 5) and
 the construction sweeps up to n = 2000 (criterion 6b).
 """
 
+import json
 from fnmatch import fnmatchcase
 
 import pytest
@@ -60,6 +62,15 @@ def select(patterns):
 
 
 NAMED = [key for patterns in CRITERIA.values() for key in select(patterns)]
+
+
+def run_of(key):
+    """What a check computes: its op and its arguments."""
+    check = CHECKS[key]
+    return check["op"], json.dumps(check.get("args", {}), sort_keys=True)
+
+
+NAMED_RUNS = {run_of(key) for key in NAMED}
 
 
 def report(name, ok):
@@ -131,7 +142,17 @@ def test_criteria_name_each_check_once():
     assert len(NAMED) == len(set(NAMED))
 
 
-@pytest.mark.parametrize("key", [key for key in CHECKS if key not in NAMED])
+def test_shared_runs_share_expect():
+    """Checks with the same (op, args) expect the same value, so running
+    one of them checks them all."""
+    expects = {}
+    for key, check in CHECKS.items():
+        assert expects.setdefault(run_of(key), check["expect"]) == check["expect"], key
+
+
+@pytest.mark.parametrize(
+    "key", [key for key in CHECKS if key not in NAMED and run_of(key) not in NAMED_RUNS]
+)
 def test_registry_check(key):
     actual, ok, _ = run_check(CHECKS[key], CTX)
     assert ok, f"{key}: expect={CHECKS[key]['expect']!r} actual={actual!r}"

@@ -5,6 +5,8 @@ from helpers import (
     all_labeled_graphs,
     brute_cert,
     brute_orbit_partition,
+    path_graph,
+    petersen_graph,
     random_graph,
     random_graph_with_twins,
     refine_oracle,
@@ -25,8 +27,6 @@ from turan_reg.graphs import (
     complete_graph,
     cycle_graph,
     from_edges,
-    path_graph,
-    petersen_graph,
     relabel,
 )
 

@@ -14,7 +14,7 @@ import itertools
 
 import pytest
 
-from helpers import near_bipartite_with_twins, random_graph, seeded_rng
+from helpers import near_bipartite_with_twins, path_graph, petersen_graph, random_graph, seeded_rng
 
 from turan_reg.graphs import (
     Graph,
@@ -32,8 +32,6 @@ from turan_reg.graphs import (
     induced_subgraph,
     is_triangle_free,
     odd_girth,
-    path_graph,
-    petersen_graph,
     star_graph,
     triangle_count,
 )

@@ -151,6 +151,19 @@ def test_named_error_is_usage_error(argv, message, capsys):
     assert message in capsys.readouterr().err
 
 
+BAD_PATTERNS = [(t, f"cannot parse pattern {t!r}") for t in ("K2,3", "Kx", "C5x", "C3..Cx", "K1,x", "C3..C5..C7")]
+BAD_PATTERNS += [(t, "a clique needs at least 2 vertices") for t in ("K0", "K1", "K-1", "K1,0", "K1,-2")]
+
+
+@pytest.mark.parametrize("text, message", BAD_PATTERNS, ids=[t for t, _ in BAD_PATTERNS])
+def test_bad_pattern_is_usage_error(text, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["exr", "--n", "6", f"--forbid={text}"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
 def test_probe_command(capsys):
     rc = main(["probe", "triangle-floor", "--n-max", "9"])
     assert rc == 0

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 from helpers import odd_girth_oracle, triangle_count_oracle
 
 from turan_reg.canon import canonical_label
-from turan_reg.cli import _sweep_params
+from turan_reg.cli import _sweep_params, load_suites
 from turan_reg.constructions import (
     BUILDERS,
     ConstructionError,
@@ -14,21 +15,19 @@ from turan_reg.constructions import (
     apex_construction,
     build,
     circulant_small_odd,
-    split_apex_equality,
     kbe_graph,
     multipartite_regular,
     odd_girth_blowup,
     odd_half_construction,
-    pentagon_blowup,
-    triangle_min_extremal,
     star_forest_complement,
 )
-from turan_reg.formulas import conjectured_triangle_min
+from turan_reg.formulas import conjectured_triangle_min, forced_triangle_window
 from turan_reg.graphs import (
     complete_graph,
     contains_subgraph,
     count_cycles,
     cycle_graph,
+    graph6_encode,
     induced_subgraph,
     is_triangle_free,
     odd_girth,
@@ -37,22 +36,22 @@ from turan_reg.graphs import (
 
 
 def test_pentagon_blowup():
-    r = pentagon_blowup(25)
+    r = build("pentagon-blowup", n=25)
     assert r.graph.is_regular(10)
     assert is_triangle_free(r.graph)
-    r = pentagon_blowup(23)
+    r = build("pentagon-blowup", n=23)
     assert r.params["part_sizes"] == [7, 4, 1, 4, 7]
     assert r.graph.is_regular(8)
     assert is_triangle_free(r.graph)
     with pytest.raises(ConstructionError):
-        pentagon_blowup(13)
+        build("pentagon-blowup", n=13)
     with pytest.raises(ConstructionError):
-        pentagon_blowup(24)
+        build("pentagon-blowup", n=24)
 
 
 def test_pentagon_matches_closed_form():
     for n in (5, 11, 15, 17, 21, 35, 101):
-        g = pentagon_blowup(n).graph
+        g = build("pentagon-blowup", n=n).graph
         assert g.is_regular(2 * (n // 5))
 
 
@@ -85,7 +84,7 @@ def test_odd_girth_blowup():
 
 def test_odd_girth_blowup_matches_pentagon():
     a = odd_girth_blowup(27, 2).graph
-    b = pentagon_blowup(27).graph
+    b = build("pentagon-blowup", n=27).graph
     assert a.is_regular(10) and b.is_regular(10)
     assert odd_girth(a) == odd_girth(b) == 5
 
@@ -230,24 +229,24 @@ def test_odd_half_construction():
 
 
 def test_triangle_min_extremal():
-    r = triangle_min_extremal(4)
+    r = build("triangle-min-extremal", k=4)
     assert r.graph.n == 9 and triangle_count(r.graph) == 2
-    r = triangle_min_extremal(6)
+    r = build("triangle-min-extremal", k=6)
     assert r.graph.n == 13 and triangle_count(r.graph) == 6
     with pytest.raises(ConstructionError):
-        triangle_min_extremal(3)
+        build("triangle-min-extremal", k=3)
     for k in range(4, 24, 2):
-        g = triangle_min_extremal(k).graph
+        g = build("triangle-min-extremal", k=k).graph
         assert triangle_count(g) == conjectured_triangle_min(2 * k + 1, k)
 
 
 def test_split_apex_equality():
-    r = split_apex_equality(9, 4)
-    assert canonical_label(r.graph) == canonical_label(triangle_min_extremal(4).graph)
-    r = split_apex_equality(13, 6)
+    r = build("split-apex-equality", n=9, k=4)
+    assert canonical_label(r.graph) == canonical_label(build("triangle-min-extremal", k=4).graph)
+    r = build("split-apex-equality", n=13, k=6)
     assert triangle_count(r.graph) == conjectured_triangle_min(13, 6) == 6
     with pytest.raises(ConstructionError):
-        split_apex_equality(11, 4)
+        build("split-apex-equality", n=11, k=4)
 
 
 def test_star_forest_complement():
@@ -301,3 +300,84 @@ def test_build_registry():
         build("unknown-thing")
     with pytest.raises(ConstructionError):
         build("apex", n=13)
+
+
+# graph6 SHA-256 over each sweep grid, and the properties each
+# certificate listed, as computed when these four names had builders of
+# their own; one builder now serves the three apex names and the
+# odd-girth blow-up serves the pentagon
+GOLDEN = {
+    "apex": (
+        {"n_max": 301, "spots": [101, 501, 1001]},
+        1128,
+        "84531e4ddd4c5d1d362a98b70f1c0040e9d08a499ab2559fd6c34e6f38ab48a2",
+        {"order", "regular", "apex-deleted-bipartite", "triangles"},
+    ),
+    "split-apex-equality": (
+        {"n_max": 201},
+        500,
+        "cf44ea7a6e6154042f773f73323aafb7823997b342d54159264632bde7f035f0",
+        {"order", "regular", "triangles"},
+    ),
+    "triangle-min-extremal": (
+        {"k_max": 200, "spots": [998]},
+        100,
+        "136e99f1d50709972064ba41b396109204058a368578073f13ae4bbfbab7b368",
+        {"order", "regular", "triangles"},
+    ),
+    "pentagon-blowup": (
+        {"n_max": 401},
+        195,
+        "dde863dea550cf346f72b0cbc65be4a4c8af483592b1c23e1a8923001914a643",
+        {"order", "regular", "degree", "triangle-free"},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_merged_builders_golden(name):
+    """The graph6 line of every grid point hashes to the pinned value;
+    each certificate still lists the pinned properties, all ok, under the
+    registry name."""
+    args, count, digest, props = GOLDEN[name]
+    h = hashlib.sha256()
+    grid = list(_sweep_params(name, args))
+    for params in grid:
+        res = build(name, **params)
+        h.update(graph6_encode(res.graph).encode() + b"\n")
+        cert = res.certificate
+        assert res.name == cert["name"] == name, params
+        assert props <= {c["property"] for c in cert["checks"]}, params
+        assert all(c["ok"] for c in cert["checks"]), params
+    assert len(grid) == count
+    assert h.hexdigest() == digest
+
+
+def test_apex_schedule_guard_is_slack():
+    """Inside the window k >= (n+1)/3, so the q+1 rotations on the apex's
+    neighbor blocks always fit in k/2 positions."""
+    for n in range(9, 6002, 2):
+        for k in range(2 * (n // 5) + 2, 2 * (n // 4) + 1, 2):
+            assert forced_triangle_window(n, k)
+            assert (n - 1) // 2 - k + 1 <= k // 2, (n, k)
+
+
+def test_registry_and_sweep_grids_agree():
+    """Every builder has a sweep grid and a constructions-suite check, and
+    every sweep check names a registered builder."""
+    swept = {
+        check["args"]["name"]
+        for suite in load_suites().values()
+        for check in suite["checks"]
+        if check["op"] == "construction_sweep"
+    }
+    suite_names = {
+        check["args"]["name"] for check in load_suites()["constructions"]["checks"]
+    }
+    for name in BUILDERS:
+        args = {"n_max": 21, "k_max": 8}
+        assert next(_sweep_params(name, args), None) is not None, name
+    assert suite_names == set(BUILDERS)
+    assert swept <= set(BUILDERS)
+    with pytest.raises(ValueError, match="no sweep grid"):
+        next(_sweep_params("unknown-thing", {}))

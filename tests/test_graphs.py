@@ -9,11 +9,15 @@ from pathlib import Path
 import pytest
 
 from helpers import (
+    check_invariants,
     naive_contains,
     naive_cycle_count,
     naive_path_counts,
     near_bipartite_with_twins,
     odd_girth_oracle,
+    parse_edge_list,
+    path_graph,
+    petersen_graph,
     random_blowup,
     random_graph,
     seeded_rng,
@@ -31,7 +35,6 @@ from turan_reg.graphs import (
     count_complete_bipartite,
     count_cycles,
     count_stars,
-    common_neighbors,
     cycle_graph,
     disjoint_union,
     empty_graph,
@@ -41,10 +44,7 @@ from turan_reg.graphs import (
     graph6_encode,
     is_triangle_free,
     odd_girth,
-    parse_edge_list,
     path_counts,
-    path_graph,
-    petersen_graph,
     star_graph,
     total_cliques,
     triangle_count,
@@ -147,14 +147,6 @@ def test_count_cliques_edges():
         g = random_graph(rng, rng.randint(2, 10))
         assert count_cliques(g, 2) == g.edge_count
         assert triangle_count(g) == count_cliques(g, 3)
-
-
-def test_common_neighbors():
-    assert len(common_neighbors(complete_graph(4), 0, 1)) == 2
-    assert common_neighbors(cycle_graph(5), 0, 1) == ()
-    assert len(common_neighbors(complete_bipartite(3, 3), 0, 1)) == 3
-    with pytest.raises(GraphError):
-        common_neighbors(complete_graph(3), 1, 1)
 
 
 def test_odd_girth_examples():
@@ -321,12 +313,12 @@ def test_triangle_count_biclique_plus_edge(a, b):
 def test_contains_subgraph_examples():
     assert not contains_subgraph(cycle_graph(5), complete_graph(3))
     assert contains_subgraph(complete_graph(4), cycle_graph(4))
-    from turan_reg.constructions import pentagon_blowup
+    from turan_reg.constructions import build
 
-    g = pentagon_blowup(23).graph
+    g = build("pentagon-blowup", n=23).graph
     assert not contains_subgraph(g, complete_graph(3))
     # per-edge common-neighbor cross-check
-    assert all(not common_neighbors(g, u, v) for u, v in g.edges())
+    assert all(not g.rows[u] & g.rows[v] for u, v in g.edges())
 
 
 def test_contains_subgraph_vs_injections():
@@ -406,13 +398,16 @@ def test_census_imports_no_numpy():
 
     code = (
         "import sys, turan_reg\n"
-        "from turan_reg.graphs import count_cycles, odd_girth, petersen_graph\n"
+        "from helpers import petersen_graph\n"
+        "from turan_reg.graphs import count_cycles, odd_girth\n"
         "assert count_cycles(petersen_graph(), 5) == 12\n"
         "assert odd_girth(petersen_graph()) == 5\n"
         "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
     )
     src = str(Path(turan_reg.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    tests = str(Path(__file__).resolve().parent)
+    path = [src, tests, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
 
@@ -480,5 +475,5 @@ def test_handshaking_invariant():
     rng = seeded_rng()
     for _ in range(40):
         g = random_graph(rng, rng.randint(1, 15))
-        g.check_invariants()
+        check_invariants(g)
         assert sum(g.degree(v) for v in range(g.n)) == 2 * g.edge_count

@@ -2,10 +2,10 @@ from functools import partial
 
 import pytest
 
-from helpers import naive_embedding_count, random_graph, seeded_rng
+from helpers import naive_embedding_count, path_graph, random_graph, seeded_rng
 
 from turan_reg.canon import automorphism_group_order, canonical_label
-from turan_reg.constructions import circulant_small_odd, triangle_min_extremal
+from turan_reg.constructions import apex_construction, circulant_small_odd
 from turan_reg.enumeration import GenFilter, enumerate_graphs
 from turan_reg.formulas import FamilySpec
 from turan_reg.graphs import (
@@ -17,7 +17,6 @@ from turan_reg.graphs import (
     cycle_graph,
     from_edges,
     graph6_decode,
-    path_graph,
     star_graph,
 )
 from turan_reg.search import (
@@ -96,7 +95,7 @@ def test_min_triangles_examples():
     res = min_triangles_regular(9, 4)
     assert res.objective == 2 and res.classes == 1
     wit = graph6_decode(res.witnesses[0])
-    assert canonical_label(wit) == canonical_label(triangle_min_extremal(4).graph)
+    assert canonical_label(wit) == canonical_label(apex_construction(9, 4).graph)
     assert min_triangles_regular(5, 2).objective == 0
 
 
@@ -109,7 +108,6 @@ def test_min_triangles_infeasible():
 def test_min_triangles_window_vs_apex():
     # within the enumeration cap the only odd-order window instance is (9,4):
     # the exhaustive minimum is positive and at most the apex construction's count
-    from turan_reg.constructions import apex_construction
     from turan_reg.graphs import triangle_count
 
     res = min_triangles_regular(9, 4)
