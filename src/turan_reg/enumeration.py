@@ -366,8 +366,8 @@ def enumerate_graphs(filt, visitor=None, desc=False, force=False, jobs=1):
     beyond the hard cap (n = 11) require ``force``.
 
     With ``jobs > 1`` the descent stops at depth n - 2 and records the
-    accepted graphs there as seeds; a pool of ``jobs`` processes
-    descends the seeds' subtrees (see ``parallel``; a lone seed is
+    accepted graphs there as seeds; ``jobs`` forked processes descend
+    the seeds' subtrees (see ``parallel``; a lone seed is
     descended in this process), and their leaves are emitted here in
     seed order.  The visitor runs in this process and sees the classes
     in serial order, so results and counts are those of a serial run.

@@ -714,21 +714,10 @@ def _g6_order_bytes(n):
 
 def graph6_encode(g):
     """Standard graph6 string (column-packed upper-triangle bits)."""
-    out = bytearray(_g6_order_bytes(g.n))
-    acc = 0
-    nbits = 0
-    for j in range(1, g.n):
-        col = g.rows[j]
-        for i in range(j):
-            acc = (acc << 1) | ((col >> i) & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(acc + 63)
-                acc = 0
-                nbits = 0
-    if nbits:
-        out.append((acc << (6 - nbits)) + 63)
-    return out.decode("ascii")
+    flat = "".join(format(g.rows[j] & ((1 << j) - 1), f"0{j}b")[::-1] for j in range(1, g.n))
+    flat += "0" * (-len(flat) % 6)
+    body = bytes(int(flat[i:i + 6], 2) + 63 for i in range(0, len(flat), 6))
+    return (_g6_order_bytes(g.n) + body).decode("ascii")
 
 
 def graph6_decode(text):

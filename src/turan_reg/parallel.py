@@ -1,34 +1,24 @@
 """Parallel descent of the augmentation tree for ``enumerate_graphs``.
 
-With ``jobs > 1`` the enumeration stops its descent at depth n - 2 and
-records the accepted graphs there as seeds.  The subtrees below the
-seeds are independent (canonical augmentation decides each child from
-the child alone), so a pool of workers descends them, one seed per
-task, and sends back each seed's leaf rows with its subtree counts.
-The parent merges the counts and emits the leaves in seed order
-through the run's own ``emit``: the visitor sees the classes in the
-order of a serial run, and stops the scan the same way.  A scan that
-runs to the end has the counts of a serial run; one that stops early
-also counts the nodes past the stop that were descended before it.
+With ``jobs > 1`` the enumeration stops at depth n - 2 and records the
+accepted graphs there as seeds.  Their subtrees are independent
+(canonical augmentation decides each child from the child alone), so
+forked workers descend them, the seeds dealt by index: worker w of
+``jobs`` sends the leaf rows (packed in one ``array``) and subtree
+counts of seeds w, w + jobs, ... down its own pipe, and the parent
+reads seed i from pipe i mod jobs.  It merges the counts and emits the
+leaves through the run's ``emit``, so the visitor sees the classes in
+serial order and stops the scan the same way.  A full scan has the
+counts of a serial run; one that stops early also counts the nodes
+past the stop that were descended before it.
 
-The pool forks, so workers inherit the run and the visitor need not be
-picklable.  Results arrive one seed at a time, so the parent holds only
-the leaves of seeds it has not emitted yet: each seed's leaf rows come
-packed in one ``array``, n entries per leaf (a byte or two per row for
-the orders enumerated here), not as a list of tuples of ints.
+Forked workers inherit the run, so the visitor need not be picklable.
+Every worker is killed and reaped before ``parallel_scan`` returns or
+raises, and a dead worker's closed pipe raises ``EOFError`` when read.
 """
-
-from __future__ import annotations
 
 import multiprocessing as mp
 from array import array
-
-_RUN = None  # the run a worker process descends seeds for
-
-
-def _init_worker(run):
-    global _RUN
-    _RUN = run
 
 
 def _descend(run, seed):
@@ -39,22 +29,32 @@ def _descend(run, seed):
     return leaves, run.subtree(seed, leaves.extend)
 
 
-def _subtree(seed):
-    return _descend(_RUN, seed)
+def _work(run, seeds, writer):
+    for seed in seeds:
+        writer.send(_descend(run, seed))
 
 
 def parallel_scan(run, jobs):
-    """Descend ``run.seeds`` in ``jobs`` processes and emit their leaves.
-
-    Fewer than two seeds leave nothing to split: they are descended in
-    this process, without a pool.
-    """
-    if len(run.seeds) < 2:
+    """Descend ``run.seeds`` in ``jobs`` processes and emit their leaves."""
+    if len(run.seeds) < 2:  # nothing to split: descend here, without forking
         _emit_all(run, (_descend(run, seed) for seed in run.seeds))
         return
     ctx = mp.get_context("fork")
-    with ctx.Pool(jobs, initializer=_init_worker, initargs=(run,)) as pool:
-        _emit_all(run, pool.imap(_subtree, run.seeds))
+    jobs = min(jobs, len(run.seeds))
+    workers = []
+    try:
+        for w in range(jobs):
+            reader, writer = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_work, args=(run, run.seeds[w::jobs], writer))
+            with writer:  # once started, the worker holds the only writer
+                proc.start()
+            workers.append((proc, reader))
+        _emit_all(run, (workers[i % jobs][1].recv() for i in range(len(run.seeds))))
+    finally:
+        for proc, reader in workers:
+            proc.kill()
+            proc.join()
+            reader.close()
 
 
 def _emit_all(run, results):

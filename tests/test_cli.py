@@ -173,6 +173,25 @@ def test_probe_command(capsys):
 
 
 @pytest.mark.parametrize(
+    "args",
+    [
+        ["gls-critical", "--n", "8", "--r", "4"],
+        ["odd-girth-question", "--n", "9", "--pattern", "K3"],
+        ["cycle-question", "--m", "4", "--r", "2", "--n", "6"],
+    ],
+    ids=["gls-critical", "odd-girth-question", "cycle-question"],
+)
+def test_probe_command_jobs(args, capsys):
+    reports = []
+    for jobs in ("1", "2"):
+        assert main(["probe", *args, "--jobs", jobs]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+    payload = json.loads(reports[0])
+    assert payload["probe"] == args[0] and payload["rows"]
+
+
+@pytest.mark.parametrize(
     "args, missing",
     [
         (["odd-girth-question", "--n", "7"], "--pattern"),

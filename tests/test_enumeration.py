@@ -1,9 +1,14 @@
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from helpers import all_labeled_graphs, child_ok_oracle
 
+import turan_reg
 from turan_reg import parallel
 from turan_reg.canon import _refine, canon_core, canonical_label
 from turan_reg.enumeration import (
@@ -227,15 +232,15 @@ def test_refine_keep_exact():
     ],
     ids=["n3", "regular-11-10"],
 )
-def test_parallel_without_pool_below_two_seeds(run, monkeypatch):
+def test_parallel_without_fork_below_two_seeds(run, monkeypatch):
     # one seed or none: descended in this process, like a serial run
     serial = []
     stats = run(lambda g: serial.append(g.rows) and None, 1)
 
-    def no_pool(*args):
-        raise AssertionError("a pool was started for fewer than two seeds")
+    def no_fork(*args):
+        raise AssertionError("workers were forked for fewer than two seeds")
 
-    monkeypatch.setattr(parallel.mp, "get_context", no_pool)
+    monkeypatch.setattr(parallel.mp, "get_context", no_fork)
     got = []
     stats2 = run(lambda g: got.append(g.rows) and None, 2)
     assert got == serial
@@ -296,6 +301,60 @@ def test_visitor_early_stop():
         assert stats.classes == 1
         firsts.append(seen[0])
     assert firsts[0] == firsts[1]
+
+
+def _run_python(code, timeout):
+    """Run ``code`` in a fresh interpreter, so that a hang fails at ``timeout``."""
+    src = str(Path(turan_reg.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+EARLY_STOPS = """
+import multiprocessing as mp
+from turan_reg.enumeration import GenFilter, enumerate_graphs
+for _ in range(300):
+    stats = enumerate_graphs(GenFilter(n=6), visitor=lambda g: True, jobs=2)
+    assert stats.classes == 1 and not mp.active_children()
+stats = enumerate_graphs(GenFilter(n=6), jobs=2)
+assert stats.classes == 156 and not mp.active_children()
+"""
+
+
+def test_parallel_early_stops_never_hang():
+    # a stop while seeds are still queued for the workers: each scan must
+    # return promptly with every worker reaped, after a full scan too
+    _run_python(EARLY_STOPS, timeout=120)
+
+
+DEAD_WORKER = """
+import multiprocessing as mp, os
+from turan_reg import parallel
+from turan_reg.enumeration import GenFilter, enumerate_graphs
+descend, calls = parallel._descend, []
+def dying(run, seed):  # each forked worker inherits the patch and dies on its third seed
+    calls.append(seed)
+    if len(calls) == 3:
+        os._exit(1)
+    return descend(run, seed)
+parallel._descend = dying
+try:
+    enumerate_graphs(GenFilter(n=6), jobs=2)
+except EOFError:
+    print("EOFError", len(mp.active_children()))
+"""
+
+
+def test_parallel_dead_worker_raises():
+    assert _run_python(DEAD_WORKER, timeout=60).split() == ["EOFError", "0"]
 
 
 def test_hard_cap():
