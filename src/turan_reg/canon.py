@@ -46,14 +46,17 @@ def _refine(rows, n, cells, desc, keep=None, active=None, alone=False):
     splitter cells and orders the sub-cells by those counts.  The first
     round's splitters are the cells at the indices ``active`` (all cells
     by default); a caller passes fewer only when the counts against the
-    others are constant on every cell.  Later rounds split only against
-    the cells the previous round created, less the last sub-cell of each
-    split: the counts against an unchanged cell are constant on every
-    current cell, and so is the sum over the sub-cells of a split one, so
-    dropping them changes neither the split nor the order of the
-    sub-cells, whose keys compare lexicographically (the splitter rule of
-    McKay and Piperno, J. Symbolic Comput. 60, 2014).  The result is the
-    one a refinement against all cells in every round gives.
+    others are constant on every cell, or, for a partition by degree
+    with every cell active but the last, fixed by the other counts: a
+    vertex's count in the last cell is its degree less the rest.  Later
+    rounds split only against the cells the previous round created, less
+    the last sub-cell of each split: the counts against an unchanged
+    cell are constant on every current cell, and so is the sum over the
+    sub-cells of a split one, so dropping them changes neither the split
+    nor the order of the sub-cells, whose keys compare lexicographically
+    (the splitter rule of McKay and Piperno, J. Symbolic Comput. 60,
+    2014).  The result is the one a refinement against all cells in
+    every round gives.
 
     Split keys pack the counts into one int when n < 16, falling back to
     tuples for larger graphs.

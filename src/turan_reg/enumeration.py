@@ -15,11 +15,16 @@ Acceptance runs its cheapest stage first (the vertex-invariant cascade
 of McKay, J. Algorithms 26, 1998).  Because refinement orders cells by
 degree, the canonical-deletion vertex always carries the extremal
 degree; that depends only on the parent and the attachment set, so it
-is part of the parent's window and no child failing it is built.  A
-built child is then refined, stopping at the first round that moves the
-new vertex out of the last cell.  When the refined partition is
-discrete the graph is rigid and the decision needs no search at all,
-nor does it at a leaf whose last cell is the new vertex alone.
+is part of the parent's window and no child failing it is built.  The
+second refinement round splits the last degree cell, the new vertex's,
+by the counts in the other degree cells, which the parent's rows and
+the attachment set also give: a child whose new vertex leaves the last
+cell there is rejected, and a leaf whose new vertex is left alone there
+is accepted, without refining the child.  Any other child is refined
+from its degree cells, stopping at the first round that moves the new
+vertex out of the last cell.  When the refined partition is discrete
+the graph is rigid and the decision needs no search at all, nor does it
+at a leaf whose last cell is the new vertex alone.
 
 Filters push down only hereditary consequences (degree caps, edge-count
 reachability, regularity deficiency bounds, forbidden-subgraph
@@ -33,8 +38,9 @@ regular-graph generation scheme of Meringer, J. Graph Theory 30, 1999).
 by reason: ``forbidden`` (the child contains a forbidden pattern
 through the new vertex), ``canonical`` (the new vertex has the
 extremal degree but is not in the orbit of the canonical-deletion
-vertex) and ``connectivity`` (a leaf failing the ``connected`` filter
-at emission).
+vertex, whether the degree cells or a refinement decide it) and
+``connectivity`` (a leaf failing the ``connected`` filter at
+emission).
 
 The ``desc`` flag flips the cell-ordering convention of the canonical
 form, producing a second, independently structured augmentation tree
@@ -47,7 +53,7 @@ import time
 from dataclasses import dataclass, field
 
 from .canon import _refine, _search, orbits_from_generators
-from .graphs import Graph, contains_subgraph, is_connected
+from .graphs import Graph, bits, contains_subgraph, is_connected
 
 HARD_CAP = 11
 
@@ -72,6 +78,10 @@ class GenFilter:
     def validate(self):
         if self.n < 1:
             raise EnumerationError("order must be >= 1")
+        if self.max_degree is not None and self.max_degree < 0:
+            raise EnumerationError("max_degree must be >= 0")
+        if self.edge_count is not None and self.edge_count < 0:
+            raise EnumerationError("edge_count must be >= 0")
         if self.regular_k is not None:
             k = self.regular_k
             if not 0 <= k < self.n:
@@ -190,21 +200,99 @@ def _attachment_reps(j, gens, window):
     return reps
 
 
-def _accept(rows, nc, desc, leaf):
+def _degree_classes(rows):
+    """The parent's vertices by degree, as masks: ``{degree: mask}``."""
+    classes = {}
+    for v, row in enumerate(rows):
+        d = row.bit_count()
+        classes[d] = classes.get(d, 0) | 1 << v
+    return classes
+
+
+def _child_degrees(classes, desc):
+    """The degree cells of the parent's children, in cell order.
+
+    A child's vertex has the parent degree plus one if it is in the
+    attachment set s, so the child's cell of degree e is
+    ``(P[e] & ~s) | (P[e - 1] & s)``; one ``(e, P[e], P[e - 1])`` per
+    possible degree e, with P the parent's ``classes``.
+    """
+    order = sorted({e for d in classes for e in (d, d + 1)}, reverse=desc)
+    return [(e, classes.get(e, 0), classes.get(e - 1, 0)) for e in order]
+
+
+def _degree_stage(rows, s, degrees, desc):
+    """Refinement rounds 1 and 2 of a child, read from its parent.
+
+    ``rows`` is the child, whose new vertex j has attachment set ``s``
+    and, by the window, the extremal degree; ``degrees`` is the parent's
+    ``_child_degrees``.  Round 1 splits the one cell by degree, so its
+    last cell T holds j.  Round 2 splits against every cell but T, none
+    of which holds j: a vertex's key is its counts in those cells, in
+    cell order, and j's counts are those of s.
+
+    Returns None when some vertex of T has a larger key than j (a smaller
+    one in ``desc`` order), which is exactly when refinement moves j out
+    of the last cell in round 2.  Otherwise returns the round-1 cells as
+    masks, in cell order, and whether j is alone in the last cell after
+    round 2.
+    """
+    e = s.bit_count()
+    lower = []
+    top = 0
+    for d, stay, grow in degrees:
+        cell = (stay & ~s) | (grow & s)
+        if d == e:
+            top = cell
+        elif cell:
+            lower.append(cell)
+    b = len(rows).bit_length()  # counts stay below 2^b
+    kj = 0
+    for m in lower:
+        kj = (kj << b) | (s & m).bit_count()
+    alone = True
+    t = top
+    while t:
+        low = t & -t
+        rv = rows[low.bit_length() - 1]
+        kv = 0
+        for m in lower:
+            kv = (kv << b) | (rv & m).bit_count()
+        if kv == kj:
+            alone = False
+        elif (kv > kj) != desc:
+            return None
+        t ^= low
+    lower.append(top | 1 << (len(rows) - 1))
+    return lower, alone
+
+
+def _accept(rows, s, degrees, desc, leaf):
     """Canonical-augmentation acceptance for the vertex added last.
 
     The window has already admitted only children whose new vertex has
-    the extremal degree.  Refinement stops at the first round that moves
-    the new vertex out of the last cell; a discrete refinement is rigid
-    and needs no search.  Nor does a ``leaf``, whose generators are never
-    used, once the new vertex is alone in the last cell; its refinement
-    stops there.
+    the extremal degree.  ``_degree_stage`` then decides from the
+    parent's degree cells whether the new vertex leaves the last cell
+    in refinement round 2, and whether it is left alone there; a ``leaf``,
+    whose generators are never used, is accepted then.  Any other child
+    is refined from its degree cells, stopping at the first round that
+    moves the new vertex out of the last cell; a discrete refinement is
+    rigid and needs no search, nor does a leaf once the new vertex is
+    alone in the last cell.
 
     Returns (accepted, generators); generators are only meaningful on
     acceptance and feed the child's own subset deduplication.
     """
+    stage = _degree_stage(rows, s, degrees, desc)
+    if stage is None:
+        return False, None
+    masks, alone = stage
+    if leaf and alone:
+        return True, []
+    nc = len(rows)
     j = nc - 1
-    cells = _refine(rows, nc, [list(range(nc))], desc, keep=j, alone=leaf)
+    cells = [list(bits(m)) for m in masks]
+    cells = _refine(rows, nc, cells, desc, keep=j, active=range(len(cells) - 1), alone=leaf)
     if cells is None:
         return False, None
     if len(cells) == nc or (leaf and len(cells[-1]) == 1):
@@ -253,7 +341,7 @@ class _Run:
             if self.visitor(g):
                 raise _Stop
 
-    def window(self, rows, j, edges):
+    def window(self, j, edges, classes):
         """Admissible attachment sets for vertex j, as a list of boxes.
 
         A box ``(free, forced, lo, hi)`` holds the sets ``s = forced | t``
@@ -261,7 +349,8 @@ class _Run:
         hold sets of distinct sizes, and None stands for no box.  The
         pushdowns are the degree cap, edge-count reachability and, for a
         regular filter, the deficiencies that the remaining f = n - j - 1
-        vertices can still make up.
+        vertices can still make up.  ``classes`` is the parent's
+        ``_degree_classes``.
 
         The window also holds the first stage of canonical acceptance:
         refinement orders cells by degree, so the new vertex must attain
@@ -273,11 +362,10 @@ class _Run:
         automorphisms, so the window is a union of their orbits.
         """
         r, m, k = self.r, self.m, self.k
-        degs = [row.bit_count() for row in rows]
         avail = 0
-        for v, dv in enumerate(degs):
+        for dv, vs in classes.items():
             if dv < r:
-                avail |= 1 << v
+                avail |= vs
         forced = 0
         lo, hi = 0, r
         if m is not None:
@@ -287,22 +375,19 @@ class _Run:
             f = self.n - j - 1
             # a vertex short of f + 1 edges needs the new one; a forced
             # vertex has degree k - f - 1 < k = r, so it is in avail
-            for v, dv in enumerate(degs):
+            for dv, vs in classes.items():
                 deficit = k - dv
                 if deficit > f:
                     if deficit > f + 1:
                         return None
-                    forced |= 1 << v
+                    forced |= vs
             # the total deficiency left, (j + 1)*k - 2*(edges + |s|), must
             # fit in the f*k degrees of the last f vertices; with m = n*k/2
             # and future[j + 1] <= f*k that is already the edge bound above
             lo = max(lo, k - f)
         free = avail & ~forced
-        d = min(degs) if self.desc else max(degs)
-        ext = 0
-        for v, dv in enumerate(degs):
-            if dv == d:
-                ext |= 1 << v
+        d = min(classes) if self.desc else max(classes)
+        ext = classes[d]
         # ext needs no check against the other masks: in desc order a
         # vertex of degree d outside free | forced is at the cap, so
         # d + 1 > r >= hi; in ascending order a forced vertex of degree d
@@ -333,9 +418,11 @@ class _Run:
         if j == self.n:
             self.leaf(rows)
             return
-        window = self.window(rows, j, edges)
+        classes = _degree_classes(rows)
+        window = self.window(j, edges, classes)
         if window is None:
             return
+        degrees = _child_degrees(classes, self.desc)
         for s in _attachment_reps(j, gens, window):
             child = _extend(rows, j, s)
             if self.forbidden:
@@ -343,7 +430,7 @@ class _Run:
                 if any(contains_subgraph(cg, h, anchor=j) for h in self.forbidden):
                     self.stats.bump("forbidden")
                     continue
-            ok, child_gens = _accept(child, j + 1, self.desc, j + 1 == self.n)
+            ok, child_gens = _accept(child, s, degrees, self.desc, j + 1 == self.n)
             if not ok:
                 self.stats.bump("canonical")
                 continue

@@ -19,6 +19,7 @@ from .graphs import (
     Graph,
     bits,
     cliques_within,
+    complete_bipartite,
     complete_graph,
     connected_components,
     count_cliques,
@@ -48,26 +49,34 @@ class SearchError(ValueError):
 class HSpec:
     """A forbidden pattern: a named family or an explicit graph.
 
-    Exactly one of ``family``/``graph``/``clique``/``star`` is set;
-    ``clique`` is the order of a complete graph, ``star`` the leaf count
-    of a K_{1,s}.
+    Exactly one of ``family``/``graph``/``clique``/``star``/``biclique``
+    is set; ``clique`` is the order of a complete graph, ``star`` the leaf
+    count of a K_{1,s} and ``biclique`` the part sizes (a, b) of a K_{a,b}.
     """
 
     family: FamilySpec | None = None
     graph: Graph | None = None
     clique: int | None = None
     star: int | None = None
+    biclique: tuple[int, int] | None = None
 
     def __post_init__(self):
         set_count = sum(
-            x is not None for x in (self.family, self.graph, self.clique, self.star)
+            x is not None for x in (self.family, self.graph, self.clique, self.star, self.biclique)
         )
         if set_count != 1:
             raise SearchError("exactly one pattern kind must be given")
         if self.graph is not None and self.graph.edge_count < 1:
             raise SearchError("explicit pattern needs at least one edge")
-        if self.clique is not None and self.clique < 2 or self.star is not None and self.star < 1:
-            raise SearchError("a clique needs at least 2 vertices, a star at least 1 leaf")
+        if (
+            self.clique is not None and self.clique < 2
+            or self.star is not None and self.star < 1
+            or self.biclique is not None and min(self.biclique) < 1
+        ):
+            raise SearchError(
+                "a clique needs at least 2 vertices, a star at least 1 leaf, "
+                "a biclique at least 1 vertex in each part"
+            )
 
     def members(self):
         if self.family is not None:
@@ -75,9 +84,9 @@ class HSpec:
         if self.clique is not None:
             return (complete_graph(self.clique),)
         if self.star is not None:
-            from .graphs import star_graph
-
-            return (star_graph(self.star),)
+            return (complete_bipartite(1, self.star),)
+        if self.biclique is not None:
+            return (complete_bipartite(*self.biclique),)
         return (self.graph,)
 
     def describe(self):
@@ -91,11 +100,13 @@ class HSpec:
             return f"K{self.clique}"
         if self.star is not None:
             return f"K1,{self.star}"
+        if self.biclique is not None:
+            return "K{},{}".format(*self.biclique)
         return f"g6:{graph6_encode(self.graph)}"
 
     @classmethod
     def parse(cls, text):
-        """Parse "K3", "C7", "C3..C9", "K1,4" or "g6:<string>"."""
+        """Parse "K3", "C7", "C3..C9", "K1,4", "K2,3" or "g6:<string>"."""
 
         def number(part):
             try:
@@ -108,8 +119,10 @@ class HSpec:
             return cls(graph=graph6_decode(s[3:]))
         if s.upper() == "K3":
             return cls(family=FamilySpec("triangle"))
-        if s.startswith("K1,"):
-            return cls(star=number(s[3:]))
+        if s.startswith("K") and "," in s:
+            a, _, b = s[1:].partition(",")
+            a, b = number(a), number(b)
+            return cls(star=b) if a == 1 else cls(biclique=(a, b))
         if s.startswith("K"):
             return cls(clique=number(s[1:]))
         if ".." in s and s.startswith("C"):
@@ -212,6 +225,8 @@ def exr_exact(n, hspec, all_witnesses=False, witness_cap=DEFAULT_WITNESS_CAP, jo
     enumeration short-circuits at the first witness; ``all_witnesses``
     keeps scanning so the extremal class count is exact.
     """
+    if n < 1:
+        raise SearchError("order must be >= 1")
     members = hspec.members()
     total = GenStats()
     for k in range(n - 1, -1, -1):

@@ -321,17 +321,32 @@ def child_ok_oracle(filt, rows, j, s, edges, desc=False):
     return True
 
 
+def split_round(rows, cells, desc):
+    """One refinement round that splits every cell against every cell,
+    keyed by the tuple of counts."""
+    new = []
+    for c in cells:
+        keys = {}
+        for v in c:
+            key = tuple(sum((rows[v] >> u) & 1 for u in d) for d in cells)
+            keys.setdefault(key, []).append(v)
+        new.extend(keys[k] for k in sorted(keys, reverse=desc))
+    return new
+
+
 def refine_oracle(rows, cells, desc):
-    """Stable refinement that splits every cell against every cell each
-    round, keyed by the tuple of counts, until a round changes nothing."""
+    """Stable refinement by ``split_round`` until a round changes nothing."""
     while True:
-        new = []
-        for c in cells:
-            keys = {}
-            for v in c:
-                key = tuple(sum((rows[v] >> u) & 1 for u in d) for d in cells)
-                keys.setdefault(key, []).append(v)
-            new.extend(keys[k] for k in sorted(keys, reverse=desc))
+        new = split_round(rows, cells, desc)
         if len(new) == len(cells):
             return new
         cells = new
+
+
+def degree_cells(rows, desc):
+    """The partition by degree, in cell order: the first refinement round
+    of the one-cell partition."""
+    by_degree = {}
+    for v, row in enumerate(rows):
+        by_degree.setdefault(row.bit_count(), []).append(v)
+    return [by_degree[d] for d in sorted(by_degree, reverse=desc)]

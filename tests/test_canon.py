@@ -5,6 +5,7 @@ from helpers import (
     all_labeled_graphs,
     brute_cert,
     brute_orbit_partition,
+    degree_cells,
     path_graph,
     petersen_graph,
     random_graph,
@@ -149,13 +150,17 @@ def test_canon_core_golden():
 def test_refine_matches_full_splitting():
     # splitting only against the cells the last round created gives the
     # partition, in the same cell order, that splitting against every cell
-    # gives; also after individualizing a vertex with active=(idx,)
+    # gives; also from the degree partition without its last cell as a
+    # splitter, and after individualizing a vertex with active=(idx,)
     rng = random.Random(4242)
     for _ in range(300):
         g = random_graph_with_twins(rng, 18)
         for desc in (False, True):
             stable = _refine(g.rows, g.n, [list(range(g.n))], desc)
             assert stable == refine_oracle(g.rows, [list(range(g.n))], desc)
+            # from the degree partition, every cell active but the last
+            cells = degree_cells(g.rows, desc)
+            assert _refine(g.rows, g.n, cells, desc, active=range(len(cells) - 1)) == stable
             idx = next((i for i, c in enumerate(stable) if len(c) > 1), None)
             if idx is None:
                 continue

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from turan_reg.cli import CHECK_OPS, emit_table, load_suites, main, run_suite
-from turan_reg.graphs import graph6_decode
+from turan_reg.graphs import count_complete_bipartite, graph6_decode
 
 PAPER_TABLE_CSV = (
     "n\\m,11,12,13,14,15,16\n"
@@ -122,6 +122,22 @@ def test_max_copies_command(capsys):
     assert payload["objective"] == 18
 
 
+def test_biclique_pattern(capsys):
+    # K2,3 is a biclique; K1,s stays a star
+    rc = main(["max-copies", "--n", "7", "--pattern", "K2,3", "--max-degree", "4"])
+    assert rc == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["extra"]["pattern_kind"] == "biclique"
+    best = max(
+        count_complete_bipartite(graph6_decode(w), 2, 3) for w in payload["witnesses"]
+    )
+    assert payload["objective"] == best == 18
+    rc = main(["exr", "--n", "10", "--forbid", "K2,2"])
+    assert rc == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["objective"] == 3 and payload["extra"]["pattern"] == "K2,2"
+
+
 def test_max_copies_long_cycle(capsys):
     # past C8 a cycle is counted by embeddings over its 18 automorphisms
     rc = main(["max-copies", "--n", "9", "--pattern", "C9", "--max-degree", "2"])
@@ -141,8 +157,13 @@ def test_max_copies_long_cycle(capsys):
         (["probe", "cycle-question", "--m", "9", "--r", "2", "--n", "5"], "cycle length"),
         # a family pattern has several members; max-copies counts one
         (["max-copies", "--n", "5", "--pattern", "C3..C7", "--max-degree", "2"], "C3..C7 has 3"),
+        (
+            ["max-copies", "--n", "5", "--pattern", "C4", "--max-degree", "-1"],
+            "max_degree must be >= 0",
+        ),
+        (["exr", "--n", "0", "--forbid", "K3"], "order must be >= 1"),
     ],
-    ids=["construct", "exr", "enumerate", "probe", "max-copies-family"],
+    ids=["construct", "exr", "enumerate", "probe", "max-copies-family", "max-degree", "exr-order"],
 )
 def test_named_error_is_usage_error(argv, message, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -151,8 +172,10 @@ def test_named_error_is_usage_error(argv, message, capsys):
     assert message in capsys.readouterr().err
 
 
-BAD_PATTERNS = [(t, f"cannot parse pattern {t!r}") for t in ("K2,3", "Kx", "C5x", "C3..Cx", "K1,x", "C3..C5..C7")]
-BAD_PATTERNS += [(t, "a clique needs at least 2 vertices") for t in ("K0", "K1", "K-1", "K1,0", "K1,-2")]
+BAD_PATTERNS = [(t, f"cannot parse pattern {t!r}") for t in ("K2,x", "Kx", "C5x", "C3..Cx", "K1,x", "C3..C5..C7")]
+BAD_PATTERNS += [
+    (t, "a clique needs at least 2 vertices") for t in ("K0", "K1", "K-1", "K1,0", "K1,-2", "K2,0")
+]
 
 
 @pytest.mark.parametrize("text, message", BAD_PATTERNS, ids=[t for t, _ in BAD_PATTERNS])

@@ -6,20 +6,33 @@ from pathlib import Path
 
 import pytest
 
-from helpers import all_labeled_graphs, child_ok_oracle
+from helpers import all_labeled_graphs, child_ok_oracle, degree_cells, split_round
 
 import turan_reg
 from turan_reg import parallel
-from turan_reg.canon import _refine, canon_core, canonical_label
+from turan_reg.canon import _refine, _search, canon_core, canonical_label, orbits_from_generators
 from turan_reg.enumeration import (
     EnumerationError,
     GenFilter,
+    GenStats,
+    _accept,
     _attachment_reps,
+    _child_degrees,
+    _degree_classes,
+    _degree_stage,
+    _extend,
     _Run,
     enumerate_graphs,
     enumerate_regular,
 )
-from turan_reg.graphs import complete_graph, contains_subgraph, graph6_encode, is_connected
+from turan_reg.graphs import (
+    complete_graph,
+    contains_subgraph,
+    cycle_graph,
+    graph6_encode,
+    is_connected,
+)
+from turan_reg.search import HSpec, exr_exact, max_copies_free
 
 KNOWN_CLASS_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
 
@@ -191,7 +204,7 @@ def test_window_matches_oracle(case):
             want = [
                 s for s in range(1 << j) if child_ok_oracle(filt, rows, j, s, edges, desc)
             ]
-            window = run.window(rows, j, edges)
+            window = run.window(j, edges, _degree_classes(rows))
             got = list(_attachment_reps(j, [], window)) if window else []
             assert got == want, (rows, j)
             reps = list(_attachment_reps(j, gens, window)) if window else []
@@ -207,13 +220,22 @@ def test_window_matches_oracle(case):
 
 
 def test_refine_keep_exact():
+    # also from the degree partition, every cell active but the last: the
+    # one-cell start gives the same result in every case
     for n in range(1, 6):
         for g in all_labeled_graphs(n):
             for desc in (False, True):
                 full = _refine(g.rows, n, [list(range(n))], desc)
+                cells = degree_cells(g.rows, desc)
+                active = range(len(cells) - 1)
                 for v in range(n):
                     got = _refine(g.rows, n, [list(range(n))], desc, keep=v)
                     alone = _refine(g.rows, n, [list(range(n))], desc, keep=v, alone=True)
+                    assert _refine(g.rows, n, cells, desc, keep=v, active=active) == got
+                    assert (
+                        _refine(g.rows, n, cells, desc, keep=v, active=active, alone=True)
+                        == alone
+                    )
                     if v in full[-1]:
                         assert got == full
                         if full[-1] == [v]:
@@ -222,6 +244,117 @@ def test_refine_keep_exact():
                             assert alone == full
                     else:
                         assert got is None and alone is None
+
+
+def _one_cell_accept(rows, desc, leaf):
+    """Acceptance refined from the one-cell partition, with no stage
+    before it: the oracle for ``_accept``."""
+    nc = len(rows)
+    j = nc - 1
+    cells = _refine(rows, nc, [list(range(nc))], desc, keep=j, alone=leaf)
+    if cells is None:
+        return False, None
+    if len(cells) == nc or (leaf and len(cells[-1]) == 1):
+        return True, []
+    perm, _, autos = _search(rows, nc, cells, desc)
+    orb = orbits_from_generators(nc, autos)
+    return orb[perm[-1]] == orb[j], autos
+
+
+STAGE_FILTERS = {
+    "n7": GenFilter(n=7),
+    "max-degree": GenFilter(n=8, max_degree=4),
+    "regular": GenFilter(n=8, regular_k=3),
+}
+
+
+@pytest.mark.parametrize(
+    "case", sorted(STAGE_FILTERS) + [f"{case}-desc" for case in sorted(STAGE_FILTERS)]
+)
+def test_degree_stage_matches_refine(case):
+    # every attachment rep of every parent, in both orders: the stage
+    # rejects exactly when two full splitting rounds from one cell move
+    # the new vertex out of the last cell, so refining would return None;
+    # it reads off the degree cells and whether j is then alone there;
+    # and acceptance decides, with the same generators, as refining
+    # from one cell does
+    desc = case.endswith("-desc")
+    filt = STAGE_FILTERS[case.removesuffix("-desc")]
+    verdicts = {"reject": 0, "alone": 0, "refine": 0}
+    for j in range(1, filt.n):
+        run = _Run(filt, None, desc, split=j)
+        run.descend((0,), 1, [], 0)
+        for rows, gens, edges in run.seeds:
+            classes = _degree_classes(rows)
+            window = run.window(j, edges, classes)
+            if window is None:
+                continue
+            degrees = _child_degrees(classes, desc)
+            for s in _attachment_reps(j, gens, window):
+                child = _extend(rows, j, s)
+                nc = j + 1
+                stage = _degree_stage(child, s, degrees, desc)
+                round1 = degree_cells(child, desc)
+                round2 = split_round(child, round1, desc)
+                if stage is None:
+                    verdicts["reject"] += 1
+                    assert j not in round2[-1], (rows, s)
+                    assert _refine(child, nc, [list(range(nc))], desc, keep=j) is None
+                else:
+                    masks, alone = stage
+                    verdicts["alone" if alone else "refine"] += 1
+                    assert [sum(1 << v for v in c) for c in round1] == masks, (rows, s)
+                    assert j in round2[-1] and alone == (round2[-1] == [j]), (rows, s)
+                    if alone:
+                        cells = _refine(child, nc, [list(range(nc))], desc, keep=j, alone=True)
+                        assert cells[-1] == [j]
+                for leaf in (False, True):
+                    want = _one_cell_accept(child, desc, leaf)
+                    assert _accept(child, s, degrees, desc, leaf) == want, (rows, s, leaf)
+    assert min(verdicts.values()) > 0, verdicts
+
+
+# (classes, nodes, sorted pruned) at every order, pinned before canonical
+# acceptance read its first rounds from the parent: no stage may move a
+# child from one prune reason to another.  The forbidden runs test K3
+# before acceptance, on the built child.
+PINNED_COUNTS = {
+    "copies-c5-n8": (2590, 3274, [("canonical", 2860)]),
+    "copies-c5-n8-desc": (2590, 3274, [("canonical", 1457)]),
+    "exr-k3-n10": (88, 2249, [("canonical", 3674)]),
+    "exr-k3-n10-desc": (88, 2249, [("canonical", 1880)]),
+    "regular-10-4-k3": (2, 115, [("canonical", 27), ("forbidden", 537)]),
+    "regular-10-4-k3-desc": (2, 115, [("canonical", 28), ("forbidden", 46)]),
+    "triangle-free-8": (410, 582, [("canonical", 172), ("forbidden", 3279)]),
+    "triangle-free-8-desc": (410, 582, [("canonical", 217), ("forbidden", 106)]),
+}
+
+
+def _pinned_run(case):
+    desc = case.endswith("-desc")
+    name = case.removesuffix("-desc")
+    k3 = HSpec.parse("K3").members()
+    if name == "copies-c5-n8":
+        if not desc:
+            return max_copies_free(8, cycle_graph(5), 4).stats
+        return enumerate_graphs(GenFilter(n=8, max_degree=4), desc=True)
+    if name == "exr-k3-n10":
+        if not desc:
+            return exr_exact(10, HSpec.parse("K3"), all_witnesses=True).stats
+        # the degrees exr_exact tries, down to its answer 5
+        stats = GenStats()
+        for k in range(9, 4, -1):
+            stats.merge(enumerate_regular(10, k, forbidden=k3, desc=True))
+        return stats
+    if name == "regular-10-4-k3":
+        return enumerate_regular(10, 4, forbidden=k3, desc=desc)
+    return enumerate_graphs(GenFilter(n=8, forbidden=k3), desc=desc)
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_COUNTS))
+def test_pinned_counts(case):
+    stats = _pinned_run(case)
+    assert (stats.classes, stats.nodes, sorted(stats.pruned.items())) == PINNED_COUNTS[case]
 
 
 @pytest.mark.parametrize(
@@ -372,6 +505,19 @@ def test_filter_validation():
         enumerate_graphs(GenFilter(n=6, regular_k=2, edge_count=7))
     with pytest.raises(EnumerationError):
         enumerate_graphs(GenFilter(n=0))
+
+
+@pytest.mark.parametrize("field", ["max_degree", "edge_count"])
+def test_negative_filter_values_raise(field):
+    with pytest.raises(EnumerationError, match=f"{field} must be >= 0"):
+        enumerate_graphs(GenFilter(n=5, **{field: -1}))
+    with pytest.raises(EnumerationError, match=f"{field} must be >= 0"):
+        enumerate_graphs(GenFilter(n=5, **{field: -1}), jobs=2)
+    # zero is a real filter, not an error
+    assert enumerate_graphs(GenFilter(n=5, **{field: 0})).classes == 1
+    if field == "max_degree":
+        with pytest.raises(EnumerationError, match="max_degree must be >= 0"):
+            max_copies_free(5, cycle_graph(4), -1)
 
 
 def test_infeasible_flag():

@@ -41,6 +41,7 @@ def test_hspec_parse():
     assert HSpec.parse("C3..C7").family == FamilySpec("odd-cycle-family", 4)
     assert HSpec.parse("K5").clique == 5
     assert HSpec.parse("K1,4").star == 4
+    assert HSpec.parse("K2,3").biclique == (2, 3)
     assert HSpec.parse("C4").graph is not None
     assert HSpec.parse("g6:D?{").graph.n == 5
     for bad in ("C3..C8", "C5..C7", "zzz"):
@@ -53,6 +54,10 @@ def test_hspec_members_and_describe():
     assert [h.n for h in fam.members()] == [3, 5]
     assert fam.describe() == "C3..C5"
     assert HSpec(clique=4).describe() == "K4"
+    k23 = HSpec.parse("K2,3")
+    assert k23.describe() == "K2,3"
+    assert k23.members() == (complete_bipartite(2, 3),)
+    assert HSpec.parse("K1,3").members() == (star_graph(3),)
     with pytest.raises(SearchError):
         HSpec()
     with pytest.raises(SearchError):
@@ -63,6 +68,13 @@ def test_exr_small_values():
     assert exr_exact(7, K3).objective == 2
     assert exr_exact(10, K3).objective == 5
     assert exr_exact(6, K3).objective == 3
+    assert exr_exact(1, K3).objective == 0
+
+
+@pytest.mark.parametrize("n", [0, -2])
+def test_exr_order_must_be_positive(n):
+    with pytest.raises(SearchError, match="order must be >= 1"):
+        exr_exact(n, K3)
 
 
 def test_exr_witness_includes_circulant():
