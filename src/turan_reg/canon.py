@@ -58,8 +58,11 @@ def _refine(rows, n, cells, desc, keep=None, active=None, alone=False):
     2014).  The result is the one a refinement against all cells in
     every round gives.
 
-    Split keys pack the counts into one int when n < 16, falling back to
-    tuples for larger graphs.
+    A split key packs a vertex's counts, in splitter order, into one int
+    with a field of ``n.bit_length()`` bits per count, as
+    ``enumeration._degree_stage`` does: no count reaches n, and every key
+    of a round has the same fields, so keys sort as the count tuples do
+    lexicographically.
 
     With ``keep`` set, returns None as soon as vertex ``keep`` leaves the
     last cell.  A round only splits cells and keeps their order, so the
@@ -68,7 +71,7 @@ def _refine(rows, n, cells, desc, keep=None, active=None, alone=False):
     cell is ``keep`` alone is returned as it is, not yet stable: every
     later round, and every leaf of a search from it, keeps ``keep`` last.
     """
-    small = n < 16
+    b = n.bit_length()
     if active is None:
         active = range(len(cells))
     while True:
@@ -90,26 +93,16 @@ def _refine(rows, n, cells, desc, keep=None, active=None, alone=False):
                 new_cells.append(c)
                 continue
             buckets = {}
-            if small:
-                for v in c:
-                    rv = rows[v]
-                    key = 0
-                    for m in masks:
-                        key = (key << 4) | (rv & m).bit_count()
-                    b = buckets.get(key)
-                    if b is None:
-                        buckets[key] = [v]
-                    else:
-                        b.append(v)
-            else:
-                for v in c:
-                    rv = rows[v]
-                    key = tuple((rv & m).bit_count() for m in masks)
-                    b = buckets.get(key)
-                    if b is None:
-                        buckets[key] = [v]
-                    else:
-                        b.append(v)
+            for v in c:
+                rv = rows[v]
+                key = 0
+                for m in masks:
+                    key = (key << b) | (rv & m).bit_count()
+                cell = buckets.get(key)
+                if cell is None:
+                    buckets[key] = [v]
+                else:
+                    cell.append(v)
             if len(buckets) == 1:
                 new_cells.append(c)
             else:

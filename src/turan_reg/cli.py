@@ -59,7 +59,10 @@ from .search import (
     max_k_total,
     max_kt,
     min_triangles_regular,
-    probe_conjecture,
+    probe_cycle_question,
+    probe_gls_critical,
+    probe_odd_girth_question,
+    probe_triangle_floor,
 )
 
 DEFAULT_SEED = 20210831
@@ -296,8 +299,6 @@ def _op_construction_sweep(args, ctx):
         except constructions.ConstructionError as exc:
             if exc.prop is not None:
                 failures += 1
-            elif args.get("strict", False):
-                failures += 1
     return failures if ran > 0 else -1
 
 
@@ -432,9 +433,18 @@ def run_suite(suite_id, jobs=1, seed=DEFAULT_SEED, stream=None):
 # argument parsing
 
 
-def _add_common(p):
+def _add_jobs(p):
     p.add_argument("--jobs", type=int, default=1, help="worker processes")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="random seed")
+
+
+# probe name -> its function and the options it reads, passed on as
+# keywords of the same name; each must have a value
+PROBES = {
+    "gls-critical": (probe_gls_critical, ("n", "r", "t")),
+    "triangle-floor": (probe_triangle_floor, ("n_max",)),
+    "odd-girth-question": (probe_odd_girth_question, ("n", "pattern")),
+    "cycle-question": (probe_cycle_question, ("m", "r", "n")),
+}
 
 
 def build_parser():
@@ -456,7 +466,6 @@ def build_parser():
     p.add_argument("--format", choices=("g6", "edges"), default="g6")
     p.add_argument("--certify", action="store_true", help="print certificate JSON")
     p.add_argument("--out", type=str, default="-")
-    _add_common(p)
 
     p = sub.add_parser("enumerate", help="stream one graph6 line per class")
     p.add_argument("--n", type=int, required=True)
@@ -467,20 +476,20 @@ def build_parser():
     p.add_argument("--desc", action="store_true", help="dual augmentation order")
     p.add_argument("--force", action="store_true", help="override the n cap")
     p.add_argument("--out", type=str, default="-")
-    _add_common(p)
+    _add_jobs(p)
 
     p = sub.add_parser("exr", help="exact regular Turan number by search")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--forbid", type=str, required=True, help="K3, C7, C3..C9, K1,4, g6:...")
     p.add_argument("--all-witnesses", action="store_true")
     p.add_argument("--witness-cap", type=int, default=16)
-    _add_common(p)
+    _add_jobs(p)
 
     p = sub.add_parser("census-triangles", help="minimum triangles over k-regular graphs")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--witness-cap", type=int, default=16)
-    _add_common(p)
+    _add_jobs(p)
 
     p = sub.add_parser("max-cliques", help="maximize clique counts given (n, m, max degree)")
     p.add_argument("--n", type=int, required=True)
@@ -489,29 +498,30 @@ def build_parser():
     p.add_argument("--t", type=int, help="clique size; omit with --total")
     p.add_argument("--total", action="store_true", help="maximize the total clique count")
     p.add_argument("--witness-cap", type=int, default=16)
-    _add_common(p)
+    _add_jobs(p)
 
     p = sub.add_parser("max-copies", help="maximize pattern copies under a degree cap")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--pattern", type=str, required=True)
     p.add_argument("--max-degree", type=int, required=True)
     p.add_argument("--witness-cap", type=int, default=16)
-    _add_common(p)
+    _add_jobs(p)
 
     p = sub.add_parser("probe", help="conjecture probes (report only)")
-    p.add_argument("name", choices=("gls-critical", "triangle-floor", "odd-girth-question", "cycle-question"))
+    p.add_argument("name", choices=PROBES)
     p.add_argument("--n", type=int)
     p.add_argument("--r", type=int)
     p.add_argument("--t", type=int, default=3)
     p.add_argument("--m", type=int)
-    p.add_argument("--n-max", type=int)
+    p.add_argument("--n-max", type=int, default=11)
     p.add_argument("--pattern", type=str)
-    _add_common(p)
+    _add_jobs(p)
 
     p = sub.add_parser("suite", help="run a verification suite")
     p.add_argument("id", type=str)
     p.add_argument("--report", type=str, help="write JSON report here")
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="random seed")
+    _add_jobs(p)
 
     p = sub.add_parser("table", help="reproduce the critical-regime table")
     p.add_argument("--r", type=int, required=True)
@@ -519,7 +529,7 @@ def build_parser():
     p.add_argument("--n-to", type=int, required=True)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", type=str, default="-")
-    _add_common(p)
+    _add_jobs(p)
 
     return top
 
@@ -558,7 +568,7 @@ def _cmd_enumerate(ns):
         max_degree=ns.max_degree,
         edge_count=ns.edges,
         regular_k=ns.regular_k,
-        connected=True if ns.connected else None,
+        connected=ns.connected,
     )
     with _open_out(ns.out) as fh:
         stats = enumerate_graphs(
@@ -615,16 +625,14 @@ def _cmd_max_copies(ns):
 
 
 def _cmd_probe(ns):
-    kwargs = {}
-    if ns.name == "gls-critical":
-        kwargs = {"n": ns.n, "r": ns.r, "t": ns.t}
-    elif ns.name == "triangle-floor":
-        kwargs = {"n_max": ns.n_max or 11}
-    elif ns.name == "odd-girth-question":
-        kwargs = {"n": ns.n, "hspec": HSpec.parse(ns.pattern)}
-    elif ns.name == "cycle-question":
-        kwargs = {"m": ns.m, "r": ns.r, "n": ns.n}
-    print(json.dumps(probe_conjecture(ns.name, jobs=ns.jobs, **kwargs), indent=2))
+    probe, options = PROBES[ns.name]
+    kwargs = {opt: getattr(ns, opt) for opt in options}
+    missing = [f"--{opt}" for opt, val in kwargs.items() if val is None]
+    if missing:
+        raise SearchError(f"probe {ns.name} requires {' '.join(missing)}")
+    if "pattern" in kwargs:
+        kwargs["hspec"] = HSpec.parse(kwargs.pop("pattern"))
+    print(json.dumps(probe(jobs=ns.jobs, **kwargs), indent=2))
     return 0
 
 
@@ -659,22 +667,10 @@ NAMED_ERRORS = (
     constructions.ConstructionError, EnumerationError, FormulaError, GraphError, SearchError
 )
 
-# the options each probe needs and has no default for
-PROBE_REQUIRED = {
-    "gls-critical": ("n", "r"),
-    "odd-girth-question": ("n", "pattern"),
-    "cycle-question": ("m", "r", "n"),
-}
-
 
 def main(argv=None):
     parser = build_parser()
     ns = parser.parse_args(argv)
-    if ns.command == "probe":
-        required = PROBE_REQUIRED.get(ns.name, ())
-        missing = [f"--{opt}" for opt in required if getattr(ns, opt) is None]
-        if missing:
-            parser.error(f"probe {ns.name} requires {' '.join(missing)}")
     try:
         return COMMANDS[ns.command](ns)
     except NAMED_ERRORS as exc:

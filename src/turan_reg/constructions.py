@@ -250,7 +250,7 @@ def apex_construction(n, k):
             rows[a] &= ~(1 << b)
             rows[b] &= ~(1 << a)
     g = Graph(n, tuple(rows))
-    off_apex = induced_subgraph(g, range(n - 1))
+    off_apex = induced_subgraph(g, n - 1)
     return _certify(
         "apex",
         {"n": n, "k": k, "p": p, "q": q},

@@ -70,7 +70,7 @@ class GenFilter:
     max_degree: int | None = None
     edge_count: int | None = None
     regular_k: int | None = None
-    connected: bool | None = None
+    connected: bool = False
     # search support: graphs containing any of these are never emitted;
     # freeness is hereditary, so it is safe to prune mid-tree.
     forbidden: tuple = ()
@@ -333,7 +333,7 @@ class _Run:
 
     def emit(self, rows):
         g = Graph(self.n, rows)
-        if self.connected is not None and is_connected(g) != self.connected:
+        if self.connected and not is_connected(g):
             self.stats.bump("connectivity")
             return
         self.stats.classes += 1

@@ -43,9 +43,6 @@ class Graph:
     def has_edge(self, u, v):
         return (self.rows[u] >> v) & 1 == 1
 
-    def neighbors(self, v):
-        return bits(self.rows[v])
-
     def edges(self):
         for u in range(self.n):
             r = self.rows[u] >> (u + 1)
@@ -94,23 +91,10 @@ def complement(g):
     return Graph(g.n, tuple((full ^ r) & ~(1 << v) for v, r in enumerate(g.rows)))
 
 
-def induced_subgraph(g, vertices):
-    """Induced subgraph on ``vertices`` (kept in the given order).
-
-    ``vertices == range(k)`` keeps the labels, so the rows are only masked.
-    """
-    if isinstance(vertices, range) and vertices == range(len(vertices)):
-        mask = (1 << len(vertices)) - 1
-        return Graph(len(vertices), tuple(g.rows[v] & mask for v in vertices))
-    idx = {v: i for i, v in enumerate(vertices)}
-    rows = [0] * len(vertices)
-    for i, v in enumerate(vertices):
-        r = g.rows[v]
-        for w in bits(r):
-            j = idx.get(w)
-            if j is not None:
-                rows[i] |= 1 << j
-    return Graph(len(vertices), tuple(rows))
+def induced_subgraph(g, k):
+    """Induced subgraph on vertices 0..k-1, which keep their labels."""
+    mask = (1 << k) - 1
+    return Graph(k, tuple(r & mask for r in g.rows[:k]))
 
 
 def relabel(g, perm):
@@ -151,7 +135,7 @@ def complete_graph(n):
 
 def cycle_graph(n):
     if n < 3:
-        raise GraphError("cycle needs at least 3 vertices")
+        raise GraphError("cycle length must be at least 3")
     return from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
@@ -391,44 +375,6 @@ def odd_girth(g):
     return best
 
 
-def two_coloring(g):
-    """Proper 2-coloring as a list of 0/1, or None if not bipartite."""
-    color = [-1] * g.n
-    for s in range(g.n):
-        if color[s] != -1:
-            continue
-        color[s] = 0
-        queue = [s]
-        while queue:
-            u = queue.pop()
-            for v in bits(g.rows[u]):
-                if color[v] == -1:
-                    color[v] = 1 - color[u]
-                    queue.append(v)
-                elif color[v] == color[u]:
-                    return None
-    return color
-
-
-def is_connected(g):
-    if g.n <= 1:
-        return True
-    seen = 1
-    frontier = 1
-    rows = g.rows
-    while frontier:
-        nxt = 0
-        m = frontier
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            m ^= low
-            nxt |= rows[v]
-        frontier = nxt & ~seen
-        seen |= frontier
-    return seen == (1 << g.n) - 1
-
-
 def connected_components(g):
     """Vertex sets of the components, as bitmasks."""
     left = (1 << g.n) - 1
@@ -453,14 +399,16 @@ def connected_components(g):
     return comps
 
 
+def is_connected(g):
+    return len(connected_components(g)) <= 1
+
+
 # ---------------------------------------------------------------------------
 # subgraph containment
 
 
 def _pattern_order(h):
     """Order pattern vertices: max degree first, then connectivity-first."""
-    if h.n == 0:
-        return []
     order = []
     placed = 0
     degs = [r.bit_count() for r in h.rows]
@@ -478,85 +426,65 @@ def _pattern_order(h):
     return order
 
 
+def _embeddings(g, h, anchor=None, first=False):
+    """Injective edge-preserving maps of h into g, by backtracking.
+
+    Pattern vertices are placed in ``_pattern_order``; the candidates for
+    one are the unused vertices of g of at least its degree that are
+    adjacent to the images of its placed neighbours.  With ``anchor``
+    set, only maps whose image holds that vertex of g count: the last
+    vertex is placed on it if no earlier one was.  The empty pattern has
+    one map, the empty one, anchored or not.  With ``first`` set, the
+    search stops at the first map and returns 1.
+    """
+    if h.n > g.n:
+        return 0
+    order = _pattern_order(h)
+    grows = g.rows
+    fits = {}  # pattern degree -> the vertices of g of at least that degree
+    steps = []  # per placed vertex: itself, its candidate mask, its placed neighbours
+    for i, p in enumerate(order):
+        d = h.rows[p].bit_count()
+        if d not in fits:
+            fits[d] = sum(1 << v for v, r in enumerate(grows) if r.bit_count() >= d)
+        steps.append((p, fits[d], [q for q in order[:i] if h.rows[p] >> q & 1]))
+    last = len(order) - 1
+    image = [0] * h.n
+
+    def rec(i, used):
+        if i > last:
+            return 1
+        p, cand, back = steps[i]
+        cand &= ~used
+        for q in back:
+            cand &= grows[image[q]]
+        if i == last and anchor is not None and not used >> anchor & 1:
+            cand &= 1 << anchor
+        total = 0
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            image[p] = low.bit_length() - 1
+            total += rec(i + 1, used | low)
+            if first and total:
+                return 1
+        return total
+
+    return rec(0, 0)
+
+
 def contains_subgraph(g, h, anchor=None):
     """True iff h embeds into g as a (not necessarily induced) subgraph.
 
-    Backtracking over pattern vertices in degree/connectivity order with
-    neighborhood-intersection candidate masks.  With ``anchor`` set, only
-    embeddings whose image contains that vertex of g are accepted.
+    With ``anchor`` set, only embeddings whose image contains that vertex
+    of g are accepted; the empty pattern is contained with any anchor.
     """
-    if h.n > g.n:
-        return False
-    if h.n == 0:
-        return True
-    order = _pattern_order(h)
-    hdeg = [r.bit_count() for r in h.rows]
-    gdeg = [r.bit_count() for r in g.rows]
-    grows = g.rows
-    full = (1 << g.n) - 1
-    deg_ok = [0] * (h.n + 1)
-    for d in range(h.n + 1):
-        mask = 0
-        for v in range(g.n):
-            if gdeg[v] >= d:
-                mask |= 1 << v
-        deg_ok[d] = mask
-
-    image = [0] * h.n  # pattern vertex -> g vertex
-
-    def rec(i, used):
-        if i == len(order):
-            return anchor is None or (used >> anchor) & 1 == 1
-        p = order[i]
-        cand = full & ~used & deg_ok[hdeg[p]]
-        for q in order[:i]:
-            if (h.rows[p] >> q) & 1:
-                cand &= grows[image[q]]
-        if anchor is not None and i == len(order) - 1 and not (used >> anchor) & 1:
-            cand &= 1 << anchor
-        m = cand
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            m ^= low
-            image[p] = v
-            if rec(i + 1, used | low):
-                return True
-        return False
-
-    return rec(0, 0)
+    return _embeddings(g, h, anchor, first=True) == 1
 
 
 def count_subgraph_embeddings(g, h):
     """Number of injective edge-preserving maps from h into g."""
-    if h.n > g.n:
-        return 0
-    order = _pattern_order(h)
-    hdeg = [r.bit_count() for r in h.rows]
-    grows = g.rows
-    full = (1 << g.n) - 1
-    image = [0] * h.n
-
-    def rec(i, used):
-        if i == len(order):
-            return 1
-        p = order[i]
-        cand = full & ~used
-        for q in order[:i]:
-            if (h.rows[p] >> q) & 1:
-                cand &= grows[image[q]]
-        total = 0
-        m = cand
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            m ^= low
-            if grows[v].bit_count() >= hdeg[p]:
-                image[p] = v
-                total += rec(i + 1, used | low)
-        return total
-
-    return rec(0, 0)
+    return _embeddings(g, h)
 
 
 # ---------------------------------------------------------------------------
@@ -652,7 +580,7 @@ def _sum_at(mask, vals):
 
 
 def count_cycles(g, m):
-    """Number of m-cycle subgraphs, 3 <= m <= 8, each counted once.
+    """Number of m-cycle subgraphs, m >= 3, each counted once.
 
     With a2[u][v] = |N(u) & N(v)| (so a2[u][u] = d(u)), exact integer
     closed-walk identities give the short cycles:
@@ -663,18 +591,20 @@ def count_cycles(g, m):
       Zwick 1997), with t3(u) = sum over w in N(u) of a2[u][w] and
       tr A^5 = 2 * sum over edges uw of sum_v a2[u][v] a2[w][v].
 
-    Longer cycles fall back to anchored path search.
+    Cycles of 6 or more vertices, of any length, are counted by anchored
+    path search.
 
-    This is the one full count and the oracle of the searches, which
-    score a graph g from its parent g - v, v = n - 1, by the identity
+    This is the one full count and the oracle of the searches.  Those
+    send every cycle of 6 or more vertices here and score 4- and 5-cycles
+    in a graph g from its parent g - v, v = n - 1, by the identity
     C_m(g) = C_m(g - v) + the m-cycles through v
     (``search.PatternCounter``): this function counts g - v, once per
     run of consecutive graphs sharing it in the counter's one-entry
     cache, and ``path_counts`` gives the cycles through v.  Every count
     is exact in any order of the graphs; only the speed depends on it.
     """
-    if not 3 <= m <= 8:
-        raise GraphError("cycle length must be between 3 and 8")
+    if m < 3:
+        raise GraphError("cycle length must be at least 3")
     if g.n < m:
         return 0
     if m == 3:

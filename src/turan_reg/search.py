@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import comb
 
-from .canon import canonical_form
+from .canon import automorphism_group_order, canonical_form
 from .enumeration import GenFilter, GenStats, enumerate_graphs, enumerate_regular
 from .formulas import FamilySpec, conjectured_triangle_min, forced_triangle_window, gls_critical_range
 from .graphs import (
@@ -30,12 +30,11 @@ from .graphs import (
     cycle_graph,
     graph6_decode,
     graph6_encode,
-    induced_subgraph,
+    is_connected,
     odd_girth,
     pair_sum,
     path_counts,
     total_cliques,
-    two_coloring,
 )
 
 DEFAULT_WITNESS_CAP = 16
@@ -294,18 +293,16 @@ def _classify_pattern(h):
     m = h.edge_count
     if m == comb(h.n, 2):
         return ("clique", h.n)
-    if h.n >= 3 and m == h.n and degs[0] == degs[-1] == 2:
-        comps = connected_components(h)
-        if len(comps) == 1:
-            return ("cycle", h.n)
+    if h.n >= 3 and m == h.n and degs[0] == degs[-1] == 2 and is_connected(h):
+        return ("cycle", h.n)
     if h.n >= 2 and degs[-1] == h.n - 1 and degs[-2] == 1:
         return ("star", h.n - 1)
-    coloring = two_coloring(h)
-    if coloring is not None:
-        a = sum(1 for c in coloring if c == 0)
-        b = h.n - a
-        if m == a * b and a >= 1 and b >= 1:
-            return ("biclique", (min(a, b), max(a, b)))
+    # K_{A,B} with B = N(0): the rows outside B are B, those in B the rest
+    b = h.rows[0]
+    rest = ((1 << h.n) - 1) ^ b
+    if b and all(r == (rest if b >> v & 1 else b) for v, r in enumerate(h.rows)):
+        a = rest.bit_count()
+        return ("biclique", (min(a, h.n - a), max(a, h.n - a)))
     return ("generic", None)
 
 
@@ -326,9 +323,9 @@ class PatternCounter:
     enumeration emits the children of one parent one after another, also
     at ``jobs > 1``, where the visitor runs in the main process.
 
-    Cycles of 6 to 8 vertices go to ``count_cycles``; longer cycles and
-    patterns of no named kind to the embedding count over the order of
-    the automorphism group.
+    Cycles of 6 or more vertices go to ``count_cycles``, and patterns of
+    no named kind to the embedding count over the order of the
+    automorphism group.
     """
 
     def __init__(self, pattern):
@@ -337,16 +334,14 @@ class PatternCounter:
         self._parent = None  # rows of the last parent g - v
         self._count = 0  # its copies
         self._paths = None  # its path matrix, for cycles
-        if self.kind == "generic" or (self.kind == "cycle" and self.param > 8):
-            from .canon import automorphism_group_order
-
+        if self.kind == "generic":
             self.aut = automorphism_group_order(pattern)
 
     def __call__(self, g):
         kind, p = self.kind, self.param
         if kind == "clique" or (kind == "cycle" and p in (4, 5)):
             return self._from_parent(g)
-        if kind == "cycle" and p <= 8:
+        if kind == "cycle":
             return count_cycles(g, p)
         if kind == "star":
             return count_stars(g, p)
@@ -391,14 +386,11 @@ def max_copies_free(n, pattern, forbidden_star_r, witness_cap=DEFAULT_WITNESS_CA
 
 def _kr1_component_split(g, r):
     """Count components isomorphic to K_{r+1} and return the leftover."""
-    comps = connected_components(g)
-    target = comb(r + 1, 2)
     kr1 = 0
     rest = 0
-    for mask in comps:
-        verts = list(bits(mask))
-        sub = induced_subgraph(g, verts)
-        if sub.n == r + 1 and sub.edge_count == target:
+    for mask in connected_components(g):
+        # r + 1 vertices of degree r, all inside the component
+        if mask.bit_count() == r + 1 and all(g.rows[v].bit_count() == r for v in bits(mask)):
             kr1 += 1
         else:
             rest |= mask
@@ -493,12 +485,7 @@ def probe_odd_girth_question(n, hspec, jobs=1):
 
 def probe_cycle_question(m, r, n, witness_cap=4, jobs=1):
     """Normalized cycle-count maxima vs the balanced candidates."""
-    if not 3 <= m <= 8:
-        raise SearchError("cycle length must be between 3 and 8")
-    pattern = cycle_graph(m)
-    res = max_copies_free(n, pattern, r, witness_cap=witness_cap, jobs=jobs)
-    from .graphs import complete_bipartite
-
+    res = max_copies_free(n, cycle_graph(m), r, witness_cap=witness_cap, jobs=jobs)
     candidates = {}
     if 2 * r <= n:
         candidates["K_rr"] = count_cycles(complete_bipartite(r, r), m)
@@ -518,16 +505,3 @@ def probe_cycle_question(m, r, n, witness_cap=4, jobs=1):
         "note": "report only",
     }
 
-
-PROBES = {
-    "gls-critical": probe_gls_critical,
-    "triangle-floor": probe_triangle_floor,
-    "odd-girth-question": probe_odd_girth_question,
-    "cycle-question": probe_cycle_question,
-}
-
-
-def probe_conjecture(name, **params):
-    if name not in PROBES:
-        raise SearchError(f"unknown probe {name!r}; choose from {sorted(PROBES)}")
-    return PROBES[name](**params)

@@ -248,6 +248,25 @@ def naive_cycle_count(g, m):
     return count // 2
 
 
+def two_coloring(g):
+    """Proper 2-coloring as a list of 0/1, or None if not bipartite."""
+    color = [-1] * g.n
+    for s in range(g.n):
+        if color[s] != -1:
+            continue
+        color[s] = 0
+        queue = [s]
+        while queue:
+            u = queue.pop()
+            for v in bits(g.rows[u]):
+                if color[v] == -1:
+                    color[v] = 1 - color[u]
+                    queue.append(v)
+                elif color[v] == color[u]:
+                    return None
+    return color
+
+
 def naive_path_counts(g, length):
     """Matrix of a-b paths with ``length`` edges, a != b, by scanning the
     orderings of the inner vertices; the diagonal is 0."""

@@ -139,7 +139,7 @@ def test_biclique_pattern(capsys):
 
 
 def test_max_copies_long_cycle(capsys):
-    # past C8 a cycle is counted by embeddings over its 18 automorphisms
+    # a cycle of any length is counted by count_cycles
     rc = main(["max-copies", "--n", "9", "--pattern", "C9", "--max-degree", "2"])
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
@@ -154,7 +154,7 @@ def test_max_copies_long_cycle(capsys):
         (["construct", "apex"], "apex needs parameters"),
         (["exr", "--n", "5", "--forbid", "Q7"], "cannot parse pattern 'Q7'"),
         (["enumerate", "--n", "12"], "beyond enumeration cap 11; pass --force"),
-        (["probe", "cycle-question", "--m", "9", "--r", "2", "--n", "5"], "cycle length"),
+        (["probe", "cycle-question", "--m", "2", "--r", "2", "--n", "5"], "cycle length"),
         # a family pattern has several members; max-copies counts one
         (["max-copies", "--n", "5", "--pattern", "C3..C7", "--max-degree", "2"], "C3..C7 has 3"),
         (
@@ -212,6 +212,13 @@ def test_probe_command_jobs(args, capsys):
     assert reports[0] == reports[1]
     payload = json.loads(reports[0])
     assert payload["probe"] == args[0] and payload["rows"]
+
+
+def test_probe_unknown(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["probe", "nope"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'nope'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -12,6 +12,7 @@ from helpers import (
     check_invariants,
     naive_contains,
     naive_cycle_count,
+    naive_embedding_count,
     naive_path_counts,
     near_bipartite_with_twins,
     odd_girth_oracle,
@@ -22,6 +23,7 @@ from helpers import (
     random_graph,
     seeded_rng,
     triangle_count_oracle,
+    two_coloring,
 )
 
 from turan_reg.graphs import (
@@ -35,6 +37,7 @@ from turan_reg.graphs import (
     count_complete_bipartite,
     count_cycles,
     count_stars,
+    count_subgraph_embeddings,
     cycle_graph,
     disjoint_union,
     empty_graph,
@@ -48,7 +51,6 @@ from turan_reg.graphs import (
     star_graph,
     total_cliques,
     triangle_count,
-    two_coloring,
 )
 
 
@@ -321,20 +323,43 @@ def test_contains_subgraph_examples():
     assert all(not g.rows[u] & g.rows[v] for u, v in g.edges())
 
 
+INJECTION_PATTERNS = [
+    path_graph(4),
+    cycle_graph(4),
+    cycle_graph(5),
+    complete_graph(3),
+    star_graph(3),
+    from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)]),
+]
+
+
 def test_contains_subgraph_vs_injections():
     rng = seeded_rng()
-    patterns = [
-        path_graph(4),
-        cycle_graph(4),
-        cycle_graph(5),
-        complete_graph(3),
-        star_graph(3),
-        from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)]),
-    ]
     for _ in range(40):
         g = random_graph(rng, rng.randint(4, 8))
-        h = patterns[rng.randrange(len(patterns))]
+        h = INJECTION_PATTERNS[rng.randrange(len(INJECTION_PATTERNS))]
         assert contains_subgraph(g, h) == naive_contains(g, h)
+
+
+def test_count_subgraph_embeddings_vs_injections():
+    """Counting shares its backtracker with containment; the patterns of
+    the containment test, a disconnected one and the empty one."""
+    rng = seeded_rng()
+    patterns = INJECTION_PATTERNS + [disjoint_union(complete_graph(3), path_graph(2)), empty_graph(0)]
+    for h in patterns:
+        for _ in range(8):
+            g = random_graph(rng, rng.randint(0, 7))
+            assert count_subgraph_embeddings(g, h) == naive_embedding_count(g, h), (g.rows, h.rows)
+
+
+def test_empty_pattern():
+    """The empty pattern has one embedding and is contained in every
+    graph, the empty graph included, with any anchor."""
+    for g in (empty_graph(0), empty_graph(3), complete_graph(4)):
+        assert count_subgraph_embeddings(g, empty_graph(0)) == 1
+        assert contains_subgraph(g, empty_graph(0))
+        for a in range(g.n):
+            assert contains_subgraph(g, empty_graph(0), anchor=a)
 
 
 def test_contains_subgraph_anchor():
@@ -360,6 +385,11 @@ def test_count_cycles_vs_naive():
     for _ in range(15):
         g = random_graph(rng, rng.randint(9, 10))
         assert count_cycles(g, 5) == naive_cycle_count(g, 5)
+    # past 8 vertices, where the length cap used to be
+    for n in (9, 10):
+        g = random_graph(rng, n, rng.uniform(0.5, 0.9))
+        for m in range(9, n + 1):
+            assert count_cycles(g, m) == naive_cycle_count(g, m), (g.rows, m)
 
 
 def test_count_cycles_closed_forms():
@@ -415,8 +445,6 @@ def test_census_imports_no_numpy():
 def test_count_cycles_range_errors():
     with pytest.raises(GraphError):
         count_cycles(complete_graph(5), 2)
-    with pytest.raises(GraphError):
-        count_cycles(complete_graph(5), 9)
 
 
 def test_count_stars():

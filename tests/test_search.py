@@ -2,7 +2,7 @@ from functools import partial
 
 import pytest
 
-from helpers import naive_embedding_count, path_graph, random_graph, seeded_rng
+from helpers import all_labeled_graphs, naive_embedding_count, path_graph, random_graph, seeded_rng, two_coloring
 
 from turan_reg.canon import automorphism_group_order, canonical_label
 from turan_reg.constructions import apex_construction, circulant_small_odd
@@ -12,9 +12,11 @@ from turan_reg.graphs import (
     Graph,
     complete_bipartite,
     complete_graph,
+    connected_components,
     count_cliques,
     count_cycles,
     cycle_graph,
+    disjoint_union,
     from_edges,
     graph6_decode,
     star_graph,
@@ -23,12 +25,17 @@ from turan_reg.search import (
     HSpec,
     PatternCounter,
     SearchError,
+    _classify_pattern,
+    _kr1_component_split,
     exr_exact,
     max_copies_free,
     max_k_total,
     max_kt,
     min_triangles_regular,
-    probe_conjecture,
+    probe_cycle_question,
+    probe_gls_critical,
+    probe_odd_girth_question,
+    probe_triangle_floor,
 )
 
 K3 = HSpec(family=FamilySpec("triangle"))
@@ -182,7 +189,7 @@ def test_pattern_counter_dispatch():
         for _ in range(8):
             g = random_graph(rng, rng.randint(4, 7))
             assert counter(g) == naive_embedding_count(g, pat) // aut, (kind, g.rows)
-    # C6..C8 go to count_cycles, longer cycles to the embedding count
+    # C6 and longer go to count_cycles
     for m in range(6, 10):
         pat = cycle_graph(m)
         counter = PatternCounter(pat)
@@ -190,6 +197,43 @@ def test_pattern_counter_dispatch():
         for _ in range(4):
             g = random_graph(rng, m, rng.uniform(0.6, 1.0))
             assert counter(g) == naive_embedding_count(g, pat) // (2 * m), (m, g.rows)
+
+
+def _classify_oracle(h):
+    """The classification with the biclique read off a 2-coloring."""
+    degs = sorted(r.bit_count() for r in h.rows)
+    m = h.edge_count
+    if m == h.n * (h.n - 1) // 2:
+        return ("clique", h.n)
+    if h.n >= 3 and m == h.n and degs[0] == degs[-1] == 2 and len(connected_components(h)) == 1:
+        return ("cycle", h.n)
+    if h.n >= 2 and degs[-1] == h.n - 1 and degs[-2] == 1:
+        return ("star", h.n - 1)
+    coloring = two_coloring(h)
+    if coloring is not None:
+        a = coloring.count(0)
+        b = h.n - a
+        if m == a * b and a >= 1 and b >= 1:
+            return ("biclique", (min(a, b), max(a, b)))
+    return ("generic", None)
+
+
+def test_classify_pattern_vs_two_coloring():
+    """Every labelled graph on at most 6 vertices, 33 868 in all."""
+    seen = 0
+    for n in range(7):
+        for h in all_labeled_graphs(n):
+            assert _classify_pattern(h) == _classify_oracle(h), h.rows
+            seen += 1
+    assert seen == 33868
+
+
+def test_kr1_component_split():
+    k5 = complete_graph(5)
+    g = disjoint_union(k5, cycle_graph(5), k5, complete_bipartite(4, 4))
+    assert _kr1_component_split(g, 4) == (2, ((1 << 5) - 1) << 5 | ((1 << 8) - 1) << 15)
+    assert _kr1_component_split(g, 2) == (0, (1 << 23) - 1)
+    assert _kr1_component_split(disjoint_union(k5, Graph(1, (0,))), 0) == (1, (1 << 5) - 1)
 
 
 def _with_last_row(g, s):
@@ -232,7 +276,7 @@ def test_max_copies_free_star_prop():
 
 
 def test_probe_triangle_floor():
-    report = probe_conjecture("triangle-floor", n_max=9)
+    report = probe_triangle_floor(9)
     assert report["rows"] == [
         {
             "n": 9,
@@ -248,7 +292,7 @@ def test_probe_triangle_floor():
 
 
 def test_probe_gls_critical():
-    report = probe_conjecture("gls-critical", n=6, r=4)
+    report = probe_gls_critical(6, 4)
     assert report["params"]["critical_range"] == [10, 12]
     ms = [row["m"] for row in report["rows"]]
     assert ms == [11, 12]
@@ -258,9 +302,21 @@ def test_probe_gls_critical():
             assert isinstance(wit["decomposes"], bool)
 
 
+def test_probe_gls_critical_pinned():
+    """The rows of gls-critical at (n, r) = (8, 4), as first computed."""
+    def wit(*g6):
+        return [{"witness": w, "kr1_components": 0, "decomposes": True, "rest_order": 8} for w in g6]
+
+    assert probe_gls_critical(8, 4)["rows"] == [
+        {"n": 8, "m": 14, "t": 3, "max_kt": 8, "classes": 3, "witnesses": wit("G_Kx~_", "GwCXyw", "GKXkks")},
+        {"n": 8, "m": 15, "t": 3, "max_kt": 8, "classes": 2, "witnesses": wit("GJ]KlK", "G`K}^_")},
+        {"n": 8, "m": 16, "t": 3, "max_kt": 8, "classes": 2, "witnesses": wit("GJem^_", "GJemvG")},
+    ]
+
+
 def test_probe_odd_girth_question():
     c5p = from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 5)])
-    report = probe_conjecture("odd-girth-question", n=9, hspec=HSpec(graph=c5p))
+    report = probe_odd_girth_question(9, HSpec(graph=c5p))
     row = report["rows"][0]
     assert row["odd_girth"] == 5
     assert row["exr"] == 2
@@ -268,15 +324,17 @@ def test_probe_odd_girth_question():
 
 
 def test_probe_cycle_question():
-    report = probe_conjecture("cycle-question", m=5, r=3, n=6)
+    report = probe_cycle_question(5, 3, 6)
     row = report["rows"][0]
     assert "K_r+1" in row["candidate_counts"]
     assert row["max_copies"] >= row["candidate_counts"]["K_r+1"]
 
 
-def test_probe_unknown():
-    with pytest.raises(SearchError):
-        probe_conjecture("nope")
+def test_probe_cycle_question_long_cycle():
+    """Cycle lengths past 8 are counted like any other."""
+    row = probe_cycle_question(9, 2, 9)["rows"][0]
+    assert row["max_copies"] == 1 and row["classes"] == 1
+    assert row["candidate_counts"] == {"K_rr": 0, "K_r+1": 0}
 
 
 def test_search_result_json():
