@@ -283,15 +283,18 @@ def _op_biclique_prop(args, ctx):
 
 
 def _op_construction_sweep(args, ctx):
-    """Run a builder across its parameter grid; count validation failures.
+    """Run a builder across its parameter grid and say what became of
+    every point.
 
-    Parameter errors (precondition violations) don't count; a certified
-    property violation or schedule infeasibility inside the declared
-    grid does.
+    Returns ``{"ran", "failures", "skipped"}``: the points that built and
+    passed their certificate, those whose certified property failed, and
+    per reason the points the builder refused before certifying (a
+    schedule it cannot realize, a precondition of its parameters).  The
+    reason is the error text before its first colon.
     """
     name = args["name"]
-    failures = 0
-    ran = 0
+    ran = failures = 0
+    skipped = {}
     for params in _sweep_params(name, args):
         try:
             constructions.build(name, **params)
@@ -299,7 +302,10 @@ def _op_construction_sweep(args, ctx):
         except constructions.ConstructionError as exc:
             if exc.prop is not None:
                 failures += 1
-    return failures if ran > 0 else -1
+            else:
+                reason = str(exc).partition(":")[0]
+                skipped[reason] = skipped.get(reason, 0) + 1
+    return {"ran": ran, "failures": failures, "skipped": skipped}
 
 
 def _sweep_params(name, args):

@@ -3,8 +3,12 @@
 A graph on n vertices is stored as a tuple of n Python ints; bit v of
 ``rows[u]`` is set iff uv is an edge.  Arbitrary-precision ints give one
 representation that is fast for the search range (n <= 11) and still
-workable for construction validation (n up to a few thousand), where the
-hot census loops reduce to big-int AND + popcount.
+workable for construction validation (n up to a few thousand).  There
+the triangle scans ask, per vertex, whether its lower neighbours span an
+edge: the rows of each run of consecutive labels come from a segment tree
+of ORs (``_or_tree``), so the cost follows the number of runs in a
+neighbourhood rather than its size; the rest of the census is big-int
+AND + popcount.
 
 All operations treat graphs as immutable values; every function returns
 fresh objects and never mutates its inputs.
@@ -240,6 +244,55 @@ def _twin_classes(g):
     return keep, twins
 
 
+def _or_tree(rows):
+    """Segment tree of ORs over ``rows``, as a flat list.
+
+    Node 1 is the root and node i has children 2i and 2i + 1; leaf
+    size + v is ``rows[v]``, where size, half the list, is the least
+    power of two not below the number of rows.  Leaves past the last row
+    are 0.
+    """
+    size = 1 << max(len(rows) - 1, 0).bit_length()
+    tree = [0] * size + list(rows) + [0] * (size - len(rows))
+    for i in range(size - 1, 0, -1):
+        tree[i] = tree[2 * i] | tree[2 * i + 1]
+    return tree
+
+
+def _spans_edge(tree, mask):
+    """Whether some vertex of ``mask`` has a neighbour in ``mask``.
+
+    The set bits of mask ^ (mask << 1) are the ends of the runs of
+    consecutive labels in ``mask``, taken in pairs from the bottom: the
+    first label of a run, then the label just past its last.  The rows
+    of a run are the OR of the O(log n) nodes of ``tree`` (``_or_tree``)
+    that cover it; their union grows run by run and the answer is yes as
+    soon as it meets ``mask``.
+    """
+    size = len(tree) >> 1
+    ends = mask ^ (mask << 1)
+    union = 0
+    while ends:
+        start = ends & -ends
+        ends ^= start
+        stop = ends & -ends
+        ends ^= stop
+        lo = size + start.bit_length() - 1
+        hi = size + stop.bit_length() - 1
+        while lo < hi:
+            if lo & 1:
+                union |= tree[lo]
+                lo += 1
+            if hi & 1:
+                hi -= 1
+                union |= tree[hi]
+            lo >>= 1
+            hi >>= 1
+        if union & mask:
+            return True
+    return False
+
+
 def triangle_count(g):
     """Triangle census; past one int digit per row, on the twin classes.
 
@@ -248,11 +301,13 @@ def triangle_count(g):
     bits rather than n.  A graph whose rows fit one int digit is counted
     on its rows: there every AND and popcount costs the same, and the
     class pass would cost more than the smaller quotient saves.  Larger
-    graphs are counted on the kept vertices of ``_twin_classes``.  There
-    the kept common neighbours X of u and v below v weigh
-    |X| + sum over m > 1 of (m - 1)|X & M_m|, where M_m masks the kept
-    vertices of the classes of m vertices, and the count at v is scaled
-    by the class sizes of u and v.
+    graphs are counted on the kept vertices of ``_twin_classes``.  A kept
+    u whose kept neighbours below it span no edge (``_spans_edge``) is
+    the top of no triangle and is skipped; on the apex graphs that leaves
+    about one vertex.  At the others the kept common neighbours X of u
+    and v below v weigh |X| + sum over m > 1 of (m - 1)|X & M_m|, where
+    M_m masks the kept vertices of the classes of m vertices, and the
+    count at v is scaled by the class sizes of u and v.
     """
     rows = g.rows
     total = 0
@@ -265,6 +320,7 @@ def triangle_count(g):
                 total += (rest & rows[v]).bit_count()
         return total
     keep, twins = _twin_classes(g)
+    tree = _or_tree(rows)
     masks = {}  # m - 1 -> M_m
     for v, m in twins.items():
         masks[m - 1] = masks.get(m - 1, 0) | 1 << v
@@ -274,6 +330,8 @@ def triangle_count(g):
         left ^= low
         u = low.bit_length() - 1
         rest = rows[u] & keep & (low - 1)
+        if not _spans_edge(tree, rest):
+            continue
         part = 0
         while rest:
             v = rest.bit_length() - 1
@@ -291,20 +349,20 @@ def triangle_count(g):
 def _has_triangle(rows, keep):
     """Whether the vertices of ``keep`` span a triangle.
 
-    Each triangle is looked for at its highest vertex u, among the
-    neighbours of u below it: ``rest`` holds those below v, so it shrinks
-    as v goes down and each AND runs over fewer than u bits.
+    Each triangle is looked for at its highest vertex u: it is there iff
+    the neighbours of u in ``keep`` below u span an edge (``_spans_edge``
+    on one ``_or_tree`` of the rows).  The builders label each part
+    contiguously, so such a neighbourhood is a handful of runs, and the
+    scan ORs a few dozen tree nodes per vertex instead of reading one row
+    per edge.
     """
+    tree = _or_tree(rows)
     left = keep
     while left:
         u = left.bit_length() - 1
         left ^= 1 << u
-        rest = rows[u] & left
-        while rest:
-            v = rest.bit_length() - 1
-            rest ^= 1 << v
-            if rest & rows[v]:
-                return True
+        if _spans_edge(tree, rows[u] & left):
+            return True
     return False
 
 
@@ -347,12 +405,14 @@ def odd_girth(g):
     first: if no BFS layer holds an edge the graph is bipartite.  Else the
     first layer d that holds one closes an odd walk, so 2d + 1 bounds the
     odd girth from above.  A triangle among the kept vertices makes it 3;
-    without one a bound of 5 is exact.  Only a bound of 7 or more runs BFS
-    from every kept vertex s over the kept vertices from s up, stopping
-    at depth d once 2d + 1 reaches the best length so far.  An edge
-    inside the layer at distance d witnesses an odd closed walk of length
-    2d + 1, and the lowest vertex of a shortest odd cycle attains its
-    length.
+    ``_has_triangle`` looks for one with the tree scan of ``_spans_edge``
+    (triangle finding as the first step of a shortest-odd-cycle search:
+    Itai and Rodeh, SIAM J. Comput. 7, 1978).  Without one a bound of 5 is
+    exact.  Only a bound of 7 or more runs BFS from every kept vertex s
+    over the kept vertices from s up, stopping at depth d once 2d + 1
+    reaches the best length so far.  An edge inside the layer at distance
+    d witnesses an odd closed walk of length 2d + 1, and the lowest vertex
+    of a shortest odd cycle attains its length.
     """
     rows = g.rows
     keep, _ = _twin_classes(g)

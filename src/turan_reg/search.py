@@ -467,7 +467,7 @@ def probe_triangle_floor(n_max, witness_cap=4, jobs=1):
 def probe_odd_girth_question(n, hspec, jobs=1):
     """Data point for the odd-girth refinement question."""
     members = hspec.members()
-    g_odd = min((odd_girth(h) for h in members if odd_girth(h) is not None), default=None)
+    g_odd = min((g for g in map(odd_girth, members) if g is not None), default=None)
     res = exr_exact(n, hspec, all_witnesses=False, jobs=jobs)
     row = {
         "n": n,

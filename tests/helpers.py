@@ -98,19 +98,14 @@ def random_graph_with_twins(rng, n_max):
     return relabel(Graph(n, tuple(rows)), perm)
 
 
-def random_blowup(rng, n):
-    """A random graph on 8 to 12 vertices with each vertex blown up into a
-    class of false twins (an independent set sharing its neighbourhood),
-    n >= 19 vertices in all, randomly relabeled.  Four base vertices get
-    classes of 1, 2, 3 and 5 vertices; the others share the rest, at
-    least one each."""
-    base = random_graph(rng, rng.randint(8, 12))
-    sizes = [1, 2, 3, 5] + [1] * (base.n - 4)
-    for _ in range(n - sum(sizes)):
-        sizes[rng.randrange(4, base.n)] += 1
-    rng.shuffle(sizes)
+def blow_up(base, sizes, rng=None):
+    """``base`` with vertex i blown up into ``sizes[i]`` false twins.  The
+    classes take consecutive labels in the order of ``base``, or random
+    labels when ``rng`` is given."""
+    n = sum(sizes)
     labels = list(range(n))
-    rng.shuffle(labels)
+    if rng is not None:
+        rng.shuffle(labels)
     classes = []
     for size in sizes:
         classes.append(labels[:size])
@@ -124,6 +119,42 @@ def random_blowup(rng, n):
         for v in c:
             rows[v] = row
     return Graph(n, tuple(rows))
+
+
+def random_blowup(rng, n):
+    """A random graph on 8 to 12 vertices with each vertex blown up into a
+    class of false twins (an independent set sharing its neighbourhood),
+    n >= 19 vertices in all, randomly relabeled.  Four base vertices get
+    classes of 1, 2, 3 and 5 vertices; the others share the rest, at
+    least one each."""
+    base = random_graph(rng, rng.randint(8, 12))
+    sizes = [1, 2, 3, 5] + [1] * (base.n - 4)
+    for _ in range(n - sum(sizes)):
+        sizes[rng.randrange(4, base.n)] += 1
+    rng.shuffle(sizes)
+    return blow_up(base, sizes, rng)
+
+
+def class_sizes(rng, k, n):
+    """k random positive sizes that sum to n."""
+    sizes = [1] * k
+    for _ in range(n - k):
+        sizes[rng.randrange(k)] += 1
+    return sizes
+
+
+def with_triangle(g, attach=0, first=False):
+    """``g`` plus a triangle on three new vertices, the first of them also
+    joined to the vertices of ``attach``.  The new vertices take the top
+    labels, or the three lowest with ``first``.  For an independent
+    ``attach`` in a triangle-free ``g`` the triangle is the only one."""
+    n = g.n
+    rows = [r | (attach >> v & 1) << n for v, r in enumerate(g.rows)]
+    rows += [attach | 0b110 << n, 0b101 << n, 0b011 << n]
+    h = Graph(n + 3, tuple(rows))
+    if not first:
+        return h
+    return relabel(h, [n, n + 1, n + 2] + list(range(n)))
 
 
 def near_bipartite_with_twins(rng, n0, p, inside, twins):

@@ -6,15 +6,25 @@ networkx shares no code with the bitset census: cycles come from its
 from ``GraphMatcher`` monomorphisms and graph6 from its own codec.  The
 graphs include false twins (the census keeps one vertex per
 identical-row class), disconnected graphs whose odd cycle sits after a
-bipartite component, orders 0, 1 and 2, and sparse graphs of 200 to 600
-vertices, where the odd girth comes from BFS distances.
+bipartite component, orders 0, 1 and 2, sparse graphs of 200 to 600
+vertices, where the odd girth comes from BFS distances, and dense twin
+blow-ups of 300 to 600 vertices with and without a planted triangle.
 """
 
 import itertools
 
 import pytest
 
-from helpers import near_bipartite_with_twins, path_graph, petersen_graph, random_graph, seeded_rng
+from helpers import (
+    blow_up,
+    class_sizes,
+    near_bipartite_with_twins,
+    path_graph,
+    petersen_graph,
+    random_graph,
+    seeded_rng,
+    with_triangle,
+)
 
 from turan_reg.graphs import (
     Graph,
@@ -142,12 +152,12 @@ def test_census_property(g):
     check_census(g)
 
 
-def odd_girth_from_distances(G):
-    """Minimum of 2d + 1 over the sources s and the edges uv with
-    dist(s, u) = dist(s, v) = d, or None."""
+def odd_girth_from_distances(G, sources=None):
+    """Minimum of 2d + 1 over the sources s (default: all vertices) and
+    the edges uv with dist(s, u) = dist(s, v) = d, or None."""
     best = None
     edges = list(G.edges())
-    for s in G:
+    for s in G if sources is None else sources:
         dist = nx.single_source_shortest_path_length(G, s)
         for u, v in edges:
             d = dist.get(u)
@@ -174,6 +184,33 @@ def test_census_large_sparse():
         assert triangle_count(g) == triangles, inside
         assert is_triangle_free(g) == (triangles == 0), inside
     assert {None, 3, 5, 7} <= seen, seen
+
+
+def test_census_large_dense_blowups():
+    """Blow-ups of C5, C7 and K3,4 on 300 to 600 vertices, a quarter to a
+    half of all pairs adjacent, with classes on consecutive labels or
+    scattered, without and with one planted triangle: three new
+    vertices, one of them joined to the neighbourhood of vertex 0.  Twins
+    s, s' see every other vertex at the same distance, and neither lies
+    on an edge inside a BFS layer of the other, so one source per
+    distinct neighbourhood gives the odd girth from distances."""
+    rng = seeded_rng()
+    for base, want in ((cycle_graph(5), 5), (cycle_graph(7), 7), (complete_bipartite(3, 4), None)):
+        sizes = class_sizes(rng, base.n, rng.randint(300, 597))
+        for scatter in (None, rng):
+            g = blow_up(base, sizes, scatter)
+            for planted in (False, True):
+                if planted:
+                    g = with_triangle(g, g.rows[0], first=rng.random() < 0.5)
+                G = to_nx(g)
+                sources = {frozenset(G[v]): v for v in G}.values()
+                og = odd_girth_from_distances(G, sources)
+                assert og == (3 if planted else want)
+                assert odd_girth(g) == og
+                triangles = sum(nx.triangles(G).values()) // 3
+                assert triangles == planted
+                assert triangle_count(g) == triangles
+                assert is_triangle_free(g) == (not planted)
 
 
 def test_long_cycles_random():

@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 from helpers import (
+    blow_up,
     check_invariants,
+    class_sizes,
     naive_contains,
     naive_cycle_count,
     naive_embedding_count,
@@ -24,11 +26,14 @@ from helpers import (
     seeded_rng,
     triangle_count_oracle,
     two_coloring,
+    with_triangle,
 )
 
+from turan_reg import graphs
 from turan_reg.graphs import (
     Graph,
     GraphError,
+    bits,
     complement,
     complete_bipartite,
     complete_graph,
@@ -247,18 +252,151 @@ class _CountingRows(tuple):
         return tuple.__getitem__(self, i)
 
 
+class _CountingTree(list):
+    """An ``_or_tree`` that counts its node reads."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return list.__getitem__(self, i)
+
+
 @pytest.mark.parametrize(
     "g, reads",
-    [(_cycle_blowup([3, 1, 4, 2, 5, 1, 2]), 7 + 7), (petersen_graph(), 10 + 15)],
+    [(_cycle_blowup([3, 1, 4, 2, 5, 1, 2]), (7, 7)), (petersen_graph(), (10, 14))],
     ids=["C7-blowup", "petersen"],
 )
-def test_triangle_scan_reads_each_edge_once(g, reads):
-    """The scan meets each kept edge once, from its higher end: on a
-    triangle-free graph it reads one row per kept vertex and one per kept
-    edge."""
+def test_triangle_scan_cost(g, reads, monkeypatch):
+    """On a triangle-free graph the scan reads one row per kept vertex,
+    and one tree per call, covering each run of the lower kept neighbours
+    of a kept vertex by the fewest tree nodes.  A run of one vertex is one
+    node, so on the C7 blow-up, whose kept vertices have no consecutive
+    neighbours, that is one node per kept edge.  On the Petersen graph the
+    run 6..7 below vertex 9 is one node, the parent of leaves 6 and 7,
+    while the run 5..6 below vertex 8 straddles two parents and takes two:
+    14 nodes for 15 edges."""
+    trees = []
+    build = graphs._or_tree
+
+    def counting(r):
+        trees.append(_CountingTree(build(r)))
+        return trees[-1]
+
+    monkeypatch.setattr(graphs, "_or_tree", counting)
     rows = _CountingRows(g.rows)
     assert is_triangle_free(Graph(g.n, rows))
-    assert rows.reads == reads
+    assert (rows.reads, sum(t.reads for t in trees)) == reads
+    assert len(trees) == 1
+
+
+ORDERS = [0, 1, 2, 31, 32, 33, 63, 64, 65, 128, 129]
+
+
+def _test_masks(rng, n):
+    """Empty, full (one run up to the top bit), isolated bits at strides
+    2 and 3, and random runs, isolated bits and masks."""
+    full = (1 << n) - 1
+    yield 0
+    yield full
+    yield full & sum(1 << v for v in range(0, n, 2))
+    yield full & sum(1 << v for v in range(1, n, 3))
+    for _ in range(8):
+        lo, hi = sorted(rng.randrange(n + 1) for _ in range(2))
+        yield (1 << hi) - (1 << lo)
+        yield sum(1 << v for v in range(rng.randrange(2), n, rng.randint(2, 5)))
+        yield rng.getrandbits(n) if n else 0
+
+
+@pytest.mark.parametrize("n", ORDERS)
+def test_spans_edge_vs_brute_force(n):
+    rng = random.Random(20261020 + n)
+    for p in (0.02, 0.1, 0.5):
+        g = random_graph(rng, n, p)
+        tree = graphs._or_tree(g.rows)
+        size = 1
+        while size < n:
+            size *= 2
+        assert len(tree) == 2 * size
+        for mask in _test_masks(rng, n):
+            expected = any(g.rows[v] & mask for v in bits(mask))
+            assert graphs._spans_edge(tree, mask) == expected, (n, p, mask)
+
+
+@pytest.mark.parametrize("n", [n for n in ORDERS if n])
+def test_spans_edge_one_run_reads_few_nodes(n):
+    """A run of consecutive labels costs at most two nodes per tree level,
+    however long it is, and a full run up to the top bit none beyond the
+    tree (a power of two n reads the root alone)."""
+    g = empty_graph(n)
+    tree = _CountingTree(graphs._or_tree(g.rows))
+    depth = (len(tree) // 2).bit_length()
+    rng = random.Random(n)
+    for _ in range(30):
+        lo, hi = sorted(rng.sample(range(n + 1), 2))
+        tree.reads = 0
+        assert not graphs._spans_edge(tree, (1 << hi) - (1 << lo))
+        assert 1 <= tree.reads <= 2 * depth, (lo, hi)
+    tree.reads = 0
+    assert not graphs._spans_edge(tree, (1 << n) - 1)
+    if n & (n - 1) == 0:
+        assert tree.reads == 1
+
+
+def _census_vs_oracles(g, triangles=None):
+    t = triangle_count_oracle(g)
+    if triangles is not None:
+        assert t == triangles, g.rows
+    og = odd_girth_oracle(g)
+    assert (og == 3) == (t > 0), g.rows
+    assert triangle_count(g) == t, g.rows
+    assert is_triangle_free(g) == (t == 0), g.rows
+    assert graphs._has_triangle(g.rows, (1 << g.n) - 1) == (t > 0), g.rows
+    assert odd_girth(g) == og, g.rows
+
+
+def _bipartite(rng, n, p, contiguous):
+    """A random bipartite graph on n vertices: sides are the low and the
+    high half of the labels, or of random parity."""
+    if contiguous:
+        side = [2 * v >= n for v in range(n)]
+    else:
+        side = [rng.randrange(2) for _ in range(n)]
+    return from_edges(n, [(u, v) for u in range(n) for v in range(u) if side[u] != side[v] and rng.random() < p])
+
+
+@pytest.mark.parametrize("n", ORDERS)
+def test_triangle_census_planted_at_the_ends(n):
+    """One triangle on the three highest labels (found first) or on the
+    three lowest (found last by the top-down scan), in bipartite graphs
+    whose halves are runs or scattered labels, sparse and dense."""
+    rng = random.Random(20261021 + n)
+    for p in (0.05, 0.5):
+        for contiguous in (True, False):
+            if n < 3:
+                _census_vs_oracles(_bipartite(rng, n, p, contiguous), 0)
+                continue
+            base = _bipartite(rng, n - 3, p, contiguous)
+            _census_vs_oracles(base, 0)
+            attach = base.rows[0] if base.n else 0  # the other side of vertex 0
+            for first in (False, True):
+                _census_vs_oracles(with_triangle(base, attach, first), 1)
+
+
+@pytest.mark.parametrize("n", [n for n in ORDERS if n >= 31])
+def test_triangle_census_twin_blowups_one_planted(n):
+    """C5, C7 and bipartite blow-ups into twin classes, with classes on
+    consecutive labels or scattered, and one triangle planted on three new
+    vertices, one of them joined to a neighbourhood."""
+    rng = random.Random(20261022 + n)
+    bases = [cycle_graph(5), cycle_graph(7), complete_bipartite(3, 4)]
+    for base in bases:
+        sizes = class_sizes(rng, base.n, n - 3)
+        for scatter in (None, rng):
+            g = blow_up(base, sizes, scatter)
+            _census_vs_oracles(g, 0)
+            for first in (False, True):
+                _census_vs_oracles(with_triangle(g, g.rows[0], first), 1)
 
 
 def test_triangle_free_matches_count():
