@@ -33,6 +33,15 @@ emission, so pruning never changes the emitted set.  The first three
 shape a per-parent window of admissible attachment sets, together with
 the degree stage above, so no inadmissible child is ever built (the
 regular-graph generation scheme of Meringer, J. Graph Theory 30, 1999).
+Under a fixed edge count the window also bounds the attachment size by
+what the later vertices can still complete: a regular filter's
+completion floor (the later vertices take at least k - f + 1 edges
+each from the earlier ones, f being how many are left), and the size
+order that the degree stage fixes along every path (sizes never fall
+in ascending order and rise by at most one a step in ``desc`` order).
+These bounds cut only children whose subtree emits nothing, so they
+lower the node and prune counts and leave the emitted set and its order
+unchanged.
 
 ``GenStats.pruned`` counts the children dropped after they were built,
 by reason: ``forbidden`` (the child contains a forbidden pattern
@@ -274,11 +283,11 @@ def _accept(rows, s, degrees, desc, leaf):
     the extremal degree.  ``_degree_stage`` then decides from the
     parent's degree cells whether the new vertex leaves the last cell
     in refinement round 2, and whether it is left alone there; a ``leaf``,
-    whose generators are never used, is accepted then.  Any other child
-    is refined from its degree cells, stopping at the first round that
-    moves the new vertex out of the last cell; a discrete refinement is
-    rigid and needs no search, nor does a leaf once the new vertex is
-    alone in the last cell.
+    any child whose generators are never read, is accepted then.  Any
+    other child is refined from its degree cells, stopping at the first
+    round that moves the new vertex out of the last cell; a discrete
+    refinement is rigid and needs no search, nor does a leaf once the
+    new vertex is alone in the last cell.
 
     Returns (accepted, generators); generators are only meaningful on
     acceptance and feed the child's own subset deduplication.
@@ -352,6 +361,16 @@ class _Run:
         vertices can still make up.  ``classes`` is the parent's
         ``_degree_classes``.
 
+        Under a fixed edge count the f later sets hold exactly the edges
+        still missing, which bounds |s| by the size order below: later
+        sets are no smaller than s in ascending order, and at most one
+        larger than the one before in ``desc`` order.  A regular filter
+        adds the completion floor: at most C(f, 2) edges fall among the
+        later vertices, so each takes at least k - f + 1 edges from the
+        first j + 1.  These bounds depend on |s| alone and cut only sets
+        from which no leaf is reachable, so they lower the node and
+        prune counts and change neither the emitted set nor its order.
+
         The window also holds the first stage of canonical acceptance:
         refinement orders cells by degree, so the new vertex must attain
         the extremal degree of the child.  With D the parent's maximum
@@ -367,12 +386,20 @@ class _Run:
             if dv < r:
                 avail |= vs
         forced = 0
+        f = self.n - j - 1
         lo, hi = 0, r
         if m is not None:
-            lo = m - edges - self.future[j + 1]
-            hi = min(hi, m - edges)
+            left = m - edges
+            lo = left - self.future[j + 1]
+            hi = min(hi, left)
+            # the f later sets hold the left - |s| edges still missing:
+            # at least f*|s| of them in ascending order, at most
+            # f*|s| + f*(f + 1)/2 in desc order
+            if self.desc:
+                lo = max(lo, -((f * (f + 1) // 2 - left) // (f + 1)))
+            else:
+                hi = min(hi, left // (f + 1))
         if k is not None:
-            f = self.n - j - 1
             # a vertex short of f + 1 edges needs the new one; a forced
             # vertex has degree k - f - 1 < k = r, so it is in avail
             for dv, vs in classes.items():
@@ -381,10 +408,13 @@ class _Run:
                     if deficit > f + 1:
                         return None
                     forced |= vs
-            # the total deficiency left, (j + 1)*k - 2*(edges + |s|), must
-            # fit in the f*k degrees of the last f vertices; with m = n*k/2
-            # and future[j + 1] <= f*k that is already the edge bound above
+            # the total deficiency left, (j + 1)*k - 2*(edges + |s|), is
+            # what the last f vertices take from the first j + 1: at most
+            # f*k, which the edge bound above already says (m = n*k/2,
+            # future[j + 1] <= f*k), and at least f*(k - f + 1), since at
+            # most C(f, 2) edges fall among them
             lo = max(lo, k - f)
+            hi = min(hi, ((j + 1) * k - f * (k - f + 1)) // 2 - edges)
         free = avail & ~forced
         d = min(classes) if self.desc else max(classes)
         ext = classes[d]
@@ -423,6 +453,9 @@ class _Run:
         if window is None:
             return
         degrees = _child_degrees(classes, self.desc)
+        # under a regular filter the last vertex has one forced set, so a
+        # child one vertex short of n never has its generators read either
+        leaf = j + 1 == self.n or (self.k is not None and j + 2 == self.n)
         for s in _attachment_reps(j, gens, window):
             child = _extend(rows, j, s)
             if self.forbidden:
@@ -430,7 +463,7 @@ class _Run:
                 if any(contains_subgraph(cg, h, anchor=j) for h in self.forbidden):
                     self.stats.bump("forbidden")
                     continue
-            ok, child_gens = _accept(child, s, degrees, self.desc, j + 1 == self.n)
+            ok, child_gens = _accept(child, s, degrees, self.desc, leaf)
             if not ok:
                 self.stats.bump("canonical")
                 continue

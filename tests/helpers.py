@@ -329,7 +329,7 @@ def seeded_rng():
     return random.Random(987123)
 
 
-def child_ok_oracle(filt, rows, j, s, edges, desc=False):
+def child_ok_oracle(filt, rows, j, s, edges, desc=False, completion=True):
     """Whether attaching set ``s`` to a new vertex j keeps the filter reachable
     and gives the new vertex the extremal degree of the child.
 
@@ -338,6 +338,14 @@ def child_ok_oracle(filt, rows, j, s, edges, desc=False):
     regular filter, every deficiency the remaining vertices must make up.
     The degree test comes from canonical acceptance: the new vertex has
     the largest degree of the child, or the smallest with ``desc``.
+
+    With ``completion`` the test also asks that the f = n - j - 1 later
+    vertices can complete the child.  Under a fixed edge count their sets
+    hold exactly the edges still missing, and the degree test orders
+    their sizes: each is at least the one before it, or with ``desc`` at
+    most one more.  Under a regular filter each later vertex has at most
+    f - 1 neighbours among the later ones, so it takes the rest of its k
+    from the first j + 1.  The test reads ``rows`` only through degrees.
     """
     n = filt.n
     r = filt.max_degree if filt.max_degree is not None else n - 1
@@ -345,6 +353,7 @@ def child_ok_oracle(filt, rows, j, s, edges, desc=False):
         r = min(r, filt.regular_k)
     k = filt.regular_k
     m = n * k // 2 if k is not None else filt.edge_count
+    f = n - j - 1
     size = s.bit_count()
     if size > r:
         return False
@@ -359,14 +368,20 @@ def child_ok_oracle(filt, rows, j, s, edges, desc=False):
         future = sum(min(i, r) for i in range(j + 1, n))
         if edges + size > m or edges + size + future < m:
             return False
+        missing = m - edges - size
+        if completion and not desc and missing < f * size:
+            return False
+        if completion and desc and missing > sum(size + i for i in range(1, f + 1)):
+            return False
     if k is not None:
-        f = n - j - 1
         deficits = [k - rows[v].bit_count() - ((s >> v) & 1) for v in range(j)]
         deficits.append(k - size)
         if max(deficits) > f:
             return False
         total = sum(deficits)
         if total > f * k or (total - f * k) % 2 != 0:
+            return False
+        if completion and total < f * (k - (f - 1)):
             return False
     return True
 

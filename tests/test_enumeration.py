@@ -71,7 +71,8 @@ def _max_degree(g):
 
 
 def test_filter_pushdown_soundness():
-    # pruned runs agree with a full run post-filtered, per filter kind
+    # pruned runs agree with a full run post-filtered, per filter kind and
+    # in both orders, whose windows bound the attachment sizes differently
     for n in (5, 6, 7, 8):
         full, _ = collect(GenFilter(n=n))
         cases = [
@@ -91,10 +92,11 @@ def test_filter_pushdown_soundness():
             (GenFilter(n=n, connected=True), is_connected),
         ]
         for filt, predicate in cases:
-            got, _ = collect(filt)
-            got_labels = {canonical_label(g) for g in got}
             want_labels = {canonical_label(g) for g in full if predicate(g)}
-            assert got_labels == want_labels, (n, filt)
+            for desc in (False, True):
+                got, _ = collect(filt, desc=desc)
+                got_labels = {canonical_label(g) for g in got}
+                assert got_labels == want_labels, (n, filt, desc)
 
 
 def test_determinism():
@@ -182,8 +184,8 @@ def _orbit_minima(j, gens, sets):
 WINDOW_FILTERS = {
     "max-degree": GenFilter(n=8, max_degree=3),
     "edges-max-degree": GenFilter(n=8, edge_count=10, max_degree=3),
-    "regular": GenFilter(n=8, regular_k=3),
-    "regular-forced": GenFilter(n=8, regular_k=4),
+    "regular": GenFilter(n=10, regular_k=3),
+    "regular-forced": GenFilter(n=9, regular_k=4),
 }
 
 
@@ -217,6 +219,64 @@ def test_window_matches_oracle(case):
     assert parents > 50
     if filt is WINDOW_FILTERS["regular-forced"]:
         assert forced_parents > 0
+
+
+def _completes(filt, rows, edges, desc, memo):
+    """Whether some run of sets that the per-candidate test admits without
+    its completion conditions grows ``rows`` to n vertices: every labelled
+    descent, with no canonical acceptance, so every leaf the generator
+    could reach under the window without its completion bounds.  The test
+    reads degrees only, so the answer depends on the sorted degrees."""
+    j = len(rows)
+    if j == filt.n:
+        return True
+    key = tuple(sorted(row.bit_count() for row in rows))
+    if key not in memo:
+        memo[key] = any(
+            _completes(filt, _extend(rows, j, s), edges + s.bit_count(), desc, memo)
+            for s in range(1 << j)
+            if child_ok_oracle(filt, rows, j, s, edges, desc, completion=False)
+        )
+    return memo[key]
+
+
+DEAD_SUBTREE_FILTERS = [
+    GenFilter(n=n, regular_k=k) for k in (2, 3, 4) for n in range(k + 1, 10) if n * k % 2 == 0
+] + [
+    GenFilter(n=n, edge_count=m, max_degree=r)
+    for n in range(4, 9)
+    for m in (n - 1, n + 1, 2 * n - 2)
+    for r in (None, 3)
+]
+
+
+@pytest.mark.parametrize("desc", [False, True], ids=["asc", "desc"])
+def test_completion_bounds_cut_only_dead_subtrees(desc):
+    # every set that the window without its completion bounds admits and
+    # the window cuts, at every parent of the tree: no descent from it
+    # reaches a leaf, so the bounds change no emitted graph
+    cut = 0
+    for filt in DEAD_SUBTREE_FILTERS:
+        memo = {}
+        emits = enumerate_graphs(filt, desc=desc).classes > 0
+        assert _completes(filt, (0,), 0, desc, memo) == emits, filt
+        for j in range(1, filt.n):
+            run = _Run(filt, None, desc, split=j)
+            run.descend((0,), 1, [], 0)
+            for rows, _, edges in run.seeds:
+                window = run.window(j, edges, _degree_classes(rows))
+                kept = set(_attachment_reps(j, [], window)) if window else set()
+                for s in range(1 << j):
+                    if s in kept or not child_ok_oracle(
+                        filt, rows, j, s, edges, desc, completion=False
+                    ):
+                        continue
+                    cut += 1
+                    child = _extend(rows, j, s)
+                    assert not _completes(filt, child, edges + s.bit_count(), desc, memo), (
+                        filt, rows, s
+                    )
+    assert cut > 1000
 
 
 def test_refine_keep_exact():
@@ -317,14 +377,16 @@ def test_degree_stage_matches_refine(case):
 # (classes, nodes, sorted pruned) at every order, pinned before canonical
 # acceptance read its first rounds from the parent: no stage may move a
 # child from one prune reason to another.  The forbidden runs test K3
-# before acceptance, on the built child.
+# before acceptance, on the built child.  The window's completion bounds
+# cut different children of the regular runs in the two orders, so
+# their node counts differ.
 PINNED_COUNTS = {
     "copies-c5-n8": (2590, 3274, [("canonical", 2860)]),
     "copies-c5-n8-desc": (2590, 3274, [("canonical", 1457)]),
-    "exr-k3-n10": (88, 2249, [("canonical", 3674)]),
-    "exr-k3-n10-desc": (88, 2249, [("canonical", 1880)]),
-    "regular-10-4-k3": (2, 115, [("canonical", 27), ("forbidden", 537)]),
-    "regular-10-4-k3-desc": (2, 115, [("canonical", 28), ("forbidden", 46)]),
+    "exr-k3-n10": (88, 1062, [("canonical", 1800)]),
+    "exr-k3-n10-desc": (88, 1292, [("canonical", 1382)]),
+    "regular-10-4-k3": (2, 87, [("canonical", 23), ("forbidden", 271)]),
+    "regular-10-4-k3-desc": (2, 59, [("canonical", 19), ("forbidden", 36)]),
     "triangle-free-8": (410, 582, [("canonical", 172), ("forbidden", 3279)]),
     "triangle-free-8-desc": (410, 582, [("canonical", 217), ("forbidden", 106)]),
 }
