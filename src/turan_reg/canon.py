@@ -5,7 +5,11 @@ individualization-refinement tree, of the packed upper-triangle bits of
 the relabeled adjacency matrix.  Two graphs are isomorphic iff their
 certificates (together with the order) coincide.
 
-The ordered-partition machinery follows the usual scheme:
+An ordered partition is a list of cells, each an int mask of its
+vertices; a cell lists its vertices in ascending order, a vertex's count
+in a cell is one AND and popcount, and individualizing v in cell c
+gives the cells ``1 << v`` and ``c ^ (1 << v)``.  The machinery follows
+the usual scheme:
 
   * ``_refine`` drives a partition to its coarsest stable refinement,
     splitting cells by neighbor counts against the cells that changed
@@ -39,30 +43,64 @@ class CanonicalLabel:
     data: bytes
 
 
+def _split(rows, cells, splitters, b, desc):
+    """One refinement round: each cell of ``cells`` split by its vertices'
+    counts in the ``splitters``, packed into keys with ``b`` bits per count.
+
+    Returns the new cells, in order, and the indices of the sub-cells of
+    every split but the last one of each: the splitters of the next round.
+    """
+    new_cells = []
+    active = []
+    for c in cells:
+        if not c & (c - 1):
+            new_cells.append(c)
+            continue
+        buckets = {}
+        t = c
+        while t:
+            low = t & -t
+            rv = rows[low.bit_length() - 1]
+            key = 0
+            for m in splitters:
+                key = (key << b) | (rv & m).bit_count()
+            buckets[key] = buckets.get(key, 0) | low
+            t ^= low
+        if len(buckets) == 1:
+            new_cells.append(c)
+        else:
+            keys = sorted(buckets, reverse=desc)
+            for k in keys[:-1]:
+                active.append(len(new_cells))
+                new_cells.append(buckets[k])
+            new_cells.append(buckets[keys[-1]])
+    return new_cells, active
+
+
 def _refine(rows, n, cells, desc, keep=None, active=None, alone=False):
     """Coarsest stable refinement of an ordered partition.
 
-    Each round splits every cell by its vertices' neighbour counts in the
-    splitter cells and orders the sub-cells by those counts.  The first
-    round's splitters are the cells at the indices ``active`` (all cells
-    by default); a caller passes fewer only when the counts against the
-    others are constant on every cell, or, for a partition by degree
-    with every cell active but the last, fixed by the other counts: a
-    vertex's count in the last cell is its degree less the rest.  Later
-    rounds split only against the cells the previous round created, less
-    the last sub-cell of each split: the counts against an unchanged
-    cell are constant on every current cell, and so is the sum over the
-    sub-cells of a split one, so dropping them changes neither the split
-    nor the order of the sub-cells, whose keys compare lexicographically
-    (the splitter rule of McKay and Piperno, J. Symbolic Comput. 60,
-    2014).  The result is the one a refinement against all cells in
-    every round gives.
+    Cells are int masks.  Each round (``_split``) splits every cell by
+    its vertices' neighbour counts in the splitter cells and orders the
+    sub-cells by those counts.  The first round's splitters are the cells
+    at the indices ``active`` (all cells by default); a caller passes
+    fewer only when the counts against the others are constant on every
+    cell, or, for a partition by degree with every cell active but the
+    last, fixed by the other counts: a vertex's count in the last cell is
+    its degree less the rest.  Later rounds split only against the cells
+    the previous round created, less the last sub-cell of each split: the
+    counts against an unchanged cell are constant on every current cell,
+    and so is the sum over the sub-cells of a split one, so dropping them
+    changes neither the split nor the order of the sub-cells, whose keys
+    compare lexicographically (the splitter rule of McKay and Piperno,
+    J. Symbolic Comput. 60, 2014).  The result is the one a refinement
+    against all cells in every round gives.  With ``active`` empty the
+    partition is taken as stable, and so is a discrete one.
 
     A split key packs a vertex's counts, in splitter order, into one int
-    with a field of ``n.bit_length()`` bits per count, as
-    ``enumeration._degree_stage`` does: no count reaches n, and every key
-    of a round has the same fields, so keys sort as the count tuples do
-    lexicographically.
+    with a field of ``n.bit_length()`` bits per count: no count reaches
+    n, and every key of a round has the same fields, so keys sort as the
+    count tuples do lexicographically.
 
     With ``keep`` set, returns None as soon as vertex ``keep`` leaves the
     last cell.  A round only splits cells and keeps their order, so the
@@ -74,62 +112,28 @@ def _refine(rows, n, cells, desc, keep=None, active=None, alone=False):
     b = n.bit_length()
     if active is None:
         active = range(len(cells))
-    while True:
+    while active:
         if keep is not None:
-            if keep not in cells[-1]:
+            last = cells[-1]
+            if not last >> keep & 1:
                 return None
-            if alone and len(cells[-1]) == 1:
+            if alone and last == 1 << keep:
                 return cells
-        masks = []
-        for i in active:
-            m = 0
-            for v in cells[i]:
-                m |= 1 << v
-            masks.append(m)
-        new_cells = []
-        active = []
-        for c in cells:
-            if len(c) == 1:
-                new_cells.append(c)
-                continue
-            buckets = {}
-            for v in c:
-                rv = rows[v]
-                key = 0
-                for m in masks:
-                    key = (key << b) | (rv & m).bit_count()
-                cell = buckets.get(key)
-                if cell is None:
-                    buckets[key] = [v]
-                else:
-                    cell.append(v)
-            if len(buckets) == 1:
-                new_cells.append(c)
-            else:
-                keys = sorted(buckets, reverse=desc)
-                for k in keys[:-1]:
-                    active.append(len(new_cells))
-                    new_cells.append(buckets[k])
-                new_cells.append(buckets[keys[-1]])
-        if not active:
-            return new_cells
-        cells = new_cells
+        if len(cells) == n:
+            break
+        cells, active = _split(rows, cells, [cells[i] for i in active], b, desc)
+    return cells
 
 
-def _pack_cert(rows, perm, n):
+def _pack_cert(rows, perm):
     cert = 0
-    for i in range(n):
-        ri = rows[perm[i]]
-        for j in range(i + 1, n):
-            cert = (cert << 1) | ((ri >> perm[j]) & 1)
+    rest = list(perm)
+    for u in perm:
+        del rest[0]
+        ru = rows[u]
+        for v in rest:
+            cert = cert << 1 | ru >> v & 1
     return cert
-
-
-def _compose_auto(p0, p1, n):
-    a = [0] * n
-    for i in range(n):
-        a[p0[i]] = p1[i]
-    return tuple(a)
 
 
 def _search(rows, n, cells0, desc):
@@ -138,33 +142,37 @@ def _search(rows, n, cells0, desc):
     first_cert = None
     first_perm = None
     autos = []
-    auto_seen = set()
+    auto_seen = {tuple(range(n))}
 
-    def add_auto(a):
-        if a not in auto_seen and any(a[i] != i for i in range(n)):
+    def add_auto(p0, p1):
+        a = [0] * n
+        for u, w in zip(p0, p1):
+            a[u] = w
+        a = tuple(a)
+        if a not in auto_seen:
             auto_seen.add(a)
             autos.append(a)
 
     def descend(cells):
         nonlocal best_cert, best_perm, first_cert, first_perm
-        idx = -1
-        for i, c in enumerate(cells):
-            if len(c) > 1:
-                idx = i
-                break
-        if idx == -1:
-            perm = tuple(c[0] for c in cells)
-            cert = _pack_cert(rows, perm, n)
+        if len(cells) == n:
+            perm = tuple([c.bit_length() - 1 for c in cells])
+            cert = _pack_cert(rows, perm)
             if first_cert is None:
                 first_cert, first_perm = cert, perm
             else:
                 if cert == first_cert:
-                    add_auto(_compose_auto(first_perm, perm, n))
-                if cert == best_cert and best_perm is not None:
-                    add_auto(_compose_auto(best_perm, perm, n))
+                    add_auto(first_perm, perm)
+                if cert == best_cert and best_perm is not first_perm:
+                    add_auto(best_perm, perm)
             if cert > best_cert:
                 best_cert, best_perm = cert, perm
             return
+        idx = 0
+        for c in cells:
+            if c & (c - 1):
+                break
+            idx += 1
         cell = cells[idx]
         prefix = cells[:idx]
         suffix = cells[idx + 1:]
@@ -172,14 +180,20 @@ def _search(rows, n, cells0, desc):
         stab = []  # the automorphisms found so far that fix every cell
         tested = 0
         cell_of = None
-        for v in cell:
+        t = cell
+        while t:
+            bit = t & -t
+            t ^= bit
+            v = bit.bit_length() - 1
             if explored:
                 if tested < len(autos):
                     if cell_of is None:
                         cell_of = [0] * n
                         for i, c in enumerate(cells):
-                            for u in c:
-                                cell_of[u] = i
+                            while c:
+                                low = c & -c
+                                cell_of[low.bit_length() - 1] = i
+                                c ^= low
                     for a in autos[tested:]:
                         if [cell_of[u] for u in a] == cell_of:
                             stab.append(a)
@@ -196,8 +210,7 @@ def _search(rows, n, cells0, desc):
                                 frontier.append(w)
                     if v in orb:
                         continue
-            rest = [u for u in cell if u != v]
-            descend(_refine(rows, n, prefix + [[v], rest] + suffix, desc, active=(idx,)))
+            descend(_refine(rows, n, prefix + [bit, cell ^ bit] + suffix, desc, active=(idx,)))
             explored.append(v)
 
     descend(cells0)
@@ -212,10 +225,10 @@ def canon_core(rows, n, desc=False):
     """
     if n == 0:
         return (), 0, []
-    cells = _refine(rows, n, [list(range(n))], desc)
-    if all(len(c) == 1 for c in cells):
-        perm = tuple(c[0] for c in cells)
-        return perm, _pack_cert(rows, perm, n), []
+    cells = _refine(rows, n, [(1 << n) - 1], desc)
+    if len(cells) == n:
+        perm = tuple(c.bit_length() - 1 for c in cells)
+        return perm, _pack_cert(rows, perm), []
     return _search(rows, n, cells, desc)
 
 

@@ -12,19 +12,23 @@ isomorphism class without any global seen-set:
     of the canonical labeling.
 
 Acceptance runs its cheapest stage first (the vertex-invariant cascade
-of McKay, J. Algorithms 26, 1998).  Because refinement orders cells by
-degree, the canonical-deletion vertex always carries the extremal
-degree; that depends only on the parent and the attachment set, so it
-is part of the parent's window and no child failing it is built.  The
-second refinement round splits the last degree cell, the new vertex's,
-by the counts in the other degree cells, which the parent's rows and
-the attachment set also give: a child whose new vertex leaves the last
-cell there is rejected, and a leaf whose new vertex is left alone there
-is accepted, without refining the child.  Any other child is refined
-from its degree cells, stopping at the first round that moves the new
-vertex out of the last cell.  When the refined partition is discrete
-the graph is rigid and the decision needs no search at all, nor does it
-at a leaf whose last cell is the new vertex alone.
+of McKay, J. Algorithms 26, 1998), and no stage runs twice or for a
+child already rejected.  Because refinement orders cells by degree, the
+canonical-deletion vertex always carries the extremal degree; that
+depends only on the parent and the attachment set, so it is part of the
+parent's window and no child failing it is built.  The second
+refinement round splits the degree cells by the counts in every degree
+cell but the last, the new vertex's; none of those holds the new
+vertex, so the parent's rows and the attachment set give the round
+before the child exists.  A child whose new vertex leaves the last cell
+there is rejected unbuilt, and a leaf whose new vertex is left alone
+there is accepted without refining.  Any other child is built and
+refined from that round-2 partition, round 3 on, stopping at the first
+round that moves the new vertex out of the last cell.  When the refined
+partition is discrete the graph is rigid and the decision needs no
+search at all, nor does it at a leaf whose last cell is the new vertex
+alone.  Cells are int masks from the degree classes to the search (see
+``canon``).
 
 Filters push down only hereditary consequences (degree caps, edge-count
 reachability, regularity deficiency bounds, forbidden-subgraph
@@ -43,13 +47,13 @@ These bounds cut only children whose subtree emits nothing, so they
 lower the node and prune counts and leave the emitted set and its order
 unchanged.
 
-``GenStats.pruned`` counts the children dropped after they were built,
-by reason: ``forbidden`` (the child contains a forbidden pattern
-through the new vertex), ``canonical`` (the new vertex has the
+``GenStats.pruned`` counts the children dropped by reason:
+``forbidden`` (the child, built for that check, contains a forbidden
+pattern through the new vertex), ``canonical`` (the new vertex has the
 extremal degree but is not in the orbit of the canonical-deletion
-vertex, whether the degree cells or a refinement decide it) and
-``connectivity`` (a leaf failing the ``connected`` filter at
-emission).
+vertex, whether the degree stage decides it before the child is built
+or a refinement after) and ``connectivity`` (a leaf failing the
+``connected`` filter at emission).
 
 The ``desc`` flag flips the cell-ordering convention of the canonical
 form, producing a second, independently structured augmentation tree
@@ -60,9 +64,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import combinations, repeat
 
-from .canon import _refine, _search, orbits_from_generators
-from .graphs import Graph, bits, contains_subgraph, is_connected
+from .canon import _refine, _search, _split, orbits_from_generators
+from .graphs import Graph, contains_subgraph, is_connected
 
 HARD_CAP = 11
 
@@ -149,43 +154,41 @@ def _extend(rows, j, s):
     return tuple(new)
 
 
-def _box_sets(j, box):
-    """The sets of one box ``(free, forced, lo, hi)``, increasing: ``forced | t``
-    for the submasks ``t`` of ``free`` with ``lo <= |forced | t| <= hi``."""
-    free, forced, lo, hi = box
-    if free == (1 << j) - 1:
-        cands = range(1 << j)
-    else:
-        cands = []
-        t = 0
-        while True:
-            cands.append(forced | t)
-            t = (t - free) & free
-            if not t:
-                break
-    if lo > forced.bit_count() or hi < (free | forced).bit_count():
-        cands = [s for s in cands if lo <= s.bit_count() <= hi]
-    return cands
-
-
 def _attachment_reps(j, gens, window):
     """Orbit representatives of the admissible attachment sets, increasing.
 
     ``window`` is a list of boxes (see ``_Run.window``) holding sets of
-    distinct sizes; their sets are merged into one increasing list.  The
-    window is a union of orbits of the parent's automorphism group, so
-    the first candidate met in each orbit is the orbit's minimum, as in
-    a scan of all 2^j subsets.
+    distinct sizes: box ``(free, forced, lo, hi)`` holds ``forced | t``
+    for the submasks t of ``free`` with ``lo <= |forced | t| <= hi``,
+    made one size at a time from the combinations of the bits of
+    ``free``.  The window is a union of orbits of the parent's
+    automorphism group, so the first candidate met in each orbit is the
+    orbit's minimum, as in a scan of all 2^j subsets.  A generator maps
+    a set through two tables, one for the lower h = j // 2 vertices and
+    one for the rest, each indexed by that part of the set.
     """
-    if len(window) == 1:
-        cands = _box_sets(j, window[0])
-    else:
-        cands = []
-        for box in window:
-            cands.extend(_box_sets(j, box))
-        cands.sort()
+    cands = []
+    for free, forced, lo, hi in window:
+        # bit values in descending order: each size comes out decreasing
+        vals = [1 << v for v in range(j - 1, -1, -1) if free >> v & 1]
+        base = forced.bit_count()
+        for k in range(lo - base, hi - base + 1):
+            cands.extend(map(sum, combinations(vals, k), repeat(forced)))
+    cands.sort()
     if not gens:
         return cands
+    h = j // 2
+    low = (1 << h) - 1
+    tables = []
+    for a in gens:
+        halves = []
+        for part in (range(h), range(h, j)):
+            table = [0]
+            for v in part:
+                image = 1 << a[v]
+                table += [u | image for u in table]
+            halves.append(table)
+        tables.append(halves)
     seen = bytearray(1 << j)
     reps = []
     for s in cands:
@@ -196,13 +199,9 @@ def _attachment_reps(j, gens, window):
         stack = [s]
         while stack:
             t = stack.pop()
-            for a in gens:
-                u = 0
-                m = t
-                while m:
-                    low = m & -m
-                    u |= 1 << a[low.bit_length() - 1]
-                    m ^= low
+            tl, th = t & low, t >> h
+            for lower, upper in tables:
+                u = lower[tl] | upper[th]
                 if not seen[u]:
                     seen[u] = 1
                     stack.append(u)
@@ -233,78 +232,76 @@ def _child_degrees(classes, desc):
 def _degree_stage(rows, s, degrees, desc):
     """Refinement rounds 1 and 2 of a child, read from its parent.
 
-    ``rows`` is the child, whose new vertex j has attachment set ``s``
-    and, by the window, the extremal degree; ``degrees`` is the parent's
-    ``_child_degrees``.  Round 1 splits the one cell by degree, so its
-    last cell T holds j.  Round 2 splits against every cell but T, none
-    of which holds j: a vertex's key is its counts in those cells, in
-    cell order, and j's counts are those of s.
+    ``rows`` is the parent, whose child adds vertex j = len(rows) with
+    attachment set ``s`` and, by the window, the extremal degree;
+    ``degrees`` is the parent's ``_child_degrees``.  Round 1 splits the
+    one cell by degree, so its last cell T holds j.  Round 2 splits
+    against every cell but T, none of which holds j, so a vertex's
+    counts there, its key in cell order, are the same in the parent as
+    in the child, and j's are those of s.
 
     Returns None when some vertex of T has a larger key than j (a smaller
     one in ``desc`` order), which is exactly when refinement moves j out
-    of the last cell in round 2.  Otherwise returns the round-1 cells as
-    masks, in cell order, and whether j is alone in the last cell after
-    round 2.
+    of the last cell in round 2.  Otherwise returns the round-1 cells
+    other than T, as masks in cell order, and the round-2 split of T:
+    its sub-cells as masks in cell order, the last one holding j.
     """
+    j = len(rows)
     e = s.bit_count()
+    b = (j + 1).bit_length()  # counts stay below 2^b
     lower = []
-    top = 0
+    kj = top = 0
+    rest = ~s
     for d, stay, grow in degrees:
-        cell = (stay & ~s) | (grow & s)
+        cell = (stay & rest) | (grow & s)
         if d == e:
             top = cell
         elif cell:
             lower.append(cell)
-    b = len(rows).bit_length()  # counts stay below 2^b
-    kj = 0
-    for m in lower:
-        kj = (kj << b) | (s & m).bit_count()
-    alone = True
-    t = top
-    while t:
-        low = t & -t
+            kj = (kj << b) | (s & cell).bit_count()
+    if not top:
+        return lower, [1 << j]
+    split = {kj: 1 << j}
+    while top:
+        low = top & -top
         rv = rows[low.bit_length() - 1]
         kv = 0
         for m in lower:
             kv = (kv << b) | (rv & m).bit_count()
-        if kv == kj:
-            alone = False
-        elif (kv > kj) != desc:
+        if kv != kj and (kv > kj) != desc:
             return None
-        t ^= low
-    lower.append(top | 1 << (len(rows) - 1))
-    return lower, alone
+        split[kv] = split.get(kv, 0) | low
+        top ^= low
+    return lower, [split[k] for k in sorted(split, reverse=desc)]
 
 
-def _accept(rows, s, degrees, desc, leaf):
-    """Canonical-augmentation acceptance for the vertex added last.
+def _accept(rows, stage, desc, leaf):
+    """Canonical-augmentation acceptance for the vertex j added last.
 
-    The window has already admitted only children whose new vertex has
-    the extremal degree.  ``_degree_stage`` then decides from the
-    parent's degree cells whether the new vertex leaves the last cell
-    in refinement round 2, and whether it is left alone there; a ``leaf``,
-    any child whose generators are never read, is accepted then.  Any
-    other child is refined from its degree cells, stopping at the first
-    round that moves the new vertex out of the last cell; a discrete
-    refinement is rigid and needs no search, nor does a leaf once the
-    new vertex is alone in the last cell.
+    ``rows`` is the child and ``stage`` what ``_degree_stage`` returned
+    for it: the window has admitted only children whose new vertex has
+    the extremal degree, and the stage those whose new vertex stays in
+    the last cell in refinement round 2.  A ``leaf``, any child whose
+    generators are never read, is accepted when j is alone there.  Any
+    other child finishes round 2 on the lower cells and is refined from
+    there, round 3 on, stopping at the first round that moves j out of
+    the last cell; a discrete refinement is rigid and needs no search,
+    nor does a leaf once j is alone in the last cell.
 
     Returns (accepted, generators); generators are only meaningful on
     acceptance and feed the child's own subset deduplication.
     """
-    stage = _degree_stage(rows, s, degrees, desc)
-    if stage is None:
-        return False, None
-    masks, alone = stage
-    if leaf and alone:
-        return True, []
+    lower, split = stage
     nc = len(rows)
     j = nc - 1
-    cells = [list(bits(m)) for m in masks]
-    cells = _refine(rows, nc, cells, desc, keep=j, active=range(len(cells) - 1), alone=leaf)
+    if leaf and split[-1] == 1 << j:
+        return True, []
+    cells, active = _split(rows, lower, lower, nc.bit_length(), desc)
+    active += range(len(cells), len(cells) + len(split) - 1)
+    cells = _refine(rows, nc, cells + split, desc, keep=j, active=active, alone=leaf)
     if cells is None:
         return False, None
-    if len(cells) == nc or (leaf and len(cells[-1]) == 1):
+    if len(cells) == nc or (leaf and cells[-1] == 1 << j):
         # j alone in the last cell of every leaf: the canonical-last vertex
         return True, []
     perm, _, autos = _search(rows, nc, cells, desc)
@@ -457,17 +454,22 @@ class _Run:
         # child one vertex short of n never has its generators read either
         leaf = j + 1 == self.n or (self.k is not None and j + 2 == self.n)
         for s in _attachment_reps(j, gens, window):
-            child = _extend(rows, j, s)
+            child = None
             if self.forbidden:
+                child = _extend(rows, j, s)
                 cg = Graph(j + 1, child)
                 if any(contains_subgraph(cg, h, anchor=j) for h in self.forbidden):
                     self.stats.bump("forbidden")
                     continue
-            ok, child_gens = _accept(child, s, degrees, self.desc, leaf)
-            if not ok:
-                self.stats.bump("canonical")
-                continue
-            self.descend(child, j + 1, child_gens, edges + s.bit_count())
+            stage = _degree_stage(rows, s, degrees, self.desc)
+            if stage is not None:
+                if child is None:
+                    child = _extend(rows, j, s)
+                ok, child_gens = _accept(child, stage, self.desc, leaf)
+                if ok:
+                    self.descend(child, j + 1, child_gens, edges + s.bit_count())
+                    continue
+            self.stats.bump("canonical")
 
     def subtree(self, seed, leaf):
         """Descend one seed without emitting: ``leaf`` gets the rows of its
@@ -493,6 +495,8 @@ def enumerate_graphs(filt, visitor=None, desc=False, force=False, jobs=1):
     in serial order, so results and counts are those of a serial run.
     """
     filt.validate()
+    if jobs < 1:
+        raise EnumerationError("jobs must be >= 1")
     if filt.n > HARD_CAP and not force:
         raise EnumerationError(
             f"order {filt.n} beyond enumeration cap {HARD_CAP}; pass --force "
@@ -524,6 +528,8 @@ def enumerate_regular(n, k, visitor=None, desc=False, forbidden=(), force=False,
     """
     if not 0 <= k < n:
         raise EnumerationError("regular degree must satisfy 0 <= k < n")
+    if jobs < 1:
+        raise EnumerationError("jobs must be >= 1")
     if (n * k) % 2 != 0:
         stats = GenStats(infeasible=True)
         return stats

@@ -178,10 +178,17 @@ def _canonical_g6(g):
 # objective accumulators
 
 
+def _check_cap(cap):
+    """A search keeps at most ``cap`` witnesses; 0 keeps none."""
+    if cap < 0:
+        raise SearchError("witness cap must be >= 0")
+
+
 class ExtremeAccumulator:
     """Track max (sign=+1) or min (sign=-1) of a score with witnesses."""
 
     def __init__(self, score_fn, sign=1, cap=DEFAULT_WITNESS_CAP):
+        _check_cap(cap)
         self.score_fn = score_fn
         self.sign = sign
         self.cap = cap
@@ -193,12 +200,14 @@ class ExtremeAccumulator:
         s = self.score_fn(g)
         if self.best is None or self.sign * (s - self.best) > 0:
             self.best = s
-            self.count = 1
-            self.witnesses = [_canonical_g6(g)]
-        elif s == self.best:
-            self.count += 1
-            if len(self.witnesses) < self.cap:
-                self.witnesses.append(_canonical_g6(g))
+            self.count = 0
+            self.witnesses = []
+        elif s != self.best:
+            return
+        self.count += 1
+        if len(self.witnesses) < self.cap:
+            self.witnesses.append(_canonical_g6(g))
+
 
 def _scan_extreme(filt, score_fn, sign, cap, jobs):
     acc = ExtremeAccumulator(score_fn, sign, cap)
@@ -226,6 +235,7 @@ def exr_exact(n, hspec, all_witnesses=False, witness_cap=DEFAULT_WITNESS_CAP, jo
     """
     if n < 1:
         raise SearchError("order must be >= 1")
+    _check_cap(witness_cap)
     members = hspec.members()
     total = GenStats()
     for k in range(n - 1, -1, -1):

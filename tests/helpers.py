@@ -388,13 +388,13 @@ def child_ok_oracle(filt, rows, j, s, edges, desc=False, completion=True):
 
 def split_round(rows, cells, desc):
     """One refinement round that splits every cell against every cell,
-    keyed by the tuple of counts."""
+    keyed by the tuple of counts; cells are int masks, as in ``canon``."""
     new = []
     for c in cells:
         keys = {}
-        for v in c:
-            key = tuple(sum((rows[v] >> u) & 1 for u in d) for d in cells)
-            keys.setdefault(key, []).append(v)
+        for v in bits(c):
+            key = tuple(sum((rows[v] >> u) & 1 for u in bits(d)) for d in cells)
+            keys[key] = keys.get(key, 0) | 1 << v
         new.extend(keys[k] for k in sorted(keys, reverse=desc))
     return new
 
@@ -409,9 +409,10 @@ def refine_oracle(rows, cells, desc):
 
 
 def degree_cells(rows, desc):
-    """The partition by degree, in cell order: the first refinement round
-    of the one-cell partition."""
+    """The partition by degree, as masks in cell order: the first
+    refinement round of the one-cell partition."""
     by_degree = {}
     for v, row in enumerate(rows):
-        by_degree.setdefault(row.bit_count(), []).append(v)
+        d = row.bit_count()
+        by_degree[d] = by_degree.get(d, 0) | 1 << v
     return [by_degree[d] for d in sorted(by_degree, reverse=desc)]

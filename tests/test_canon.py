@@ -24,6 +24,7 @@ from turan_reg.canon import (
     orbits_from_generators,
 )
 from turan_reg.graphs import (
+    bits,
     complete_bipartite,
     complete_graph,
     cycle_graph,
@@ -155,17 +156,17 @@ def test_refine_matches_full_splitting():
     rng = random.Random(4242)
     for _ in range(300):
         g = random_graph_with_twins(rng, 18)
+        one = [(1 << g.n) - 1]
         for desc in (False, True):
-            stable = _refine(g.rows, g.n, [list(range(g.n))], desc)
-            assert stable == refine_oracle(g.rows, [list(range(g.n))], desc)
+            stable = _refine(g.rows, g.n, one, desc)
+            assert stable == refine_oracle(g.rows, one, desc)
             # from the degree partition, every cell active but the last
             cells = degree_cells(g.rows, desc)
             assert _refine(g.rows, g.n, cells, desc, active=range(len(cells) - 1)) == stable
-            idx = next((i for i, c in enumerate(stable) if len(c) > 1), None)
+            idx = next((i for i, c in enumerate(stable) if c & (c - 1)), None)
             if idx is None:
                 continue
-            for v in stable[idx]:
-                rest = [u for u in stable[idx] if u != v]
-                cells = stable[:idx] + [[v], rest] + stable[idx + 1:]
+            for v in bits(stable[idx]):
+                cells = stable[:idx] + [1 << v, stable[idx] ^ 1 << v] + stable[idx + 1:]
                 got = _refine(g.rows, g.n, cells, desc, active=(idx,))
                 assert got == refine_oracle(g.rows, cells, desc)

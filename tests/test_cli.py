@@ -162,8 +162,16 @@ def test_max_copies_long_cycle(capsys):
             "max_degree must be >= 0",
         ),
         (["exr", "--n", "0", "--forbid", "K3"], "order must be >= 1"),
+        (["enumerate", "--n", "5", "--jobs", "0"], "jobs must be >= 1"),
+        (
+            ["max-copies", "--n", "5", "--pattern", "C4", "--max-degree", "2", "--witness-cap", "-1"],
+            "witness cap must be >= 0",
+        ),
     ],
-    ids=["construct", "exr", "enumerate", "probe", "max-copies-family", "max-degree", "exr-order"],
+    ids=[
+        "construct", "exr", "enumerate", "probe", "max-copies-family", "max-degree", "exr-order",
+        "jobs", "witness-cap",
+    ],
 )
 def test_named_error_is_usage_error(argv, message, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -9,8 +9,15 @@ import pytest
 from helpers import all_labeled_graphs, child_ok_oracle, degree_cells, split_round
 
 import turan_reg
-from turan_reg import parallel
-from turan_reg.canon import _refine, _search, canon_core, canonical_label, orbits_from_generators
+from turan_reg import canon, enumeration, parallel
+from turan_reg.canon import (
+    _refine,
+    _search,
+    _split,
+    canon_core,
+    canonical_label,
+    orbits_from_generators,
+)
 from turan_reg.enumeration import (
     EnumerationError,
     GenFilter,
@@ -283,23 +290,24 @@ def test_refine_keep_exact():
     # also from the degree partition, every cell active but the last: the
     # one-cell start gives the same result in every case
     for n in range(1, 6):
+        one = [(1 << n) - 1]
         for g in all_labeled_graphs(n):
             for desc in (False, True):
-                full = _refine(g.rows, n, [list(range(n))], desc)
+                full = _refine(g.rows, n, one, desc)
                 cells = degree_cells(g.rows, desc)
                 active = range(len(cells) - 1)
                 for v in range(n):
-                    got = _refine(g.rows, n, [list(range(n))], desc, keep=v)
-                    alone = _refine(g.rows, n, [list(range(n))], desc, keep=v, alone=True)
+                    got = _refine(g.rows, n, one, desc, keep=v)
+                    alone = _refine(g.rows, n, one, desc, keep=v, alone=True)
                     assert _refine(g.rows, n, cells, desc, keep=v, active=active) == got
                     assert (
                         _refine(g.rows, n, cells, desc, keep=v, active=active, alone=True)
                         == alone
                     )
-                    if v in full[-1]:
+                    if full[-1] >> v & 1:
                         assert got == full
-                        if full[-1] == [v]:
-                            assert alone[-1] == [v]
+                        if full[-1] == 1 << v:
+                            assert alone[-1] == 1 << v
                         else:
                             assert alone == full
                     else:
@@ -311,10 +319,10 @@ def _one_cell_accept(rows, desc, leaf):
     before it: the oracle for ``_accept``."""
     nc = len(rows)
     j = nc - 1
-    cells = _refine(rows, nc, [list(range(nc))], desc, keep=j, alone=leaf)
+    cells = _refine(rows, nc, [(1 << nc) - 1], desc, keep=j, alone=leaf)
     if cells is None:
         return False, None
-    if len(cells) == nc or (leaf and len(cells[-1]) == 1):
+    if len(cells) == nc or (leaf and cells[-1] == 1 << j):
         return True, []
     perm, _, autos = _search(rows, nc, cells, desc)
     orb = orbits_from_generators(nc, autos)
@@ -332,12 +340,14 @@ STAGE_FILTERS = {
     "case", sorted(STAGE_FILTERS) + [f"{case}-desc" for case in sorted(STAGE_FILTERS)]
 )
 def test_degree_stage_matches_refine(case):
-    # every attachment rep of every parent, in both orders: the stage
-    # rejects exactly when two full splitting rounds from one cell move
-    # the new vertex out of the last cell, so refining would return None;
-    # it reads off the degree cells and whether j is then alone there;
-    # and acceptance decides, with the same generators, as refining
-    # from one cell does
+    # every attachment rep of every parent, in both orders: the stage,
+    # read from the parent, rejects exactly when two full splitting
+    # rounds from one cell move the new vertex out of the last cell, so
+    # refining would return None; it reads off the degree cells and the
+    # round-2 split of the last one, and whether j is then alone there;
+    # the round-2 partition it hands on is the full second round; and
+    # acceptance decides, with the same generators, as refining from one
+    # cell does
     desc = case.endswith("-desc")
     filt = STAGE_FILTERS[case.removesuffix("-desc")]
     verdicts = {"reject": 0, "alone": 0, "refine": 0}
@@ -353,25 +363,67 @@ def test_degree_stage_matches_refine(case):
             for s in _attachment_reps(j, gens, window):
                 child = _extend(rows, j, s)
                 nc = j + 1
-                stage = _degree_stage(child, s, degrees, desc)
+                one = [(1 << nc) - 1]
+                stage = _degree_stage(rows, s, degrees, desc)
                 round1 = degree_cells(child, desc)
                 round2 = split_round(child, round1, desc)
                 if stage is None:
                     verdicts["reject"] += 1
-                    assert j not in round2[-1], (rows, s)
-                    assert _refine(child, nc, [list(range(nc))], desc, keep=j) is None
+                    assert not round2[-1] >> j & 1, (rows, s)
+                    assert _refine(child, nc, one, desc, keep=j) is None
                 else:
-                    masks, alone = stage
+                    lower, split = stage
+                    alone = split[-1] == 1 << j
                     verdicts["alone" if alone else "refine"] += 1
-                    assert [sum(1 << v for v in c) for c in round1] == masks, (rows, s)
-                    assert j in round2[-1] and alone == (round2[-1] == [j]), (rows, s)
+                    assert lower + [sum(split)] == round1, (rows, s)
+                    cells, _ = _split(child, lower, lower, nc.bit_length(), desc)
+                    assert cells + split == round2, (rows, s)
+                    assert round2[-1] >> j & 1 and alone == (round2[-1] == 1 << j), (rows, s)
                     if alone:
-                        cells = _refine(child, nc, [list(range(nc))], desc, keep=j, alone=True)
-                        assert cells[-1] == [j]
+                        cells = _refine(child, nc, one, desc, keep=j, alone=True)
+                        assert cells[-1] == 1 << j
                 for leaf in (False, True):
                     want = _one_cell_accept(child, desc, leaf)
-                    assert _accept(child, s, degrees, desc, leaf) == want, (rows, s, leaf)
+                    got = (False, None) if stage is None else _accept(child, stage, desc, leaf)
+                    assert got == want, (rows, s, leaf)
     assert min(verdicts.values()) > 0, verdicts
+
+
+# (children built, refinements from acceptance, refinement rounds in all,
+# searches) of GenFilter(n=8, max_degree=4) in each order.  Building every
+# attachment rep before the degree stage built 6133 and 4730 children.
+ACCEPT_COST = {False: (3581, 1914, 11925, 1361), True: (3582, 1936, 11821, 1382)}
+
+
+@pytest.mark.parametrize("desc", [False, True], ids=["asc", "desc"])
+def test_acceptance_cost(desc, monkeypatch):
+    """A child is built only once the degree stage, read from its parent,
+    has passed it; acceptance refines it from the stage's round-2
+    partition, so a change that builds rejected children again, or
+    refines from the degree cells, changes these counts."""
+    counts = dict.fromkeys(("built", "passed", "refined", "rounds", "searched"), 0)
+
+    def counting(module, name, key, test=lambda out: True):
+        f = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            out = f(*args, **kwargs)
+            counts[key] += test(out)
+            return out
+
+        monkeypatch.setattr(module, name, counted)
+
+    counting(enumeration, "_extend", "built")
+    counting(enumeration, "_degree_stage", "passed", lambda out: out is not None)
+    counting(enumeration, "_refine", "refined")
+    counting(enumeration, "_search", "searched")
+    counting(canon, "_split", "rounds")
+    counting(enumeration, "_split", "rounds")
+    enumerate_graphs(GenFilter(n=8, max_degree=4), desc=desc)
+    assert counts["built"] == counts["passed"]
+    assert (
+        counts["built"], counts["refined"], counts["rounds"], counts["searched"]
+    ) == ACCEPT_COST[desc]
 
 
 # (classes, nodes, sorted pruned) at every order, pinned before canonical
@@ -580,6 +632,15 @@ def test_negative_filter_values_raise(field):
     if field == "max_degree":
         with pytest.raises(EnumerationError, match="max_degree must be >= 0"):
             max_copies_free(5, cycle_graph(4), -1)
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_jobs_below_one_raise(jobs):
+    with pytest.raises(EnumerationError, match="jobs must be >= 1"):
+        enumerate_graphs(GenFilter(n=5), jobs=jobs)
+    # also where no graph can exist: 5 * 3 is odd
+    with pytest.raises(EnumerationError, match="jobs must be >= 1"):
+        enumerate_regular(5, 3, jobs=jobs)
 
 
 def test_infeasible_flag():

@@ -84,6 +84,30 @@ def test_exr_order_must_be_positive(n):
         exr_exact(n, K3)
 
 
+CAPPED_SEARCHES = {
+    "exr": lambda cap: exr_exact(7, K3, all_witnesses=True, witness_cap=cap),
+    "exr-first": lambda cap: exr_exact(7, K3, witness_cap=cap),
+    "max-copies": lambda cap: max_copies_free(7, cycle_graph(5), 3, witness_cap=cap),
+    "max-kt": lambda cap: max_kt(7, 9, 3, 3, witness_cap=cap),
+    "max-k-total": lambda cap: max_k_total(7, 9, 3, witness_cap=cap),
+    "min-triangles": lambda cap: min_triangles_regular(8, 3, witness_cap=cap),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CAPPED_SEARCHES))
+def test_witness_cap(name):
+    # cap 0 keeps no witness and the same objective and count; a negative
+    # cap is an error in every search
+    search = CAPPED_SEARCHES[name]
+    full, none, one = search(16), search(0), search(1)
+    assert full.witnesses and none.witnesses == () and one.witnesses == full.witnesses[:1]
+    assert (none.objective, none.classes) == (one.objective, one.classes) == (
+        full.objective, full.classes
+    )
+    with pytest.raises(SearchError, match="witness cap must be >= 0"):
+        search(-1)
+
+
 def test_exr_witness_includes_circulant():
     res = exr_exact(11, K3, all_witnesses=True)
     assert res.objective == 4
