@@ -243,11 +243,6 @@ def canonical_label(g, desc=False):
     return CanonicalLabel(graph6_encode(canonical_form(g, desc)).encode("ascii"))
 
 
-def automorphism_generators(g):
-    _, _, autos = canon_core(g.rows, g.n)
-    return autos
-
-
 def orbits_from_generators(n, autos):
     """Orbit id per vertex (smallest member) under the generated group."""
     parent = list(range(n))
@@ -268,18 +263,3 @@ def orbits_from_generators(n, autos):
                     parent[rv] = rw
     return [find(v) for v in range(n)]
 
-
-def automorphism_group_order(g):
-    """Order of Aut(g) by closure enumeration; meant for small patterns."""
-    gens = automorphism_generators(g)
-    identity = tuple(range(g.n))
-    group = {identity}
-    frontier = [identity]
-    while frontier:
-        p = frontier.pop()
-        for a in gens:
-            q = tuple(a[p[i]] for i in range(g.n))
-            if q not in group:
-                group.add(q)
-                frontier.append(q)
-    return len(group)

@@ -48,8 +48,9 @@ lower the node and prune counts and leave the emitted set and its order
 unchanged.
 
 ``GenStats.pruned`` counts the children dropped by reason:
-``forbidden`` (the child, built for that check, contains a forbidden
-pattern through the new vertex), ``canonical`` (the new vertex has the
+``forbidden`` (the child would contain a forbidden pattern through the
+new vertex, counted from the parent's rows and the attachment set
+without building the child), ``canonical`` (the new vertex has the
 extremal degree but is not in the orbit of the canonical-deletion
 vertex, whether the degree stage decides it before the child is built
 or a refinement after) and ``connectivity`` (a leaf failing the
@@ -67,7 +68,7 @@ from dataclasses import dataclass, field
 from itertools import combinations, repeat
 
 from .canon import _refine, _search, _split, orbits_from_generators
-from .graphs import Graph, contains_subgraph, is_connected
+from .graphs import Graph, PatternCounter, _extend, contains_subgraph, is_connected
 
 HARD_CAP = 11
 
@@ -140,18 +141,6 @@ class GenStats:
 
 class _Stop(Exception):
     pass
-
-
-def _extend(rows, j, s):
-    bit = 1 << j
-    new = list(rows)
-    m = s
-    while m:
-        low = m & -m
-        new[low.bit_length() - 1] |= bit
-        m ^= low
-    new.append(s)
-    return tuple(new)
 
 
 def _attachment_reps(j, gens, window):
@@ -324,7 +313,7 @@ class _Run:
         if self.k is not None:
             self.m = self.n * self.k // 2
         self.connected = filt.connected
-        self.forbidden = filt.forbidden
+        self.counters = [PatternCounter(h) for h in filt.forbidden]
         self.visitor = visitor
         self.desc = desc
         self.stats = GenStats()
@@ -453,18 +442,15 @@ class _Run:
         # under a regular filter the last vertex has one forced set, so a
         # child one vertex short of n never has its generators read either
         leaf = j + 1 == self.n or (self.k is not None and j + 2 == self.n)
+        # per forbidden pattern: is there a copy through j, child unbuilt
+        checks = [c.through(rows, first=True) for c in self.counters]
         for s in _attachment_reps(j, gens, window):
-            child = None
-            if self.forbidden:
-                child = _extend(rows, j, s)
-                cg = Graph(j + 1, child)
-                if any(contains_subgraph(cg, h, anchor=j) for h in self.forbidden):
-                    self.stats.bump("forbidden")
-                    continue
+            if checks and any(through(s) for through in checks):
+                self.stats.bump("forbidden")
+                continue
             stage = _degree_stage(rows, s, degrees, self.desc)
             if stage is not None:
-                if child is None:
-                    child = _extend(rows, j, s)
+                child = _extend(rows, j, s)
                 ok, child_gens = _accept(child, stage, self.desc, leaf)
                 if ok:
                     self.descend(child, j + 1, child_gens, edges + s.bit_count())

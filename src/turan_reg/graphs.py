@@ -19,8 +19,9 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
-from operator import mul
+from operator import and_, mul
 
 
 class GraphError(ValueError):
@@ -542,44 +543,8 @@ def contains_subgraph(g, h, anchor=None):
     return _embeddings(g, h, anchor, first=True) == 1
 
 
-def count_subgraph_embeddings(g, h):
-    """Number of injective edge-preserving maps from h into g."""
-    return _embeddings(g, h)
-
-
 # ---------------------------------------------------------------------------
 # cycle counting
-
-
-def _count_cycles_dfs(g, m):
-    """Anchored simple-path search; each cycle found twice, halved."""
-    rows = g.rows
-    total = 0
-    for a in range(g.n):
-        higher = -1 << (a + 1)  # vertices above the anchor
-
-        def rec(v, depth, visited):
-            nonlocal total
-            if depth == m - 1:
-                if (rows[v] >> a) & 1:
-                    total += 1
-                return
-            cand = rows[v] & higher & ~visited
-            mm = cand
-            while mm:
-                low = mm & -mm
-                w = low.bit_length() - 1
-                mm ^= low
-                rec(w, depth + 1, visited | low)
-
-        start = rows[a] & higher
-        while start:
-            low = start & -start
-            v = low.bit_length() - 1
-            start ^= low
-            rec(v, 1, (1 << a) | low)
-    assert total % 2 == 0
-    return total // 2
 
 
 def path_counts(rows, length):
@@ -639,6 +604,36 @@ def _sum_at(mask, vals):
     return total
 
 
+def paths_within(rows, s, length, first=False):
+    """Paths of ``length`` >= 1 edges joining two vertices of ``s``.
+
+    Each path is counted once, from its lower end a: a search over
+    simple paths from a counts, at its last step, the neighbours of the
+    current vertex that lie in ``s`` above a and off the path.  With
+    ``first`` set, the search stops as soon as the count is positive.
+    """
+
+    def rec(v, left, used, ends):
+        if left == 1:
+            return (rows[v] & ends & ~used).bit_count()
+        total = 0
+        nxt = rows[v] & ~used
+        while nxt:
+            low = nxt & -nxt
+            nxt ^= low
+            total += rec(low.bit_length() - 1, left - 1, used | low, ends)
+            if first and total:
+                break
+        return total
+
+    total = 0
+    while s and not (first and total):
+        low = s & -s
+        s ^= low
+        total += rec(low.bit_length() - 1, length, low, s)
+    return total
+
+
 def count_cycles(g, m):
     """Number of m-cycle subgraphs, m >= 3, each counted once.
 
@@ -651,17 +646,15 @@ def count_cycles(g, m):
       Zwick 1997), with t3(u) = sum over w in N(u) of a2[u][w] and
       tr A^5 = 2 * sum over edges uw of sum_v a2[u][v] a2[w][v].
 
-    Cycles of 6 or more vertices, of any length, are counted by anchored
-    path search.
+    A cycle of 6 or more vertices is counted at its highest vertex v, as a
+    path of m - 2 edges below v joining two neighbours of v
+    (``paths_within``).
 
-    This is the one full count and the oracle of the searches.  Those
-    send every cycle of 6 or more vertices here and score 4- and 5-cycles
-    in a graph g from its parent g - v, v = n - 1, by the identity
-    C_m(g) = C_m(g - v) + the m-cycles through v
-    (``search.PatternCounter``): this function counts g - v, once per
-    run of consecutive graphs sharing it in the counter's one-entry
-    cache, and ``path_counts`` gives the cycles through v.  Every count
-    is exact in any order of the graphs; only the speed depends on it.
+    This is the one full count, but no search scores with it: they score
+    a graph g from its parent g - v, v = n - 1, as C_m(g - v) plus the
+    m-cycles through v (``PatternCounter``), which for m >= 6 share
+    ``paths_within`` with this function, so an independent count checks
+    both there.
     """
     if m < 3:
         raise GraphError("cycle length must be at least 3")
@@ -669,9 +662,13 @@ def count_cycles(g, m):
         return 0
     if m == 3:
         return triangle_count(g)
-    if m > 5:
-        return _count_cycles_dfs(g, m)
     rows = g.rows
+    if m > 5:
+        total = 0
+        for v in range(m - 1, g.n):
+            low = (1 << v) - 1
+            total += paths_within([r & low for r in rows[:v]], rows[v] & low, m - 2)
+        return total
     a2 = [[(ru & rv).bit_count() for rv in rows] for ru in rows]
     if m == 4:
         pairs = sum(c * (c - 1) for u, au in enumerate(a2) for c in au[u + 1:])
@@ -686,6 +683,131 @@ def count_cycles(g, m):
                 tr5 += sum(map(mul, au, a2[w]))
         wedges += t3 * (au[u] - 1)
     return (2 * tr5 - 5 * wedges) // 10
+
+
+# ---------------------------------------------------------------------------
+# copies through the new vertex
+
+
+def _extend(rows, j, s):
+    """The rows of a graph on j vertices plus a vertex j joined to ``s``."""
+    bit = 1 << j
+    new = list(rows)
+    m = s
+    while m:
+        low = m & -m
+        new[low.bit_length() - 1] |= bit
+        m ^= low
+    new.append(s)
+    return tuple(new)
+
+
+def _classify_pattern(h):
+    degs = sorted(r.bit_count() for r in h.rows)
+    m = h.edge_count
+    if m == math.comb(h.n, 2):
+        return ("clique", h.n)
+    if h.n >= 3 and m == h.n and degs[0] == degs[-1] == 2 and is_connected(h):
+        return ("cycle", h.n)
+    if h.n >= 2 and degs[-1] == h.n - 1 and degs[-2] == 1:
+        return ("star", h.n - 1)
+    # K_{A,B} with B = N(0): the rows outside B are B, those in B the rest
+    b = h.rows[0]
+    rest = ((1 << h.n) - 1) ^ b
+    if b and all(r == (rest if b >> v & 1 else b) for v, r in enumerate(h.rows)):
+        a = rest.bit_count()
+        return ("biclique", (min(a, h.n - a), max(a, h.n - a)))
+    return ("generic", None)
+
+
+class PatternCounter:
+    """Copies of a pattern graph, counted through the vertex added last.
+
+    ``through(rows)`` answers the one question that both forbidden
+    pruning and scoring ask during canonical augmentation: how many
+    copies contain a new vertex j = len(rows) joined to a set s of the
+    graph with these rows.  It returns the function s -> that number,
+    with one formula per kind of pattern:
+
+    - K_t: the (t - 1)-cliques inside s (``cliques_within``);
+    - C4 and C5: the sum over a < b in s of the a-b paths of m - 2 edges
+      (``pair_sum`` of one ``path_counts`` per parent);
+    - C_m, m >= 6: the paths of m - 2 edges joining two vertices of s
+      (``paths_within``);
+    - K_{1,p}: C(|s|, p) with j the centre, plus C(d(u), p - 1) for each
+      centre u in s;
+    - K_{a,b}: for each order (x, y) of the sides, the sum over the sets T
+      of x - 1 vertices of C(|s & N(T)|, y), N(T) their common
+      neighbours, with j on the side of T;
+    - any other pattern: the maps into the child whose image holds j
+      (``_embeddings``), over the order of the pattern's automorphism
+      group, its maps into itself.
+
+    Calling the counter on a graph g scores it by the exact identity
+    count(g) = count(g - v) + through(g - v)(N(v)), v = n - 1.  The
+    first term comes from a cache with one entry per order, holding the
+    last graph of that order with its count and its ``through``.  On a
+    miss the identity climbs, one vertex at a time, from the largest
+    order whose entry holds the first vertices of g, refilling the
+    entries above it.  So any graph is scored exactly whatever came
+    before it: the order only sets how often the cache hits, and
+    enumeration emits the children of one parent one after another,
+    also at ``jobs > 1``, where the visitor runs in the main process.
+    """
+
+    def __init__(self, pattern):
+        if not pattern.n:
+            raise GraphError("a pattern needs at least one vertex")
+        self.pattern = pattern
+        self.kind, self.param = _classify_pattern(pattern)
+        if self.kind == "generic":
+            self.aut = _embeddings(pattern, pattern)
+        # order j -> (rows, count, through) of the last graph of that order
+        self._cache = {0: ((), 0, self.through(()))}
+
+    def through(self, rows, first=False):
+        """The function s -> the copies through vertex len(rows) joined to s.
+
+        With ``first`` set the function is positive iff there is such a
+        copy, and the path and embedding searches stop at the first one.
+        """
+        kind, p = self.kind, self.param
+        if kind == "clique":
+            return lambda s: cliques_within(rows, s, p - 1)
+        if kind == "cycle" and p < 6:
+            paths = path_counts(rows, p - 2)
+            return lambda s: pair_sum(paths, s)
+        if kind == "cycle":
+            return lambda s: paths_within(rows, s, p - 2, first)
+        if kind == "star":
+            leaves = [math.comb(r.bit_count(), p - 1) for r in rows]
+            return lambda s: math.comb(s.bit_count(), p) + _sum_at(s, leaves)
+        if kind == "biclique":
+            a, b = p
+            # T: the other x - 1 vertices of j's side; a set, so K_{a,a} counts once
+            orders = {(a, b), (b, a)}
+            sides = [(reduce(and_, t), y) for x, y in orders for t in combinations(rows, x - 1)]
+            return lambda s: sum(math.comb((s & c).bit_count(), y) for c, y in sides)
+        h, j = self.pattern, len(rows)
+        aut = 1 if first else self.aut
+        return lambda s: _embeddings(Graph(j + 1, _extend(rows, j, s)), h, j, first) // aut
+
+    def __call__(self, g):
+        if not g.n:
+            return 0
+        rows, cache = g.rows, self._cache
+        prefixes = []  # the first j vertices of g, from j = n - 1 down to a cached graph
+        for j in range(g.n - 1, -1, -1):
+            low = (1 << j) - 1
+            prefixes.append(tuple([r & low for r in rows[:j]]))
+            if j in cache and cache[j][0] == prefixes[-1]:
+                break
+        _, count, through = cache[j]
+        for prefix in reversed(prefixes[:-1]):
+            count += through(prefix[-1])
+            through = self.through(prefix)
+            cache[len(prefix)] = (prefix, count, through)
+        return count + through(rows[-1])
 
 
 # ---------------------------------------------------------------------------

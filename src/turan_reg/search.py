@@ -10,30 +10,23 @@ reported value is the true optimum over the class list.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb
 
-from .canon import automorphism_group_order, canonical_form
+from .canon import canonical_form
 from .enumeration import GenFilter, GenStats, enumerate_graphs, enumerate_regular
 from .formulas import FamilySpec, conjectured_triangle_min, forced_triangle_window, gls_critical_range
 from .graphs import (
     Graph,
+    PatternCounter,
     bits,
-    cliques_within,
     complete_bipartite,
     complete_graph,
     connected_components,
     count_cliques,
-    count_complete_bipartite,
     count_cycles,
-    count_stars,
-    count_subgraph_embeddings,
     cycle_graph,
     graph6_decode,
     graph6_encode,
-    is_connected,
     odd_girth,
-    pair_sum,
-    path_counts,
     total_cliques,
 )
 
@@ -296,88 +289,6 @@ def min_triangles_regular(n, k, witness_cap=DEFAULT_WITNESS_CAP, jobs=1):
     elif acc.best is None:
         result.extra["reason"] = "no k-regular graph on n vertices"
     return result
-
-
-def _classify_pattern(h):
-    degs = sorted(r.bit_count() for r in h.rows)
-    m = h.edge_count
-    if m == comb(h.n, 2):
-        return ("clique", h.n)
-    if h.n >= 3 and m == h.n and degs[0] == degs[-1] == 2 and is_connected(h):
-        return ("cycle", h.n)
-    if h.n >= 2 and degs[-1] == h.n - 1 and degs[-2] == 1:
-        return ("star", h.n - 1)
-    # K_{A,B} with B = N(0): the rows outside B are B, those in B the rest
-    b = h.rows[0]
-    rest = ((1 << h.n) - 1) ^ b
-    if b and all(r == (rest if b >> v & 1 else b) for v, r in enumerate(h.rows)):
-        a = rest.bit_count()
-        return ("biclique", (min(a, h.n - a), max(a, h.n - a)))
-    return ("generic", None)
-
-
-class PatternCounter:
-    """Copy counter for a pattern graph, dispatching to the census ops.
-
-    Cliques and 4- and 5-cycles score a graph g from its parent g - v,
-    where v = n - 1 is the vertex that canonical augmentation added last,
-    by the exact identity C(g) = C(g - v) + (copies through v).  With
-    s = N(v), the t-cliques through v are the (t - 1)-cliques inside s
-    (``cliques_within``), and the m-cycles through v are the sum over
-    a < b in s of P_{m-2}(a, b), the a-b paths of m - 2 edges in g - v
-    (``pair_sum`` of ``path_counts``).  A one-entry cache keyed by the
-    rows of g - v holds its count and, for cycles, its path matrix; on a
-    miss both are recomputed, the count by ``count_cliques`` or
-    ``count_cycles``.  So any graph is scored exactly whatever came
-    before it: the order only sets how often the cache hits, and
-    enumeration emits the children of one parent one after another, also
-    at ``jobs > 1``, where the visitor runs in the main process.
-
-    Cycles of 6 or more vertices go to ``count_cycles``, and patterns of
-    no named kind to the embedding count over the order of the
-    automorphism group.
-    """
-
-    def __init__(self, pattern):
-        self.pattern = pattern
-        self.kind, self.param = _classify_pattern(pattern)
-        self._parent = None  # rows of the last parent g - v
-        self._count = 0  # its copies
-        self._paths = None  # its path matrix, for cycles
-        if self.kind == "generic":
-            self.aut = automorphism_group_order(pattern)
-
-    def __call__(self, g):
-        kind, p = self.kind, self.param
-        if kind == "clique" or (kind == "cycle" and p in (4, 5)):
-            return self._from_parent(g)
-        if kind == "cycle":
-            return count_cycles(g, p)
-        if kind == "star":
-            return count_stars(g, p)
-        if kind == "biclique":
-            return count_complete_bipartite(g, p[0], p[1])
-        embeddings = count_subgraph_embeddings(g, self.pattern)
-        assert embeddings % self.aut == 0
-        return embeddings // self.aut
-
-    def _from_parent(self, g):
-        if not g.n:
-            return 0
-        p = self.param
-        low = (1 << (g.n - 1)) - 1
-        parent = tuple([r & low for r in g.rows[:-1]])
-        if parent != self._parent:
-            if self.kind == "clique":
-                self._count = count_cliques(Graph(g.n - 1, parent), p)
-            else:
-                self._count = count_cycles(Graph(g.n - 1, parent), p)
-                self._paths = path_counts(parent, p - 2)
-            self._parent = parent
-        s = g.rows[-1]
-        if self.kind == "clique":
-            return self._count + cliques_within(parent, s, p - 1)
-        return self._count + pair_sum(self._paths, s)
 
 
 def max_copies_free(n, pattern, forbidden_star_r, witness_cap=DEFAULT_WITNESS_CAP, jobs=1):

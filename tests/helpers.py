@@ -3,13 +3,16 @@
 Everything here recomputes values by direct enumeration (permutations,
 vertex subsets, all labeled graphs) and stays deliberately ignorant of
 the package's own algorithms.  The fixed graphs, the edge-list parser
-and the invariant check at the top are fixtures the tests share.
+and the invariant check at the top are fixtures the tests share.  The
+package routines that only the tests call sit here too: the
+automorphism group of a pattern and the embedding count.
 """
 
 import itertools
 import random
 
-from turan_reg.graphs import Graph, GraphError, bits, from_edges, relabel
+from turan_reg.canon import canon_core
+from turan_reg.graphs import Graph, GraphError, _embeddings, bits, from_edges, relabel
 
 
 def path_graph(n):
@@ -319,6 +322,32 @@ def naive_embedding_count(g, h):
         if all(g.has_edge(image[i], image[j]) for i, j in hedges):
             count += 1
     return count
+
+
+def count_subgraph_embeddings(g, h):
+    """Number of injective edge-preserving maps from h into g."""
+    return _embeddings(g, h)
+
+
+def automorphism_generators(g):
+    _, _, autos = canon_core(g.rows, g.n)
+    return autos
+
+
+def automorphism_group_order(g):
+    """Order of Aut(g) by closure enumeration; meant for small patterns."""
+    gens = automorphism_generators(g)
+    identity = tuple(range(g.n))
+    group = {identity}
+    frontier = [identity]
+    while frontier:
+        p = frontier.pop()
+        for a in gens:
+            q = tuple(a[p[i]] for i in range(g.n))
+            if q not in group:
+                group.add(q)
+                frontier.append(q)
+    return len(group)
 
 
 def naive_contains(g, h):

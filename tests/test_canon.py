@@ -3,6 +3,8 @@ import random
 
 from helpers import (
     all_labeled_graphs,
+    automorphism_generators,
+    automorphism_group_order,
     brute_cert,
     brute_orbit_partition,
     degree_cells,
@@ -16,8 +18,6 @@ from helpers import (
 
 from turan_reg.canon import (
     _refine,
-    automorphism_generators,
-    automorphism_group_order,
     canon_core,
     canonical_form,
     canonical_label,

@@ -28,6 +28,7 @@ from helpers import (
 
 from turan_reg.graphs import (
     Graph,
+    PatternCounter,
     bits,
     complete_bipartite,
     complete_graph,
@@ -45,7 +46,7 @@ from turan_reg.graphs import (
     star_graph,
     triangle_count,
 )
-from turan_reg.search import PatternCounter, max_copies_free
+from turan_reg.search import max_copies_free
 
 nx = pytest.importorskip("networkx")
 from networkx.algorithms.isomorphism import GraphMatcher  # noqa: E402
@@ -224,20 +225,19 @@ def test_long_cycles_random():
 
 def test_cycles_through_last_vertex_random():
     """What the counter adds to the parent's count is the number of
-    m-cycles through the last vertex."""
+    m-cycles through the last vertex, for every route of ``through``."""
     rng = seeded_rng()
-    counters = {m: PatternCounter(cycle_graph(m)) for m in (3, 4, 5)}
+    counters = {m: PatternCounter(cycle_graph(m)) for m in range(3, 8)}
     for _ in range(60):
         g = random_graph(rng, rng.randint(6, 9))
         G = to_nx(g)
         v = g.n - 1
         parent = induced_subgraph(g, v)
         for m, counter in counters.items():
-            through = counter(g) - count_cycles(parent, m)
-            expected = sum(
-                1 for c in nx.simple_cycles(G, length_bound=m) if len(c) == m and v in c
-            )
-            assert through == expected, (g.rows, m)
+            cycles = [c for c in nx.simple_cycles(G, length_bound=m) if len(c) == m]
+            through = counter.through(parent.rows)(g.rows[v])
+            assert through == sum(v in c for c in cycles), (g.rows, m)
+            assert counter(g) == len(cycles), (g.rows, m)
 
 
 def test_copies_search_jobs_agree():

@@ -9,7 +9,7 @@ import pytest
 from helpers import all_labeled_graphs, child_ok_oracle, degree_cells, split_round
 
 import turan_reg
-from turan_reg import canon, enumeration, parallel
+from turan_reg import canon, enumeration, graphs, parallel
 from turan_reg.canon import (
     _refine,
     _search,
@@ -33,6 +33,7 @@ from turan_reg.enumeration import (
     enumerate_regular,
 )
 from turan_reg.graphs import (
+    PatternCounter,
     complete_graph,
     contains_subgraph,
     cycle_graph,
@@ -426,12 +427,60 @@ def test_acceptance_cost(desc, monkeypatch):
     ) == ACCEPT_COST[desc]
 
 
+@pytest.mark.parametrize("desc", [False, True], ids=["asc", "desc"])
+def test_forbidden_check_builds_no_child(desc, monkeypatch):
+    """A direct-side forbidden pattern is decided from the parent's rows
+    and the attachment set: no child pruned under ``forbidden`` is built
+    or backtracked, every child built has passed the degree stage, and an
+    enumeration with no forbidden pattern asks for no copy count."""
+    counts = dict.fromkeys(("built", "staged", "passed", "embedded", "parents", "checked"), 0)
+
+    def counting(module, name, key, test=lambda out: True):
+        f = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            out = f(*args, **kwargs)
+            counts[key] += test(out)
+            return out
+
+        monkeypatch.setattr(module, name, counted)
+
+    counting(enumeration, "_extend", "built")
+    counting(enumeration, "_degree_stage", "staged")
+    counting(enumeration, "_degree_stage", "passed", lambda out: out is not None)
+    counting(enumeration, "contains_subgraph", "embedded")
+    counting(graphs, "_embeddings", "embedded")
+    through = PatternCounter.through
+
+    def counted_through(self, rows, **kwargs):
+        counts["parents"] += 1
+        check = through(self, rows, **kwargs)
+
+        def counted_check(s):
+            counts["checked"] += 1
+            return check(s)
+
+        return counted_check
+
+    monkeypatch.setattr(PatternCounter, "through", counted_through)
+    stats = enumerate_graphs(GenFilter(n=8, forbidden=HSpec.parse("K3").members()), desc=desc)
+    assert counts["embedded"] == 0
+    assert counts["built"] == counts["passed"]
+    assert counts["checked"] == stats.pruned["forbidden"] + counts["staged"]
+    assert counts["parents"] > 0
+    counts.update(parents=0, checked=0)
+    enumerate_graphs(GenFilter(n=8, max_degree=4), desc=desc)
+    assert counts["parents"] == counts["checked"] == 0
+
+
 # (classes, nodes, sorted pruned) at every order, pinned before canonical
 # acceptance read its first rounds from the parent: no stage may move a
-# child from one prune reason to another.  The forbidden runs test K3
-# before acceptance, on the built child.  The window's completion bounds
-# cut different children of the regular runs in the two orders, so
-# their node counts differ.
+# child from one prune reason to another.  The forbidden runs count the
+# copies through the new vertex before acceptance, one formula per kind
+# of pattern (K3, C4, C3..C5 and K2,3 here), and were pinned when they
+# still tested the built child.  The window's completion bounds cut
+# different children of the regular runs in the two orders, so their
+# node counts differ.
 PINNED_COUNTS = {
     "copies-c5-n8": (2590, 3274, [("canonical", 2860)]),
     "copies-c5-n8-desc": (2590, 3274, [("canonical", 1457)]),
@@ -441,6 +490,12 @@ PINNED_COUNTS = {
     "regular-10-4-k3-desc": (2, 59, [("canonical", 19), ("forbidden", 36)]),
     "triangle-free-8": (410, 582, [("canonical", 172), ("forbidden", 3279)]),
     "triangle-free-8-desc": (410, 582, [("canonical", 217), ("forbidden", 106)]),
+    "regular-10-4-c4": (0, 70, [("canonical", 15), ("forbidden", 260)]),
+    "regular-10-4-c4-desc": (0, 45, [("canonical", 16), ("forbidden", 26)]),
+    "c3-c5-free-8": (306, 456, [("canonical", 106), ("forbidden", 2827)]),
+    "c3-c5-free-8-desc": (306, 456, [("canonical", 152), ("forbidden", 100)]),
+    "regular-10-4-k23": (6, 339, [("canonical", 351), ("forbidden", 753)]),
+    "regular-10-4-k23-desc": (6, 287, [("canonical", 254), ("forbidden", 270)]),
 }
 
 
@@ -460,8 +515,11 @@ def _pinned_run(case):
         for k in range(9, 4, -1):
             stats.merge(enumerate_regular(10, k, forbidden=k3, desc=True))
         return stats
-    if name == "regular-10-4-k3":
-        return enumerate_regular(10, 4, forbidden=k3, desc=desc)
+    if name.startswith("regular-10-4-"):
+        pattern = {"k3": "K3", "c4": "C4", "k23": "K2,3"}[name.removeprefix("regular-10-4-")]
+        return enumerate_regular(10, 4, forbidden=HSpec.parse(pattern).members(), desc=desc)
+    if name == "c3-c5-free-8":
+        return enumerate_graphs(GenFilter(n=8, forbidden=HSpec.parse("C3..C5").members()), desc=desc)
     return enumerate_graphs(GenFilter(n=8, forbidden=k3), desc=desc)
 
 

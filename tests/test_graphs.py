@@ -12,6 +12,7 @@ from helpers import (
     blow_up,
     check_invariants,
     class_sizes,
+    count_subgraph_embeddings,
     naive_contains,
     naive_cycle_count,
     naive_embedding_count,
@@ -42,7 +43,6 @@ from turan_reg.graphs import (
     count_complete_bipartite,
     count_cycles,
     count_stars,
-    count_subgraph_embeddings,
     cycle_graph,
     disjoint_union,
     empty_graph,

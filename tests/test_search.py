@@ -1,20 +1,36 @@
+from collections import Counter
 from functools import partial
 
 import pytest
 
-from helpers import all_labeled_graphs, naive_embedding_count, path_graph, random_graph, seeded_rng, two_coloring
+from helpers import (
+    all_labeled_graphs,
+    automorphism_group_order,
+    naive_embedding_count,
+    path_graph,
+    random_graph,
+    seeded_rng,
+    two_coloring,
+)
 
-from turan_reg.canon import automorphism_group_order, canonical_label
+from turan_reg.canon import canonical_label
 from turan_reg.constructions import apex_construction, circulant_small_odd
 from turan_reg.enumeration import GenFilter, enumerate_graphs
 from turan_reg.formulas import FamilySpec
 from turan_reg.graphs import (
     Graph,
+    GraphError,
+    PatternCounter,
+    _classify_pattern,
+    _embeddings,
+    _extend,
     complete_bipartite,
     complete_graph,
     connected_components,
     count_cliques,
+    count_complete_bipartite,
     count_cycles,
+    count_stars,
     cycle_graph,
     disjoint_union,
     from_edges,
@@ -23,9 +39,7 @@ from turan_reg.graphs import (
 )
 from turan_reg.search import (
     HSpec,
-    PatternCounter,
     SearchError,
-    _classify_pattern,
     _kr1_component_split,
     exr_exact,
     max_copies_free,
@@ -213,7 +227,7 @@ def test_pattern_counter_dispatch():
         for _ in range(8):
             g = random_graph(rng, rng.randint(4, 7))
             assert counter(g) == naive_embedding_count(g, pat) // aut, (kind, g.rows)
-    # C6 and longer go to count_cycles
+    # C6 and longer count the paths that close a cycle through the new vertex
     for m in range(6, 10):
         pat = cycle_graph(m)
         counter = PatternCounter(pat)
@@ -221,6 +235,13 @@ def test_pattern_counter_dispatch():
         for _ in range(4):
             g = random_graph(rng, m, rng.uniform(0.6, 1.0))
             assert counter(g) == naive_embedding_count(g, pat) // (2 * m), (m, g.rows)
+    # a cold cache climbs one order at a time, with no recursion per order
+    big = disjoint_union(cycle_graph(1500), complete_graph(4))
+    assert PatternCounter(complete_graph(3))(big) == 4
+    # a pattern without vertices is refused, not counted as the order of g
+    for refused in (lambda: PatternCounter(Graph(0, ())), lambda: max_copies_free(4, Graph(0, ()), 2)):
+        with pytest.raises(GraphError, match="at least one vertex"):
+            refused()
 
 
 def _classify_oracle(h):
@@ -270,9 +291,9 @@ def _with_last_row(g, s):
 
 def test_pattern_counter_from_parent_any_order():
     """Scoring from the parent is exact in any order: one counter per
-    pattern sees the n = 8 classes in emission order, then shuffled, then
-    random graphs of orders 1..9, each followed by siblings that share
-    its parent, so a stale cache entry would show."""
+    pattern, of every kind, sees the n = 8 classes in emission order,
+    then shuffled, then random graphs of orders 1..9, each followed by
+    siblings that share its parent, so a stale cache entry would show."""
     classes = []
     enumerate_graphs(GenFilter(n=8, max_degree=4), visitor=classes.append)
     shuffled = list(classes)
@@ -286,10 +307,54 @@ def test_pattern_counter_from_parent_any_order():
             mixed.append(_with_last_row(g, rng.getrandbits(g.n - 1)))
     cases = [(cycle_graph(m), partial(count_cycles, m=m)) for m in (3, 4, 5)]
     cases += [(complete_graph(t), partial(count_cliques, t=t)) for t in (1, 2, 4)]
+    cases += [(star_graph(3), partial(count_stars, s=3))]
+    cases += [(complete_bipartite(a, b), partial(count_complete_bipartite, a=a, b=b)) for a, b in ((2, 3), (3, 3))]
+    # count_cycles shares paths_within with the counter from C6 on, so
+    # networkx counts the cycles of 6 and 7 vertices, both in one pass
+    nx = pytest.importorskip("networkx")
+    lengths = {}
+
+    def nx_cycles(g, m):
+        if g.rows not in lengths:
+            cycles = nx.simple_cycles(nx.Graph(list(g.edges())), length_bound=7)
+            lengths[g.rows] = Counter(map(len, cycles))
+        return lengths[g.rows][m]
+
+    cases += [(cycle_graph(m), partial(nx_cycles, m=m)) for m in (6, 7)]
+    p4 = path_graph(4)
+    cases += [(p4, lambda g: naive_embedding_count(g, p4) // automorphism_group_order(p4))]
     for pattern, oracle in cases:
         counter = PatternCounter(pattern)
+        memo = {}
         for g in classes + shuffled + mixed:
-            assert counter(g) == oracle(g), (pattern.rows, g.rows)
+            if g.rows not in memo:
+                memo[g.rows] = oracle(g)
+            assert counter(g) == memo[g.rows], (pattern.rows, g.rows)
+
+
+def test_through_matches_anchored_embeddings():
+    """For every kind, ``through(rows)(s)`` is the number of maps of the
+    pattern into the child whose image holds the new vertex, over the
+    order of the pattern's automorphism group; with ``first`` it is
+    positive iff that number is."""
+    rng = seeded_rng()
+    patterns = [complete_graph(t) for t in (1, 2, 3, 4)]
+    patterns += [cycle_graph(m) for m in (4, 5, 6, 7)]
+    patterns += [star_graph(p) for p in (2, 3)]
+    patterns += [complete_bipartite(a, b) for a, b in ((2, 3), (3, 3), (2, 4))]
+    patterns += [path_graph(4), from_edges(4, [(0, 1), (2, 3)]), Graph(2, (0, 0))]
+    for pattern in patterns:
+        counter = PatternCounter(pattern)
+        aut = automorphism_group_order(pattern)
+        for _ in range(30):
+            j = rng.randint(0, 8)
+            rows = random_graph(rng, j).rows
+            through, exists = counter.through(rows), counter.through(rows, first=True)
+            for s in {0, (1 << j) - 1} | {rng.getrandbits(j) for _ in range(4)}:
+                child = Graph(j + 1, _extend(rows, j, s))
+                copies = _embeddings(child, pattern, j) // aut
+                assert through(s) == copies, (pattern.rows, rows, s)
+                assert (exists(s) > 0) == (copies > 0), (pattern.rows, rows, s)
 
 
 def test_max_copies_free_star_prop():
