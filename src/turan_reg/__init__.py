@@ -13,9 +13,7 @@ from .graphs import (
     complete_graph,
     contains_subgraph,
     count_cliques,
-    count_complete_bipartite,
     count_cycles,
-    count_stars,
     cycle_graph,
     empty_graph,
     from_edges,
@@ -38,9 +36,7 @@ __all__ = [
     "complete_graph",
     "contains_subgraph",
     "count_cliques",
-    "count_complete_bipartite",
     "count_cycles",
-    "count_stars",
     "cycle_graph",
     "empty_graph",
     "from_edges",

@@ -22,7 +22,6 @@ from itertools import combinations
 from math import comb
 
 from . import constructions
-from .canon import canonical_label
 from .enumeration import EnumerationError, GenFilter, enumerate_graphs
 from .formulas import (
     FamilySpec,
@@ -54,6 +53,7 @@ from .graphs import (
 from .search import (
     HSpec,
     SearchError,
+    _canonical_g6,
     exr_exact,
     max_copies_free,
     max_k_total,
@@ -133,12 +133,8 @@ def _op_min_triangles(args, ctx):
 
 def _op_supersat_unique(args, ctx):
     res = min_triangles_regular(9, 4, jobs=ctx["jobs"])
-    target = canonical_label(constructions.apex_construction(9, 4).graph)
-    return (
-        res.objective == 2
-        and res.classes == 1
-        and canonical_label(graph6_decode(res.witnesses[0])) == target
-    )
+    target = _canonical_g6(constructions.apex_construction(9, 4).graph)
+    return res.objective == 2 and res.classes == 1 and res.witnesses[0] == target
 
 
 def _op_apex_window(args, ctx):
@@ -203,19 +199,14 @@ def _op_goodman_random(args, ctx):
     return worst
 
 
-def _star_partitions(n):
-    """All leaf-count lists with sum(a_i + 1) = n, a_i >= 1."""
-    def rec(remaining, minimum):
-        if remaining == 0:
-            yield []
-            return
-        for first in range(minimum, remaining - 1):
-            for rest in rec(remaining - first - 1, first):
-                yield [first] + rest
-        if remaining >= 2:
-            yield [remaining - 1]
-    for parts in rec(n, 1):
-        yield parts
+def _star_partitions(n, least=1):
+    """Each multiset of leaf counts a_i >= least with sum(a_i + 1) = n,
+    once, as a nondecreasing list."""
+    if n == 0:
+        yield []
+    for first in range(least, n):
+        for rest in _star_partitions(n - first - 1, first):
+            yield [first] + rest
 
 
 def _op_c5_forest_oracle(args, ctx):
@@ -257,10 +248,7 @@ def _c5_target(n, kind):
 
 def _op_c5_search(args, ctx):
     res = max_copies_free(args["n"], cycle_graph(5), args["r"], jobs=ctx["jobs"])
-    tl = canonical_label(_c5_target(args["n"], args["kind"]))
-    witness_ok = bool(res.witnesses) and canonical_label(
-        graph6_decode(res.witnesses[0])
-    ) == tl
+    witness_ok = res.witnesses[:1] == (_canonical_g6(_c5_target(args["n"], args["kind"])),)
     return {"value": res.objective, "classes": res.classes, "witness_ok": witness_ok}
 
 
@@ -277,9 +265,7 @@ def _op_star_count_prop(args, ctx):
 def _op_biclique_prop(args, ctx):
     n, r, a, b = args["n"], args["r"], args["a"], args["b"]
     res = max_copies_free(n, complete_bipartite(a, b), r, jobs=ctx["jobs"])
-    target = canonical_label(complete_bipartite(r, r))
-    hit = any(canonical_label(graph6_decode(w)) == target for w in res.witnesses)
-    return hit and n == 2 * r
+    return _canonical_g6(complete_bipartite(r, r)) in res.witnesses and n == 2 * r
 
 
 def _op_construction_sweep(args, ctx):
@@ -622,7 +608,7 @@ def _cmd_max_cliques(ns):
 
 
 def _cmd_max_copies(ns):
-    members = HSpec.parse(ns.pattern).members()
+    members = HSpec.parse(ns.pattern).members
     if len(members) > 1:
         raise SearchError(f"max-copies counts one pattern; {ns.pattern} has {len(members)} members")
     res = max_copies_free(ns.n, members[0], ns.max_degree, witness_cap=ns.witness_cap, jobs=ns.jobs)

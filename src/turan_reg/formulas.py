@@ -38,14 +38,6 @@ class FamilySpec:
         if self.kind == "triangle" and self.ell != 2:
             raise FormulaError("triangle family fixes ell = 2")
 
-    @property
-    def cycle_lengths(self):
-        if self.kind == "triangle":
-            return (3,)
-        if self.kind == "odd-cycle":
-            return (2 * self.ell - 1,)
-        return tuple(range(3, 2 * self.ell, 2))
-
 
 @dataclass(frozen=True)
 class ClosedFormValue:

@@ -199,31 +199,6 @@ def total_cliques(g):
     return rec((1 << g.n) - 1) - g.n
 
 
-def count_stars(g, s):
-    """Number of K_{1,s} subgraphs: sum of C(deg v, s)."""
-    if s < 1:
-        raise GraphError("star size must be >= 1")
-    return sum(math.comb(r.bit_count(), s) for r in g.rows)
-
-
-def count_complete_bipartite(g, a, b):
-    """Number of K_{a,b} subgraphs, each copy counted once."""
-    if a < 1 or b < 1:
-        raise GraphError("biclique sides must be >= 1")
-    rows = g.rows
-    total = 0
-    for side in combinations(range(g.n), a):
-        common = (1 << g.n) - 1
-        for v in side:
-            common &= rows[v]
-        total += math.comb(common.bit_count(), b)
-    if a == b:
-        # each copy seen from both sides
-        assert total % 2 == 0
-        total //= 2
-    return total
-
-
 def _twin_classes(g):
     """Classes of identical rows: ``(keep, twins)``.
 
@@ -534,13 +509,9 @@ def _embeddings(g, h, anchor=None, first=False):
     return rec(0, 0)
 
 
-def contains_subgraph(g, h, anchor=None):
-    """True iff h embeds into g as a (not necessarily induced) subgraph.
-
-    With ``anchor`` set, only embeddings whose image contains that vertex
-    of g are accepted; the empty pattern is contained with any anchor.
-    """
-    return _embeddings(g, h, anchor, first=True) == 1
+def contains_subgraph(g, h):
+    """True iff h embeds into g as a (not necessarily induced) subgraph."""
+    return _embeddings(g, h, first=True) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from .canon import canonical_form
 from .enumeration import GenFilter, GenStats, enumerate_graphs, enumerate_regular
 from .formulas import FamilySpec, conjectured_triangle_min, forced_triangle_window, gls_critical_range
 from .graphs import (
-    Graph,
     PatternCounter,
     bits,
     complete_bipartite,
@@ -37,68 +36,39 @@ class SearchError(ValueError):
     pass
 
 
+# a size below 1, or a member without an edge
+_DEGENERATE = (
+    "a clique needs at least 2 vertices, a star at least 1 leaf, "
+    "a biclique at least 1 vertex in each part, a g6 pattern at least 1 edge"
+)
+
+
+def _sizes(*sizes):
+    if min(sizes) < 1:
+        raise SearchError(_DEGENERATE)
+    return sizes
+
+
 @dataclass(frozen=True)
 class HSpec:
-    """A forbidden pattern: a named family or an explicit graph.
+    """A forbidden pattern: its normalized name and its member graphs.
 
-    Exactly one of ``family``/``graph``/``clique``/``star``/``biclique``
-    is set; ``clique`` is the order of a complete graph, ``star`` the leaf
-    count of a K_{1,s} and ``biclique`` the part sizes (a, b) of a K_{a,b}.
+    A graph is pattern-free when it contains no member.  ``family`` is
+    the odd-cycle family of the triangle and of the odd-cycle patterns,
+    for the closed form; it is None for every other pattern.
     """
 
+    name: str
+    members: tuple
     family: FamilySpec | None = None
-    graph: Graph | None = None
-    clique: int | None = None
-    star: int | None = None
-    biclique: tuple[int, int] | None = None
 
     def __post_init__(self):
-        set_count = sum(
-            x is not None for x in (self.family, self.graph, self.clique, self.star, self.biclique)
-        )
-        if set_count != 1:
-            raise SearchError("exactly one pattern kind must be given")
-        if self.graph is not None and self.graph.edge_count < 1:
-            raise SearchError("explicit pattern needs at least one edge")
-        if (
-            self.clique is not None and self.clique < 2
-            or self.star is not None and self.star < 1
-            or self.biclique is not None and min(self.biclique) < 1
-        ):
-            raise SearchError(
-                "a clique needs at least 2 vertices, a star at least 1 leaf, "
-                "a biclique at least 1 vertex in each part"
-            )
-
-    def members(self):
-        if self.family is not None:
-            return tuple(cycle_graph(m) for m in self.family.cycle_lengths)
-        if self.clique is not None:
-            return (complete_graph(self.clique),)
-        if self.star is not None:
-            return (complete_bipartite(1, self.star),)
-        if self.biclique is not None:
-            return (complete_bipartite(*self.biclique),)
-        return (self.graph,)
-
-    def describe(self):
-        if self.family is not None:
-            if self.family.kind == "triangle":
-                return "K3"
-            if self.family.kind == "odd-cycle":
-                return f"C{2 * self.family.ell - 1}"
-            return f"C3..C{2 * self.family.ell - 1}"
-        if self.clique is not None:
-            return f"K{self.clique}"
-        if self.star is not None:
-            return f"K1,{self.star}"
-        if self.biclique is not None:
-            return "K{},{}".format(*self.biclique)
-        return f"g6:{graph6_encode(self.graph)}"
+        if not all(h.edge_count for h in self.members):
+            raise SearchError(_DEGENERATE)
 
     @classmethod
     def parse(cls, text):
-        """Parse "K3", "C7", "C3..C9", "K1,4", "K2,3" or "g6:<string>"."""
+        """Parse "K3", "C7", "C3..C9", "K5", "K1,4", "K2,3" or "g6:<string>"."""
 
         def number(part):
             try:
@@ -108,15 +78,17 @@ class HSpec:
 
         s = text.strip()
         if s.startswith("g6:"):
-            return cls(graph=graph6_decode(s[3:]))
-        if s.upper() == "K3":
-            return cls(family=FamilySpec("triangle"))
+            h = graph6_decode(s[3:])
+            return cls(f"g6:{graph6_encode(h)}", (h,))
+        if s.upper() == "K3":  # the triangle is parsed as C3, for the closed form
+            s = "C3"
         if s.startswith("K") and "," in s:
             a, _, b = s[1:].partition(",")
-            a, b = number(a), number(b)
-            return cls(star=b) if a == 1 else cls(biclique=(a, b))
+            a, b = _sizes(number(a), number(b))
+            return cls(f"K{a},{b}", (complete_bipartite(a, b),))
         if s.startswith("K"):
-            return cls(clique=number(s[1:]))
+            (t,) = _sizes(number(s[1:]))
+            return cls(f"K{t}", (complete_graph(t),))
         if ".." in s and s.startswith("C"):
             lo, _, hi = s.partition("..")
             if lo.strip() != "C3":
@@ -124,14 +96,14 @@ class HSpec:
             top = number(hi.strip().lstrip("C"))
             if top % 2 == 0:
                 raise SearchError("cycle families end at an odd cycle")
-            return cls(family=FamilySpec("odd-cycle-family", (top + 1) // 2))
+            family = FamilySpec("odd-cycle-family", (top + 1) // 2)
+            return cls(f"C3..C{top}", tuple(map(cycle_graph, range(3, top + 1, 2))), family)
         if s.startswith("C"):
-            m = number(s[1:])
-            if m == 3:
-                return cls(family=FamilySpec("triangle"))
-            if m % 2 == 0:
-                return cls(graph=cycle_graph(m))
-            return cls(family=FamilySpec("odd-cycle", (m + 1) // 2))
+            (m,) = _sizes(number(s[1:]))
+            family = None
+            if m % 2:
+                family = FamilySpec("triangle") if m == 3 else FamilySpec("odd-cycle", (m + 1) // 2)
+            return cls("K3" if m == 3 else f"C{m}", (cycle_graph(m),), family)
         raise SearchError(f"cannot parse pattern {text!r}")
 
 
@@ -168,20 +140,15 @@ def _canonical_g6(g):
 
 
 # ---------------------------------------------------------------------------
-# objective accumulators
-
-
-def _check_cap(cap):
-    """A search keeps at most ``cap`` witnesses; 0 keeps none."""
-    if cap < 0:
-        raise SearchError("witness cap must be >= 0")
+# searches
 
 
 class ExtremeAccumulator:
     """Track max (sign=+1) or min (sign=-1) of a score with witnesses."""
 
-    def __init__(self, score_fn, sign=1, cap=DEFAULT_WITNESS_CAP):
-        _check_cap(cap)
+    def __init__(self, score_fn, sign, cap):
+        if cap < 0:
+            raise SearchError("witness cap must be >= 0")
         self.score_fn = score_fn
         self.sign = sign
         self.cap = cap
@@ -202,20 +169,15 @@ class ExtremeAccumulator:
             self.witnesses.append(_canonical_g6(g))
 
 
-def _scan_extreme(filt, score_fn, sign, cap, jobs):
+def _scan_extreme(score_fn, sign, cap, scan):
+    """The extreme score over the classes that ``scan(visitor)`` visits,
+    at most ``cap`` witnesses and the exact count of extremal classes;
+    infeasible when it visits none.  ``scan`` returns its GenStats."""
     acc = ExtremeAccumulator(score_fn, sign, cap)
-    stats = enumerate_graphs(filt, visitor=acc.update, jobs=jobs)
-    return _result_from_acc(acc, stats)
-
-
-def _result_from_acc(acc, stats):
+    stats = scan(acc.update)
     if acc.best is None:
         return SearchResult(None, (), 0, stats, feasible=False)
     return SearchResult(acc.best, tuple(acc.witnesses), acc.count, stats)
-
-
-# ---------------------------------------------------------------------------
-# searches
 
 
 def exr_exact(n, hspec, all_witnesses=False, witness_cap=DEFAULT_WITNESS_CAP, jobs=1):
@@ -228,30 +190,22 @@ def exr_exact(n, hspec, all_witnesses=False, witness_cap=DEFAULT_WITNESS_CAP, jo
     """
     if n < 1:
         raise SearchError("order must be >= 1")
-    _check_cap(witness_cap)
-    members = hspec.members()
     total = GenStats()
     for k in range(n - 1, -1, -1):
-        if (n * k) % 2 != 0:
+        if (n * k) % 2 != 0:  # no k-regular graph; scanning it would mark the stats infeasible
             continue
-        found = []
-        count = [0]
 
-        def visit(g):
-            count[0] += 1
-            if len(found) < witness_cap:
-                found.append(_canonical_g6(g))
-            return not all_witnesses  # stop at first witness unless counting
+        def scan(update):  # stops at the first witness unless counting
+            visit = lambda g: update(g) or not all_witnesses
+            return enumerate_regular(n, k, visitor=visit, forbidden=hspec.members, jobs=jobs)
 
-        total.merge(enumerate_regular(n, k, visitor=visit, forbidden=members, jobs=jobs))
-        if count[0] or k == 0:
-            return SearchResult(
-                k,
-                tuple(found),
-                count[0] if all_witnesses else None,
-                total,
-                extra={"pattern": hspec.describe()},
-            )
+        res = _scan_extreme(lambda g: k, +1, witness_cap, scan)
+        total.merge(res.stats)
+        if res.feasible:
+            res.stats = total
+            res.classes = res.classes if all_witnesses else None
+            res.extra["pattern"] = hspec.name
+            return res
     raise SearchError("unreachable: k=0 always admits the empty graph")
 
 
@@ -264,7 +218,8 @@ def max_kt(n, m, r, t, witness_cap=DEFAULT_WITNESS_CAP, jobs=1):
     """Maximum number of t-cliques among graphs with given order, size
     and maximum degree; exact extremal class count."""
     filt = GenFilter(n=n, max_degree=r, edge_count=m)
-    return _scan_extreme(filt, PatternCounter(complete_graph(t)), +1, witness_cap, jobs)
+    return _scan_extreme(PatternCounter(complete_graph(t)), +1, witness_cap,
+                         lambda visit: enumerate_graphs(filt, visitor=visit, jobs=jobs))
 
 
 def max_k_total(n, m, r, witness_cap=DEFAULT_WITNESS_CAP, jobs=1):
@@ -276,17 +231,17 @@ def max_k_total(n, m, r, witness_cap=DEFAULT_WITNESS_CAP, jobs=1):
     classes are identical either way.
     """
     filt = GenFilter(n=n, max_degree=r, edge_count=m)
-    return _scan_extreme(filt, _score_k_total_above_edges, +1, witness_cap, jobs)
+    return _scan_extreme(_score_k_total_above_edges, +1, witness_cap,
+                         lambda visit: enumerate_graphs(filt, visitor=visit, jobs=jobs))
 
 
 def min_triangles_regular(n, k, witness_cap=DEFAULT_WITNESS_CAP, jobs=1):
     """Minimum triangle count over k-regular graphs on n vertices."""
-    acc = ExtremeAccumulator(PatternCounter(complete_graph(3)), -1, witness_cap)
-    stats = enumerate_regular(n, k, visitor=acc.update, jobs=jobs)
-    result = _result_from_acc(acc, stats)
-    if stats.infeasible:
+    result = _scan_extreme(PatternCounter(complete_graph(3)), -1, witness_cap,
+                           lambda visit: enumerate_regular(n, k, visitor=visit, jobs=jobs))
+    if result.stats.infeasible:
         result.extra["reason"] = "no k-regular graph: nk is odd"
-    elif acc.best is None:
+    elif not result.feasible:
         result.extra["reason"] = "no k-regular graph on n vertices"
     return result
 
@@ -296,7 +251,8 @@ def max_copies_free(n, pattern, forbidden_star_r, witness_cap=DEFAULT_WITNESS_CA
     most r (avoiding the star K_{1,r+1})."""
     filt = GenFilter(n=n, max_degree=forbidden_star_r)
     counter = PatternCounter(pattern)
-    result = _scan_extreme(filt, counter, +1, witness_cap, jobs)
+    result = _scan_extreme(counter, +1, witness_cap,
+                           lambda visit: enumerate_graphs(filt, visitor=visit, jobs=jobs))
     result.extra["pattern_kind"] = counter.kind
     return result
 
@@ -387,12 +343,11 @@ def probe_triangle_floor(n_max, witness_cap=4, jobs=1):
 
 def probe_odd_girth_question(n, hspec, jobs=1):
     """Data point for the odd-girth refinement question."""
-    members = hspec.members()
-    g_odd = min((g for g in map(odd_girth, members) if g is not None), default=None)
+    g_odd = min((g for g in map(odd_girth, hspec.members) if g is not None), default=None)
     res = exr_exact(n, hspec, all_witnesses=False, jobs=jobs)
     row = {
         "n": n,
-        "pattern": hspec.describe(),
+        "pattern": hspec.name,
         "odd_girth": g_odd,
         "exr": res.objective,
         "reference_2_floor": 2 * (n // (g_odd + 2)) if g_odd else None,

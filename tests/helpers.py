@@ -5,10 +5,12 @@ vertex subsets, all labeled graphs) and stays deliberately ignorant of
 the package's own algorithms.  The fixed graphs, the edge-list parser
 and the invariant check at the top are fixtures the tests share.  The
 package routines that only the tests call sit here too: the
-automorphism group of a pattern and the embedding count.
+automorphism group of a pattern, the embedding count and the star and
+biclique counts.
 """
 
 import itertools
+import math
 import random
 
 from turan_reg.canon import canon_core
@@ -327,6 +329,40 @@ def naive_embedding_count(g, h):
 def count_subgraph_embeddings(g, h):
     """Number of injective edge-preserving maps from h into g."""
     return _embeddings(g, h)
+
+
+def count_stars(g, s):
+    """Number of K_{1,s} subgraphs: sum of C(deg v, s)."""
+    if s < 1:
+        raise GraphError("star size must be >= 1")
+    return sum(math.comb(r.bit_count(), s) for r in g.rows)
+
+
+def count_complete_bipartite(g, a, b):
+    """Number of K_{a,b} subgraphs, each copy counted once."""
+    if a < 1 or b < 1:
+        raise GraphError("biclique sides must be >= 1")
+    rows = g.rows
+    total = 0
+    for side in itertools.combinations(range(g.n), a):
+        common = (1 << g.n) - 1
+        for v in side:
+            common &= rows[v]
+        total += math.comb(common.bit_count(), b)
+    if a == b:
+        # each copy seen from both sides
+        assert total % 2 == 0
+        total //= 2
+    return total
+
+
+def count_p4(g):
+    """Paths on 4 vertices: each edge uv as the middle edge, with one more
+    neighbour at each end, sum (d(u) - 1)(d(v) - 1); an end that closes a
+    triangle is no path, and each triangle is met 3 times that way."""
+    deg = [r.bit_count() for r in g.rows]
+    middles = sum((deg[u] - 1) * (deg[v] - 1) for u, v in g.edges())
+    return middles - 3 * triangle_count_oracle(g)
 
 
 def automorphism_generators(g):

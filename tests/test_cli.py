@@ -1,9 +1,27 @@
+import itertools
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
-from turan_reg.cli import CHECK_OPS, emit_table, load_suites, main, run_suite
-from turan_reg.graphs import count_complete_bipartite, graph6_decode
+from helpers import count_complete_bipartite
+
+from turan_reg.cli import (
+    CHECK_OPS,
+    COMMANDS,
+    _star_partitions,
+    build_parser,
+    emit_table,
+    load_suites,
+    main,
+    run_suite,
+)
+from turan_reg.graphs import graph6_decode
+from turan_reg.search import HSpec
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 PAPER_TABLE_CSV = (
     "n\\m,11,12,13,14,15,16\n"
@@ -291,3 +309,44 @@ def test_manifest_tags_complete():
             assert "expect" in check and "op" in check and "id" in check
             ops.add(check["op"])
     assert ops == set(CHECK_OPS)
+
+
+def test_star_partitions_once_each():
+    """Each multiset of leaf counts a_i >= 1 with sum(a_i + 1) = n comes
+    out once, nondecreasing: the partitions of n into parts >= 2."""
+    total = 0
+    for n in range(13):
+        lists = [tuple(parts) for parts in _star_partitions(n)]
+        brute = {
+            leaves
+            for k in range(n // 2 + 1)
+            for leaves in itertools.combinations_with_replacement(range(1, n), k)
+            if sum(a + 1 for a in leaves) == n
+        }
+        assert sorted(lists) == sorted(brute), n
+        total += len(lists) if n >= 2 else 0
+    assert total == 76  # the star-forest-n12 sweep
+
+
+def test_readme_commands_parse():
+    """Every ``turan-reg`` line in the README's code blocks parses, with
+    its patterns and suite ids; the listed pattern names parse too.
+    Nothing is run."""
+    text = README.read_text()
+    blocks = re.findall(r"```sh\n(.*?)```", text, re.S)
+    lines = [line.strip() for block in blocks for line in block.splitlines()]
+    commands = [shlex.split(line, comments=True)[1:] for line in lines if line.startswith("turan-reg ")]
+    parser, suites = build_parser(), load_suites()
+    for argv in commands:
+        ns = parser.parse_args(argv)
+        for pattern in (getattr(ns, "forbid", None), getattr(ns, "pattern", None)):
+            if pattern is not None:
+                HSpec.parse(pattern)
+        if ns.command == "suite":
+            assert ns.id in suites, argv
+    assert {argv[0] for argv in commands} == set(COMMANDS)  # every command has an example
+    comments = " ".join(line.lstrip("# ") for line in lines if line.startswith("#"))
+    listed = re.search(r"patterns: (.*?), g6:<string>\)", comments).group(1).split(", ")
+    assert len(listed) > 1
+    for pattern in listed:
+        HSpec.parse(pattern)

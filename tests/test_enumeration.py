@@ -463,7 +463,7 @@ def test_forbidden_check_builds_no_child(desc, monkeypatch):
         return counted_check
 
     monkeypatch.setattr(PatternCounter, "through", counted_through)
-    stats = enumerate_graphs(GenFilter(n=8, forbidden=HSpec.parse("K3").members()), desc=desc)
+    stats = enumerate_graphs(GenFilter(n=8, forbidden=HSpec.parse("K3").members), desc=desc)
     assert counts["embedded"] == 0
     assert counts["built"] == counts["passed"]
     assert counts["checked"] == stats.pruned["forbidden"] + counts["staged"]
@@ -502,7 +502,7 @@ PINNED_COUNTS = {
 def _pinned_run(case):
     desc = case.endswith("-desc")
     name = case.removesuffix("-desc")
-    k3 = HSpec.parse("K3").members()
+    k3 = HSpec.parse("K3").members
     if name == "copies-c5-n8":
         if not desc:
             return max_copies_free(8, cycle_graph(5), 4).stats
@@ -517,9 +517,9 @@ def _pinned_run(case):
         return stats
     if name.startswith("regular-10-4-"):
         pattern = {"k3": "K3", "c4": "C4", "k23": "K2,3"}[name.removeprefix("regular-10-4-")]
-        return enumerate_regular(10, 4, forbidden=HSpec.parse(pattern).members(), desc=desc)
+        return enumerate_regular(10, 4, forbidden=HSpec.parse(pattern).members, desc=desc)
     if name == "c3-c5-free-8":
-        return enumerate_graphs(GenFilter(n=8, forbidden=HSpec.parse("C3..C5").members()), desc=desc)
+        return enumerate_graphs(GenFilter(n=8, forbidden=HSpec.parse("C3..C5").members), desc=desc)
     return enumerate_graphs(GenFilter(n=8, forbidden=k3), desc=desc)
 
 

@@ -23,10 +23,9 @@ from turan_reg.graphs import (
 
 
 def test_family_spec():
-    fam = FamilySpec("odd-cycle-family", 4)
-    assert fam.cycle_lengths == (3, 5, 7)
-    assert FamilySpec("odd-cycle", 3).cycle_lengths == (5,)
-    assert FamilySpec("triangle").cycle_lengths == (3,)
+    assert FamilySpec("odd-cycle-family", 4).ell == 4
+    with pytest.raises(FormulaError):
+        FamilySpec("triangle", 3)
     with pytest.raises(FormulaError):
         FamilySpec("odd-cycle", 1)
     with pytest.raises(FormulaError):

@@ -6,6 +6,9 @@ import pytest
 from helpers import (
     all_labeled_graphs,
     automorphism_group_order,
+    count_complete_bipartite,
+    count_p4,
+    count_stars,
     naive_embedding_count,
     path_graph,
     random_graph,
@@ -28,9 +31,7 @@ from turan_reg.graphs import (
     complete_graph,
     connected_components,
     count_cliques,
-    count_complete_bipartite,
     count_cycles,
-    count_stars,
     cycle_graph,
     disjoint_union,
     from_edges,
@@ -52,7 +53,7 @@ from turan_reg.search import (
     probe_triangle_floor,
 )
 
-K3 = HSpec(family=FamilySpec("triangle"))
+K3 = HSpec.parse("K3")
 
 
 def test_hspec_parse():
@@ -60,29 +61,32 @@ def test_hspec_parse():
     assert HSpec.parse("C3").family.kind == "triangle"
     assert HSpec.parse("C7").family == FamilySpec("odd-cycle", 4)
     assert HSpec.parse("C3..C7").family == FamilySpec("odd-cycle-family", 4)
-    assert HSpec.parse("K5").clique == 5
-    assert HSpec.parse("K1,4").star == 4
-    assert HSpec.parse("K2,3").biclique == (2, 3)
-    assert HSpec.parse("C4").graph is not None
-    assert HSpec.parse("g6:D?{").graph.n == 5
+    for plain in ("K5", "K1,4", "K2,3", "C4", "g6:D?{"):
+        assert HSpec.parse(plain).family is None
+    assert HSpec.parse("g6:D?{").members[0].n == 5
     for bad in ("C3..C8", "C5..C7", "zzz"):
         with pytest.raises((SearchError, ValueError)):
             HSpec.parse(bad)
 
 
-def test_hspec_members_and_describe():
-    fam = HSpec(family=FamilySpec("odd-cycle-family", 3))
-    assert [h.n for h in fam.members()] == [3, 5]
-    assert fam.describe() == "C3..C5"
-    assert HSpec(clique=4).describe() == "K4"
-    k23 = HSpec.parse("K2,3")
-    assert k23.describe() == "K2,3"
-    assert k23.members() == (complete_bipartite(2, 3),)
-    assert HSpec.parse("K1,3").members() == (star_graph(3),)
-    with pytest.raises(SearchError):
-        HSpec()
-    with pytest.raises(SearchError):
-        HSpec(graph=from_edges(3, []))
+def test_hspec_members_and_name():
+    """Each pattern's member graphs, and its name: the normalized text."""
+    cases = {
+        " K3 ": ("K3", (complete_graph(3),)),
+        "C3": ("K3", (cycle_graph(3),)),
+        "C3..C5": ("C3..C5", (cycle_graph(3), cycle_graph(5))),
+        "C07": ("C7", (cycle_graph(7),)),
+        "C4": ("C4", (cycle_graph(4),)),
+        "K4": ("K4", (complete_graph(4),)),
+        "K2,3": ("K2,3", (complete_bipartite(2, 3),)),
+        "K1,3": ("K1,3", (star_graph(3),)),
+        "g6:D?{": ("g6:D?{", (graph6_decode("D?{"),)),
+    }
+    for text, (name, members) in cases.items():
+        h = HSpec.parse(text)
+        assert (h.name, h.members) == (name, members), text
+    with pytest.raises(SearchError, match="a g6 pattern at least 1 edge"):
+        HSpec("empty", (from_edges(3, []),))
 
 
 def test_exr_small_values():
@@ -139,12 +143,12 @@ def test_exr_early_exit_leaves_classes_unknown():
 
 def test_exr_explicit_pattern():
     c5p = from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 5)])
-    res = exr_exact(9, HSpec(graph=c5p))
+    res = exr_exact(9, HSpec("C5 with a pendant edge", (c5p,)))
     assert res.objective == 2  # pinned small-order value
 
 
 def test_exr_family():
-    res = exr_exact(9, HSpec(family=FamilySpec("odd-cycle-family", 3)))
+    res = exr_exact(9, HSpec.parse("C3..C5"))
     assert res.objective == 2
 
 
@@ -293,7 +297,9 @@ def test_pattern_counter_from_parent_any_order():
     """Scoring from the parent is exact in any order: one counter per
     pattern, of every kind, sees the n = 8 classes in emission order,
     then shuffled, then random graphs of orders 1..9, each followed by
-    siblings that share its parent, so a stale cache entry would show."""
+    siblings that share its parent, so a stale cache entry would show.
+    The slow networkx oracle checks every fifth class and all the random
+    graphs; the counter still sees every graph in all three orders."""
     classes = []
     enumerate_graphs(GenFilter(n=8, max_degree=4), visitor=classes.append)
     shuffled = list(classes)
@@ -305,10 +311,12 @@ def test_pattern_counter_from_parent_any_order():
         mixed.append(g)
         for _ in range(rng.randint(0, 3)):
             mixed.append(_with_last_row(g, rng.getrandbits(g.n - 1)))
-    cases = [(cycle_graph(m), partial(count_cycles, m=m)) for m in (3, 4, 5)]
-    cases += [(complete_graph(t), partial(count_cliques, t=t)) for t in (1, 2, 4)]
-    cases += [(star_graph(3), partial(count_stars, s=3))]
-    cases += [(complete_bipartite(a, b), partial(count_complete_bipartite, a=a, b=b)) for a, b in ((2, 3), (3, 3))]
+    every = None  # check every graph
+    cases = [(cycle_graph(m), partial(count_cycles, m=m), every) for m in (3, 4, 5)]
+    cases += [(complete_graph(t), partial(count_cliques, t=t), every) for t in (1, 2, 4)]
+    cases += [(star_graph(3), partial(count_stars, s=3), every)]
+    cases += [(complete_bipartite(a, b), partial(count_complete_bipartite, a=a, b=b), every) for a, b in ((2, 3), (3, 3))]
+    cases += [(path_graph(4), count_p4, every)]
     # count_cycles shares paths_within with the counter from C6 on, so
     # networkx counts the cycles of 6 and 7 vertices, both in one pass
     nx = pytest.importorskip("networkx")
@@ -320,16 +328,18 @@ def test_pattern_counter_from_parent_any_order():
             lengths[g.rows] = Counter(map(len, cycles))
         return lengths[g.rows][m]
 
-    cases += [(cycle_graph(m), partial(nx_cycles, m=m)) for m in (6, 7)]
-    p4 = path_graph(4)
-    cases += [(p4, lambda g: naive_embedding_count(g, p4) // automorphism_group_order(p4))]
-    for pattern, oracle in cases:
+    sample = {g.rows for g in classes[::5] + mixed}
+    cases += [(cycle_graph(m), partial(nx_cycles, m=m), sample) for m in (6, 7)]
+    for pattern, oracle, checked in cases:
         counter = PatternCounter(pattern)
         memo = {}
         for g in classes + shuffled + mixed:
+            count = counter(g)
+            if checked is not None and g.rows not in checked:
+                continue
             if g.rows not in memo:
                 memo[g.rows] = oracle(g)
-            assert counter(g) == memo[g.rows], (pattern.rows, g.rows)
+            assert count == memo[g.rows], (pattern.rows, g.rows)
 
 
 def test_through_matches_anchored_embeddings():
@@ -405,7 +415,7 @@ def test_probe_gls_critical_pinned():
 
 def test_probe_odd_girth_question():
     c5p = from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 5)])
-    report = probe_odd_girth_question(9, HSpec(graph=c5p))
+    report = probe_odd_girth_question(9, HSpec("C5 with a pendant edge", (c5p,)))
     row = report["rows"][0]
     assert row["odd_girth"] == 5
     assert row["exr"] == 2
