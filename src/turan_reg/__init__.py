@@ -23,14 +23,12 @@ from .graphs import (
     star_graph,
     total_cliques,
 )
-from .canon import CanonicalLabel, canonical_form, canonical_label
+from .canon import canonical_form
 
 __all__ = [
     "Graph",
     "GraphError",
-    "CanonicalLabel",
     "canonical_form",
-    "canonical_label",
     "complement",
     "complete_bipartite",
     "complete_graph",

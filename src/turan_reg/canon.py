@@ -31,16 +31,7 @@ range) but nothing breaks for moderately larger graphs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .graphs import graph6_encode, relabel
-
-
-@dataclass(frozen=True)
-class CanonicalLabel:
-    """Isomorphism-class certificate; equal labels iff isomorphic graphs."""
-
-    data: bytes
+from .graphs import relabel
 
 
 def _split(rows, cells, splitters, b, desc):
@@ -236,11 +227,6 @@ def canonical_form(g, desc=False):
     """Canonically relabeled copy of g."""
     perm, _, _ = canon_core(g.rows, g.n, desc)
     return relabel(g, perm)
-
-
-def canonical_label(g, desc=False):
-    """CanonicalLabel wrapping the graph6 string of the canonical form."""
-    return CanonicalLabel(graph6_encode(canonical_form(g, desc)).encode("ascii"))
 
 
 def orbits_from_generators(n, autos):

@@ -54,6 +54,7 @@ from .search import (
     HSpec,
     SearchError,
     _canonical_g6,
+    critical_maxima,
     exr_exact,
     max_copies_free,
     max_k_total,
@@ -77,13 +78,12 @@ def emit_table(r, n_lo, n_hi, fmt="csv", jobs=1):
     ranges = {n: gls_critical_range(n, r) for n in range(n_lo, n_hi + 1)}
     m_lo = min(low + 1 for low, _ in ranges.values())
     m_hi = max(high for _, high in ranges.values())
-    cells = {}
-    for n in range(n_lo, n_hi + 1):
-        low, high = ranges[n]
-        for m in range(low + 1, high + 1):
-            res = max_kt(n, m, r, 3, jobs=jobs)
-            if res.feasible:
-                cells[(n, m)] = res.objective
+    cells = {
+        (n, m): res.objective
+        for n in ranges
+        for m, res in critical_maxima(n, r, jobs=jobs).items()
+        if res.feasible
+    }
     published = r == 4 and n_lo >= 6 and n_hi <= 8
     if fmt == "json":
         return json.dumps(
@@ -171,11 +171,8 @@ def _op_complement_triangles(args, ctx):
 
 
 def _op_table_cells(args, ctx):
-    low, high = gls_critical_range(args["n"], args["r"])
-    return {
-        str(m): max_kt(args["n"], m, args["r"], 3, jobs=ctx["jobs"]).objective
-        for m in range(low + 1, high + 1)
-    }
+    maxima = critical_maxima(args["n"], args["r"], jobs=ctx["jobs"])
+    return {str(m): res.objective for m, res in maxima.items()}
 
 
 def _op_goodman_exhaustive(args, ctx):

@@ -73,9 +73,14 @@ def _certify(name, params, graph, checks):
     return ConstructionResult(name, params, graph, cert)
 
 
-def _measured_regularity(g, k):
-    degs = {r.bit_count() for r in g.rows}
-    return degs == {k} if g.n else True
+def _delete_rotations(rows, a, b, size, shifts):
+    """Delete, for each shift c, the matching a + i -- b + (i + c) % size
+    (0 <= i < size) from the bitmask rows, in place."""
+    for c in shifts:
+        for i in range(size):
+            u, v = a + i, b + (i + c) % size
+            rows[u] &= ~(1 << v)
+            rows[v] &= ~(1 << u)
 
 
 # ---------------------------------------------------------------------------
@@ -128,13 +133,7 @@ def _build_cycle_blowup(sizes, matchings_removed):
         raise ConstructionError("matching parts differ in size", prop="part-sizes")
     if matchings_removed > s:
         raise ConstructionError("more matchings than part size", prop="matchings")
-    base = starts[-1]
-    for c in range(matchings_removed):
-        for i in range(s):
-            a = i
-            b = base + (i + c) % s
-            rows[a] &= ~(1 << b)
-            rows[b] &= ~(1 << a)
+    _delete_rotations(rows, 0, starts[-1], s, range(matchings_removed))
     return Graph(n, tuple(rows))
 
 
@@ -164,7 +163,7 @@ def odd_girth_blowup(n, ell):
         g,
         [
             ("order", n, g.n),
-            ("regular", True, _measured_regularity(g, 2 * x)),
+            ("regular", True, g.is_regular(2 * x)),
             ("degree", 2 * x, g.rows[0].bit_count()),
             ("odd-girth", m_len, odd),
             # no triangle iff the odd girth is not 3
@@ -191,7 +190,7 @@ def circulant_small_odd(n):
         g,
         [
             ("order", n, g.n),
-            ("regular", True, _measured_regularity(g, 2 * k_half)),
+            ("regular", True, g.is_regular(2 * k_half)),
             ("degree", 2 * k_half, g.rows[0].bit_count()),
             ("triangle-free", True, is_triangle_free(g)),
         ],
@@ -237,18 +236,10 @@ def apex_construction(n, k):
         rows[i] |= 1 << apex
         rows[p + i] |= 1 << apex
         rows[apex] |= (1 << i) | (1 << (p + i))
-    # (q+1)-regular deletion between the two neighbor blocks
-    for c in range(q + 1):
-        for i in range(half):
-            a, b = i, p + (i + c) % half
-            rows[a] &= ~(1 << b)
-            rows[b] &= ~(1 << a)
-    # q-regular deletion between the two non-neighbor blocks
-    for c in range(q):
-        for i in range(rest):
-            a, b = half + i, p + half + (i + c) % rest
-            rows[a] &= ~(1 << b)
-            rows[b] &= ~(1 << a)
+    # (q+1)-regular deletion between the two neighbor blocks, q-regular
+    # between the two non-neighbor blocks
+    _delete_rotations(rows, 0, p, half, range(q + 1))
+    _delete_rotations(rows, half, p + half, rest, range(q))
     g = Graph(n, tuple(rows))
     off_apex = induced_subgraph(g, n - 1)
     return _certify(
@@ -257,7 +248,7 @@ def apex_construction(n, k):
         g,
         [
             ("order", n, g.n),
-            ("regular", True, _measured_regularity(g, k)),
+            ("regular", True, g.is_regular(k)),
             ("apex-deleted-bipartite", None, odd_girth(off_apex)),
             ("triangles", conjectured_triangle_min(n, k), triangle_count(g)),
         ],
@@ -358,7 +349,7 @@ def multipartite_regular(n, r):
         g,
         [
             ("order", n, g.n),
-            ("regular", True, _measured_regularity(g, t * x)),
+            ("regular", True, g.is_regular(t * x)),
             ("degree", t * x, g.rows[0].bit_count()),
             ("parts-stable", True, parts_stable),
         ],
@@ -426,10 +417,7 @@ def odd_half_construction(n):
         # degree-(x+1) vertices: the 2*pairs matched big-side vertices and
         # all small-side vertices; remove the rotational matching between
         # them (2*pairs = x = small side size)
-        for i in range(2 * pairs):
-            a, b = i, big + i
-            rows[a] &= ~(1 << b)
-            rows[b] &= ~(1 << a)
+        _delete_rotations(rows, 0, big, 2 * pairs, (0,))
         degree = x
     else:
         degree = x + 1
@@ -452,7 +440,7 @@ def odd_half_construction(n):
         g,
         [
             ("order", n, g.n),
-            ("regular", True, _measured_regularity(g, degree)),
+            ("regular", True, g.is_regular(degree)),
             ("degree", degree, g.rows[0].bit_count()),
             ("kbe-subgraph", True, embeds),
         ],

@@ -91,16 +91,17 @@ class GenFilter:
     forbidden: tuple = ()
 
     def validate(self):
+        k = self.regular_k
+        # before the order check, so that n < 1 with a degree reads as a bad degree
+        if k is not None and not 0 <= k < self.n:
+            raise EnumerationError("regular degree must satisfy 0 <= k < n")
         if self.n < 1:
             raise EnumerationError("order must be >= 1")
         if self.max_degree is not None and self.max_degree < 0:
             raise EnumerationError("max_degree must be >= 0")
         if self.edge_count is not None and self.edge_count < 0:
             raise EnumerationError("edge_count must be >= 0")
-        if self.regular_k is not None:
-            k = self.regular_k
-            if not 0 <= k < self.n:
-                raise EnumerationError("regular degree must satisfy 0 <= k < n")
+        if k is not None:
             if self.max_degree is not None and self.max_degree < k:
                 raise EnumerationError("max_degree below regular_k")
             if self.edge_count is not None and 2 * self.edge_count != self.n * k:
@@ -510,15 +511,10 @@ def enumerate_regular(n, k, visitor=None, desc=False, forbidden=(), force=False,
 
     Enumerates the sparser of the graph and its complement; forbidden
     patterns prune during generation on the direct side and are checked
-    after complementing on the dense side.
+    after complementing on the dense side.  ``enumerate_graphs`` checks
+    the arguments and flags an odd nk infeasible (nk and n(n - 1 - k)
+    have the same parity).
     """
-    if not 0 <= k < n:
-        raise EnumerationError("regular degree must satisfy 0 <= k < n")
-    if jobs < 1:
-        raise EnumerationError("jobs must be >= 1")
-    if (n * k) % 2 != 0:
-        stats = GenStats(infeasible=True)
-        return stats
     kc = n - 1 - k
     if kc < k:
         from .graphs import complement

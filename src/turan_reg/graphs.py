@@ -803,8 +803,9 @@ def graph6_encode(g):
     return (_g6_order_bytes(g.n) + body).decode("ascii")
 
 
-def graph6_decode(text):
-    """Decode a graph6 string; raises GraphError on malformed input."""
+def graph6_header(text):
+    """The order and the body bytes of a graph6 string, the body not yet
+    decoded; raises GraphError on a malformed header or byte."""
     s = text.strip()
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<"):]
@@ -823,6 +824,12 @@ def graph6_decode(text):
             raise GraphError("truncated graph6 order")
         n = ((data[1] - 63) << 12) | ((data[2] - 63) << 6) | (data[3] - 63)
         body = data[4:]
+    return n, body
+
+
+def graph6_decode(text):
+    """Decode a graph6 string; raises GraphError on malformed input."""
+    n, body = graph6_header(text)
     nbits = n * (n - 1) // 2
     if len(body) != (nbits + 5) // 6:
         raise GraphError("graph6 body length mismatch")

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .canon import canonical_form
-from .enumeration import GenFilter, GenStats, enumerate_graphs, enumerate_regular
+from .enumeration import HARD_CAP, GenFilter, GenStats, enumerate_graphs, enumerate_regular
 from .formulas import FamilySpec, conjectured_triangle_min, forced_triangle_window, gls_critical_range
 from .graphs import (
     PatternCounter,
@@ -25,6 +25,7 @@ from .graphs import (
     cycle_graph,
     graph6_decode,
     graph6_encode,
+    graph6_header,
     odd_girth,
     total_cliques,
 )
@@ -49,6 +50,12 @@ def _sizes(*sizes):
     return sizes
 
 
+def _cycle_length(m):
+    if m < 3:
+        raise SearchError("a cycle needs at least 3 vertices")
+    return m
+
+
 @dataclass(frozen=True)
 class HSpec:
     """A forbidden pattern: its normalized name and its member graphs.
@@ -56,6 +63,12 @@ class HSpec:
     A graph is pattern-free when it contains no member.  ``family`` is
     the odd-cycle family of the triangle and of the odd-cycle patterns,
     for the closed form; it is None for every other pattern.
+
+    No search runs past ``HARD_CAP`` vertices, so a member larger than
+    that never occurs in a searched graph: a family builds its members up
+    to the cap only, and a single pattern past it is refused before it is
+    built.  This bound must move with the cap if searches may ever run
+    past it.
     """
 
     name: str
@@ -76,8 +89,15 @@ class HSpec:
             except ValueError:
                 raise SearchError(f"cannot parse pattern {text!r}") from None
 
+        def within_cap(order):
+            if order > HARD_CAP:
+                raise SearchError(
+                    f"pattern {s} has {order} vertices, past the enumeration cap {HARD_CAP}"
+                )
+
         s = text.strip()
         if s.startswith("g6:"):
+            within_cap(graph6_header(s[3:])[0])
             h = graph6_decode(s[3:])
             return cls(f"g6:{graph6_encode(h)}", (h,))
         if s.upper() == "K3":  # the triangle is parsed as C3, for the closed form
@@ -85,21 +105,25 @@ class HSpec:
         if s.startswith("K") and "," in s:
             a, _, b = s[1:].partition(",")
             a, b = _sizes(number(a), number(b))
+            within_cap(a + b)
             return cls(f"K{a},{b}", (complete_bipartite(a, b),))
         if s.startswith("K"):
             (t,) = _sizes(number(s[1:]))
+            within_cap(t)
             return cls(f"K{t}", (complete_graph(t),))
         if ".." in s and s.startswith("C"):
             lo, _, hi = s.partition("..")
             if lo.strip() != "C3":
                 raise SearchError("cycle families start at C3")
-            top = number(hi.strip().lstrip("C"))
+            top = _cycle_length(number(hi.strip().lstrip("C")))
             if top % 2 == 0:
                 raise SearchError("cycle families end at an odd cycle")
             family = FamilySpec("odd-cycle-family", (top + 1) // 2)
-            return cls(f"C3..C{top}", tuple(map(cycle_graph, range(3, top + 1, 2))), family)
+            members = map(cycle_graph, range(3, min(top, HARD_CAP) + 1, 2))
+            return cls(f"C3..C{top}", tuple(members), family)
         if s.startswith("C"):
-            (m,) = _sizes(number(s[1:]))
+            m = _cycle_length(number(s[1:]))
+            within_cap(m)
             family = None
             if m % 2:
                 family = FamilySpec("triangle") if m == 3 else FamilySpec("odd-cycle", (m + 1) // 2)
@@ -222,6 +246,14 @@ def max_kt(n, m, r, t, witness_cap=DEFAULT_WITNESS_CAP, jobs=1):
                          lambda visit: enumerate_graphs(filt, visitor=visit, jobs=jobs))
 
 
+def critical_maxima(n, r, t=3, witness_cap=DEFAULT_WITNESS_CAP, jobs=1):
+    """``max_kt(n, m, r, t)`` at each size m of the critical window
+    low < m <= high, ``(low, high) = gls_critical_range(n, r)``, keyed by
+    m in ascending order."""
+    low, high = gls_critical_range(n, r)
+    return {m: max_kt(n, m, r, t, witness_cap, jobs) for m in range(low + 1, high + 1)}
+
+
 def max_k_total(n, m, r, witness_cap=DEFAULT_WITNESS_CAP, jobs=1):
     """Maximum clique count over all sizes t >= 3.
 
@@ -241,8 +273,6 @@ def min_triangles_regular(n, k, witness_cap=DEFAULT_WITNESS_CAP, jobs=1):
                            lambda visit: enumerate_regular(n, k, visitor=visit, jobs=jobs))
     if result.stats.infeasible:
         result.extra["reason"] = "no k-regular graph: nk is odd"
-    elif not result.feasible:
-        result.extra["reason"] = "no k-regular graph on n vertices"
     return result
 
 
@@ -279,8 +309,7 @@ def probe_gls_critical(n, r, t=3, witness_cap=8, jobs=1):
     low, high = gls_critical_range(n, r)
     a = n // (r + 1)
     rows = []
-    for m in range(low + 1, high + 1):
-        res = max_kt(n, m, r, t, witness_cap=witness_cap, jobs=jobs)
+    for m, res in critical_maxima(n, r, t, witness_cap, jobs).items():
         wit_rows = []
         for w in res.witnesses:
             g = graph6_decode(w)

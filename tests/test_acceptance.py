@@ -23,7 +23,7 @@ from fnmatch import fnmatchcase
 
 import pytest
 
-from turan_reg.canon import canon_core, canonical_label
+from turan_reg.canon import canon_core, canonical_form
 from turan_reg.cli import DEFAULT_SEED, load_suites, run_check
 from turan_reg.enumeration import GenFilter, enumerate_graphs
 
@@ -128,9 +128,9 @@ def test_criterion_7_enumeration_correctness():
         ok = ok and emitted == brute
     print("  n<=6: emitted classes equal brute-force canonicalization")
     asc, desc = [], []
-    enumerate_graphs(GenFilter(n=8), visitor=lambda g: asc.append(canonical_label(g)) and None)
+    enumerate_graphs(GenFilter(n=8), visitor=lambda g: asc.append(canonical_form(g)) and None)
     enumerate_graphs(
-        GenFilter(n=8), visitor=lambda g: desc.append(canonical_label(g)) and None, desc=True
+        GenFilter(n=8), visitor=lambda g: desc.append(canonical_form(g)) and None, desc=True
     )
     ok = ok and len(asc) == 12346 and set(asc) == set(desc)
     ok = ok and len(set(asc)) == len(asc) and len(set(desc)) == len(desc)

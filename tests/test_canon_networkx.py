@@ -15,7 +15,7 @@ import pytest
 
 from helpers import random_graph, random_graph_with_twins
 
-from turan_reg.canon import canonical_label
+from turan_reg.canon import canonical_form
 from turan_reg.graphs import from_edges, relabel
 
 nx = pytest.importorskip("networkx")
@@ -54,7 +54,7 @@ def edge_switch(rng, g):
 def check_pair(g, h):
     iso = nx.is_isomorphic(to_nx(g), to_nx(h))
     for desc in (False, True):
-        same = canonical_label(g, desc) == canonical_label(h, desc)
+        same = canonical_form(g, desc) == canonical_form(h, desc)
         assert same == iso, (g.rows, h.rows, desc)
     return iso
 

@@ -202,6 +202,7 @@ BAD_PATTERNS = [(t, f"cannot parse pattern {t!r}") for t in ("K2,x", "Kx", "C5x"
 BAD_PATTERNS += [
     (t, "a clique needs at least 2 vertices") for t in ("K0", "K1", "K-1", "K1,0", "K1,-2", "K2,0")
 ]
+BAD_PATTERNS += [(t, "a cycle needs at least 3 vertices") for t in ("C1", "C3..C1", "C2", "C0", "C-3")]
 
 
 @pytest.mark.parametrize("text, message", BAD_PATTERNS, ids=[t for t, _ in BAD_PATTERNS])

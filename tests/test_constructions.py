@@ -5,7 +5,7 @@ import pytest
 
 from helpers import odd_girth_oracle, triangle_count_oracle
 
-from turan_reg.canon import canonical_label
+from turan_reg.canon import canonical_form
 from turan_reg.cli import _sweep_params, load_suites
 from turan_reg.constructions import (
     BUILDERS,
@@ -57,7 +57,7 @@ def test_pentagon_matches_closed_form():
 
 def test_circulant_small_odd():
     r = circulant_small_odd(7)
-    assert canonical_label(r.graph) == canonical_label(cycle_graph(7))
+    assert canonical_form(r.graph) == canonical_form(cycle_graph(7))
     r = circulant_small_odd(11)
     assert r.graph.is_regular(4)
     assert is_triangle_free(r.graph)
@@ -77,7 +77,7 @@ def test_odd_girth_blowup():
     assert odd_girth(r.graph) == 7
     assert not contains_subgraph(r.graph, cycle_graph(5))
     r = odd_girth_blowup(9, 4)
-    assert canonical_label(r.graph) == canonical_label(cycle_graph(9))
+    assert canonical_form(r.graph) == canonical_form(cycle_graph(9))
     with pytest.raises(ConstructionError):
         odd_girth_blowup(9, 3)  # x = y = 1
 
@@ -207,7 +207,7 @@ def test_multipartite_decompose_fits_core():
 
 def test_kbe_graph():
     r = kbe_graph(1, 1)
-    assert canonical_label(r.graph) == canonical_label(complete_graph(3))
+    assert canonical_form(r.graph) == canonical_form(complete_graph(3))
     assert kbe_graph(2, 2).graph.edge_count == 10
     for t in (1, 2, 3):
         assert contains_subgraph(kbe_graph(t, t).graph, complete_graph(3))
@@ -221,7 +221,7 @@ def test_odd_half_construction():
     r = odd_half_construction(7)
     assert r.graph.is_regular(4)
     # x odd gives exactly the bipartite-plus-matching graph
-    assert canonical_label(r.graph) == canonical_label(kbe_graph(2, 3).graph)
+    assert canonical_form(r.graph) == canonical_form(kbe_graph(2, 3).graph)
     for n in range(5, 40, 2):
         res = odd_half_construction(n)
         x = (n - 1) // 2
@@ -242,7 +242,7 @@ def test_triangle_min_extremal():
 
 def test_split_apex_equality():
     r = build("split-apex-equality", n=9, k=4)
-    assert canonical_label(r.graph) == canonical_label(build("triangle-min-extremal", k=4).graph)
+    assert canonical_form(r.graph) == canonical_form(build("triangle-min-extremal", k=4).graph)
     r = build("split-apex-equality", n=13, k=6)
     assert triangle_count(r.graph) == conjectured_triangle_min(13, 6) == 6
     with pytest.raises(ConstructionError):
@@ -303,9 +303,11 @@ def test_build_registry():
 
 
 # graph6 SHA-256 over each sweep grid, and the properties each
-# certificate listed, as computed when these four names had builders of
-# their own; one builder now serves the three apex names and the
-# odd-girth blow-up serves the pentagon
+# certificate listed.  The four names apex to pentagon-blowup were
+# computed when each had a builder of its own; one builder now serves the
+# three apex names and the odd-girth blow-up serves the pentagon.  The
+# other six were computed before their rotational deletions shared one
+# helper.  A point the builder refuses hashes as "! <error text>".
 GOLDEN = {
     "apex": (
         {"n_max": 301, "spots": [101, 501, 1001]},
@@ -331,6 +333,42 @@ GOLDEN = {
         "dde863dea550cf346f72b0cbc65be4a4c8af483592b1c23e1a8923001914a643",
         {"order", "regular", "degree", "triangle-free"},
     ),
+    "odd-girth-blowup": (
+        {"n_max": 301, "ell_max": 8, "spots": [[999, 2], [999, 3], [1001, 5]]},
+        822,
+        "3c08ba5d1e12fcbab09909a1c3592eac9c604c85e855cadfe53fb9e6d2065a84",
+        {"order", "regular", "degree", "odd-girth", "triangle-free"},
+    ),
+    "circulant-small-odd": (
+        {},
+        7,
+        "238b381d159b7b0139e1a3cf7b8cecb5de45f721e71e9615270ecb5cc8e6c660",
+        {"order", "regular", "degree", "triangle-free"},
+    ),
+    "multipartite-regular": (
+        {"n_max": 301, "r_max": 8},
+        1419,
+        "e9f3f682acfa2c38383e34f0611aaf0971a64854ff06aa67527a0a41d3a8c149",
+        {"order", "regular", "degree", "parts-stable"},
+    ),
+    "kbe": (
+        {"x_max": 8},
+        80,
+        "e036352a5aff50bfbf797f3662fe804b1b83747845f4fbf24c2e178dcc252cbc",
+        {"order", "size"},
+    ),
+    "odd-half": (
+        {"n_max": 401},
+        199,
+        "a9d207e8d130ed746da5a8535a8e7f5e642e8aa2325c76e91dae06cd74acf19f",
+        {"order", "regular", "degree", "kbe-subgraph"},
+    ),
+    "star-forest-complement": (
+        {"n_max": 12},
+        76,
+        "22bf76c892aa20ff3584b008d6e77ab98641165359d571fa27dd507c09e8dfc6",
+        {"order", "max-degree-bound"},
+    ),
 }
 
 
@@ -343,7 +381,12 @@ def test_merged_builders_golden(name):
     h = hashlib.sha256()
     grid = list(_sweep_params(name, args))
     for params in grid:
-        res = build(name, **params)
+        try:
+            res = build(name, **params)
+        except ConstructionError as exc:
+            assert exc.prop is None, params  # refused, never a failed certificate
+            h.update(f"! {exc}\n".encode())
+            continue
         h.update(graph6_encode(res.graph).encode() + b"\n")
         cert = res.certificate
         assert res.name == cert["name"] == name, params

@@ -15,7 +15,7 @@ from turan_reg.canon import (
     _search,
     _split,
     canon_core,
-    canonical_label,
+    canonical_form,
     orbits_from_generators,
 )
 from turan_reg.enumeration import (
@@ -70,7 +70,7 @@ def test_completeness_vs_brute_force():
 def test_no_duplicates_by_label():
     for n in (6, 7):
         emitted, _ = collect(GenFilter(n=n))
-        labels = {canonical_label(g) for g in emitted}
+        labels = {canonical_form(g) for g in emitted}
         assert len(labels) == len(emitted)
 
 
@@ -100,10 +100,10 @@ def test_filter_pushdown_soundness():
             (GenFilter(n=n, connected=True), is_connected),
         ]
         for filt, predicate in cases:
-            want_labels = {canonical_label(g) for g in full if predicate(g)}
+            want_labels = {canonical_form(g) for g in full if predicate(g)}
             for desc in (False, True):
                 got, _ = collect(filt, desc=desc)
-                got_labels = {canonical_label(g) for g in got}
+                got_labels = {canonical_form(g) for g in got}
                 assert got_labels == want_labels, (n, filt, desc)
 
 
@@ -117,10 +117,10 @@ def test_dual_orders_agree():
     for n in range(1, 8):
         asc, _ = collect(GenFilter(n=n))
         desc, _ = collect(GenFilter(n=n), desc=True)
-        assert {canonical_label(g) for g in asc} == {canonical_label(g) for g in desc}
+        assert {canonical_form(g) for g in asc} == {canonical_form(g) for g in desc}
     asc, desc = [], []
-    enumerate_regular(10, 4, visitor=lambda g: asc.append(canonical_label(g)) and None)
-    enumerate_regular(10, 4, visitor=lambda g: desc.append(canonical_label(g)) and None, desc=True)
+    enumerate_regular(10, 4, visitor=lambda g: asc.append(canonical_form(g)) and None)
+    enumerate_regular(10, 4, visitor=lambda g: desc.append(canonical_form(g)) and None, desc=True)
     assert len(asc) == len(desc) == 60
     assert set(asc) == set(desc)
 
@@ -560,7 +560,7 @@ def test_regular_examples():
     got = []
     enumerate_regular(5, 2, visitor=lambda g: got.append(g) and None)
     assert len(got) == 1
-    assert canonical_label(got[0]) == canonical_label(cycle_graph(5))
+    assert canonical_form(got[0]) == canonical_form(cycle_graph(5))
     stats = enumerate_regular(7, 3)
     assert stats.infeasible and stats.classes == 0
     count = [0]
@@ -571,11 +571,11 @@ def test_regular_examples():
 def test_regular_k3_on_six():
     # pinned: the two cubic classes on 6 vertices
     got = []
-    enumerate_regular(6, 3, visitor=lambda g: got.append(canonical_label(g)) and None)
+    enumerate_regular(6, 3, visitor=lambda g: got.append(canonical_form(g)) and None)
     from turan_reg.graphs import complete_bipartite, cycle_graph, from_edges
 
     prism = from_edges(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3), (1, 4), (2, 5)])
-    assert set(got) == {canonical_label(complete_bipartite(3, 3)), canonical_label(prism)}
+    assert set(got) == {canonical_form(complete_bipartite(3, 3)), canonical_form(prism)}
 
 
 def test_regular_dense_side_uses_complement():
@@ -662,9 +662,29 @@ def test_parallel_dead_worker_raises():
     assert _run_python(DEAD_WORKER, timeout=60).split() == ["EOFError", "0"]
 
 
+SERIAL_SEARCHES = """
+import sys
+from turan_reg.graphs import cycle_graph
+from turan_reg.search import HSpec, exr_exact, max_copies_free
+exr_exact(9, HSpec.parse("K3"), jobs=1)
+max_copies_free(7, cycle_graph(5), 3, jobs=1)
+assert "multiprocessing" not in sys.modules, "multiprocessing was imported"
+"""
+
+
+def test_serial_search_leaves_multiprocessing_unimported():
+    # the import costs about 1 MiB, which a serial run does not need
+    _run_python(SERIAL_SEARCHES, timeout=60)
+
+
 def test_hard_cap():
     with pytest.raises(EnumerationError):
         enumerate_graphs(GenFilter(n=12))
+    # past the cap, a regular order with odd nk raises too, before the
+    # parity is read; with force it is flagged infeasible
+    with pytest.raises(EnumerationError, match="beyond enumeration cap"):
+        enumerate_regular(13, 3)
+    assert enumerate_regular(13, 3, force=True).infeasible
     # explicit override is accepted (tiny filtered run)
     stats = enumerate_graphs(GenFilter(n=12, regular_k=1), force=True)
     assert stats.classes == 1

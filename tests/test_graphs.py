@@ -97,9 +97,9 @@ def test_from_edges_errors():
 def test_complement_examples():
     assert complement(complete_graph(4)).edge_count == 0
     c5 = cycle_graph(5)
-    from turan_reg.canon import canonical_label
+    from turan_reg.canon import canonical_form
 
-    assert canonical_label(complement(c5)) == canonical_label(c5)
+    assert canonical_form(complement(c5)) == canonical_form(c5)
     star = complement(disjoint_union(complete_graph(8), empty_graph(1)))
     assert star.degree(8) == 8
     assert all(star.degree(v) == 1 for v in range(8))

@@ -1,3 +1,4 @@
+import time
 from collections import Counter
 from functools import partial
 
@@ -16,7 +17,7 @@ from helpers import (
     two_coloring,
 )
 
-from turan_reg.canon import canonical_label
+from turan_reg.canon import canonical_form
 from turan_reg.constructions import apex_construction, circulant_small_odd
 from turan_reg.enumeration import GenFilter, enumerate_graphs
 from turan_reg.formulas import FamilySpec
@@ -36,6 +37,7 @@ from turan_reg.graphs import (
     disjoint_union,
     from_edges,
     graph6_decode,
+    graph6_encode,
     star_graph,
 )
 from turan_reg.search import (
@@ -89,6 +91,21 @@ def test_hspec_members_and_name():
         HSpec("empty", (from_edges(3, []),))
 
 
+def test_hspec_sizes_bounded_by_cap():
+    """No member past the enumeration cap is built: a family keeps its name
+    and closed form with members C3..C11, a single pattern is refused."""
+    h = HSpec.parse("C3..C2001")
+    assert (h.name, h.family) == ("C3..C2001", FamilySpec("odd-cycle-family", 1001))
+    assert h.members == tuple(map(cycle_graph, (3, 5, 7, 9, 11)))
+    assert HSpec.parse("K11").members == (complete_graph(11),)
+    big_g6 = "g6:" + graph6_encode(complete_graph(12))
+    for text in ("K20000", "K12", "K6,6", "C12", "C20001", big_g6):
+        t0 = time.perf_counter()
+        with pytest.raises(SearchError, match="past the enumeration cap 11"):
+            HSpec.parse(text)
+        assert time.perf_counter() - t0 < 0.05, text
+
+
 def test_exr_small_values():
     assert exr_exact(7, K3).objective == 2
     assert exr_exact(10, K3).objective == 5
@@ -130,8 +147,8 @@ def test_exr_witness_includes_circulant():
     res = exr_exact(11, K3, all_witnesses=True)
     assert res.objective == 4
     assert res.classes == 2  # pinned: two triangle-free 4-regular classes
-    target = canonical_label(circulant_small_odd(11).graph)
-    assert target in {canonical_label(graph6_decode(w)) for w in res.witnesses}
+    target = canonical_form(circulant_small_odd(11).graph)
+    assert target in {canonical_form(graph6_decode(w)) for w in res.witnesses}
 
 
 def test_exr_early_exit_leaves_classes_unknown():
@@ -156,7 +173,7 @@ def test_min_triangles_examples():
     res = min_triangles_regular(9, 4)
     assert res.objective == 2 and res.classes == 1
     wit = graph6_decode(res.witnesses[0])
-    assert canonical_label(wit) == canonical_label(apex_construction(9, 4).graph)
+    assert canonical_form(wit) == canonical_form(apex_construction(9, 4).graph)
     assert min_triangles_regular(5, 2).objective == 0
 
 
@@ -179,7 +196,7 @@ def test_min_triangles_window_vs_apex():
 def test_witnesses_pairwise_distinct():
     res = max_kt(8, 17, 5, 3, witness_cap=16)
     assert len(set(res.witnesses)) == len(res.witnesses) == 3
-    labels = {canonical_label(graph6_decode(w)) for w in res.witnesses}
+    labels = {canonical_form(graph6_decode(w)) for w in res.witnesses}
     assert len(labels) == len(res.witnesses)
 
 
