@@ -32,17 +32,15 @@ from .formulas import (
     exr_closed_form,
     gls_critical_range,
     goodman_defect,
+    triangle_window,
 )
 from .graphs import (
     GraphError,
     complement,
     complete_bipartite,
-    complete_graph,
     count_cliques,
     count_cycles,
     cycle_graph,
-    disjoint_union,
-    empty_graph,
     format_edge_list,
     from_edges,
     graph6_decode,
@@ -75,6 +73,8 @@ DEFAULT_SEED = 20210831
 
 def emit_table(r, n_lo, n_hi, fmt="csv", jobs=1):
     """Critical-regime clique-maximum table; cells outside the window stay blank."""
+    if n_lo > n_hi:
+        raise SearchError(f"empty order range {n_lo}..{n_hi}")
     ranges = {n: gls_critical_range(n, r) for n in range(n_lo, n_hi + 1)}
     m_lo = min(low + 1 for low, _ in ranges.values())
     m_hi = max(high for _, high in ranges.values())
@@ -120,11 +120,9 @@ def _op_exr(args, ctx):
 
 
 def _op_exr_parity(args, ctx):
-    bad = 0
-    for n in range(5, args["n_max"] + 1, 2):
-        if exr_closed_form(n, FamilySpec("triangle")).value % 2 != 0:
-            bad += 1
-    return bad
+    """How many odd orders 5 <= n <= n_max have an odd closed-form value."""
+    triangle = FamilySpec("triangle")
+    return sum(exr_closed_form(n, triangle).value % 2 for n in range(5, args["n_max"] + 1, 2))
 
 
 def _op_min_triangles(args, ctx):
@@ -139,8 +137,7 @@ def _op_supersat_unique(args, ctx):
 
 def _op_apex_window(args, ctx):
     n = args["n"]
-    k = 2 * (n // 5) + 2
-    g = constructions.apex_construction(n, k).graph
+    g = constructions.apex_construction(n, triangle_window(n).start).graph
     t = triangle_count(g)
     return n * n / 75 <= t <= n * n / 40
 
@@ -196,24 +193,13 @@ def _op_goodman_random(args, ctx):
     return worst
 
 
-def _star_partitions(n, least=1):
-    """Each multiset of leaf counts a_i >= least with sum(a_i + 1) = n,
-    once, as a nondecreasing list."""
-    if n == 0:
-        yield []
-    for first in range(least, n):
-        for rest in _star_partitions(n - first - 1, first):
-            yield [first] + rest
-
-
 def _op_c5_forest_oracle(args, ctx):
-    mismatches = 0
-    for n in range(2, args["n_max"] + 1):
-        for parts in _star_partitions(n):
-            g = constructions.star_forest_complement(n, parts).graph
-            if c5_star_forest_count(n, parts) != count_cycles(g, 5):
-                mismatches += 1
-    return mismatches
+    return sum(
+        c5_star_forest_count(n, parts)
+        != count_cycles(constructions.star_forest_complement(n, parts).graph, 5)
+        for n in range(2, args["n_max"] + 1)
+        for parts in constructions.star_partitions(n)
+    )
 
 
 def _op_ex_c5_closed(args, ctx):
@@ -221,31 +207,18 @@ def _op_ex_c5_closed(args, ctx):
 
 
 def _op_ex_c5_vs_partitions(args, ctx):
-    mismatches = 0
-    for r in range(args["r_lo"], args["r_hi"] + 1):
-        n = r + 2
-        best = max(c5_star_forest_count(n, parts) for parts in _star_partitions(n))
-        if best != ex_c5_closed_form(r):
-            mismatches += 1
-    return mismatches
-
-
-def _c5_target(n, kind):
-    if kind == "k_plus_isolated":
-        return disjoint_union(complete_graph(n - 1), empty_graph(1))
-    # complete graph minus a perfect matching
-    edges = [
-        (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if not (i % 2 == 0 and j == i + 1)
-    ]
-    return from_edges(n, edges)
+    return sum(
+        max(c5_star_forest_count(r + 2, parts) for parts in constructions.star_partitions(r + 2))
+        != ex_c5_closed_form(r)
+        for r in range(args["r_lo"], args["r_hi"] + 1)
+    )
 
 
 def _op_c5_search(args, ctx):
+    # the expected witness: the complement of stars with leaf counts args["parts"]
+    target = constructions.star_forest_complement(args["n"], args["parts"]).graph
     res = max_copies_free(args["n"], cycle_graph(5), args["r"], jobs=ctx["jobs"])
-    witness_ok = res.witnesses[:1] == (_canonical_g6(_c5_target(args["n"], args["kind"])),)
+    witness_ok = res.witnesses[:1] == (_canonical_g6(target),)
     return {"value": res.objective, "classes": res.classes, "witness_ok": witness_ok}
 
 
@@ -275,10 +248,10 @@ def _op_construction_sweep(args, ctx):
     schedule it cannot realize, a precondition of its parameters).  The
     reason is the error text before its first colon.
     """
-    name = args["name"]
+    name, grid_args = args["name"], {a: v for a, v in args.items() if a != "name"}
     ran = failures = 0
     skipped = {}
-    for params in _sweep_params(name, args):
+    for params in constructions.grid(name, grid_args):
         try:
             constructions.build(name, **params)
             ran += 1
@@ -289,60 +262,6 @@ def _op_construction_sweep(args, ctx):
                 reason = str(exc).partition(":")[0]
                 skipped[reason] = skipped.get(reason, 0) + 1
     return {"ran": ran, "failures": failures, "skipped": skipped}
-
-
-def _sweep_params(name, args):
-    if name == "pentagon-blowup":
-        for n in range(5, args["n_max"] + 1, 2):
-            x, y = divmod(n, 5)
-            if y < x:
-                yield {"n": n}
-    elif name == "circulant-small-odd":
-        for n in (5, 7, 9, 11, 13, 17, 19):
-            yield {"n": n}
-    elif name == "odd-girth-blowup":
-        for ell in range(2, args.get("ell_max", 8) + 1):
-            m_len = 2 * ell + 1
-            for n in range(m_len, args["n_max"] + 1, 2):
-                x, y = divmod(n, m_len)
-                if x > y:
-                    yield {"n": n, "ell": ell}
-        for n, ell in args.get("spots", []):
-            yield {"n": n, "ell": ell}
-    elif name in ("apex", "split-apex-equality"):
-        # the degree window 2*floor(n/5) < k <= 2*floor(n/4), k even;
-        # it is empty below n = 9
-        for n in range(9, args["n_max"] + 1, 2):
-            for k in range(2 * (n // 5) + 2, 2 * (n // 4) + 1, 2):
-                yield {"n": n, "k": k}
-        for n in args.get("spots", []):
-            yield {"n": n, "k": 2 * (n // 5) + 2}
-    elif name == "multipartite-regular":
-        for r in range(4, args.get("r_max", 8) + 1):
-            for n in range(3 * (r - 1), args["n_max"] + 1):
-                try:
-                    constructions._multipartite_decompose(n, r)
-                except constructions.ConstructionError:
-                    continue
-                yield {"n": n, "r": r}
-    elif name == "odd-half":
-        for n in range(5, args["n_max"] + 1, 2):
-            yield {"n": n}
-    elif name == "triangle-min-extremal":
-        for k in range(4, args["k_max"] + 1, 2):
-            yield {"k": k}
-        for k in args.get("spots", []):
-            yield {"k": k}
-    elif name == "kbe":
-        for x in range(1, args.get("x_max", 8) + 1):
-            for y in range(0, 2 * x + 1):
-                yield {"x": x, "y": y}
-    elif name == "star-forest-complement":
-        for n in range(2, args["n_max"] + 1):
-            for parts in _star_partitions(n):
-                yield {"n": n, "parts": parts}
-    else:
-        raise ValueError(f"no sweep grid for {name!r}")
 
 
 CHECK_OPS = {
@@ -426,6 +345,15 @@ def _add_jobs(p):
     p.add_argument("--jobs", type=int, default=1, help="worker processes")
 
 
+# every parameter some builder takes, each a construct option of its name
+CONSTRUCT_PARAMS = sorted({a for _, names, _ in constructions.BUILDERS.values() for a in names})
+
+
+def int_list(text):
+    """Comma-separated integers; argparse names the function when they are not."""
+    return [int(a) for a in text.split(",")]
+
+
 # probe name -> its function and the options it reads, passed on as
 # keywords of the same name; each must have a value
 PROBES = {
@@ -445,13 +373,10 @@ def build_parser():
 
     p = sub.add_parser("construct", help="build a named construction")
     p.add_argument("name", choices=sorted(constructions.BUILDERS))
-    p.add_argument("--n", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--ell", type=int)
-    p.add_argument("--r", type=int)
-    p.add_argument("--x", type=int)
-    p.add_argument("--y", type=int)
-    p.add_argument("--parts", type=str, help="comma-separated star leaf counts")
+    for param in CONSTRUCT_PARAMS:  # integers, but for the star leaf counts
+        listed = param == "parts"
+        p.add_argument(f"--{param}", type=int_list if listed else int,
+                       help="comma-separated star leaf counts" if listed else None)
     p.add_argument("--format", choices=("g6", "edges"), default="g6")
     p.add_argument("--certify", action="store_true", help="print certificate JSON")
     p.add_argument("--out", type=str, default="-")
@@ -533,13 +458,7 @@ def _write(text, out):
 
 
 def _cmd_construct(ns):
-    params = {}
-    for key in ("n", "k", "ell", "r", "x", "y"):
-        val = getattr(ns, key)
-        if val is not None:
-            params[key] = val
-    if ns.parts:
-        params["parts"] = [int(p) for p in ns.parts.split(",")]
+    params = {a: getattr(ns, a) for a in CONSTRUCT_PARAMS if getattr(ns, a) is not None}
     result = constructions.build(ns.name, **params)
     if ns.format == "g6":
         text = graph6_encode(result.graph) + "\n"

@@ -17,13 +17,17 @@ Each graph family has one builder.  ``apex``, ``split-apex-equality``
 and ``triangle-min-extremal`` are all ``apex_construction``: the last
 two are its window point and its point n = 2k+1.  ``pentagon-blowup``
 is ``odd_girth_blowup`` at ell = 2.
+
+Each builder owns its sweep grid: given the sweep check's arguments as
+keywords, it yields the parameters of each point.  Builders that share
+code share a grid; the pentagon's is the odd-girth grid at ell = 2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .formulas import conjectured_triangle_min, forced_triangle_window
+from .formulas import conjectured_triangle_min, triangle_window
 from .graphs import (
     Graph,
     induced_subgraph,
@@ -172,6 +176,19 @@ def odd_girth_blowup(n, ell):
     )
 
 
+def _odd_girth_grid(n_max, ell_max=8, spots=()):
+    """Every order up to n_max that each ell up to ell_max admits, then
+    the (n, ell) spots."""
+    for ell in range(2, ell_max + 1):
+        m_len = 2 * ell + 1
+        for n in range(m_len, n_max + 1, 2):
+            x, y = divmod(n, m_len)
+            if x > y:
+                yield {"n": n, "ell": ell}
+    for n, ell in spots:
+        yield {"n": n, "ell": ell}
+
+
 def circulant_small_odd(n):
     """Odd-difference circulant for the leftover small odd orders."""
     if n % 2 == 0 or not 5 <= n <= 19 or n == 15:
@@ -213,7 +230,7 @@ def apex_construction(n, k):
     window.  At n = 2k+1 (q = 0) this is the unique triangle-minimizing
     k-regular graph on 2k+1 vertices.
     """
-    if not forced_triangle_window(n, k):
+    if k not in triangle_window(n):
         raise ConstructionError(
             f"(n={n}, k={k}) outside the window: n odd, k even, "
             f"2*floor(n/5) < k <= 2*floor(n/4)"
@@ -253,6 +270,15 @@ def apex_construction(n, k):
             ("triangles", conjectured_triangle_min(n, k), triangle_count(g)),
         ],
     )
+
+
+def _window_grid(n_max, spots=()):
+    """Each (n, k) in the triangle window up to n_max, then spot n at its first degree."""
+    for n in range(n_max + 1):
+        for k in triangle_window(n):
+            yield {"n": n, "k": k}
+    for n in spots:
+        yield {"n": n, "k": triangle_window(n).start}
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +382,18 @@ def multipartite_regular(n, r):
     )
 
 
+def _multipartite_grid(n_max, r_max=8):
+    """Every (n, r) up to (n_max, r_max) that has a decomposition; the
+    builder still refuses the points whose y-factor schedule fails."""
+    for r in range(4, r_max + 1):
+        for n in range(3 * (r - 1), n_max + 1):
+            try:
+                _multipartite_decompose(n, r)
+            except ConstructionError:
+                continue
+            yield {"n": n, "r": r}
+
+
 # ---------------------------------------------------------------------------
 # bipartite-with-matching family
 
@@ -447,6 +485,16 @@ def odd_half_construction(n):
     )
 
 
+def star_partitions(n, least=1):
+    """Each multiset of leaf counts a_i >= least with sum(a_i + 1) = n,
+    once, as a nondecreasing list."""
+    if n == 0:
+        yield []
+    for first in range(least, n):
+        for rest in star_partitions(n - first - 1, first):
+            yield [first] + rest
+
+
 def star_forest_complement(n, parts):
     """Complement of the disjoint union of stars S_{a_i+1}."""
     if any(a < 1 for a in parts):
@@ -476,30 +524,67 @@ def star_forest_complement(n, parts):
     )
 
 
-# name -> (builder, parameter names); see the module docstring for the
-# names that share a builder
+# name -> (builder, parameter names, sweep grid); see the module
+# docstring for the names that share a builder
 BUILDERS = {
-    "pentagon-blowup": (lambda n: odd_girth_blowup(n, 2), ("n",)),
-    "circulant-small-odd": (circulant_small_odd, ("n",)),
-    "odd-girth-blowup": (odd_girth_blowup, ("n", "ell")),
-    "apex": (apex_construction, ("n", "k")),
-    "multipartite-regular": (multipartite_regular, ("n", "r")),
-    "kbe": (kbe_graph, ("x", "y")),
-    "odd-half": (odd_half_construction, ("n",)),
-    "triangle-min-extremal": (lambda k: apex_construction(2 * k + 1, k), ("k",)),
-    "split-apex-equality": (apex_construction, ("n", "k")),
-    "star-forest-complement": (star_forest_complement, ("n", "parts")),
+    "pentagon-blowup": (
+        lambda n: odd_girth_blowup(n, 2), ("n",),
+        lambda n_max: ({"n": p["n"]} for p in _odd_girth_grid(n_max, ell_max=2)),
+    ),
+    "circulant-small-odd": (
+        circulant_small_odd, ("n",), lambda: ({"n": n} for n in (5, 7, 9, 11, 13, 17, 19))
+    ),
+    "odd-girth-blowup": (odd_girth_blowup, ("n", "ell"), _odd_girth_grid),
+    "apex": (apex_construction, ("n", "k"), _window_grid),
+    "multipartite-regular": (multipartite_regular, ("n", "r"), _multipartite_grid),
+    "kbe": (
+        kbe_graph, ("x", "y"),
+        lambda x_max=8: ({"x": x, "y": y} for x in range(1, x_max + 1) for y in range(2 * x + 1)),
+    ),
+    "odd-half": (
+        odd_half_construction, ("n",), lambda n_max: ({"n": n} for n in range(5, n_max + 1, 2))
+    ),
+    "triangle-min-extremal": (
+        lambda k: apex_construction(2 * k + 1, k), ("k",),
+        lambda k_max, spots=(): ({"k": k} for k in [*range(4, k_max + 1, 2), *spots]),
+    ),
+    "split-apex-equality": (apex_construction, ("n", "k"), _window_grid),
+    "star-forest-complement": (
+        star_forest_complement, ("n", "parts"),
+        lambda n_max: (
+            {"n": n, "parts": parts} for n in range(2, n_max + 1) for parts in star_partitions(n)
+        ),
+    ),
 }
 
 
-def build(name, **params):
-    """Run the named builder; the result and its certificate carry ``name``."""
+def _entry(name):
     if name not in BUILDERS:
         raise ConstructionError(f"unknown construction {name!r}")
-    fn, argnames = BUILDERS[name]
+    return BUILDERS[name]
+
+
+def build(name, **params):
+    """Run the named builder on exactly the parameters it takes; the
+    result and its certificate carry ``name``."""
+    fn, argnames, _ = _entry(name)
     missing = [a for a in argnames if a not in params]
     if missing:
         raise ConstructionError(f"{name} needs parameters {missing}")
-    result = fn(**{a: params[a] for a in argnames})
+    extra = sorted(set(params) - set(argnames))
+    if extra:
+        raise ConstructionError(f"{name} takes parameters {list(argnames)}, not {extra}")
+    result = fn(**params)
     result.name = result.certificate["name"] = name
     return result
+
+
+def grid(name, args):
+    """The parameters of each point of the named builder's sweep grid,
+    for the sweep check's arguments ``args`` (without ``name``); an
+    argument the grid does not take is refused."""
+    _, _, sweep = _entry(name)
+    try:
+        return sweep(**args)
+    except TypeError as exc:  # binding the arguments; the grid runs lazily
+        raise ConstructionError(f"{name} sweep grid: {exc}") from None

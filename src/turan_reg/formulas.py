@@ -116,19 +116,25 @@ def gls_critical_range(n, r):
     Below m_low the extremal pattern is disjoint (r+1)-cliques plus a
     colex graph; the returned high end is the regular-graph edge count.
     """
+    if n < 1:
+        raise FormulaError("order must be >= 1")
     if r < 1:
         raise FormulaError("degree cap must be >= 1")
     a, b = divmod(n, r + 1)
     return a * comb(r + 1, 2) + comb(b, 2), n * r // 2
 
 
-def forced_triangle_window(n, k):
-    return n % 2 == 1 and k % 2 == 0 and 2 * (n // 5) < k <= 2 * (n // 4)
+def triangle_window(n):
+    """The degrees k of the conjectured triangle minimum at order n: the
+    even k with 2*floor(n/5) < k <= 2*floor(n/4) for odd n, none for even
+    n.  Its ``start`` is the window's first degree either way."""
+    first = 2 * (n // 5) + 2
+    return range(first, 2 * (n // 4) + 1 if n % 2 else first, 2)
 
 
 def conjectured_triangle_min(n, k):
     """Conjectured triangle minimum for k-regular graphs of odd order n."""
-    if not forced_triangle_window(n, k):
+    if k not in triangle_window(n):
         raise FormulaError(f"(n={n}, k={k}) outside the conjectured window")
     p = (n - 1) // 2
     q = p - k

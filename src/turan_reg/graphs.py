@@ -116,15 +116,6 @@ def relabel(g, perm):
     return Graph(g.n, tuple(rows))
 
 
-def disjoint_union(*graphs):
-    rows = []
-    offset = 0
-    for g in graphs:
-        rows.extend(r << offset for r in g.rows)
-        offset += g.n
-    return Graph(offset, tuple(rows))
-
-
 # ---------------------------------------------------------------------------
 # named builders
 

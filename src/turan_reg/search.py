@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from .canon import canonical_form
 from .enumeration import HARD_CAP, GenFilter, GenStats, enumerate_graphs, enumerate_regular
-from .formulas import FamilySpec, conjectured_triangle_min, forced_triangle_window, gls_critical_range
+from .formulas import FamilySpec, conjectured_triangle_min, gls_critical_range, triangle_window
 from .graphs import (
     PatternCounter,
     bits,
@@ -344,9 +344,7 @@ def probe_triangle_floor(n_max, witness_cap=4, jobs=1):
     """Conjectured triangle minimum vs exhaustive minimum in the window."""
     rows = []
     for n in range(7, n_max + 1, 2):
-        for k in range(2, n, 2):
-            if not forced_triangle_window(n, k):
-                continue
+        for k in triangle_window(n):
             bound = conjectured_triangle_min(n, k)
             res = min_triangles_regular(n, k, witness_cap=witness_cap, jobs=jobs)
             rows.append(

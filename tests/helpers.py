@@ -4,9 +4,9 @@ Everything here recomputes values by direct enumeration (permutations,
 vertex subsets, all labeled graphs) and stays deliberately ignorant of
 the package's own algorithms.  The fixed graphs, the edge-list parser
 and the invariant check at the top are fixtures the tests share.  The
-package routines that only the tests call sit here too: the
-automorphism group of a pattern, the embedding count and the star and
-biclique counts.
+package routines that only the tests call sit here too: the disjoint
+union, the automorphism group of a pattern, the embedding count and the
+star and biclique counts.
 """
 
 import itertools
@@ -19,6 +19,15 @@ from turan_reg.graphs import Graph, GraphError, _embeddings, bits, from_edges, r
 
 def path_graph(n):
     return from_edges(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def disjoint_union(*graphs):
+    rows = []
+    offset = 0
+    for g in graphs:
+        rows.extend(r << offset for r in g.rows)
+        offset += g.n
+    return Graph(offset, tuple(rows))
 
 
 def petersen_graph():

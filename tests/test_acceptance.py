@@ -3,9 +3,9 @@
 Criteria 1-6 name checks of the suite registry (``suites.json``) by
 ``suite/id`` glob pattern and run each through ``cli.run_check``, so
 each expected value is written once, in the registry.  The checks no
-criterion names run in ``test_registry_check``, except those whose
-(op, args) a criterion already runs under another id; every distinct
-registry run happens exactly once in this module.  Criterion 7 (brute
+criterion names run in ``test_registry_check``.  No two checks share
+their (op, args), so every registry run happens exactly once in this
+module.  Criterion 7 (brute
 force and dual augmentation orders) is in no suite.
 
 Asymptotic statements (exactness of the odd-cycle degree formula at
@@ -62,15 +62,6 @@ def select(patterns):
 
 
 NAMED = [key for patterns in CRITERIA.values() for key in select(patterns)]
-
-
-def run_of(key):
-    """What a check computes: its op and its arguments."""
-    check = CHECKS[key]
-    return check["op"], json.dumps(check.get("args", {}), sort_keys=True)
-
-
-NAMED_RUNS = {run_of(key) for key in NAMED}
 
 
 def report(name, ok):
@@ -142,17 +133,16 @@ def test_criteria_name_each_check_once():
     assert len(NAMED) == len(set(NAMED))
 
 
-def test_shared_runs_share_expect():
-    """Checks with the same (op, args) expect the same value, so running
-    one of them checks them all."""
-    expects = {}
+def test_registry_runs_are_distinct():
+    """No two registry checks compute the same thing: their (op, args)
+    pairs differ."""
+    runs = {}
     for key, check in CHECKS.items():
-        assert expects.setdefault(run_of(key), check["expect"]) == check["expect"], key
+        run = check["op"], json.dumps(check.get("args", {}), sort_keys=True)
+        assert runs.setdefault(run, key) == key, f"{key} repeats {runs[run]}"
 
 
-@pytest.mark.parametrize(
-    "key", [key for key in CHECKS if key not in NAMED and run_of(key) not in NAMED_RUNS]
-)
+@pytest.mark.parametrize("key", [key for key in CHECKS if key not in NAMED])
 def test_registry_check(key):
     actual, ok, _ = run_check(CHECKS[key], CTX)
     assert ok, f"{key}: expect={CHECKS[key]['expect']!r} actual={actual!r}"

@@ -18,6 +18,7 @@ import pytest
 from helpers import (
     blow_up,
     class_sizes,
+    disjoint_union,
     near_bipartite_with_twins,
     path_graph,
     petersen_graph,
@@ -36,7 +37,6 @@ from turan_reg.graphs import (
     contains_subgraph,
     count_cycles,
     cycle_graph,
-    disjoint_union,
     empty_graph,
     from_edges,
     graph6_decode,

@@ -11,13 +11,13 @@ from helpers import count_complete_bipartite
 from turan_reg.cli import (
     CHECK_OPS,
     COMMANDS,
-    _star_partitions,
     build_parser,
     emit_table,
     load_suites,
     main,
     run_suite,
 )
+from turan_reg.constructions import BUILDERS, star_partitions
 from turan_reg.graphs import graph6_decode
 from turan_reg.search import HSpec
 
@@ -61,6 +61,20 @@ def test_construct_command(tmp_path, capsys):
     cert = json.loads(rest)
     assert cert["name"] == "pentagon-blowup"
     assert all(c["ok"] for c in cert["checks"])
+
+
+def test_construct_options_from_registry(capsys):
+    """Each parameter a builder takes is a construct option of its name;
+    --parts reads a list of leaf counts."""
+    parser = build_parser()
+    for name, (_, params, _) in BUILDERS.items():
+        values = {a: [1, 2] if a == "parts" else 1 for a in params}
+        argv = [f"--{a}={','.join(map(str, v)) if a == 'parts' else v}" for a, v in values.items()]
+        ns = parser.parse_args(["construct", name, *argv])
+        assert {a: getattr(ns, a) for a in params} == values, name
+    assert main(["construct", "star-forest-complement", "--n", "9", "--parts", "8", "--certify"]) == 0
+    cert = json.loads(capsys.readouterr().out.split("\n", 1)[1])
+    assert cert["params"] == {"n": 9, "parts": [8]}
 
 
 def test_construct_edges_format(capsys):
@@ -185,17 +199,28 @@ def test_max_copies_long_cycle(capsys):
             ["max-copies", "--n", "5", "--pattern", "C4", "--max-degree", "2", "--witness-cap", "-1"],
             "witness cap must be >= 0",
         ),
+        (["table", "--r", "4", "--n-from", "9", "--n-to", "6"], "empty order range 9..6"),
+        (["table", "--r", "4", "--n-from", "0", "--n-to", "2"], "order must be >= 1"),
+        (["probe", "gls-critical", "--n", "0", "--r", "4"], "order must be >= 1"),
+        # a parameter the builder does not take is refused, not ignored
+        (["construct", "kbe", "--x", "2", "--y", "1", "--n", "5"], "kbe takes parameters"),
+        (
+            ["construct", "star-forest-complement", "--n", "5", "--parts", "1,x"],
+            "argument --parts: invalid int_list value: '1,x'",
+        ),
     ],
     ids=[
         "construct", "exr", "enumerate", "probe", "max-copies-family", "max-degree", "exr-order",
-        "jobs", "witness-cap",
+        "jobs", "witness-cap", "table-empty-range", "table-order", "probe-gls-order",
+        "construct-unknown-param", "construct-parts",
     ],
 )
 def test_named_error_is_usage_error(argv, message, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
 
 
 BAD_PATTERNS = [(t, f"cannot parse pattern {t!r}") for t in ("K2,x", "Kx", "C5x", "C3..Cx", "K1,x", "C3..C5..C7")]
@@ -317,7 +342,7 @@ def test_star_partitions_once_each():
     out once, nondecreasing: the partitions of n into parts >= 2."""
     total = 0
     for n in range(13):
-        lists = [tuple(parts) for parts in _star_partitions(n)]
+        lists = [tuple(parts) for parts in star_partitions(n)]
         brute = {
             leaves
             for k in range(n // 2 + 1)

@@ -6,7 +6,7 @@ import pytest
 from helpers import odd_girth_oracle, triangle_count_oracle
 
 from turan_reg.canon import canonical_form
-from turan_reg.cli import _sweep_params, load_suites
+from turan_reg.cli import load_suites, run_check
 from turan_reg.constructions import (
     BUILDERS,
     ConstructionError,
@@ -15,13 +15,14 @@ from turan_reg.constructions import (
     apex_construction,
     build,
     circulant_small_odd,
+    grid,
     kbe_graph,
     multipartite_regular,
     odd_girth_blowup,
     odd_half_construction,
     star_forest_complement,
 )
-from turan_reg.formulas import conjectured_triangle_min, forced_triangle_window
+from turan_reg.formulas import conjectured_triangle_min, triangle_window
 from turan_reg.graphs import (
     complete_graph,
     contains_subgraph,
@@ -133,8 +134,8 @@ def test_multipartite_regular():
 def test_triangle_count_builders_vs_oracle(name, args, stride):
     """Every ``stride``-th point of the sweep grid up to n = 401, and its
     last point, against the per-edge count on full rows."""
-    grid = list(_sweep_params(name, args))
-    for params in grid[::stride] + grid[-1:]:
+    points = list(grid(name, args))
+    for params in points[::stride] + points[-1:]:
         g = build(name, **params).graph
         assert triangle_count(g) == triangle_count_oracle(g), params
 
@@ -143,12 +144,12 @@ def test_triangle_count_builders_vs_oracle(name, args, stride):
 def test_odd_girth_builders_vs_oracle(name):
     """Every point of the sweep grid up to n = 301, and n = 401, against a
     plain BFS from every vertex on the full rows."""
-    grid = list(_sweep_params(name, {"n_max": 301, "ell_max": 8}))
     if name == "pentagon-blowup":
-        grid.append({"n": 401})
+        points = [*grid(name, {"n_max": 301}), {"n": 401}]
     else:
-        grid += [{"n": 401, "ell": ell} for ell in range(2, 9)]
-    for params in grid:
+        points = list(grid(name, {"n_max": 301, "ell_max": 8}))
+        points += [{"n": 401, "ell": ell} for ell in range(2, 9)]
+    for params in points:
         g = build(name, **params).graph
         og = odd_girth_oracle(g)
         assert odd_girth(g) == og == 2 * params.get("ell", 2) + 1, params
@@ -158,8 +159,8 @@ def test_odd_girth_builders_vs_oracle(name):
 def test_odd_girth_apex_vs_oracle():
     """Every 10th apex point up to n = 301, and its last: the graph has
     triangles and the graph off the apex is bipartite."""
-    grid = list(_sweep_params("apex", {"n_max": 301}))
-    for params in grid[::10] + grid[-1:]:
+    points = list(grid("apex", {"n_max": 301}))
+    for params in points[::10] + points[-1:]:
         g = apex_construction(**params).graph
         off_apex = induced_subgraph(g, g.n - 1)
         assert odd_girth(g) == odd_girth_oracle(g) == 3, params
@@ -302,6 +303,14 @@ def test_build_registry():
         build("apex", n=13)
 
 
+def test_build_refuses_unknown_parameter():
+    """A parameter the builder does not take is refused, not ignored."""
+    with pytest.raises(ConstructionError, match=r"kbe takes parameters \['x', 'y'\], not \['n'\]"):
+        build("kbe", x=2, y=1, n=5)
+    with pytest.raises(ConstructionError, match=r"not \['ell'\]"):
+        build("pentagon-blowup", n=25, ell=2)
+
+
 # graph6 SHA-256 over each sweep grid, and the properties each
 # certificate listed.  The four names apex to pentagon-blowup were
 # computed when each had a builder of its own; one builder now serves the
@@ -379,8 +388,8 @@ def test_merged_builders_golden(name):
     registry name."""
     args, count, digest, props = GOLDEN[name]
     h = hashlib.sha256()
-    grid = list(_sweep_params(name, args))
-    for params in grid:
+    points = list(grid(name, args))
+    for params in points:
         try:
             res = build(name, **params)
         except ConstructionError as exc:
@@ -392,7 +401,7 @@ def test_merged_builders_golden(name):
         assert res.name == cert["name"] == name, params
         assert props <= {c["property"] for c in cert["checks"]}, params
         assert all(c["ok"] for c in cert["checks"]), params
-    assert len(grid) == count
+    assert len(points) == count
     assert h.hexdigest() == digest
 
 
@@ -401,26 +410,47 @@ def test_apex_schedule_guard_is_slack():
     neighbor blocks always fit in k/2 positions."""
     for n in range(9, 6002, 2):
         for k in range(2 * (n // 5) + 2, 2 * (n // 4) + 1, 2):
-            assert forced_triangle_window(n, k)
+            assert k in triangle_window(n)
             assert (n - 1) // 2 - k + 1 <= k // 2, (n, k)
 
 
 def test_registry_and_sweep_grids_agree():
-    """Every builder has a sweep grid and a constructions-suite check, and
-    every sweep check names a registered builder."""
-    swept = {
-        check["args"]["name"]
-        for suite in load_suites().values()
+    """Every builder has a constructions-suite check, every sweep check
+    names a registered builder, and each grid yields a point for the
+    arguments its check gives it."""
+    suites = load_suites()
+    sweeps = [
+        check["args"]
+        for suite in suites.values()
         for check in suite["checks"]
         if check["op"] == "construction_sweep"
-    }
-    suite_names = {
-        check["args"]["name"] for check in load_suites()["constructions"]["checks"]
-    }
-    for name in BUILDERS:
-        args = {"n_max": 21, "k_max": 8}
-        assert next(_sweep_params(name, args), None) is not None, name
+    ]
+    suite_names = {check["args"]["name"] for check in suites["constructions"]["checks"]}
     assert suite_names == set(BUILDERS)
-    assert swept <= set(BUILDERS)
-    with pytest.raises(ValueError, match="no sweep grid"):
-        next(_sweep_params("unknown-thing", {}))
+    for args in sweeps:
+        args = dict(args)
+        name = args.pop("name")
+        assert name in BUILDERS
+        assert next(grid(name, args), None) is not None, name
+    with pytest.raises(ConstructionError, match="unknown construction"):
+        grid("unknown-thing", {})
+
+
+@pytest.mark.parametrize(
+    "name, args",
+    [
+        ("odd-girth-blowup", {"n_max": 301, "ell_mx": 8}),
+        ("kbe", {"xmax": 8}),
+        ("apex", {"spots": [101]}),
+        ("circulant-small-odd", {"n_max": 19}),
+    ],
+    ids=["misspelt", "misspelt-default-only", "missing", "takes-none"],
+)
+def test_sweep_grid_refuses_bad_arguments(name, args):
+    """A sweep argument the grid does not take, or a missing one, is
+    refused before any point is built, not read as its default."""
+    with pytest.raises(ConstructionError, match=f"{name} sweep grid: "):
+        grid(name, args)
+    check = {"op": "construction_sweep", "args": {"name": name, **args}, "expect": None}
+    with pytest.raises(ConstructionError, match="sweep grid"):
+        run_check(check, {"jobs": 1, "seed": 0})

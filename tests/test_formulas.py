@@ -7,11 +7,11 @@ from turan_reg.formulas import (
     FormulaError,
     c5_star_forest_count,
     conjectured_triangle_min,
-    forced_triangle_window,
     ex_c5_closed_form,
     exr_closed_form,
     gls_critical_range,
     goodman_defect,
+    triangle_window,
 )
 from turan_reg.constructions import star_forest_complement
 from turan_reg.graphs import (
@@ -91,14 +91,29 @@ def test_gls_critical_range():
     assert gls_critical_range(6, 4) == (10, 12)
     assert gls_critical_range(8, 4) == (13, 16)
     assert gls_critical_range(5, 4) == (10, 10)
+    for n in (0, -3):
+        with pytest.raises(FormulaError, match="order must be >= 1"):
+            gls_critical_range(n, 4)
 
 
 def test_conjectured_triangle_min():
     assert conjectured_triangle_min(9, 4) == 2
     assert conjectured_triangle_min(13, 6) == 6
     assert conjectured_triangle_min(21, 10) == 20
-    assert not forced_triangle_window(11, 4)
+    assert 4 not in triangle_window(11)
     with pytest.raises(FormulaError):
         conjectured_triangle_min(11, 4)
     with pytest.raises(FormulaError):
         conjectured_triangle_min(9, 3)
+
+
+def test_triangle_window():
+    """The even k with 2*floor(n/5) < k <= 2*floor(n/4) for odd n, none
+    for even n; ``start`` is the first degree in both cases."""
+    assert list(triangle_window(9)) == [4]
+    assert list(triangle_window(41)) == [18, 20]
+    assert list(triangle_window(7)) == [] and list(triangle_window(40)) == []
+    assert triangle_window(101).start == triangle_window(100).start == 42
+    for n in range(1, 400):
+        brute = [k for k in range(n) if n % 2 and k % 2 == 0 and 2 * (n // 5) < k <= 2 * (n // 4)]
+        assert list(triangle_window(n)) == brute, n

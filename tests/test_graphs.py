@@ -15,6 +15,7 @@ from helpers import (
     count_complete_bipartite,
     count_stars,
     count_subgraph_embeddings,
+    disjoint_union,
     naive_contains,
     naive_cycle_count,
     naive_embedding_count,
@@ -44,7 +45,6 @@ from turan_reg.graphs import (
     count_cliques,
     count_cycles,
     cycle_graph,
-    disjoint_union,
     empty_graph,
     format_edge_list,
     from_edges,

@@ -10,6 +10,7 @@ from helpers import (
     count_complete_bipartite,
     count_p4,
     count_stars,
+    disjoint_union,
     naive_embedding_count,
     path_graph,
     random_graph,
@@ -34,7 +35,6 @@ from turan_reg.graphs import (
     count_cliques,
     count_cycles,
     cycle_graph,
-    disjoint_union,
     from_edges,
     graph6_decode,
     graph6_encode,
