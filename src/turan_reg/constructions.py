@@ -11,7 +11,8 @@ Matchings that the underlying results merely assert to exist are pinned
 down as rotations (i paired with i+c, indices cyclic), which keeps every
 output reproducible; where a simple rotation schedule cannot realize the
 required deletion the builder reports infeasibility instead of
-searching.
+searching.  A deletion ORs its shifts into one mask and touches each row
+once, clearing a rotation of that mask.
 
 Each graph family has one builder.  ``apex``, ``split-apex-equality``
 and ``triangle-min-extremal`` are all ``apex_construction``: the last
@@ -25,7 +26,10 @@ code share a grid; the pentagon's is the odd-girth grid at ell = 2.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import or_
 
 from .formulas import conjectured_triangle_min, triangle_window
 from .graphs import (
@@ -77,14 +81,39 @@ def _certify(name, params, graph, checks):
     return ConstructionResult(name, params, graph, cert)
 
 
+def _shift_masks(shifts, size):
+    """The shifts as one ``size``-bit mask (bit c % size), and its
+    reflection (bit -c % size)."""
+    fwd = rev = 0
+    for c in shifts:
+        fwd |= 1 << c % size
+        rev |= 1 << -c % size
+    return fwd, rev
+
+
+def _rotations(mask, size):
+    """The ``size``-bit mask rotated up by i, for i = 0, 1, ..., size - 1:
+    a window of ``size`` bits slid down two copies of it."""
+    twice = mask | mask << size
+    full = (1 << size) - 1
+    return [twice >> (size - i) & full for i in range(size)]
+
+
 def _delete_rotations(rows, a, b, size, shifts):
     """Delete, for each shift c, the matching a + i -- b + (i + c) % size
-    (0 <= i < size) from the bitmask rows, in place."""
-    for c in shifts:
-        for i in range(size):
-            u, v = a + i, b + (i + c) % size
-            rows[u] &= ~(1 << v)
-            rows[v] &= ~(1 << u)
+    (0 <= i < size) from the bitmask rows, in place.
+
+    The shifts are ORed into one ``size``-bit mask, and its reflection
+    holds the shifts -c.  Row a + i loses the mask rotated up by i, moved
+    to b; row b + i loses the reflection rotated up by i, moved to a.  So
+    each row is touched once, whatever the number of shifts.
+    """
+    if not size:
+        return
+    fwd, rev = _shift_masks(shifts, size)
+    for i, (f, r) in enumerate(zip(_rotations(fwd, size), _rotations(rev, size))):
+        rows[a + i] &= ~(f << b)
+        rows[b + i] &= ~(r << a)
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +356,15 @@ def multipartite_regular(n, r):
     A complete (r-2)-partite core K_{x,...,x} loses a y-factor realized
     by rotation layers and is then completely joined to a stable set of
     size x+y.
+
+    The shifts are ORed into a forward x-bit mask and its reflection.
+    Each core row is written once: the complete row of its part, XORed
+    with, for vertex i of part a, the forward mask rotated up by i into
+    part a + 1, the reflection rotated up by i into part a - 1 and, for
+    odd y, the bit of its half-shift partner.  XOR removes an edge only if no
+    two layers share a pair, which the masks show before any row is
+    touched: a repeated shift, for two parts (where a + 1 = a - 1) two
+    shifts c, c' with c + c' = 0 mod x, or shift x/2 beside the matching.
     """
     if r < 4:
         raise ConstructionError("r must be >= 4")
@@ -334,41 +372,37 @@ def multipartite_regular(n, r):
     t = r - 2
     core = t * x
     shifts, need_matching = _core_y_factor_layers(t, x, y)
-    rows = [0] * n
+    hhalf = x // 2
+    fwd, rev = _shift_masks(shifts, x)
+    if (
+        fwd.bit_count() < len(shifts)
+        or (t == 2 and fwd & rev)
+        or (need_matching and fwd >> hhalf & 1)
+    ):
+        raise ConstructionError("y-factor touched a non-edge", prop="y-factor")
+    # vertex i of a part loses rotation i of each mask, in the next part
+    # and in the previous; the half-shift matching pairs part a vertex
+    # x/2 + i with part a + 1 vertex i, so vertex i also loses bit
+    # (i + x/2) % x, in the next part on the upper half and in the
+    # previous on the lower
+    ups, downs = _rotations(fwd, x), _rotations(rev, x)
+    if need_matching:
+        ups[hhalf:] = [f | 1 << i for i, f in enumerate(ups[hhalf:])]
+        downs[:hhalf] = [b | 1 << hhalf + i for i, b in enumerate(downs[:hhalf])]
     core_mask = (1 << core) - 1
     top_mask = ((1 << (x + y)) - 1) << core
     part_masks = [((1 << x) - 1) << (a * x) for a in range(t)]
+    rows = []
     for a in range(t):
-        others = (core_mask ^ part_masks[a]) | top_mask
-        for v in range(a * x, (a + 1) * x):
-            rows[v] = others
-    for v in range(core, n):
-        rows[v] = core_mask
-
-    # layers (lo, hi, c): part a vertex i in [lo, hi) loses part a + 1
-    # vertex i + c; the half-shift matching pairs x/2 + i with i
-    hhalf = x // 2
-    layers = [(0, x, c) for c in shifts]
-    if need_matching:
-        layers.append((hhalf, 2 * hhalf, -hhalf))
-    for lo, hi, c in layers:
-        for a in range(t):
-            base = (a + 1) % t * x
-            for u in range(a * x + lo, a * x + hi):
-                v = base + (u + c) % x
-                bit = 1 << v
-                # doubles as the disjointness check: a repeated or
-                # same-part pair would hit an already-missing edge
-                if not rows[u] & bit:
-                    raise ConstructionError("y-factor touched a non-edge", prop="y-factor")
-                rows[u] ^= bit
-                rows[v] ^= 1 << u
+        complete = core_mask ^ part_masks[a] | top_mask
+        up, down = (a + 1) % t * x, (a - 1) % t * x
+        rows += [complete ^ (f << up | b << down) for f, b in zip(ups, downs)]
+    rows += [core_mask] * (x + y)
     g = Graph(n, tuple(rows))
-    parts_stable = all(
-        (g.rows[v] & part_masks[a]) == 0
-        for a in range(t)
-        for v in range(a * x, (a + 1) * x)
-    ) and all((g.rows[v] & top_mask) == 0 for v in range(core, n))
+    # a part is stable iff the union of its rows misses it
+    parts_stable = not any(
+        reduce(or_, rows[a * x:(a + 1) * x]) & part_masks[a] for a in range(t)
+    ) and not reduce(or_, rows[core:]) & top_mask
     return _certify(
         "multipartite-regular",
         {"n": n, "r": r, "x": x, "y": y, "parts": [x] * t + [x + y]},
@@ -582,9 +616,13 @@ def build(name, **params):
 def grid(name, args):
     """The parameters of each point of the named builder's sweep grid,
     for the sweep check's arguments ``args`` (without ``name``); an
-    argument the grid does not take is refused."""
+    argument the grid does not take, or a missing one, is refused with
+    the arguments it takes."""
     _, _, sweep = _entry(name)
+    signature = inspect.signature(sweep)
     try:
-        return sweep(**args)
-    except TypeError as exc:  # binding the arguments; the grid runs lazily
-        raise ConstructionError(f"{name} sweep grid: {exc}") from None
+        signature.bind(**args)
+    except TypeError as exc:
+        takes = ", ".join(signature.parameters) or "no arguments"
+        raise ConstructionError(f"{name} sweep grid: {exc} (takes {takes})") from None
+    return sweep(**args)

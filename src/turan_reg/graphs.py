@@ -43,7 +43,7 @@ class Graph:
 
     @property
     def edge_count(self):
-        return sum(r.bit_count() for r in self.rows) // 2
+        return sum(map(int.bit_count, self.rows)) // 2
 
     def has_edge(self, u, v):
         return (self.rows[u] >> v) & 1 == 1
@@ -61,10 +61,8 @@ class Graph:
     def is_regular(self, k=None):
         if self.n == 0:
             return True
-        d = self.rows[0].bit_count()
-        if k is not None and d != k:
-            return False
-        return all(r.bit_count() == d for r in self.rows)
+        degrees = set(map(int.bit_count, self.rows))
+        return len(degrees) == 1 and (k is None or k in degrees)
 
 
 def bits(mask):
@@ -226,15 +224,15 @@ def _or_tree(rows):
     return tree
 
 
-def _spans_edge(tree, mask):
-    """Whether some vertex of ``mask`` has a neighbour in ``mask``.
+def _run_union(tree, mask, until):
+    """The OR of the rows of ``mask``, or a part of it that meets ``until``.
 
     The set bits of mask ^ (mask << 1) are the ends of the runs of
     consecutive labels in ``mask``, taken in pairs from the bottom: the
     first label of a run, then the label just past its last.  The rows
     of a run are the OR of the O(log n) nodes of ``tree`` (``_or_tree``)
-    that cover it; their union grows run by run and the answer is yes as
-    soon as it meets ``mask``.
+    that cover it.  The union grows run by run and is returned as soon as
+    it meets ``until``.
     """
     size = len(tree) >> 1
     ends = mask ^ (mask << 1)
@@ -255,9 +253,15 @@ def _spans_edge(tree, mask):
                 union |= tree[hi]
             lo >>= 1
             hi >>= 1
-        if union & mask:
-            return True
-    return False
+        if union & until:
+            break
+    return union
+
+
+def _spans_edge(tree, mask):
+    """Whether some vertex of ``mask`` has a neighbour in ``mask``: the
+    union of its rows (``_run_union``) meets it."""
+    return bool(_run_union(tree, mask, mask) & mask)
 
 
 def triangle_count(g):
@@ -313,17 +317,16 @@ def triangle_count(g):
     return total
 
 
-def _has_triangle(rows, keep):
+def _has_triangle(rows, keep, tree):
     """Whether the vertices of ``keep`` span a triangle.
 
     Each triangle is looked for at its highest vertex u: it is there iff
     the neighbours of u in ``keep`` below u span an edge (``_spans_edge``
-    on one ``_or_tree`` of the rows).  The builders label each part
-    contiguously, so such a neighbourhood is a handful of runs, and the
-    scan ORs a few dozen tree nodes per vertex instead of reading one row
-    per edge.
+    on ``tree``, the ``_or_tree`` of the rows).  The builders label each
+    part contiguously, so such a neighbourhood is a handful of runs, and
+    the scan ORs a few dozen tree nodes per vertex instead of reading one
+    row per edge.
     """
-    tree = _or_tree(rows)
     left = keep
     while left:
         u = left.bit_length() - 1
@@ -334,32 +337,29 @@ def _has_triangle(rows, keep):
 
 
 def is_triangle_free(g):
-    return not _has_triangle(g.rows, _twin_classes(g)[0])
+    return not _has_triangle(g.rows, _twin_classes(g)[0], _or_tree(g.rows))
 
 
-def _odd_layer(rows, keep, s, bound):
-    """BFS from ``s`` over the vertices of ``keep``.
+def _odd_layer(tree, keep, s, bound):
+    """BFS from ``s`` over the vertices of ``keep``, one union per layer.
 
-    Returns ``(2d + 1, seen)`` for the first layer d that holds an edge,
-    checking only layers with 2d + 1 < ``bound``, else ``(None, seen)``;
-    ``seen`` is the set of vertices reached, which with an infinite
-    ``bound`` and no hit is the component of ``s``.
+    The neighbourhood of a layer is the union of its rows, read from
+    ``tree`` (``_or_tree``) over the layer's runs of consecutive labels
+    (``_run_union``), and the layer holds an edge iff that union meets
+    it.  Returns ``(2d + 1, seen)`` for the first layer d that holds an
+    edge, checking only layers with 2d + 1 < ``bound``, else
+    ``(None, seen)``; ``seen`` is the set of vertices reached, which with
+    an infinite ``bound`` and no hit is the component of ``s``.
     """
     seen = layer = 1 << s
     d = 0
     while layer and 2 * d + 1 < bound:
-        grow = 2 * d + 3 < bound  # whether the next layer is checked
-        nxt = 0
-        m = layer
-        while m:
-            low = m & -m
-            r = rows[low.bit_length() - 1]
-            m ^= low
-            if r & layer:
-                return 2 * d + 1, seen
-            if grow:
-                nxt |= r
-        layer = nxt & keep & ~seen
+        union = _run_union(tree, layer, layer)
+        if union & layer:
+            return 2 * d + 1, seen
+        if 2 * d + 3 >= bound:  # the next layer is not checked
+            break
+        layer = union & keep & ~seen
         seen |= layer
         d += 1
     return None, seen
@@ -368,35 +368,39 @@ def _odd_layer(rows, keep, s, bound):
 def odd_girth(g):
     """Length of a shortest odd cycle, or None iff bipartite.
 
-    Works on one vertex per identical-row class.  One BFS per component
-    first: if no BFS layer holds an edge the graph is bipartite.  Else the
-    first layer d that holds one closes an odd walk, so 2d + 1 bounds the
-    odd girth from above.  A triangle among the kept vertices makes it 3;
-    ``_has_triangle`` looks for one with the tree scan of ``_spans_edge``
-    (triangle finding as the first step of a shortest-odd-cycle search:
-    Itai and Rodeh, SIAM J. Comput. 7, 1978).  Without one a bound of 5 is
-    exact.  Only a bound of 7 or more runs BFS from every kept vertex s
-    over the kept vertices from s up, stopping at depth d once 2d + 1
-    reaches the best length so far.  An edge inside the layer at distance
-    d witnesses an odd closed walk of length 2d + 1, and the lowest vertex
-    of a shortest odd cycle attains its length.
+    Works on one vertex per identical-row class, with one ``_or_tree``
+    of the rows for every BFS layer and for the triangle scan.  One BFS
+    per component first: if no BFS layer holds an edge the graph is
+    bipartite.  Else the first layer d that holds one closes an odd walk,
+    so 2d + 1 bounds the odd girth from above.  A triangle among the kept
+    vertices makes it 3; ``_has_triangle`` looks for one with the tree
+    scan of ``_spans_edge`` (triangle finding as the first step of a
+    shortest-odd-cycle search: Itai and Rodeh, SIAM J. Comput. 7, 1978).
+    Without one a bound of 5 is exact.  Only a bound of 7 or more runs
+    BFS from every kept vertex s over the kept vertices from s up,
+    stopping at depth d once 2d + 1 reaches the best length so far.  An
+    edge inside the layer at distance d witnesses an odd closed walk of
+    length 2d + 1, and the lowest vertex of a shortest odd cycle attains
+    its length.  Each layer costs the tree nodes over its runs, not one
+    row per vertex: a blow-up's layers are a few whole parts.
     """
     rows = g.rows
     keep, _ = _twin_classes(g)
+    tree = _or_tree(rows)
     left = keep
     while left:
-        best, comp = _odd_layer(rows, keep, (left & -left).bit_length() - 1, math.inf)
+        best, comp = _odd_layer(tree, keep, (left & -left).bit_length() - 1, math.inf)
         if best is not None:
             break
         left &= ~comp
     else:
         return None
-    if best == 3 or _has_triangle(rows, keep):
+    if best == 3 or _has_triangle(rows, keep, tree):
         return 3
     if best == 5:
         return 5
     for s in bits(keep):
-        cand, _ = _odd_layer(rows, keep >> s << s, s, best)
+        cand, _ = _odd_layer(tree, keep >> s << s, s, best)
         if cand is not None:
             best = cand
     return best

@@ -6,13 +6,15 @@ the package's own algorithms.  The fixed graphs, the edge-list parser
 and the invariant check at the top are fixtures the tests share.  The
 package routines that only the tests call sit here too: the disjoint
 union, the automorphism group of a pattern, the embedding count and the
-star and biclique counts.
+star and biclique counts.  The builders' rotational deletions, one pair
+at a time, are the oracles of their whole-mask passes.
 """
 
 import itertools
 import math
 import random
 
+from turan_reg import constructions
 from turan_reg.canon import canon_core
 from turan_reg.graphs import Graph, GraphError, _embeddings, bits, from_edges, relabel
 
@@ -235,6 +237,51 @@ def odd_girth_oracle(g):
             seen |= layer
             d += 1
     return best
+
+
+def delete_rotations_oracle(rows, a, b, size, shifts):
+    """The rotational deletion one pair at a time: for each shift c and
+    0 <= i < size, clear the edge a + i -- b + (i + c) % size, in place."""
+    for c in shifts:
+        for i in range(size):
+            u, v = a + i, b + (i + c) % size
+            rows[u] &= ~(1 << v)
+            rows[v] &= ~(1 << u)
+
+
+def multipartite_rows_oracle(n, r):
+    """The rows of ``multipartite_regular(n, r)`` built one layer and one
+    vertex at a time, or its refusal.
+
+    The decomposition and the layer schedule are the builder's own,
+    looked up when called.  Each layer (lo, hi, c) removes, from part a
+    vertex i in [lo, hi), the edge to part a + 1 vertex i + c; the
+    half-shift matching is the layer (x/2, x, -x/2).  Removing an edge
+    that is already gone, because two layers share a pair, is refused
+    with the builder's text and ``prop``.
+    """
+    x, y = constructions._multipartite_decompose(n, r)
+    t = r - 2
+    shifts, need_matching = constructions._core_y_factor_layers(t, x, y)
+    core = t * x
+    rows = []
+    for a in range(t):
+        rows += [((1 << n) - 1) ^ (((1 << x) - 1) << a * x)] * x
+    rows += [(1 << core) - 1] * (x + y)
+    layers = [(0, x, c) for c in shifts]
+    if need_matching:
+        layers.append((x // 2, x, -(x // 2)))
+    for lo, hi, c in layers:
+        for a in range(t):
+            for i in range(lo, hi):
+                u, v = a * x + i, (a + 1) % t * x + (i + c) % x
+                if not rows[u] >> v & 1:
+                    raise constructions.ConstructionError(
+                        "y-factor touched a non-edge", prop="y-factor"
+                    )
+                rows[u] ^= 1 << v
+                rows[v] ^= 1 << u
+    return tuple(rows)
 
 
 def brute_cert(g):

@@ -17,8 +17,8 @@ from turan_reg.cli import (
     main,
     run_suite,
 )
-from turan_reg.constructions import BUILDERS, star_partitions
-from turan_reg.graphs import graph6_decode
+from turan_reg.constructions import BUILDERS, build, star_partitions
+from turan_reg.graphs import graph6_decode, graph6_encode
 from turan_reg.search import HSpec
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -83,6 +83,14 @@ def test_construct_edges_format(capsys):
     text = capsys.readouterr().out
     assert text.startswith("n 6\n")
     assert len(text.strip().splitlines()) == 11  # header + 10 edges
+
+
+def test_construct_reports_seconds(capsys):
+    """The build time goes to stderr; stdout is the graph alone."""
+    assert main(["construct", "pentagon-blowup", "--n", "25"]) == 0
+    out, err = capsys.readouterr()
+    assert re.fullmatch(r"seconds=\d+\.\d\d\n", err)
+    assert out == graph6_encode(build("pentagon-blowup", n=25).graph) + "\n"
 
 
 def test_enumerate_command(tmp_path, capsys):

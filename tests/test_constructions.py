@@ -1,9 +1,10 @@
 import hashlib
 import json
+import random
 
 import pytest
 
-from helpers import odd_girth_oracle, triangle_count_oracle
+from helpers import multipartite_rows_oracle, odd_girth_oracle, triangle_count_oracle
 
 from turan_reg.canon import canonical_form
 from turan_reg.cli import load_suites, run_check
@@ -12,6 +13,7 @@ from turan_reg.constructions import (
     ConstructionError,
     _certify,
     _multipartite_decompose,
+    _multipartite_grid,
     apex_construction,
     build,
     circulant_small_odd,
@@ -32,6 +34,7 @@ from turan_reg.graphs import (
     induced_subgraph,
     is_triangle_free,
     odd_girth,
+    relabel,
     triangle_count,
 )
 
@@ -178,6 +181,59 @@ def test_multipartite_y_factor_guard(monkeypatch):
     with pytest.raises(ConstructionError, match="y-factor touched a non-edge") as exc:
         multipartite_regular(14, 4)
     assert exc.value.prop == "y-factor"
+    # (19, 5) has x = 4, odd y = 3 and three parts: shift x/2 = 2 beside
+    # the half-shift matching repeats the matching's pairs
+    monkeypatch.setattr(constructions, "_core_y_factor_layers", lambda t, x, y: ([2], True))
+    with pytest.raises(ConstructionError, match="y-factor touched a non-edge") as exc:
+        multipartite_regular(19, 5)
+    assert exc.value.prop == "y-factor"
+    with pytest.raises(ConstructionError, match="y-factor touched a non-edge"):
+        multipartite_rows_oracle(19, 5)
+
+
+def _refusal(fn, *args):
+    try:
+        return fn(*args)
+    except ConstructionError as exc:
+        return str(exc), exc.prop
+
+
+def test_multipartite_rows_vs_oracle():
+    """At every point of the sweep grid up to n = 301, the mask pass
+    gives the rows of the per-layer, per-vertex construction, or the same
+    refusal."""
+    refused = 0
+    for params in _multipartite_grid(301):
+        n, r = params["n"], params["r"]
+        built = _refusal(lambda: multipartite_regular(n, r).graph.rows)
+        assert built == _refusal(multipartite_rows_oracle, n, r), params
+        refused += isinstance(built[0], str)
+    assert refused == 25
+
+
+def _relabelled(rng, g):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return relabel(g, perm)
+
+
+def test_odd_girth_relabelled_vs_oracle():
+    """Odd-girth blow-ups (ell = 3..5) and apex graphs under random
+    labels, so that parts, twin classes and BFS layers are scattered
+    labels and each layer's union is read over many short runs."""
+    rng = random.Random(20261019)
+    graphs = []
+    for ell in (3, 4, 5):
+        points = [p for p in grid("odd-girth-blowup", {"n_max": 121, "ell_max": ell}) if p["ell"] == ell]
+        for params in rng.sample(points, 4):
+            graphs.append((params, odd_girth_blowup(**params).graph))
+    for params in rng.sample(list(grid("apex", {"n_max": 61})), 6):
+        g = apex_construction(**params).graph
+        graphs += [(params, g), (params, induced_subgraph(g, g.n - 1))]
+    for params, g in graphs:
+        h = _relabelled(rng, g)
+        assert odd_girth(h) == odd_girth_oracle(h) == odd_girth(g), params
+        assert is_triangle_free(h) == is_triangle_free(g), params
 
 
 def test_multipartite_decompose_fits_core():
@@ -437,20 +493,23 @@ def test_registry_and_sweep_grids_agree():
 
 
 @pytest.mark.parametrize(
-    "name, args",
+    "name, args, takes",
     [
-        ("odd-girth-blowup", {"n_max": 301, "ell_mx": 8}),
-        ("kbe", {"xmax": 8}),
-        ("apex", {"spots": [101]}),
-        ("circulant-small-odd", {"n_max": 19}),
+        ("odd-girth-blowup", {"n_max": 301, "ell_mx": 8}, "n_max, ell_max, spots"),
+        ("kbe", {"xmax": 8}, "x_max"),
+        ("apex", {"spots": [101]}, "n_max, spots"),
+        ("circulant-small-odd", {"n_max": 19}, "no arguments"),
     ],
     ids=["misspelt", "misspelt-default-only", "missing", "takes-none"],
 )
-def test_sweep_grid_refuses_bad_arguments(name, args):
+def test_sweep_grid_refuses_bad_arguments(name, args, takes):
     """A sweep argument the grid does not take, or a missing one, is
-    refused before any point is built, not read as its default."""
-    with pytest.raises(ConstructionError, match=f"{name} sweep grid: "):
+    refused before any point is built, not read as its default, and the
+    refusal names the arguments the grid takes."""
+    with pytest.raises(ConstructionError, match=f"{name} sweep grid: ") as exc:
         grid(name, args)
+    assert str(exc.value).endswith(f"(takes {takes})")
+    assert "<lambda>" not in str(exc.value)
     check = {"op": "construction_sweep", "args": {"name": name, **args}, "expect": None}
     with pytest.raises(ConstructionError, match="sweep grid"):
         run_check(check, {"jobs": 1, "seed": 0})

@@ -323,6 +323,26 @@ def test_spans_edge_vs_brute_force(n):
             assert graphs._spans_edge(tree, mask) == expected, (n, p, mask)
 
 
+@pytest.mark.parametrize("n", ORDERS)
+def test_run_union_vs_brute_force(n):
+    """The union of the rows of a mask, over contiguous and scattered
+    labels; stopped early, it is part of the union that meets ``until``
+    exactly when the whole union does."""
+    rng = random.Random(20261019 + n)
+    for p in (0.05, 0.5):
+        g = random_graph(rng, n, p)
+        tree = graphs._or_tree(g.rows)
+        for mask in _test_masks(rng, n):
+            union = 0
+            for v in bits(mask):
+                union |= g.rows[v]
+            assert graphs._run_union(tree, mask, 0) == union, (n, p, mask)
+            until = rng.getrandbits(n) if n else 0
+            part = graphs._run_union(tree, mask, until)
+            assert part | union == union, (n, p, mask)
+            assert bool(part & until) == bool(union & until), (n, p, mask, until)
+
+
 @pytest.mark.parametrize("n", [n for n in ORDERS if n])
 def test_spans_edge_one_run_reads_few_nodes(n):
     """A run of consecutive labels costs at most two nodes per tree level,
@@ -351,7 +371,8 @@ def _census_vs_oracles(g, triangles=None):
     assert (og == 3) == (t > 0), g.rows
     assert triangle_count(g) == t, g.rows
     assert is_triangle_free(g) == (t == 0), g.rows
-    assert graphs._has_triangle(g.rows, (1 << g.n) - 1) == (t > 0), g.rows
+    tree = graphs._or_tree(g.rows)
+    assert graphs._has_triangle(g.rows, (1 << g.n) - 1, tree) == (t > 0), g.rows
     assert odd_girth(g) == og, g.rows
 
 
