@@ -27,8 +27,14 @@ refined from that round-2 partition, round 3 on, stopping at the first
 round that moves the new vertex out of the last cell.  When the refined
 partition is discrete the graph is rigid and the decision needs no
 search at all, nor does it at a leaf whose last cell is the new vertex
-alone.  Cells are int masks from the degree classes to the search (see
-``canon``).
+alone.  Nor does it at a leaf whose last cell is one orbit, as shown by
+an automorphism, checked on every row, that swaps the new vertex with
+each other vertex of the cell: the canonical-deletion vertex lies in
+that cell, so the search would accept the child too.  The automorphism
+is an involution of disjoint swaps, each forced by the ones before (see
+``_involution``); when some vertex of the cell gets none, the search
+decides, so every verdict stays the same.  Cells are int masks from the
+degree classes to the search (see ``canon``).
 
 Filters push down only hereditary consequences (degree caps, edge-count
 reachability, regularity deficiency bounds, forbidden-subgraph
@@ -68,7 +74,7 @@ from dataclasses import dataclass, field
 from itertools import combinations, repeat
 
 from .canon import _refine, _search, _split, orbits_from_generators
-from .graphs import Graph, PatternCounter, _extend, contains_subgraph, is_connected
+from .graphs import Graph, PatternCounter, _extend, bits, contains_subgraph, is_connected
 
 HARD_CAP = 11
 
@@ -265,6 +271,49 @@ def _degree_stage(rows, s, degrees, desc):
     return lower, [split[k] for k in sorted(split, reverse=desc)]
 
 
+def _involution(rows, a, b):
+    """Whether a checked automorphism of disjoint transpositions swaps a
+    and b.
+
+    Starts from the swap (a b) and adds a swap only when it is forced:
+    one end of a swapped pair sees exactly one unswapped vertex that the
+    other end does not, and the other end exactly one in return; those
+    two are swapped.  Any other difference, or a result that fails the
+    check on every row, is no proof (False), though such an automorphism
+    may still exist.
+    """
+    n = len(rows)
+    image = list(range(n))
+    image[a], image[b] = b, a
+    pairs = [(a, b)]
+    free = ((1 << n) - 1) ^ (1 << a) ^ (1 << b)
+    for x, y in pairs:  # grows as swaps are forced
+        rx, ry = rows[x], rows[y]
+        dx, dy = rx & ~ry & free, ry & ~rx & free
+        if dx or dy:
+            if not (dx and dy) or dx & (dx - 1) or dy & (dy - 1):
+                return False
+            free ^= dx | dy
+            u, w = dx.bit_length() - 1, dy.bit_length() - 1
+            image[u], image[w] = w, u
+            pairs.append((u, w))
+    swaps = [1 << x | 1 << y for x, y in pairs]
+    for u, row in enumerate(rows):
+        for both in swaps:
+            if row & both not in (0, both):
+                row ^= both
+        if row != rows[image[u]]:
+            return False
+    return True
+
+
+def _one_orbit(rows, cell, j):
+    """Whether ``cell`` is one orbit, proved by a checked involution that
+    swaps j with each other vertex of it (see ``_involution``); False
+    when some vertex has no such proof."""
+    return all(_involution(rows, j, v) for v in bits(cell & ~(1 << j)))
+
+
 def _accept(rows, stage, desc, leaf):
     """Canonical-augmentation acceptance for the vertex j added last.
 
@@ -276,10 +325,12 @@ def _accept(rows, stage, desc, leaf):
     other child finishes round 2 on the lower cells and is refined from
     there, round 3 on, stopping at the first round that moves j out of
     the last cell; a discrete refinement is rigid and needs no search,
-    nor does a leaf once j is alone in the last cell.
+    nor does a leaf whose last cell ``_one_orbit`` proves one orbit,
+    j alone there included.
 
     Returns (accepted, generators); generators are only meaningful on
-    acceptance and feed the child's own subset deduplication.
+    acceptance and feed the child's own subset deduplication.  A leaf
+    accepted without a search returns none, ``[]``.
     """
     lower, split = stage
     nc = len(rows)
@@ -291,8 +342,8 @@ def _accept(rows, stage, desc, leaf):
     cells = _refine(rows, nc, cells + split, desc, keep=j, active=active, alone=leaf)
     if cells is None:
         return False, None
-    if len(cells) == nc or (leaf and cells[-1] == 1 << j):
-        # j alone in the last cell of every leaf: the canonical-last vertex
+    if len(cells) == nc or leaf and _one_orbit(rows, cells[-1], j):
+        # the canonical-last vertex lies in the last cell, all in j's orbit
         return True, []
     perm, _, autos = _search(rows, nc, cells, desc)
     w = perm[nc - 1]

@@ -96,10 +96,11 @@ def random_graph(rng, n, p=None):
 
 
 def random_graph_with_twins(rng, n_max):
-    """A random graph on up to 10 vertices grown to at most ``n_max`` by
-    copies of random vertices, each a false twin (same neighbourhood) or
-    a true twin (also adjacent to its source), then randomly relabeled."""
-    n0 = rng.randint(1, 10)
+    """A random graph on up to min(10, ``n_max``) vertices grown to at
+    most ``n_max`` by copies of random vertices, each a false twin (same
+    neighbourhood) or a true twin (also adjacent to its source), then
+    randomly relabeled."""
+    n0 = rng.randint(1, min(10, n_max))
     rows = list(random_graph(rng, n0).rows)
     for _ in range(rng.randint(0, n_max - n0)):
         s = rng.randrange(len(rows))

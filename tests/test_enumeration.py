@@ -1,12 +1,21 @@
 import hashlib
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from helpers import all_labeled_graphs, child_ok_oracle, degree_cells, split_round
+from helpers import (
+    all_labeled_graphs,
+    brute_orbit_partition,
+    child_ok_oracle,
+    degree_cells,
+    disjoint_union,
+    random_graph_with_twins,
+    split_round,
+)
 
 import turan_reg
 from turan_reg import canon, enumeration, graphs, parallel
@@ -28,17 +37,22 @@ from turan_reg.enumeration import (
     _degree_classes,
     _degree_stage,
     _extend,
+    _one_orbit,
     _Run,
     enumerate_graphs,
     enumerate_regular,
 )
 from turan_reg.graphs import (
+    Graph,
     PatternCounter,
+    bits,
     complete_graph,
     contains_subgraph,
     cycle_graph,
+    from_edges,
     graph6_encode,
     is_connected,
+    relabel,
 )
 from turan_reg.search import HSpec, exr_exact, max_copies_free
 
@@ -144,6 +158,16 @@ ORDER_GOLDENS = {
     "regular-10-4": (
         lambda visit: enumerate_regular(10, 4, visitor=visit),
         "35ae8be05e217ec8bab5a7cfca900ccb353e8ab9327901f387c54bb732f4406c",
+        60,
+    ),
+    "max-degree-8-4-desc": (
+        lambda visit: enumerate_graphs(GenFilter(n=8, max_degree=4), visitor=visit, desc=True),
+        "da3f9b4eda84c6dce73dedd2a9034ea9e6b6131fe3ce966df151cdc27b8a058c",
+        2590,
+    ),
+    "regular-10-4-desc": (
+        lambda visit: enumerate_regular(10, 4, visitor=visit, desc=True),
+        "f7e9f2e94ee91a19525fccbd1321ca8d35c9e2273d74762384bc7b41b3943eb7",
         60,
     ),
     "regular-10-3-K3": (
@@ -347,8 +371,8 @@ def test_degree_stage_matches_refine(case):
     # refining would return None; it reads off the degree cells and the
     # round-2 split of the last one, and whether j is then alone there;
     # the round-2 partition it hands on is the full second round; and
-    # acceptance decides, with the same generators, as refining from one
-    # cell does
+    # acceptance decides as refining from one cell does, with the same
+    # generators for a child that is not a leaf (a leaf's are never read)
     desc = case.endswith("-desc")
     filt = STAGE_FILTERS[case.removesuffix("-desc")]
     verdicts = {"reject": 0, "alone": 0, "refine": 0}
@@ -386,14 +410,84 @@ def test_degree_stage_matches_refine(case):
                 for leaf in (False, True):
                     want = _one_cell_accept(child, desc, leaf)
                     got = (False, None) if stage is None else _accept(child, stage, desc, leaf)
+                    if leaf:
+                        got, want = got[0], want[0]
                     assert got == want, (rows, s, leaf)
     assert min(verdicts.values()) > 0, verdicts
+
+
+def test_one_orbit_certificate_vs_brute_force():
+    # every vertex j and its cell of the stable refinement, in both
+    # orders, and every pair of vertices as a cell, which a stable
+    # partition would rarely put together without an automorphism: a cell
+    # the involution certificate proves one orbit is one orbit under all
+    # permutations
+    rng = random.Random(2311)
+    proved = declined = 0
+    for _ in range(100):
+        g = random_graph_with_twins(rng, 8)
+        one = [(1 << g.n) - 1]
+        pairs = [1 << a | 1 << b for a in range(g.n) for b in range(a)]
+        orbits = brute_orbit_partition(g)
+        for cells in (_refine(g.rows, g.n, one, False), _refine(g.rows, g.n, one, True), pairs):
+            for cell in cells:
+                if not cell & (cell - 1):
+                    continue
+                for j in bits(cell):
+                    if not _one_orbit(g.rows, cell, j):
+                        declined += 1
+                        continue
+                    proved += 1
+                    assert len({orbits[v] for v in bits(cell)}) == 1, (g.rows, cell, j)
+    assert proved > 100 and declined > 100, (proved, declined)
+
+
+# A 2-regular graph whose one stable cell is two orbits, and a graph whose
+# automorphism group is Z3 (generated by (0 1 2)(3 4 5)(6 7 8)), whose
+# three cells are one orbit each only under a rotation
+DECLINE_CASES = {
+    "two-orbits": disjoint_union(cycle_graph(3), cycle_graph(5)),
+    "z3": from_edges(
+        9,
+        [(0, 1), (1, 2), (0, 2), (0, 3), (1, 4), (2, 5), (0, 4), (1, 5), (2, 3)]
+        + [(0, 6), (1, 7), (2, 8), (3, 6), (4, 7), (5, 8)],
+    ),
+}
+
+
+@pytest.mark.parametrize("desc", [False, True], ids=["asc", "desc"])
+@pytest.mark.parametrize("case", sorted(DECLINE_CASES))
+def test_one_orbit_certificate_declines(case, desc, monkeypatch):
+    # each vertex of the last stable cell as the new vertex of a leaf: the
+    # certificate finds no proof, and the search decides as refining from
+    # one cell does
+    g = DECLINE_CASES[case]
+    n = g.n
+    last = _refine(g.rows, n, [(1 << n) - 1], desc)[-1]
+    searched = []
+    monkeypatch.setattr(
+        enumeration, "_search", lambda *args: searched.append(1) or _search(*args)
+    )
+    for j in bits(last):
+        assert not _one_orbit(g.rows, last, j)
+        # relabel j as the last vertex, the one the leaf adds
+        perm = list(range(n))
+        perm[j], perm[-1] = perm[-1], perm[j]
+        child = relabel(g, perm).rows
+        parent = [row & ~(1 << (n - 1)) for row in child[:-1]]
+        degrees = _child_degrees(_degree_classes(parent), desc)
+        stage = _degree_stage(parent, child[-1], degrees, desc)
+        searched.clear()
+        got, _ = _accept(child, stage, desc, True)
+        assert searched and got == _one_cell_accept(child, desc, True)[0], j
 
 
 # (children built, refinements from acceptance, refinement rounds in all,
 # searches) of GenFilter(n=8, max_degree=4) in each order.  Building every
 # attachment rep before the degree stage built 6133 and 4730 children.
-ACCEPT_COST = {False: (3581, 1914, 11925, 1361), True: (3582, 1936, 11821, 1382)}
+# Searching every leaf whose last cell holds more than the new vertex took
+# 11925 and 11821 rounds and 1361 and 1382 searches.
+ACCEPT_COST = {False: (3581, 1914, 8961, 898), True: (3582, 1936, 8080, 767)}
 
 
 @pytest.mark.parametrize("desc", [False, True], ids=["asc", "desc"])
