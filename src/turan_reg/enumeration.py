@@ -22,7 +22,7 @@ cell but the last, the new vertex's; none of those holds the new
 vertex, so the parent's rows and the attachment set give the round
 before the child exists.  A child whose new vertex leaves the last cell
 there is rejected unbuilt, and a leaf whose new vertex is left alone
-there is accepted without refining.  Any other child is built and
+there is accepted unbuilt.  Any other child is built and
 refined from that round-2 partition, round 3 on, stopping at the first
 round that moves the new vertex out of the last cell.  When the refined
 partition is discrete the graph is rigid and the decision needs no
@@ -31,9 +31,10 @@ alone.  Nor does it at a leaf whose last cell is one orbit, as shown by
 an automorphism, checked on every row, that swaps the new vertex with
 each other vertex of the cell: the canonical-deletion vertex lies in
 that cell, so the search would accept the child too.  The automorphism
-is an involution of disjoint swaps, each forced by the ones before (see
-``_involution``); when some vertex of the cell gets none, the search
-decides, so every verdict stays the same.  Cells are int masks from the
+is an involution of disjoint swaps, each pairing the vertices that the
+ends of an earlier swap see differently (see ``_involution``); when
+some vertex of the cell gets none, the search decides, so every verdict
+stays the same.  Cells are int masks from the
 degree classes to the search (see ``canon``).
 
 Filters push down only hereditary consequences (degree caps, edge-count
@@ -62,6 +63,17 @@ vertex, whether the degree stage decides it before the child is built
 or a refinement after) and ``connectivity`` (a leaf failing the
 ``connected`` filter at emission).
 
+Scoring is part of the descent.  A canonical parent is an induced
+subgraph of its child, so a scorer's count of a child is the parent's
+count plus the copies through the new vertex, ``through(rows)(s)`` (see
+``PatternCounter``); each node carries its count, and builds its
+``through`` once, at its first accepted child.  A leaf is handed over as
+(count, parent rows, s), and a leaf that the degree stage accepts
+outright is never built: a visitor that needs the graph builds it from
+those (``extend_graph``).  At ``jobs > 1`` the seeds carry their counts
+and the workers send each leaf's count with its parent rows and set
+(see ``parallel``), so the main process only compares.
+
 The ``desc`` flag flips the cell-ordering convention of the canonical
 form, producing a second, independently structured augmentation tree
 used for cross-checks.
@@ -69,12 +81,22 @@ used for cross-checks.
 
 from __future__ import annotations
 
+import resource
 import time
 from dataclasses import dataclass, field
 from itertools import combinations, repeat
 
 from .canon import _refine, _search, _split, orbits_from_generators
-from .graphs import Graph, PatternCounter, _extend, bits, contains_subgraph, is_connected
+from .graphs import (
+    Graph,
+    PatternCounter,
+    _extend,
+    bits,
+    complement,
+    contains_subgraph,
+    extend_graph,
+    is_connected,
+)
 
 HARD_CAP = 11
 
@@ -132,6 +154,8 @@ class GenStats:
     pruned: dict = field(default_factory=dict)
     seconds: float = 0.0
     infeasible: bool = False
+    # this process plus the workers it reaped during the scan
+    cpu_seconds: float = 0.0
 
     def bump(self, reason, amount=1):
         self.pruned[reason] = self.pruned.get(reason, 0) + amount
@@ -141,6 +165,7 @@ class GenStats:
         self.classes += other.classes
         self.nodes += other.nodes
         self.seconds += other.seconds
+        self.cpu_seconds += other.cpu_seconds
         self.infeasible = self.infeasible or other.infeasible
         for key, val in other.pruned.items():
             self.bump(key, val)
@@ -275,26 +300,26 @@ def _involution(rows, a, b):
     """Whether a checked automorphism of disjoint transpositions swaps a
     and b.
 
-    Starts from the swap (a b) and adds a swap only when it is forced:
-    one end of a swapped pair sees exactly one unswapped vertex that the
-    other end does not, and the other end exactly one in return; those
-    two are swapped.  Any other difference, or a result that fails the
-    check on every row, is no proof (False), though such an automorphism
-    may still exist.
+    Starts from the swap (a b) and adds swaps pair by pair: the
+    unswapped vertices that one end of a swapped pair sees and the other
+    does not must go to those that only the other end sees, so when the
+    two sets have the same size they are paired up in bit order and
+    swapped.  Sets of different sizes, or a result that fails the check
+    on every row, are no proof (False), though such an automorphism may
+    still exist.
     """
     n = len(rows)
     image = list(range(n))
     image[a], image[b] = b, a
     pairs = [(a, b)]
     free = ((1 << n) - 1) ^ (1 << a) ^ (1 << b)
-    for x, y in pairs:  # grows as swaps are forced
+    for x, y in pairs:  # grows as swaps are added
         rx, ry = rows[x], rows[y]
         dx, dy = rx & ~ry & free, ry & ~rx & free
-        if dx or dy:
-            if not (dx and dy) or dx & (dx - 1) or dy & (dy - 1):
-                return False
-            free ^= dx | dy
-            u, w = dx.bit_length() - 1, dy.bit_length() - 1
+        if dx.bit_count() != dy.bit_count():
+            return False
+        free ^= dx | dy
+        for u, w in zip(bits(dx), bits(dy)):
             image[u], image[w] = w, u
             pairs.append((u, w))
     swaps = [1 << x | 1 << y for x, y in pairs]
@@ -320,13 +345,14 @@ def _accept(rows, stage, desc, leaf):
     ``rows`` is the child and ``stage`` what ``_degree_stage`` returned
     for it: the window has admitted only children whose new vertex has
     the extremal degree, and the stage those whose new vertex stays in
-    the last cell in refinement round 2.  A ``leaf``, any child whose
-    generators are never read, is accepted when j is alone there.  Any
-    other child finishes round 2 on the lower cells and is refined from
-    there, round 3 on, stopping at the first round that moves j out of
-    the last cell; a discrete refinement is rigid and needs no search,
-    nor does a leaf whose last cell ``_one_orbit`` proves one orbit,
-    j alone there included.
+    the last cell in refinement round 2.  The child finishes round 2 on
+    the lower cells and is refined from there, round 3 on, stopping at
+    the first round that moves j out of the last cell; a discrete
+    refinement is rigid and needs no search, nor does a ``leaf``, any
+    child whose generators are never read, whose last cell
+    ``_one_orbit`` proves one orbit, j alone there included.  (A leaf
+    with j alone in the stage's last cell is accepted before it is
+    built; see ``_Run.descend``.)
 
     Returns (accepted, generators); generators are only meaningful on
     acceptance and feed the child's own subset deduplication.  A leaf
@@ -335,8 +361,6 @@ def _accept(rows, stage, desc, leaf):
     lower, split = stage
     nc = len(rows)
     j = nc - 1
-    if leaf and split[-1] == 1 << j:
-        return True, []
     cells, active = _split(rows, lower, lower, nc.bit_length(), desc)
     active += range(len(cells), len(cells) + len(split) - 1)
     cells = _refine(rows, nc, cells + split, desc, keep=j, active=active, alone=leaf)
@@ -353,8 +377,30 @@ def _accept(rows, stage, desc, leaf):
     return orb[w] == orb[j], autos
 
 
+class _NoScore:
+    """The scorer of an unscored run: every count is 0."""
+
+    @staticmethod
+    def through(rows):
+        return lambda s: 0
+
+
+class _Complemented:
+    """A scorer of the complements of the graphs in the tree: the copies
+    through a new vertex j in the complement of a child are those through
+    j joined to the vertices outside s in the complement of its parent."""
+
+    def __init__(self, scorer):
+        self.scorer = scorer
+
+    def through(self, rows):
+        full = (1 << len(rows)) - 1
+        co = self.scorer.through(complement(Graph(len(rows), rows)).rows)
+        return lambda s: co(full ^ s)
+
+
 class _Run:
-    def __init__(self, filt, visitor, desc, split=None):
+    def __init__(self, filt, leaf, desc, split=None, scorer=None):
         self.filt = filt
         self.n = filt.n
         self.r = filt.max_degree if filt.max_degree is not None else filt.n - 1
@@ -366,7 +412,8 @@ class _Run:
             self.m = self.n * self.k // 2
         self.connected = filt.connected
         self.counters = [PatternCounter(h) for h in filt.forbidden]
-        self.visitor = visitor
+        self.visit = leaf
+        self.scorer = scorer if scorer is not None else _NoScore()
         self.desc = desc
         self.stats = GenStats()
         # nodes at depth ``split`` are recorded as seeds, not descended
@@ -378,15 +425,15 @@ class _Run:
         for j in range(self.n - 1, -1, -1):
             self.future[j] = self.future[j + 1] + min(j, self.r)
 
-    def emit(self, rows):
-        g = Graph(self.n, rows)
-        if self.connected and not is_connected(g):
+    def emit(self, count, rows, s):
+        """One class: the leaf with these parent rows and attachment set,
+        whose score is ``count``."""
+        if self.connected and not is_connected(extend_graph(rows, s)):
             self.stats.bump("connectivity")
             return
         self.stats.classes += 1
-        if self.visitor is not None:
-            if self.visitor(g):
-                raise _Stop
+        if self.visit is not None and self.visit(count, rows, s):
+            raise _Stop
 
     def window(self, j, edges, classes):
         """Admissible attachment sets for vertex j, as a list of boxes.
@@ -478,59 +525,107 @@ class _Run:
                 window.append((free, forced, lo, hi))
         return window or None
 
-    def descend(self, rows, j, gens, edges):
+    def descend(self, rows, j, gens, edges, count=0):
+        """Descend the node with these rows on j vertices, whose score is
+        ``count``.  A child's score is ``count`` plus the scorer's
+        ``through(rows)`` at its attachment set, that function built once,
+        at the first child accepted.  A child on n vertices is a leaf: it
+        goes to ``self.leaf`` as (score, rows, s) and is built only when
+        acceptance must refine it."""
         if j == self.split:
-            self.seeds.append((rows, gens, edges))
+            self.seeds.append((rows, gens, edges, count))
             return
         self.stats.nodes += 1
-        if j == self.n:
-            self.leaf(rows)
+        if j == self.n:  # a one-vertex run: the root is the leaf
+            self.leaf(count, (), 0)
             return
         classes = _degree_classes(rows)
         window = self.window(j, edges, classes)
         if window is None:
             return
         degrees = _child_degrees(classes, self.desc)
+        last = j + 1 == self.n
         # under a regular filter the last vertex has one forced set, so a
         # child one vertex short of n never has its generators read either
-        leaf = j + 1 == self.n or (self.k is not None and j + 2 == self.n)
+        leaf = last or (self.k is not None and j + 2 == self.n)
         # per forbidden pattern: is there a copy through j, child unbuilt
         checks = [c.through(rows, first=True) for c in self.counters]
+        through = None
         for s in _attachment_reps(j, gens, window):
-            if checks and any(through(s) for through in checks):
+            if checks and any(check(s) for check in checks):
                 self.stats.bump("forbidden")
                 continue
             stage = _degree_stage(rows, s, degrees, self.desc)
-            if stage is not None:
+            if stage is None:
+                self.stats.bump("canonical")
+                continue
+            if leaf and stage[1][-1] == 1 << j:
+                # j alone in the last cell of round 2: the canonical-last
+                # vertex, so accepted without building or refining
+                child, child_gens = None, []
+            else:
                 child = _extend(rows, j, s)
                 ok, child_gens = _accept(child, stage, self.desc, leaf)
-                if ok:
-                    self.descend(child, j + 1, child_gens, edges + s.bit_count())
+                if not ok:
+                    self.stats.bump("canonical")
                     continue
-            self.stats.bump("canonical")
+            if through is None:
+                through = self.scorer.through(rows)
+            score = count + through(s)
+            if last:
+                self.stats.nodes += 1
+                self.leaf(score, rows, s)
+            else:
+                if child is None:
+                    child = _extend(rows, j, s)
+                self.descend(child, j + 1, child_gens, edges + s.bit_count(), score)
 
     def subtree(self, seed, leaf):
-        """Descend one seed without emitting: ``leaf`` gets the rows of its
-        leaves in order; returns the counts of its subtree."""
-        rows, gens, edges = seed
-        sub = _Run(self.filt, None, self.desc)
+        """Descend one seed without emitting: ``leaf`` gets each leaf's
+        (score, rows, s) in order; returns the counts of its subtree."""
+        rows, gens, edges, count = seed
+        sub = _Run(self.filt, None, self.desc, scorer=self.scorer)
         sub.leaf = leaf
-        sub.descend(rows, len(rows), gens, edges)
+        sub.descend(rows, len(rows), gens, edges, count)
         return sub.stats
 
 
-def enumerate_graphs(filt, visitor=None, desc=False, force=False, jobs=1):
-    """Run the generator; the visitor sees one Graph per class.
+def _cpu_seconds():
+    """CPU seconds of this process and of the children it has reaped."""
+    children = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return time.process_time() + children.ru_utime + children.ru_stime
 
-    A visitor returning a truthy value stops the run early.  Orders
-    beyond the hard cap (n = 11) require ``force``.
+
+def _leaf_call(visitor, leaf):
+    """``leaf``, or for a graph ``visitor`` a leaf call that builds the graph."""
+    if visitor is None:
+        return leaf
+    if leaf is not None:
+        raise EnumerationError("pass a visitor or a leaf call, not both")
+    return lambda count, rows, s: visitor(extend_graph(rows, s))
+
+
+def enumerate_graphs(filt, visitor=None, desc=False, force=False, jobs=1, scorer=None, leaf=None):
+    """Run the generator over the classes of the filter, in tree order.
+
+    A graph ``visitor`` sees one Graph per class.  A ``leaf`` call sees
+    each class as (score, rows, s), the rows of its parent in the tree
+    and the attachment set of its last vertex (``extend_graph`` builds
+    it), with no graph built; the score is that of the ``scorer``,
+    anything with ``through(rows)`` as ``PatternCounter`` has, summed
+    down the tree from the root (see ``_Run.descend``), or 0 without
+    one.  Pass at most one of the two.  A visitor or leaf call returning
+    a truthy value stops the run early.  Orders beyond the hard cap
+    (n = 11) require ``force``.
 
     With ``jobs > 1`` the descent stops at depth n - 2 and records the
-    accepted graphs there as seeds; ``jobs`` forked processes descend
-    the seeds' subtrees (see ``parallel``; a lone seed is
-    descended in this process), and their leaves are emitted here in
-    seed order.  The visitor runs in this process and sees the classes
-    in serial order, so results and counts are those of a serial run.
+    accepted graphs there as seeds, each with its score; ``jobs`` forked
+    processes descend the seeds' subtrees (see ``parallel``; a lone
+    seed is descended in this process) and send each leaf's score with
+    its rows, and the leaves are emitted here in seed order.  The
+    visitor runs in this process and sees the classes in serial order,
+    so results and counts are those of a serial run.  ``cpu_seconds``
+    in the returned GenStats covers this process and the workers.
     """
     filt.validate()
     if jobs < 1:
@@ -540,13 +635,15 @@ def enumerate_graphs(filt, visitor=None, desc=False, force=False, jobs=1):
             f"order {filt.n} beyond enumeration cap {HARD_CAP}; pass --force "
             "(force=True from Python)"
         )
-    t0 = time.perf_counter()
-    run = _Run(filt, visitor, desc, split=max(1, filt.n - 2) if jobs > 1 else None)
+    t0, cpu0 = time.perf_counter(), _cpu_seconds()
+    split = max(1, filt.n - 2) if jobs > 1 else None
+    run = _Run(filt, _leaf_call(visitor, leaf), desc, split=split, scorer=scorer)
     if filt.infeasible():
         run.stats.infeasible = True
     else:
         try:
-            run.descend((0,), 1, [], 0)
+            # the root is the one vertex joined to nothing
+            run.descend((0,), 1, [], 0, run.scorer.through(())(0))
             if jobs > 1:
                 from . import parallel
 
@@ -554,37 +651,42 @@ def enumerate_graphs(filt, visitor=None, desc=False, force=False, jobs=1):
         except _Stop:
             pass
     run.stats.seconds = time.perf_counter() - t0
+    run.stats.cpu_seconds = _cpu_seconds() - cpu0
     return run.stats
 
 
-def enumerate_regular(n, k, visitor=None, desc=False, forbidden=(), force=False, jobs=1):
+def enumerate_regular(
+    n, k, visitor=None, desc=False, forbidden=(), force=False, jobs=1, scorer=None, leaf=None
+):
     """One representative per isomorphism class of k-regular graphs.
 
     Enumerates the sparser of the graph and its complement; forbidden
     patterns prune during generation on the direct side and are checked
-    after complementing on the dense side.  ``enumerate_graphs`` checks
-    the arguments and flags an odd nk infeasible (nk and n(n - 1 - k)
-    have the same parity).
+    after complementing on the dense side, where a leaf call gets the
+    complement's parent rows and attachment set and the scorer scores
+    the complements.  ``visitor``, ``scorer`` and ``leaf`` are those of
+    ``enumerate_graphs``, which checks the arguments and flags an odd nk
+    infeasible (nk and n(n - 1 - k) have the same parity).
     """
+    leaf = _leaf_call(visitor, leaf)
     kc = n - 1 - k
     if kc < k:
-        from .graphs import complement
 
-        def wrapped(g):
-            gc = complement(g)
-            if forbidden and any(contains_subgraph(gc, h) for h in forbidden):
-                return None
-            return visitor(gc) if visitor is not None else None
+        def co_leaf(count, rows, s):
+            co, cs = complement(Graph(len(rows), rows)).rows, ((1 << len(rows)) - 1) ^ s
+            if forbidden:
+                g = extend_graph(co, cs)
+                if any(contains_subgraph(g, h) for h in forbidden):
+                    return None
+            return leaf(count, co, cs) if leaf is not None else None
 
         # stats.classes counts all k-regular classes here; callers needing
-        # exact H-free counts tally matches inside their visitor.
+        # exact H-free counts tally matches inside their leaf call.
         return enumerate_graphs(
-            GenFilter(n=n, regular_k=kc), visitor=wrapped, desc=desc, force=force, jobs=jobs
+            GenFilter(n=n, regular_k=kc), desc=desc, force=force, jobs=jobs,
+            scorer=None if scorer is None else _Complemented(scorer), leaf=co_leaf,
         )
     return enumerate_graphs(
         GenFilter(n=n, regular_k=k, forbidden=tuple(forbidden)),
-        visitor=visitor,
-        desc=desc,
-        force=force,
-        jobs=jobs,
+        desc=desc, force=force, jobs=jobs, scorer=scorer, leaf=leaf,
     )

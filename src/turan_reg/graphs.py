@@ -173,19 +173,18 @@ def cliques_within(rows, mask, t):
 
 def total_cliques(g):
     """Number of cliques with at least 2 vertices."""
-    rows = g.rows
+    return all_cliques_within(g.rows, (1 << g.n) - 1) - g.n
 
-    def rec(cand):
-        total = 0
-        m = cand
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            m ^= low
-            total += 1 + rec(rows[v] & m)
-        return total
 
-    return rec((1 << g.n) - 1) - g.n
+def all_cliques_within(rows, mask):
+    """Number of nonempty cliques among the vertices of ``mask``, each
+    counted once, from its lowest vertex."""
+    total = 0
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        total += 1 + all_cliques_within(rows, rows[low.bit_length() - 1] & mask)
+    return total
 
 
 def _twin_classes(g):
@@ -513,51 +512,68 @@ def contains_subgraph(g, h):
 # cycle counting
 
 
-def path_counts(rows, length):
+def path_counts(rows, length, w):
     """Paths of ``length`` edges, 2 <= length <= 3, between vertex pairs.
 
-    Row a of the returned matrix is a ``memoryview``.  Off the diagonal
-    its entry b counts the paths a, ..., b on distinct vertices of the
-    graph with these rows; the diagonal keeps the closed walks
-    (A^length)_aa, which no path count reads.  With A the adjacency matrix,
-    P_2(a, b) = (A^2)_ab = |N(a) & N(b)| and
+    Row a is one int with a field of ``w`` bits per vertex, which must
+    hold n^2: off the diagonal, field b counts the paths a, ..., b on
+    distinct vertices of the graph with these rows; the diagonal keeps
+    the closed walks (A^length)_aa, which no path count reads.  With A
+    the adjacency matrix, P_2(a, b) = (A^2)_ab = |N(a) & N(b)| and
     P_3(a, b) = (A^3)_ab - [a ~ b](d(a) + d(b) - 1): a walk a x y b
     repeats a vertex only as x = b (d(b) walks) or y = a (d(a) walks),
-    both only when a ~ b, and a b a b is both.
-
-    Each row of A^k is one int holding a field per vertex, so the row of
-    a in A^(k + 1) is the sum of the A^k rows of the neighbours of a.  A
-    field is an unsigned machine int of 1, 2 or 8 bytes, wide enough for
-    n^2, which no entry of A^3 reaches: sums never carry from one field
-    into the next, and each corrected row is read as its bytes.
+    both only when a ~ b, and a b a b is both.  The row of a in A^2 is
+    the sum of the rows of A of the neighbours of a, and P_3's row is
+    the sum of their A^2 rows, each with its diagonal d(x) cleared
+    (that takes the d(b) walks off), less d(a) - 1 times the row of a in
+    A.  No entry of A^3 reaches n^2, so sums never carry from one field
+    into the next, and the corrections leave every field nonnegative, so
+    none borrows either.
     """
     if length not in (2, 3):
         raise GraphError("path length must be 2 or 3")
-    n = len(rows)
-    code, size = next(
-        (c, k) for c, k in (("B", 1), ("H", 2), ("Q", 8)) if n * n >> (8 * k) == 0
-    )
-    w = 8 * size
-    unit = [1 << (w * b) for b in range(n)]
+    unit = [1 << (w * b) for b in range(len(rows))]
     adj = [_sum_at(r, unit) for r in rows]
     walks = [_sum_at(r, adj) for r in rows]
     if length == 3:
-        degs = [r.bit_count() << (w * b) for b, r in enumerate(rows)]
-        walks = [
-            _sum_at(r, walks) - (r.bit_count() - 1) * adj[a] - _sum_at(r, degs)
-            for a, r in enumerate(rows)
-        ]
-    return [memoryview(row.to_bytes(n * size, sys.byteorder)).cast(code) for row in walks]
+        off = [row - (r.bit_count() << (w * x)) for x, (r, row) in enumerate(zip(rows, walks))]
+        walks = [_sum_at(r, off) - (r.bit_count() - 1) * adj[a] for a, r in enumerate(rows)]
+    return walks
 
 
-def pair_sum(matrix, mask):
-    """Sum of ``matrix[a][b]`` over the pairs a < b of set bits of ``mask``."""
-    total = 0
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        total += _sum_at(mask, matrix[low.bit_length() - 1])
-    return total
+def _pair_paths(rows, length):
+    """The function s -> the sum over a < b in s of the a-b paths of
+    ``length`` edges (2 or 3) in the graph with these rows.
+
+    It reads the rows of ``path_counts`` with the diagonal cleared, in
+    fields of w = 4 * bit_length(j) bits, j = len(rows): the sum over a
+    in s of row a holds, in field b, the paths from s to b.  Masked to
+    the fields of s, its fields add up to twice the answer, below j^4 <
+    2^w; a multiplication by one unit per field folds them into field
+    j - 1, and no partial sum carries.  So s costs one add and one OR
+    per vertex, and one multiplication.
+    """
+    j = len(rows)
+    w = 4 * max(j, 1).bit_length()
+    field = (1 << w) - 1
+    items = [
+        (row & ~(field << (w * a)), field << (w * a))
+        for a, row in enumerate(path_counts(rows, length, w))
+    ]
+    ones = ((1 << (w * j)) - 1) // field
+    top = w * max(j - 1, 0)
+
+    def through(s):
+        total = mask = 0
+        while s:
+            low = s & -s
+            s ^= low
+            row, cells = items[low.bit_length() - 1]
+            total += row
+            mask |= cells
+        return ((total & mask) * ones >> top & field) >> 1
+
+    return through
 
 
 def _sum_at(mask, vals):
@@ -616,11 +632,11 @@ def count_cycles(g, m):
     path of m - 2 edges below v joining two neighbours of v
     (``paths_within``).
 
-    This is the one full count, but no search scores with it: they score
-    a graph g from its parent g - v, v = n - 1, as C_m(g - v) plus the
-    m-cycles through v (``PatternCounter``), which for m >= 6 share
-    ``paths_within`` with this function, so an independent count checks
-    both there.
+    This is the one full count, but no search scores with it: the
+    augmentation tree scores a graph as its parent's count plus the
+    m-cycles through the new vertex (``PatternCounter``), which for
+    m >= 6 share ``paths_within`` with this function, so an independent
+    count checks both there.
     """
     if m < 3:
         raise GraphError("cycle length must be at least 3")
@@ -668,6 +684,13 @@ def _extend(rows, j, s):
     return tuple(new)
 
 
+def extend_graph(rows, s):
+    """The graph with these rows plus a vertex joined to ``s``: a leaf of
+    the augmentation tree, from its parent's rows and attachment set."""
+    j = len(rows)
+    return Graph(j + 1, _extend(rows, j, s))
+
+
 def _classify_pattern(h):
     degs = sorted(r.bit_count() for r in h.rows)
     m = h.edge_count
@@ -697,7 +720,7 @@ class PatternCounter:
 
     - K_t: the (t - 1)-cliques inside s (``cliques_within``);
     - C4 and C5: the sum over a < b in s of the a-b paths of m - 2 edges
-      (``pair_sum`` of one ``path_counts`` per parent);
+      (``_pair_paths``, one packed path matrix per parent);
     - C_m, m >= 6: the paths of m - 2 edges joining two vertices of s
       (``paths_within``);
     - K_{1,p}: C(|s|, p) with j the centre, plus C(d(u), p - 1) for each
@@ -709,16 +732,10 @@ class PatternCounter:
       (``_embeddings``), over the order of the pattern's automorphism
       group, its maps into itself.
 
-    Calling the counter on a graph g scores it by the exact identity
-    count(g) = count(g - v) + through(g - v)(N(v)), v = n - 1.  The
-    first term comes from a cache with one entry per order, holding the
-    last graph of that order with its count and its ``through``.  On a
-    miss the identity climbs, one vertex at a time, from the largest
-    order whose entry holds the first vertices of g, refilling the
-    entries above it.  So any graph is scored exactly whatever came
-    before it: the order only sets how often the cache hits, and
-    enumeration emits the children of one parent one after another,
-    also at ``jobs > 1``, where the visitor runs in the main process.
+    A graph's count is its parent's count plus ``through(parent)(s)``, so
+    the augmentation tree scores every class from the node above it (see
+    ``enumeration``): the counter is a scorer, and no whole graph is
+    counted.
     """
 
     def __init__(self, pattern):
@@ -728,8 +745,6 @@ class PatternCounter:
         self.kind, self.param = _classify_pattern(pattern)
         if self.kind == "generic":
             self.aut = _embeddings(pattern, pattern)
-        # order j -> (rows, count, through) of the last graph of that order
-        self._cache = {0: ((), 0, self.through(()))}
 
     def through(self, rows, first=False):
         """The function s -> the copies through vertex len(rows) joined to s.
@@ -741,8 +756,7 @@ class PatternCounter:
         if kind == "clique":
             return lambda s: cliques_within(rows, s, p - 1)
         if kind == "cycle" and p < 6:
-            paths = path_counts(rows, p - 2)
-            return lambda s: pair_sum(paths, s)
+            return _pair_paths(rows, p - 2)
         if kind == "cycle":
             return lambda s: paths_within(rows, s, p - 2, first)
         if kind == "star":
@@ -756,24 +770,17 @@ class PatternCounter:
             return lambda s: sum(math.comb((s & c).bit_count(), y) for c, y in sides)
         h, j = self.pattern, len(rows)
         aut = 1 if first else self.aut
-        return lambda s: _embeddings(Graph(j + 1, _extend(rows, j, s)), h, j, first) // aut
+        return lambda s: _embeddings(extend_graph(rows, s), h, j, first) // aut
 
-    def __call__(self, g):
-        if not g.n:
-            return 0
-        rows, cache = g.rows, self._cache
-        prefixes = []  # the first j vertices of g, from j = n - 1 down to a cached graph
-        for j in range(g.n - 1, -1, -1):
-            low = (1 << j) - 1
-            prefixes.append(tuple([r & low for r in rows[:j]]))
-            if j in cache and cache[j][0] == prefixes[-1]:
-                break
-        _, count, through = cache[j]
-        for prefix in reversed(prefixes[:-1]):
-            count += through(prefix[-1])
-            through = self.through(prefix)
-            cache[len(prefix)] = (prefix, count, through)
-        return count + through(rows[-1])
+
+class CliqueTotal:
+    """Cliques of 2 or more vertices, a scorer as ``PatternCounter`` is:
+    those through a new vertex joined to s are the nonempty cliques
+    inside s (``all_cliques_within``)."""
+
+    @staticmethod
+    def through(rows):
+        return lambda s: all_cliques_within(rows, s)
 
 
 # ---------------------------------------------------------------------------

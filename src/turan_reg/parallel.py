@@ -1,16 +1,18 @@
 """Parallel descent of the augmentation tree for ``enumerate_graphs``.
 
 With ``jobs > 1`` the enumeration stops at depth n - 2 and records the
-accepted graphs there as seeds.  Their subtrees are independent
-(canonical augmentation decides each child from the child alone), so
-forked workers descend them, the seeds dealt by index: worker w of
-``jobs`` sends the leaf rows (packed in one ``array``) and subtree
-counts of seeds w, w + jobs, ... down its own pipe, and the parent
-reads seed i from pipe i mod jobs.  It merges the counts and emits the
-leaves through the run's ``emit``, so the visitor sees the classes in
-serial order and stops the scan the same way.  A full scan has the
-counts of a serial run; one that stops early also counts the nodes
-past the stop that were descended before it.
+accepted graphs there as seeds, each with its score.  Their subtrees
+are independent (canonical augmentation decides each child from the
+child alone), so forked workers descend them, the seeds dealt by index:
+worker w of ``jobs`` sends, for each of seeds w, w + jobs, ..., down its
+own pipe, the leaves (each one's parent rows and attachment set, packed
+in one ``array``), the leaves' scores and the subtree counts, and the
+parent reads seed i from pipe i mod jobs.  It merges the counts and
+hands each leaf with its score to the run's ``emit``, so the main
+process scores nothing: the visitor sees the classes in serial order
+and stops the scan the same way.  A full scan has the counts of a
+serial run; one that stops early also counts the nodes past the stop
+that were descended before it.
 
 Forked workers inherit the run, so the visitor need not be picklable.
 Every worker is killed and reaped before ``parallel_scan`` returns or
@@ -22,11 +24,19 @@ from array import array
 
 
 def _descend(run, seed):
-    """The leaf rows of one seed, packed n to a leaf in one array (a list
-    past 64 vertices), and the counts of its subtree."""
+    """The leaves of one seed, n numbers a leaf (its parent's rows, then
+    its attachment set) in one array (a list past 64 vertices), their
+    scores, and the counts of its subtree."""
     code = next((c for c in "BHILQ" if array(c).itemsize * 8 >= run.n), None)
     leaves = array(code) if code else []
-    return leaves, run.subtree(seed, leaves.extend)
+    scores = []
+
+    def pack(score, rows, s):
+        leaves.extend(rows)
+        leaves.append(s)
+        scores.append(score)
+
+    return leaves, scores, run.subtree(seed, pack)
 
 
 def _work(run, seeds, writer):
@@ -59,7 +69,7 @@ def parallel_scan(run, jobs):
 
 def _emit_all(run, results):
     n = run.n
-    for leaves, stats in results:
+    for leaves, scores, stats in results:
         run.stats.merge(stats)
-        for i in range(0, len(leaves), n):
-            run.emit(tuple(leaves[i:i + n]))
+        for at, score in zip(range(0, len(leaves), n), scores):
+            run.emit(score, tuple(leaves[at:at + n - 1]), leaves[at + n - 1])

@@ -15,19 +15,19 @@ from .canon import canonical_form
 from .enumeration import HARD_CAP, GenFilter, GenStats, enumerate_graphs, enumerate_regular
 from .formulas import FamilySpec, conjectured_triangle_min, gls_critical_range, triangle_window
 from .graphs import (
+    CliqueTotal,
     PatternCounter,
     bits,
     complete_bipartite,
     complete_graph,
     connected_components,
-    count_cliques,
     count_cycles,
     cycle_graph,
+    extend_graph,
     graph6_decode,
     graph6_encode,
     graph6_header,
     odd_girth,
-    total_cliques,
 )
 
 DEFAULT_WITNESS_CAP = 16
@@ -153,6 +153,7 @@ class SearchResult:
                 "nodes": self.stats.nodes,
                 "pruned": dict(sorted(self.stats.pruned.items())),
                 "seconds": round(self.stats.seconds, 3),
+                "cpu_seconds": round(self.stats.cpu_seconds, 3),
                 "infeasible": self.stats.infeasible,
             },
             **({"extra": self.extra} if self.extra else {}),
@@ -168,36 +169,39 @@ def _canonical_g6(g):
 
 
 class ExtremeAccumulator:
-    """Track max (sign=+1) or min (sign=-1) of a score with witnesses."""
+    """Track max (sign=+1) or min (sign=-1) of a score with witnesses.
 
-    def __init__(self, score_fn, sign, cap):
+    ``update`` is a leaf call of the enumeration (see ``enumerate_graphs``):
+    it gets each class's score with its parent's rows and attachment set,
+    and builds the graph only to keep it as a witness."""
+
+    def __init__(self, sign, cap):
         if cap < 0:
             raise SearchError("witness cap must be >= 0")
-        self.score_fn = score_fn
         self.sign = sign
         self.cap = cap
         self.best = None
         self.count = 0
         self.witnesses = []
 
-    def update(self, g):
-        s = self.score_fn(g)
-        if self.best is None or self.sign * (s - self.best) > 0:
-            self.best = s
+    def update(self, score, rows, s):
+        if self.best is None or self.sign * (score - self.best) > 0:
+            self.best = score
             self.count = 0
             self.witnesses = []
-        elif s != self.best:
+        elif score != self.best:
             return
         self.count += 1
         if len(self.witnesses) < self.cap:
-            self.witnesses.append(_canonical_g6(g))
+            self.witnesses.append(_canonical_g6(extend_graph(rows, s)))
 
 
-def _scan_extreme(score_fn, sign, cap, scan):
-    """The extreme score over the classes that ``scan(visitor)`` visits,
-    at most ``cap`` witnesses and the exact count of extremal classes;
-    infeasible when it visits none.  ``scan`` returns its GenStats."""
-    acc = ExtremeAccumulator(score_fn, sign, cap)
+def _scan_extreme(sign, cap, scan):
+    """The extreme score over the classes that ``scan(update)`` hands to
+    the leaf call ``update``, at most ``cap`` witnesses and the exact
+    count of extremal classes; infeasible when it hands over none.
+    ``scan`` returns its GenStats."""
+    acc = ExtremeAccumulator(sign, cap)
     stats = scan(acc.update)
     if acc.best is None:
         return SearchResult(None, (), 0, stats, feasible=False)
@@ -219,11 +223,11 @@ def exr_exact(n, hspec, all_witnesses=False, witness_cap=DEFAULT_WITNESS_CAP, jo
         if (n * k) % 2 != 0:  # no k-regular graph; scanning it would mark the stats infeasible
             continue
 
-        def scan(update):  # stops at the first witness unless counting
-            visit = lambda g: update(g) or not all_witnesses
-            return enumerate_regular(n, k, visitor=visit, forbidden=hspec.members, jobs=jobs)
+        def scan(update):  # every class scores k; stops at the first unless counting
+            leaf = lambda _, rows, s: update(k, rows, s) or not all_witnesses
+            return enumerate_regular(n, k, forbidden=hspec.members, jobs=jobs, leaf=leaf)
 
-        res = _scan_extreme(lambda g: k, +1, witness_cap, scan)
+        res = _scan_extreme(+1, witness_cap, scan)
         total.merge(res.stats)
         if res.feasible:
             res.stats = total
@@ -233,17 +237,13 @@ def exr_exact(n, hspec, all_witnesses=False, witness_cap=DEFAULT_WITNESS_CAP, jo
     raise SearchError("unreachable: k=0 always admits the empty graph")
 
 
-def _score_k_total_above_edges(g):
-    # fixed edge count makes the k2 term constant; report the part above it
-    return total_cliques(g) - count_cliques(g, 2)
-
-
 def max_kt(n, m, r, t, witness_cap=DEFAULT_WITNESS_CAP, jobs=1):
     """Maximum number of t-cliques among graphs with given order, size
     and maximum degree; exact extremal class count."""
     filt = GenFilter(n=n, max_degree=r, edge_count=m)
-    return _scan_extreme(PatternCounter(complete_graph(t)), +1, witness_cap,
-                         lambda visit: enumerate_graphs(filt, visitor=visit, jobs=jobs))
+    scorer = PatternCounter(complete_graph(t))
+    return _scan_extreme(+1, witness_cap, lambda update: enumerate_graphs(
+        filt, jobs=jobs, scorer=scorer, leaf=update))
 
 
 def critical_maxima(n, r, t=3, witness_cap=DEFAULT_WITNESS_CAP, jobs=1):
@@ -263,14 +263,18 @@ def max_k_total(n, m, r, witness_cap=DEFAULT_WITNESS_CAP, jobs=1):
     classes are identical either way.
     """
     filt = GenFilter(n=n, max_degree=r, edge_count=m)
-    return _scan_extreme(_score_k_total_above_edges, +1, witness_cap,
-                         lambda visit: enumerate_graphs(filt, visitor=visit, jobs=jobs))
+    result = _scan_extreme(+1, witness_cap, lambda update: enumerate_graphs(
+        filt, jobs=jobs, scorer=CliqueTotal(), leaf=update))
+    if result.objective is not None:
+        result.objective -= m
+    return result
 
 
 def min_triangles_regular(n, k, witness_cap=DEFAULT_WITNESS_CAP, jobs=1):
     """Minimum triangle count over k-regular graphs on n vertices."""
-    result = _scan_extreme(PatternCounter(complete_graph(3)), -1, witness_cap,
-                           lambda visit: enumerate_regular(n, k, visitor=visit, jobs=jobs))
+    scorer = PatternCounter(complete_graph(3))
+    result = _scan_extreme(-1, witness_cap, lambda update: enumerate_regular(
+        n, k, jobs=jobs, scorer=scorer, leaf=update))
     if result.stats.infeasible:
         result.extra["reason"] = "no k-regular graph: nk is odd"
     return result
@@ -279,10 +283,10 @@ def min_triangles_regular(n, k, witness_cap=DEFAULT_WITNESS_CAP, jobs=1):
 def max_copies_free(n, pattern, forbidden_star_r, witness_cap=DEFAULT_WITNESS_CAP, jobs=1):
     """Maximum number of pattern copies among graphs with max degree at
     most r (avoiding the star K_{1,r+1})."""
-    filt = GenFilter(n=n, max_degree=forbidden_star_r)
     counter = PatternCounter(pattern)
-    result = _scan_extreme(counter, +1, witness_cap,
-                           lambda visit: enumerate_graphs(filt, visitor=visit, jobs=jobs))
+    filt = GenFilter(n=n, max_degree=forbidden_star_r)
+    result = _scan_extreme(+1, witness_cap, lambda update: enumerate_graphs(
+        filt, jobs=jobs, scorer=counter, leaf=update))
     result.extra["pattern_kind"] = counter.kind
     return result
 

@@ -373,6 +373,17 @@ def naive_path_counts(g, length):
     return paths
 
 
+def climb_count(scorer, g):
+    """The score of a whole graph by the sum the augmentation tree takes:
+    for each vertex j, the copies through j joined to its neighbours
+    below it, in the graph on vertices 0..j - 1 (``scorer.through``)."""
+    total = 0
+    for j in range(g.n):
+        low = (1 << j) - 1
+        total += scorer.through(tuple(r & low for r in g.rows[:j]))(g.rows[j] & low)
+    return total
+
+
 def naive_embedding_count(g, h):
     """Injective edge-preserving maps counted by raw permutation scan."""
     count = 0

@@ -18,6 +18,7 @@ import pytest
 from helpers import (
     blow_up,
     class_sizes,
+    climb_count,
     disjoint_union,
     near_bipartite_with_twins,
     path_graph,
@@ -47,7 +48,7 @@ from turan_reg.graphs import (
     star_graph,
     triangle_count,
 )
-from turan_reg.search import max_copies_free
+from turan_reg.search import max_copies_free, max_kt, min_triangles_regular
 
 nx = pytest.importorskip("networkx")
 from networkx.algorithms.isomorphism import GraphMatcher  # noqa: E402
@@ -238,15 +239,26 @@ def test_cycles_through_last_vertex_random():
             cycles = [c for c in nx.simple_cycles(G, length_bound=m) if len(c) == m]
             through = counter.through(parent.rows)(g.rows[v])
             assert through == sum(v in c for c in cycles), (g.rows, m)
-            assert counter(g) == len(cycles), (g.rows, m)
+            assert climb_count(counter, g) == len(cycles), (g.rows, m)
 
 
 def test_copies_search_jobs_agree():
-    serial = max_copies_free(8, cycle_graph(5), 4)
-    parallel = max_copies_free(8, cycle_graph(5), 4, jobs=2)
-    assert serial.objective == parallel.objective
-    assert serial.witnesses == parallel.witnesses
-    assert serial.stats.classes == parallel.stats.classes
+    """Scored by the workers, a search at jobs=2 has the serial result
+    and counts; min_triangles_regular(9, 6) scores the complements."""
+    for search, args in (
+        (max_copies_free, (8, cycle_graph(5), 4)),
+        (max_kt, (8, 14, 4, 3)),
+        (min_triangles_regular, (9, 4)),
+        (min_triangles_regular, (9, 6)),
+    ):
+        serial = search(*args)
+        parallel = search(*args, jobs=2)
+        assert serial.objective == parallel.objective, search
+        assert serial.witnesses == parallel.witnesses, search
+        assert serial.classes == parallel.classes, search
+        assert serial.stats.classes == parallel.stats.classes, search
+        assert serial.stats.nodes == parallel.stats.nodes, search
+        assert serial.stats.pruned == parallel.stats.pruned, search
 
 
 PATTERNS = {

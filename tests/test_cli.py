@@ -130,9 +130,18 @@ def test_exr_command_jobs(capsys):
         rc = main(["exr", "--n", "9", "--forbid", "K3", "--all-witnesses", "--jobs", jobs])
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
-        del payload["stats"]["seconds"]
+        del payload["stats"]["seconds"], payload["stats"]["cpu_seconds"]
         payloads.append(payload)
     assert payloads[0] == payloads[1]
+
+
+def test_search_command_reports_cpu_seconds(capsys):
+    """Next to the wall seconds, a search reports the CPU seconds of the
+    process and of the workers it reaped."""
+    rc = main(["max-copies", "--n", "8", "--pattern", "C5", "--max-degree", "4", "--jobs", "2"])
+    assert rc == 0
+    stats = json.loads(capsys.readouterr().out)["stats"]
+    assert isinstance(stats["cpu_seconds"], float) and stats["cpu_seconds"] > 0
 
 
 def test_census_triangles_command(capsys):

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -43,16 +44,21 @@ from turan_reg.enumeration import (
     enumerate_regular,
 )
 from turan_reg.graphs import (
+    CliqueTotal,
     Graph,
     PatternCounter,
     bits,
     complete_graph,
     contains_subgraph,
+    count_cliques,
+    count_cycles,
     cycle_graph,
+    extend_graph,
     from_edges,
     graph6_encode,
     is_connected,
     relabel,
+    total_cliques,
 )
 from turan_reg.search import HSpec, exr_exact, max_copies_free
 
@@ -234,7 +240,7 @@ def test_window_matches_oracle(case):
     for j in range(1, filt.n):
         run = _Run(filt, None, desc, split=j)
         run.descend((0,), 1, [], 0)
-        for rows, gens, edges in run.seeds:
+        for rows, gens, edges, _ in run.seeds:
             want = [
                 s for s in range(1 << j) if child_ok_oracle(filt, rows, j, s, edges, desc)
             ]
@@ -295,7 +301,7 @@ def test_completion_bounds_cut_only_dead_subtrees(desc):
         for j in range(1, filt.n):
             run = _Run(filt, None, desc, split=j)
             run.descend((0,), 1, [], 0)
-            for rows, _, edges in run.seeds:
+            for rows, _, edges, _ in run.seeds:
                 window = run.window(j, edges, _degree_classes(rows))
                 kept = set(_attachment_reps(j, [], window)) if window else set()
                 for s in range(1 << j):
@@ -379,7 +385,7 @@ def test_degree_stage_matches_refine(case):
     for j in range(1, filt.n):
         run = _Run(filt, None, desc, split=j)
         run.descend((0,), 1, [], 0)
-        for rows, gens, edges in run.seeds:
+        for rows, gens, edges, _ in run.seeds:
             classes = _degree_classes(rows)
             window = run.window(j, edges, classes)
             if window is None:
@@ -482,12 +488,23 @@ def test_one_orbit_certificate_declines(case, desc, monkeypatch):
         assert searched and got == _one_cell_accept(child, desc, True)[0], j
 
 
+def _leaf_alone(stage, rows, *args, n=8):
+    """Whether the degree stage accepts a child of ``rows`` on n vertices
+    outright: its new vertex alone in the last cell.  Such a leaf is
+    scored and handed over unbuilt."""
+    j = len(rows)
+    return stage is not None and j + 1 == n and stage[1][-1] == 1 << j
+
+
 # (children built, refinements from acceptance, refinement rounds in all,
 # searches) of GenFilter(n=8, max_degree=4) in each order.  Building every
-# attachment rep before the degree stage built 6133 and 4730 children.
+# attachment rep before the degree stage built 6133 and 4730 children, and
+# building the leaves that the stage accepts outright 3581 and 3582.
 # Searching every leaf whose last cell holds more than the new vertex took
-# 11925 and 11821 rounds and 1361 and 1382 searches.
-ACCEPT_COST = {False: (3581, 1914, 8961, 898), True: (3582, 1936, 8080, 767)}
+# 11925 and 11821 rounds and 1361 and 1382 searches; an involution that
+# swaps only single-vertex differences took 8961 and 8080 rounds and 898
+# and 767 searches.
+ACCEPT_COST = {False: (1914, 1914, 7778, 767), True: (1936, 1936, 7108, 652)}
 
 
 @pytest.mark.parametrize("desc", [False, True], ids=["asc", "desc"])
@@ -496,26 +513,28 @@ def test_acceptance_cost(desc, monkeypatch):
     has passed it; acceptance refines it from the stage's round-2
     partition, so a change that builds rejected children again, or
     refines from the degree cells, changes these counts."""
-    counts = dict.fromkeys(("built", "passed", "refined", "rounds", "searched"), 0)
+    counts = dict.fromkeys(("built", "passed", "unbuilt", "refined", "rounds", "searched"), 0)
 
-    def counting(module, name, key, test=lambda out: True):
+    def counting(module, name, key, test=lambda out, *args: True):
         f = getattr(module, name)
 
         def counted(*args, **kwargs):
             out = f(*args, **kwargs)
-            counts[key] += test(out)
+            counts[key] += test(out, *args)
             return out
 
         monkeypatch.setattr(module, name, counted)
 
     counting(enumeration, "_extend", "built")
-    counting(enumeration, "_degree_stage", "passed", lambda out: out is not None)
+    counting(enumeration, "_degree_stage", "passed", lambda out, *args: out is not None)
+    counting(enumeration, "_degree_stage", "unbuilt", _leaf_alone)
     counting(enumeration, "_refine", "refined")
     counting(enumeration, "_search", "searched")
     counting(canon, "_split", "rounds")
     counting(enumeration, "_split", "rounds")
     enumerate_graphs(GenFilter(n=8, max_degree=4), desc=desc)
-    assert counts["built"] == counts["passed"]
+    assert counts["built"] == counts["passed"] - counts["unbuilt"]
+    assert counts["unbuilt"] > 0
     assert (
         counts["built"], counts["refined"], counts["rounds"], counts["searched"]
     ) == ACCEPT_COST[desc]
@@ -527,21 +546,24 @@ def test_forbidden_check_builds_no_child(desc, monkeypatch):
     and the attachment set: no child pruned under ``forbidden`` is built
     or backtracked, every child built has passed the degree stage, and an
     enumeration with no forbidden pattern asks for no copy count."""
-    counts = dict.fromkeys(("built", "staged", "passed", "embedded", "parents", "checked"), 0)
+    counts = dict.fromkeys(
+        ("built", "staged", "passed", "unbuilt", "embedded", "parents", "checked"), 0
+    )
 
-    def counting(module, name, key, test=lambda out: True):
+    def counting(module, name, key, test=lambda out, *args: True):
         f = getattr(module, name)
 
         def counted(*args, **kwargs):
             out = f(*args, **kwargs)
-            counts[key] += test(out)
+            counts[key] += test(out, *args)
             return out
 
         monkeypatch.setattr(module, name, counted)
 
     counting(enumeration, "_extend", "built")
     counting(enumeration, "_degree_stage", "staged")
-    counting(enumeration, "_degree_stage", "passed", lambda out: out is not None)
+    counting(enumeration, "_degree_stage", "passed", lambda out, *args: out is not None)
+    counting(enumeration, "_degree_stage", "unbuilt", _leaf_alone)
     counting(enumeration, "contains_subgraph", "embedded")
     counting(graphs, "_embeddings", "embedded")
     through = PatternCounter.through
@@ -559,7 +581,7 @@ def test_forbidden_check_builds_no_child(desc, monkeypatch):
     monkeypatch.setattr(PatternCounter, "through", counted_through)
     stats = enumerate_graphs(GenFilter(n=8, forbidden=HSpec.parse("K3").members), desc=desc)
     assert counts["embedded"] == 0
-    assert counts["built"] == counts["passed"]
+    assert counts["built"] == counts["passed"] - counts["unbuilt"]
     assert counts["checked"] == stats.pruned["forbidden"] + counts["staged"]
     assert counts["parents"] > 0
     counts.update(parents=0, checked=0)
@@ -867,3 +889,68 @@ def test_subtree_packs_leaves():
     packed = [parallel._descend(run, seed)[0] for seed in run.seeds]
     assert all(leaves.itemsize == 2 for leaves in packed)
     assert sum(map(len, packed)) == 9 * enumerate_graphs(filt).classes
+
+
+SCORERS = {
+    **{f"C{m}": (PatternCounter(cycle_graph(m)), partial(count_cycles, m=m)) for m in range(3, 8)},
+    **{f"K{t}": (PatternCounter(complete_graph(t)), partial(count_cliques, t=t)) for t in (3, 4)},
+    "cliques": (CliqueTotal(), total_cliques),
+}
+
+
+@pytest.mark.parametrize("mode", ["asc", "desc", "jobs2"])
+def test_tree_scores_match_whole_graph_counts(mode):
+    """The score the tree hands over with each class, its parent's score
+    plus the copies through the new vertex, is the count on the whole
+    graph: cycles C3..C7, K3, K4 and all cliques of 2 or more vertices,
+    on every class of GenFilter(n=8, max_degree=4), and the triangles of
+    the complements on the dense side of enumerate_regular(9, 6)."""
+    kw = {"desc": mode == "desc", "jobs": 2 if mode == "jobs2" else 1}
+    for name, (scorer, oracle) in SCORERS.items():
+        leaves = []
+        stats = enumerate_graphs(
+            GenFilter(n=8, max_degree=4), scorer=scorer,
+            leaf=lambda score, rows, s: leaves.append((score, rows, s)), **kw,
+        )
+        assert len(leaves) == stats.classes == 2590
+        for score, rows, s in leaves:
+            g = extend_graph(rows, s)
+            assert score == oracle(g), (name, g.rows)
+    scorer, oracle = SCORERS["K3"]
+    got = []
+    stats = enumerate_regular(9, 6, scorer=scorer, leaf=lambda *leaf: got.append(leaf), **kw)
+    assert len(got) == stats.classes == 4
+    for score, rows, s in got:
+        g = extend_graph(rows, s)
+        assert g.is_regular(6) and score == oracle(g), g.rows
+
+
+@pytest.mark.parametrize(
+    "filt", [GenFilter(n=8, max_degree=4), GenFilter(n=8, max_degree=4, edge_count=14)],
+    ids=["n8-r4", "table1-n8-m14"],
+)
+def test_through_built_once_per_parent(filt, monkeypatch):
+    """Each node builds its scorer's ``through`` at most once, and only
+    for a node of the tree: a leaf's score costs no recount of its
+    parent, even where a parent has one leaf, as in the table1 cell."""
+    nodes, built = set(), []
+    descend = _Run.descend
+    through = PatternCounter.through
+
+    def counted_descend(self, rows, *args):
+        nodes.add(rows)
+        return descend(self, rows, *args)
+
+    def counted_through(self, rows, **kwargs):
+        built.append(rows)
+        return through(self, rows, **kwargs)
+
+    monkeypatch.setattr(_Run, "descend", counted_descend)
+    monkeypatch.setattr(PatternCounter, "through", counted_through)
+    leaves = []
+    stats = enumerate_graphs(
+        filt, scorer=PatternCounter(complete_graph(3)), leaf=lambda *leaf: leaves.append(leaf)
+    )
+    parents = {rows for _, rows, _ in leaves}
+    assert len(built) == len(set(built)) and set(built) <= nodes | {()}
+    assert parents <= set(built) and len(built) < stats.nodes

@@ -52,6 +52,7 @@ from turan_reg.graphs import (
     graph6_encode,
     is_triangle_free,
     odd_girth,
+    PatternCounter,
     path_counts,
     star_graph,
     total_cliques,
@@ -563,23 +564,41 @@ def test_count_cycles_closed_forms():
             assert count_cycles(kab, 5) == 0
 
 
+def _path_matrix(rows, length):
+    """``path_counts`` unpacked, in the narrowest fields that hold n^2."""
+    w = 2 * len(rows).bit_length()
+    field = (1 << w) - 1
+    return [[row >> (w * b) & field for b in range(len(rows))] for row in path_counts(rows, length, w)]
+
+
 def test_path_counts_vs_naive():
-    """Orders 16 to 255 take two-byte fields, 256 and 300 eight-byte ones."""
+    """Fields of 2 * bit_length(n) bits, the fewest that hold n^2, up to n = 300."""
     rng = seeded_rng()
     for n in (0, 1, 2, 5, 8, 15, 16, 17):
         for _ in range(4):
             g = random_graph(rng, n)
             for length in (2, 3):
-                paths = path_counts(g.rows, length)
+                paths = _path_matrix(g.rows, length)
                 naive = naive_path_counts(g, length)
                 off = [(a, b) for a in range(n) for b in range(n) if a != b]
                 assert [paths[a][b] for a, b in off] == [naive[a][b] for a, b in off], (g.rows, length)
     for n in (15, 16, 17, 255, 256, 300):
-        p2, p3 = (path_counts(complete_graph(n).rows, length) for length in (2, 3))
+        p2, p3 = (_path_matrix(complete_graph(n).rows, length) for length in (2, 3))
         assert {p2[a][b] for a in range(n) for b in range(n) if a != b} == {n - 2}
         assert {p3[a][b] for a in range(n) for b in range(n) if a != b} == {(n - 2) * (n - 3)}
     with pytest.raises(GraphError):
-        path_counts(complete_graph(4).rows, 4)
+        path_counts(complete_graph(4).rows, 4, 8)
+
+
+def test_cycle_through_on_complete_graphs():
+    """Every pair of a complete parent, the largest fold the packed C4
+    and C5 counts make, for parents of 0 to 40 vertices."""
+    c4, c5 = PatternCounter(cycle_graph(4)), PatternCounter(cycle_graph(5))
+    for j in range(41):
+        rows, s = complete_graph(j).rows, (1 << j) - 1
+        pairs = math.comb(j, 2)
+        assert c4.through(rows)(s) == pairs * max(j - 2, 0), j
+        assert c5.through(rows)(s) == pairs * max(j - 2, 0) * max(j - 3, 0), j
 
 
 def test_census_imports_no_numpy():

@@ -6,6 +6,7 @@ import pytest
 
 from helpers import (
     all_labeled_graphs,
+    climb_count,
     automorphism_group_order,
     count_complete_bipartite,
     count_p4,
@@ -247,7 +248,7 @@ def test_pattern_counter_dispatch():
         aut = automorphism_group_order(pat)
         for _ in range(8):
             g = random_graph(rng, rng.randint(4, 7))
-            assert counter(g) == naive_embedding_count(g, pat) // aut, (kind, g.rows)
+            assert climb_count(counter, g) == naive_embedding_count(g, pat) // aut, (kind, g.rows)
     # C6 and longer count the paths that close a cycle through the new vertex
     for m in range(6, 10):
         pat = cycle_graph(m)
@@ -255,10 +256,10 @@ def test_pattern_counter_dispatch():
         assert counter.kind == "cycle"
         for _ in range(4):
             g = random_graph(rng, m, rng.uniform(0.6, 1.0))
-            assert counter(g) == naive_embedding_count(g, pat) // (2 * m), (m, g.rows)
-    # a cold cache climbs one order at a time, with no recursion per order
+            assert climb_count(counter, g) == naive_embedding_count(g, pat) // (2 * m), (m, g.rows)
+    # the climb takes one order at a time, with no recursion per order
     big = disjoint_union(cycle_graph(1500), complete_graph(4))
-    assert PatternCounter(complete_graph(3))(big) == 4
+    assert climb_count(PatternCounter(complete_graph(3)), big) == 4
     # a pattern without vertices is refused, not counted as the order of g
     for refused in (lambda: PatternCounter(Graph(0, ())), lambda: max_copies_free(4, Graph(0, ()), 2)):
         with pytest.raises(GraphError, match="at least one vertex"):
@@ -311,16 +312,14 @@ def _with_last_row(g, s):
 
 
 def test_pattern_counter_from_parent_any_order():
-    """Scoring from the parent is exact in any order: one counter per
-    pattern, of every kind, sees the n = 8 classes in emission order,
-    then shuffled, then random graphs of orders 1..9, each followed by
-    siblings that share its parent, so a stale cache entry would show.
-    The slow networkx oracle checks every fifth class and all the random
-    graphs; the counter still sees every graph in all three orders."""
+    """The identity count(g) = count(g - v) + through(g - v)(N(v)) is
+    exact for every kind of pattern: climbed from the empty graph
+    (``climb_count``) on the n = 8 classes and on random graphs of
+    orders 0..9, each followed by siblings that share its parent.  The
+    slow networkx oracle checks every fifth class and all the random
+    graphs; the other oracles check every graph."""
     classes = []
     enumerate_graphs(GenFilter(n=8, max_degree=4), visitor=classes.append)
-    shuffled = list(classes)
-    seeded_rng().shuffle(shuffled)
     rng = seeded_rng()
     mixed = [Graph(0, ())]
     for _ in range(200):
@@ -349,14 +348,9 @@ def test_pattern_counter_from_parent_any_order():
     cases += [(cycle_graph(m), partial(nx_cycles, m=m), sample) for m in (6, 7)]
     for pattern, oracle, checked in cases:
         counter = PatternCounter(pattern)
-        memo = {}
-        for g in classes + shuffled + mixed:
-            count = counter(g)
-            if checked is not None and g.rows not in checked:
-                continue
-            if g.rows not in memo:
-                memo[g.rows] = oracle(g)
-            assert count == memo[g.rows], (pattern.rows, g.rows)
+        for g in classes + mixed:
+            if checked is None or g.rows in checked:
+                assert climb_count(counter, g) == oracle(g), (pattern.rows, g.rows)
 
 
 def test_through_matches_anchored_embeddings():
@@ -465,3 +459,66 @@ def test_search_result_json():
 def test_parallel_search_reports_seconds():
     res = max_copies_free(8, cycle_graph(5), 4, jobs=2)
     assert res.to_json()["stats"]["seconds"] > 0
+
+
+# (objective, classes, witnesses, stats.classes, stats.nodes, sorted
+# stats.pruned) of each search, pinned while the searches still scored
+# each class as a whole graph after the tree had emitted it; (9, 6) and
+# (10, 6) are triangle minima on the dense side, scored on complements.
+SEARCH_GOLDENS = {
+    "max_kt(8,14,4,3)": (8, 3, ("G_Kx~_", "GwCXyw", "GKXkks"), 136, 291, [("canonical", 391)]),
+    "max_kt(8,16,5,4)": (15, 1, ("G`Kxx{",), 515, 784, [("canonical", 750)]),
+    "max_k_total(7,12,4)": (9, 2, ("F`Lzo", "F`L|o"), 32, 84, [("canonical", 50)]),
+    "max_k_total(8,16,5)": (42, 1, ("G`Kxx{",), 515, 784, [("canonical", 750)]),
+    "min_triangles_regular(9,4)": (2, 1, ("HBY[vFc",), 16, 176, [("canonical", 155)]),
+    "min_triangles_regular(9,6)": (27, 1, ("HFzf~z{",), 4, 31, [("canonical", 12)]),
+    "min_triangles_regular(10,6)": (24, 1, ("IBjF~z{~?",), 21, 234, [("canonical", 363)]),
+    "max_copies_free(8,C5,4)": (30, 1, ("GJemnO",), 2590, 3274, [("canonical", 2860)]),
+    "max_copies_free(8,K2,3,4)": (48, 1, ("G?~vf_",), 2590, 3274, [("canonical", 2860)]),
+    "max_copies_free(7,K4,4)": (5, 2, ("F@Kxw", "F`Kxw"), 510, 684, [("canonical", 312)]),
+    "exr_exact(9,K3)": (
+        2, 2, ("H?CidB?", "HG?WtB?"), 7, 103, [("canonical", 23), ("forbidden", 68)]
+    ),
+    "exr_exact(10,C4)": (
+        3, 3, ("I?LRCecq?", "I@Oq[QPw?", "I@LAKUSw?"), 91, 1223,
+        [("canonical", 1880), ("forbidden", 438)],
+    ),
+}
+SEARCH_CALLS = {
+    "max_kt(8,14,4,3)": lambda jobs: max_kt(8, 14, 4, 3, jobs=jobs),
+    "max_kt(8,16,5,4)": lambda jobs: max_kt(8, 16, 5, 4, jobs=jobs),
+    "max_k_total(7,12,4)": lambda jobs: max_k_total(7, 12, 4, jobs=jobs),
+    "max_k_total(8,16,5)": lambda jobs: max_k_total(8, 16, 5, jobs=jobs),
+    "min_triangles_regular(9,4)": lambda jobs: min_triangles_regular(9, 4, jobs=jobs),
+    "min_triangles_regular(9,6)": lambda jobs: min_triangles_regular(9, 6, jobs=jobs),
+    "min_triangles_regular(10,6)": lambda jobs: min_triangles_regular(10, 6, jobs=jobs),
+    "max_copies_free(8,C5,4)": lambda jobs: max_copies_free(8, cycle_graph(5), 4, jobs=jobs),
+    "max_copies_free(8,K2,3,4)": lambda jobs: max_copies_free(
+        8, complete_bipartite(2, 3), 4, jobs=jobs
+    ),
+    "max_copies_free(7,K4,4)": lambda jobs: max_copies_free(7, complete_graph(4), 4, jobs=jobs),
+    "exr_exact(9,K3)": lambda jobs: exr_exact(9, HSpec.parse("K3"), all_witnesses=True, jobs=jobs),
+    "exr_exact(10,C4)": lambda jobs: exr_exact(
+        10, HSpec.parse("C4"), all_witnesses=True, jobs=jobs
+    ),
+}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("call", sorted(SEARCH_GOLDENS))
+def test_search_goldens(call, jobs):
+    res = SEARCH_CALLS[call](jobs)
+    stats = res.stats
+    got = (res.objective, res.classes, res.witnesses, stats.classes, stats.nodes,
+           sorted(stats.pruned.items()))
+    assert got == SEARCH_GOLDENS[call]
+
+
+def test_parallel_search_counts_worker_cpu():
+    """``cpu_seconds`` covers the workers of a jobs=2 scan, which do all
+    the descending below the seeds and so more than this process does."""
+    before = time.process_time()
+    res = max_copies_free(8, cycle_graph(5), 4, jobs=2)
+    own = time.process_time() - before
+    assert res.stats.cpu_seconds > own > 0
+    assert res.to_json()["stats"]["cpu_seconds"] == round(res.stats.cpu_seconds, 3)
