@@ -15,6 +15,19 @@ the usual scheme:
     splitting cells by neighbor counts against the cells that changed
     last; sub-cells are ordered by their split key, so the cell order of
     the result is itself an isomorphism invariant.
+  * The general round packs a vertex's counts in all splitters into one
+    key per vertex.  Three cases need less.  With one splitter the key is
+    the count alone, one AND and popcount.  With one splitter that is a
+    single vertex w, a count is 1 on the row of w and 0 off it, so a cell
+    c splits into ``c & ~rows[w]`` and ``c & rows[w]`` with no key at all
+    (``_row_split``); that is the first round after every
+    individualization in the search, whose only splitter is the new
+    one-vertex cell.  A cell of two vertices is ordered by the first
+    splitter in which their counts differ.  Each gives the cells, their
+    order and the next splitters of the general round, since sorting
+    one count, one bit, or comparing count tuples from the front orders
+    the sub-cells as sorting the packed keys does; so no permutation,
+    certificate or generator depends on which case ran.
   * If the stable partition is discrete the graph is rigid (every
     automorphism preserves the cells) and the single leaf is canonical.
   * Otherwise the search individualizes each vertex of the first
@@ -37,26 +50,56 @@ from .graphs import relabel
 def _split(rows, cells, splitters, b, desc):
     """One refinement round: each cell of ``cells`` split by its vertices'
     counts in the ``splitters``, packed into keys with ``b`` bits per count.
+    With one splitter the key is the count itself, one AND and popcount.
+    A cell of two vertices needs no key: the first splitter in which their
+    counts differ orders them, as it orders their packed keys.
 
     Returns the new cells, in order, and the indices of the sub-cells of
     every split but the last one of each: the splitters of the next round.
     """
     new_cells = []
     active = []
+    one = splitters[0] if len(splitters) == 1 else None
     for c in cells:
         if not c & (c - 1):
             new_cells.append(c)
             continue
+        low = c & -c
+        high = c ^ low
+        if not high & (high - 1):
+            # two vertices, ordered by the first splitter they differ in
+            rx = rows[low.bit_length() - 1]
+            ry = rows[high.bit_length() - 1]
+            for m in splitters:
+                cx = (rx & m).bit_count()
+                cy = (ry & m).bit_count()
+                if cx != cy:
+                    if (cx > cy) != desc:
+                        low, high = high, low
+                    active.append(len(new_cells))
+                    new_cells.append(low)
+                    new_cells.append(high)
+                    break
+            else:
+                new_cells.append(c)
+            continue
         buckets = {}
         t = c
-        while t:
-            low = t & -t
-            rv = rows[low.bit_length() - 1]
-            key = 0
-            for m in splitters:
-                key = (key << b) | (rv & m).bit_count()
-            buckets[key] = buckets.get(key, 0) | low
-            t ^= low
+        if one is not None:
+            while t:
+                low = t & -t
+                key = (rows[low.bit_length() - 1] & one).bit_count()
+                buckets[key] = buckets.get(key, 0) | low
+                t ^= low
+        else:
+            while t:
+                low = t & -t
+                rv = rows[low.bit_length() - 1]
+                key = 0
+                for m in splitters:
+                    key = (key << b) | (rv & m).bit_count()
+                buckets[key] = buckets.get(key, 0) | low
+                t ^= low
         if len(buckets) == 1:
             new_cells.append(c)
         else:
@@ -65,6 +108,26 @@ def _split(rows, cells, splitters, b, desc):
                 active.append(len(new_cells))
                 new_cells.append(buckets[k])
             new_cells.append(buckets[keys[-1]])
+    return new_cells, active
+
+
+def _row_split(cells, row, desc):
+    """A refinement round whose one splitter is a single vertex w, with
+    ``row = rows[w]``: a vertex's count in {w} is 1 on the row and 0 off
+    it, so every non-singleton cell c splits into ``c & ~row`` and
+    ``c & row``, in that order (the reverse under ``desc``), unless one
+    of the two is empty.  Returns what ``_split`` returns for the round.
+    """
+    new_cells = []
+    active = []
+    for c in cells:
+        if c & (c - 1):
+            off, on = c & ~row, c & row
+            if off and on:
+                active.append(len(new_cells))
+                new_cells += (on, off) if desc else (off, on)
+                continue
+        new_cells.append(c)
     return new_cells, active
 
 
@@ -91,7 +154,8 @@ def _refine(rows, n, cells, desc, keep=None, active=None, alone=False):
     A split key packs a vertex's counts, in splitter order, into one int
     with a field of ``n.bit_length()`` bits per count: no count reaches
     n, and every key of a round has the same fields, so keys sort as the
-    count tuples do lexicographically.
+    count tuples do lexicographically.  A round whose one splitter is a
+    single vertex runs as ``_row_split``.
 
     With ``keep`` set, returns None as soon as vertex ``keep`` leaves the
     last cell.  A round only splits cells and keeps their order, so the
@@ -112,7 +176,10 @@ def _refine(rows, n, cells, desc, keep=None, active=None, alone=False):
                 return cells
         if len(cells) == n:
             break
-        cells, active = _split(rows, cells, [cells[i] for i in active], b, desc)
+        if len(active) == 1 and not (w := cells[active[0]]) & (w - 1):
+            cells, active = _row_split(cells, rows[w.bit_length() - 1], desc)
+        else:
+            cells, active = _split(rows, cells, [cells[i] for i in active], b, desc)
     return cells
 
 

@@ -22,7 +22,7 @@ from itertools import combinations
 from math import comb
 
 from . import constructions
-from .enumeration import EnumerationError, GenFilter, enumerate_graphs
+from .enumeration import CapError, EnumerationError, GenFilter, enumerate_graphs
 from .formulas import (
     FamilySpec,
     FormulaError,
@@ -354,14 +354,16 @@ def int_list(text):
     return [int(a) for a in text.split(",")]
 
 
-# probe name -> its function and the options it reads, passed on as
-# keywords of the same name; each must have a value
+# probe name -> its function, the options it needs and those it may
+# take, passed on as keywords of the same name; an option left out keeps
+# the probe's own default, and one the probe does not read is refused
 PROBES = {
-    "gls-critical": (probe_gls_critical, ("n", "r", "t")),
-    "triangle-floor": (probe_triangle_floor, ("n_max",)),
-    "odd-girth-question": (probe_odd_girth_question, ("n", "pattern")),
-    "cycle-question": (probe_cycle_question, ("m", "r", "n")),
+    "gls-critical": (probe_gls_critical, ("n", "r"), ("t",)),
+    "triangle-floor": (probe_triangle_floor, (), ("n_max",)),
+    "odd-girth-question": (probe_odd_girth_question, ("n", "pattern"), ()),
+    "cycle-question": (probe_cycle_question, ("m", "r", "n"), ()),
 }
+PROBE_OPTIONS = sorted({opt for _, needed, optional in PROBES.values() for opt in needed + optional})
 
 
 def build_parser():
@@ -425,9 +427,9 @@ def build_parser():
     p.add_argument("name", choices=PROBES)
     p.add_argument("--n", type=int)
     p.add_argument("--r", type=int)
-    p.add_argument("--t", type=int, default=3)
+    p.add_argument("--t", type=int)
     p.add_argument("--m", type=int)
-    p.add_argument("--n-max", type=int, default=11)
+    p.add_argument("--n-max", type=int)
     p.add_argument("--pattern", type=str)
     _add_jobs(p)
 
@@ -481,11 +483,14 @@ def _cmd_enumerate(ns):
         regular_k=ns.regular_k,
         connected=ns.connected,
     )
-    with _open_out(ns.out) as fh:
-        stats = enumerate_graphs(
-            filt, visitor=lambda g: fh.write(graph6_encode(g) + "\n") and None,
-            desc=ns.desc, force=ns.force, jobs=ns.jobs,
-        )
+    try:
+        with _open_out(ns.out) as fh:
+            stats = enumerate_graphs(
+                filt, visitor=lambda g: fh.write(graph6_encode(g) + "\n") and None,
+                desc=ns.desc, force=ns.force, jobs=ns.jobs,
+            )
+    except CapError as exc:
+        raise CapError(f"{exc}; pass --force") from None
     if stats.infeasible:
         print("infeasible filter: empty stream", file=sys.stderr)
     print(
@@ -535,10 +540,17 @@ def _cmd_max_copies(ns):
     return 0
 
 
+def _flag(option):
+    return "--" + option.replace("_", "-")
+
+
 def _cmd_probe(ns):
-    probe, options = PROBES[ns.name]
-    kwargs = {opt: getattr(ns, opt) for opt in options}
-    missing = [f"--{opt}" for opt, val in kwargs.items() if val is None]
+    probe, needed, optional = PROBES[ns.name]
+    kwargs = {opt: getattr(ns, opt) for opt in PROBE_OPTIONS if getattr(ns, opt) is not None}
+    unread = [_flag(opt) for opt in kwargs if opt not in needed + optional]
+    if unread:
+        raise SearchError(f"probe {ns.name} does not take {' '.join(unread)}")
+    missing = [_flag(opt) for opt in needed if opt not in kwargs]
     if missing:
         raise SearchError(f"probe {ns.name} requires {' '.join(missing)}")
     if "pattern" in kwargs:

@@ -105,6 +105,11 @@ class EnumerationError(ValueError):
     pass
 
 
+class CapError(EnumerationError):
+    """An order past ``HARD_CAP`` without ``force``; the message names no
+    remedy, since only some callers can pass ``force``."""
+
+
 @dataclass
 class GenFilter:
     """Declarative class filter for exhaustive generation."""
@@ -616,7 +621,7 @@ def enumerate_graphs(filt, visitor=None, desc=False, force=False, jobs=1, scorer
     down the tree from the root (see ``_Run.descend``), or 0 without
     one.  Pass at most one of the two.  A visitor or leaf call returning
     a truthy value stops the run early.  Orders beyond the hard cap
-    (n = 11) require ``force``.
+    (n = 11) require ``force``; without it they raise ``CapError``.
 
     With ``jobs > 1`` the descent stops at depth n - 2 and records the
     accepted graphs there as seeds, each with its score; ``jobs`` forked
@@ -631,10 +636,7 @@ def enumerate_graphs(filt, visitor=None, desc=False, force=False, jobs=1, scorer
     if jobs < 1:
         raise EnumerationError("jobs must be >= 1")
     if filt.n > HARD_CAP and not force:
-        raise EnumerationError(
-            f"order {filt.n} beyond enumeration cap {HARD_CAP}; pass --force "
-            "(force=True from Python)"
-        )
+        raise CapError(f"order {filt.n} beyond enumeration cap {HARD_CAP}")
     t0, cpu0 = time.perf_counter(), _cpu_seconds()
     split = max(1, filt.n - 2) if jobs > 1 else None
     run = _Run(filt, _leaf_call(visitor, leaf), desc, split=split, scorer=scorer)

@@ -344,7 +344,7 @@ def probe_gls_critical(n, r, t=3, witness_cap=8, jobs=1):
     }
 
 
-def probe_triangle_floor(n_max, witness_cap=4, jobs=1):
+def probe_triangle_floor(n_max=11, witness_cap=4, jobs=1):
     """Conjectured triangle minimum vs exhaustive minimum in the window."""
     rows = []
     for n in range(7, n_max + 1, 2):

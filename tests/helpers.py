@@ -519,17 +519,26 @@ def child_ok_oracle(filt, rows, j, s, edges, desc=False, completion=True):
     return True
 
 
-def split_round(rows, cells, desc):
-    """One refinement round that splits every cell against every cell,
-    keyed by the tuple of counts; cells are int masks, as in ``canon``."""
-    new = []
+def splitter_round(rows, cells, splitters, desc):
+    """One refinement round against the given splitter masks, keyed by
+    the tuple of counts: the new cells and the index of every sub-cell of
+    a split but the last, as ``canon._split`` returns them; cells are int
+    masks, as in ``canon``."""
+    new, active = [], []
     for c in cells:
         keys = {}
         for v in bits(c):
-            key = tuple(sum((rows[v] >> u) & 1 for u in bits(d)) for d in cells)
+            key = tuple(sum((rows[v] >> u) & 1 for u in bits(m)) for m in splitters)
             keys[key] = keys.get(key, 0) | 1 << v
-        new.extend(keys[k] for k in sorted(keys, reverse=desc))
-    return new
+        parts = [keys[k] for k in sorted(keys, reverse=desc)]
+        active += range(len(new), len(new) + len(parts) - 1)
+        new += parts
+    return new, active
+
+
+def split_round(rows, cells, desc):
+    """One refinement round that splits every cell against every cell."""
+    return splitter_round(rows, cells, cells, desc)[0]
 
 
 def refine_oracle(rows, cells, desc):

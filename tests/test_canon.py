@@ -14,10 +14,13 @@ from helpers import (
     random_graph_with_twins,
     refine_oracle,
     seeded_rng,
+    splitter_round,
 )
 
 from turan_reg.canon import (
     _refine,
+    _row_split,
+    _split,
     canon_core,
     canonical_form,
     orbits_from_generators,
@@ -167,5 +170,41 @@ def test_refine_matches_full_splitting():
                 continue
             for v in bits(stable[idx]):
                 cells = stable[:idx] + [1 << v, stable[idx] ^ 1 << v] + stable[idx + 1:]
-                got = _refine(g.rows, g.n, cells, desc, active=(idx,))
-                assert got == refine_oracle(g.rows, cells, desc)
+                want = refine_oracle(g.rows, cells, desc)
+                assert _refine(g.rows, g.n, cells, desc, active=(idx,)) == want
+                # the mask round by v's row, then refinement from its splitters
+                split, active = _row_split(cells, g.rows[v], desc)
+                assert (split, active) == _split(g.rows, cells, [1 << v, 0], g.n.bit_length(), desc)
+                assert _refine(g.rows, g.n, split, desc, active=active) == want
+
+
+def test_one_splitter_keys_match_packed_keys():
+    # a round with one splitter keys each vertex by its count alone; the
+    # packed key of the same count with an empty second splitter (a zero
+    # field, first or last) orders the sub-cells the same way, and both
+    # agree with sorting count tuples, as do rounds with more splitters
+    # (two-vertex cells are compared splitter by splitter)
+    rng = random.Random(5151)
+    for _ in range(300):
+        g = random_graph_with_twins(rng, 18)
+        b = g.n.bit_length()
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        cells = []
+        for v in perm:  # a random ordered partition
+            if cells and rng.random() < 0.6:
+                cells[rng.randrange(len(cells))] |= 1 << v
+            else:
+                cells.append(1 << v)
+        for desc in (False, True):
+            for m in (rng.getrandbits(g.n), rng.choice(cells), 1 << rng.randrange(g.n)):
+                got = _split(g.rows, cells, [m], b, desc)
+                assert got == _split(g.rows, cells, [m, 0], b, desc)
+                assert got == _split(g.rows, cells, [0, m], b, desc)
+                assert got == splitter_round(g.rows, cells, [m], desc)
+                if m and not m & (m - 1):
+                    assert got == _row_split(cells, g.rows[m.bit_length() - 1], desc)
+            for k in (2, 3):
+                several = [rng.choice((rng.getrandbits(g.n), rng.choice(cells))) for _ in range(k)]
+                got = _split(g.rows, cells, several, b, desc)
+                assert got == splitter_round(g.rows, cells, several, desc)

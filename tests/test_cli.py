@@ -307,6 +307,43 @@ def test_probe_missing_option(args, missing, capsys):
     assert f"probe {args[0]} requires {missing}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "args, unread",
+    [
+        (["triangle-floor", "--n", "0"], "--n"),
+        (["gls-critical", "--n", "8", "--r", "4", "--n-max", "9", "--pattern", "K3"], "--n-max --pattern"),
+        (["cycle-question", "--m", "4", "--r", "2", "--n", "6", "--t", "3"], "--t"),
+    ],
+    ids=["triangle-floor", "gls-critical", "cycle-question"],
+)
+def test_probe_refuses_unread_option(args, unread, capsys):
+    # an option the probe does not read is refused, not silently ignored
+    with pytest.raises(SystemExit) as exc:
+        main(["probe", *args])
+    assert exc.value.code == 2
+    assert f"probe {args[0]} does not take {unread}" in capsys.readouterr().err
+
+
+def test_probe_default_is_the_probes_own(capsys):
+    # an option left out keeps the default of the probe function
+    assert main(["probe", "gls-critical", "--n", "6", "--r", "4"]) == 0
+    assert json.loads(capsys.readouterr().out)["params"]["t"] == 3
+
+
+@pytest.mark.parametrize(
+    "argv, remedy",
+    [(["enumerate", "--n", "12"], "; pass --force"), (["exr", "--n", "12", "--forbid", "K3"], "")],
+    ids=["enumerate", "exr"],
+)
+def test_cap_message_names_force_only_where_it_exists(argv, remedy, capsys):
+    # only enumerate has --force; exr, like exr_exact, has no way round the cap
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.rstrip().endswith("error: order 12 beyond enumeration cap 11" + remedy)
+
+
 def test_suite_command(tmp_path, capsys):
     report_path = tmp_path / "report.json"
     rc = main(["suite", "table1", "--report", str(report_path)])

@@ -531,6 +531,7 @@ def test_acceptance_cost(desc, monkeypatch):
     counting(enumeration, "_refine", "refined")
     counting(enumeration, "_search", "searched")
     counting(canon, "_split", "rounds")
+    counting(canon, "_row_split", "rounds")  # a round by one vertex's row
     counting(enumeration, "_split", "rounds")
     enumerate_graphs(GenFilter(n=8, max_degree=4), desc=desc)
     assert counts["built"] == counts["passed"] - counts["unbuilt"]
