@@ -22,7 +22,7 @@ from itertools import combinations
 from math import comb
 
 from . import constructions
-from .enumeration import CapError, EnumerationError, GenFilter, enumerate_graphs
+from .enumeration import CapError, EnumerationError, GenFilter, check_run, enumerate_graphs
 from .formulas import (
     FamilySpec,
     FormulaError,
@@ -484,6 +484,8 @@ def _cmd_enumerate(ns):
         connected=ns.connected,
     )
     try:
+        # refused arguments leave --out as it was
+        check_run(filt, ns.jobs, ns.force)
         with _open_out(ns.out) as fh:
             stats = enumerate_graphs(
                 filt, visitor=lambda g: fh.write(graph6_encode(g) + "\n") and None,

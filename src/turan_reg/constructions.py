@@ -4,8 +4,11 @@ Every builder returns the graph together with a machine-readable
 certificate listing the properties it claims (order, regularity, odd
 girth, triangle census, embeddings) and the measured values; a violated
 property aborts construction with that property named.  Verification
-always goes through the generic census operations, never through the
-builder's own bookkeeping.
+always goes through a generic check of a certificate against the rows,
+never through the builder's own bookkeeping: a blow-up's part map is a
+homomorphism onto its target graph (``_maps_onto``), an exhibited cycle
+is a cycle (``_is_cycle``).  A claim that its certificate does not prove
+is measured by the census of ``graphs``, so a refusal names the value.
 
 Matchings that the underlying results merely assert to exist are pinned
 down as rotations (i paired with i+c, indices cyclic), which keeps every
@@ -29,11 +32,15 @@ from __future__ import annotations
 import inspect
 from dataclasses import dataclass, field
 from functools import reduce
+from itertools import accumulate
 from operator import or_
 
 from .formulas import conjectured_triangle_min, triangle_window
 from .graphs import (
     Graph,
+    bits,
+    complete_graph,
+    cycle_graph,
     induced_subgraph,
     is_triangle_free,
     odd_girth,
@@ -57,8 +64,16 @@ class ConstructionResult:
     certificate: dict = field(default_factory=dict)
 
 
-def _certify(name, params, graph, checks):
-    """Evaluate (property, expected, actual) triples; abort on mismatch."""
+def _certify(name, params, graph, checks, regular=None):
+    """Evaluate (property, expected, actual) triples; abort on mismatch.
+
+    Each row's popcount is read once, for the size and, when the builder
+    claims a ``regular`` degree, for a "regular" check placed after the
+    first check (the order).
+    """
+    degrees = list(map(int.bit_count, graph.rows))
+    if regular is not None:
+        checks = [checks[0], ("regular", True, set(degrees) <= {regular}), *checks[1:]]
     report = []
     for prop, expected, actual in checks:
         ok = expected == actual
@@ -75,10 +90,41 @@ def _certify(name, params, graph, checks):
         "name": name,
         "params": params,
         "order": graph.n,
-        "size": graph.edge_count,
+        "size": sum(degrees) // 2,
         "checks": report,
     }
     return ConstructionResult(name, params, graph, cert)
+
+
+def _maps_onto(rows, parts, target):
+    """Whether ``parts``, ranges of labels that must tile 0..len(rows) - 1
+    in order, map the graph of ``rows`` onto the graph whose rows over the
+    part indices are ``target``: the OR of the rows of part i misses every
+    part not next to i.  Bits past len(rows) are not read, so a prefix of
+    the rows is checked as the graph it induces."""
+    ends = list(accumulate(map(len, parts), initial=0))
+    if ends[-1] != len(rows) or parts != [range(a, b) for a, b in zip(ends, ends[1:])]:
+        return False
+    masks = [(1 << b) - (1 << a) for a, b in zip(ends, ends[1:])]
+    every = (1 << len(parts)) - 1
+    for a, b, near in zip(ends, ends[1:], target):
+        union = reduce(or_, rows[a:b], 0)
+        far = every & ~near
+        while far:
+            j = far.bit_length() - 1
+            far ^= 1 << j
+            if union & masks[j]:
+                return False
+    return True
+
+
+def _is_cycle(rows, cycle):
+    """Whether the vertex list ``cycle`` is a cycle of the graph: at
+    least three distinct vertices, each adjacent to the next and the
+    last to the first."""
+    return len(set(cycle)) == len(cycle) >= 3 and all(
+        rows[u] >> v & 1 for u, v in zip(cycle, cycle[1:] + cycle[:1])
+    )
 
 
 def _shift_masks(shifts, size):
@@ -144,30 +190,20 @@ def _blowup_part_sizes(ell, x, y):
 
 def _build_cycle_blowup(sizes, matchings_removed):
     """Blow-up of an odd cycle with rotational matchings removed between
-    the first and last part (their sizes must agree)."""
-    m_parts = len(sizes)
-    starts = [0]
-    for s in sizes[:-1]:
-        starts.append(starts[-1] + s)
-    n = sum(sizes)
-    masks = []
+    the first and last part (their sizes must agree), with its parts as
+    ranges of labels and an odd cycle through one vertex of each part."""
+    starts = list(accumulate(sizes[:-1], initial=0))
+    parts = [range(a, a + s) for a, s in zip(starts, sizes)]
+    masks = [((1 << s) - 1) << a for a, s in zip(starts, sizes)]
+    rows = []
     for i, s in enumerate(sizes):
-        masks.append(((1 << s) - 1) << starts[i])
-    rows = [0] * n
-    for i in range(m_parts):
-        j = (i + 1) % m_parts
-        for v in range(starts[i], starts[i] + sizes[i]):
-            rows[v] |= masks[j]
-        for v in range(starts[j], starts[j] + sizes[j]):
-            rows[v] |= masks[i]
-    # remove rotational matchings between part 0 and the last part
-    s = sizes[0]
-    if sizes[-1] != s:
-        raise ConstructionError("matching parts differ in size", prop="part-sizes")
-    if matchings_removed > s:
-        raise ConstructionError("more matchings than part size", prop="matchings")
-    _delete_rotations(rows, 0, starts[-1], s, range(matchings_removed))
-    return Graph(n, tuple(rows))
+        rows += [masks[i - 1] | masks[(i + 1) % len(sizes)]] * s
+    # remove rotational matchings between part 0 and the last part, whose
+    # sizes ``_blowup_part_sizes`` makes equal and larger than y
+    _delete_rotations(rows, 0, starts[-1], sizes[0], range(matchings_removed))
+    # vertex 0 lost the last part's first matchings_removed vertices
+    cycle = starts[:-1] + [starts[-1] + matchings_removed]
+    return Graph(len(rows), tuple(rows)), parts, cycle
 
 
 def odd_girth_blowup(n, ell):
@@ -188,20 +224,23 @@ def odd_girth_blowup(n, ell):
             f"n={n}: need x > y in n = {m_len}x + y (got x={x}, y={y})"
         )
     sizes = _blowup_part_sizes(ell, x, y)
-    g = _build_cycle_blowup(sizes, y)
-    odd = odd_girth(g)
+    g, parts, cycle = _build_cycle_blowup(sizes, y)
+    # a map onto C_{m_len} takes any odd cycle to an odd closed walk of
+    # C_{m_len}, so no odd cycle is shorter than the exhibited one
+    proved = _maps_onto(g.rows, parts, cycle_graph(m_len).rows) and _is_cycle(g.rows, cycle)
+    odd = m_len if proved else odd_girth(g)
     return _certify(
         "odd-girth-blowup",
         {"n": n, "ell": ell, "x": x, "y": y, "part_sizes": sizes},
         g,
         [
             ("order", n, g.n),
-            ("regular", True, g.is_regular(2 * x)),
             ("degree", 2 * x, g.rows[0].bit_count()),
             ("odd-girth", m_len, odd),
             # no triangle iff the odd girth is not 3
             ("triangle-free", True, odd != 3),
         ],
+        regular=2 * x,
     )
 
 
@@ -236,15 +275,28 @@ def circulant_small_odd(n):
         g,
         [
             ("order", n, g.n),
-            ("regular", True, g.is_regular(2 * k_half)),
             ("degree", 2 * k_half, g.rows[0].bit_count()),
             ("triangle-free", True, is_triangle_free(g)),
         ],
+        regular=2 * k_half,
     )
 
 
 # ---------------------------------------------------------------------------
 # the apex construction around a balanced bipartite core
+
+
+def _apex_rows(p, half, q):
+    """The rows of ``apex_construction`` on 2p + 1 vertices: the sides
+    0..p-1 and p..2p-1, the apex 2p joined to the first ``half`` vertices
+    of each, q + 1 rotations deleted between those blocks and q between
+    the other two."""
+    side, apex = (1 << p) - 1, 1 << 2 * p
+    rows = [side << p | apex] * half + [side << p] * (p - half)
+    rows += [side | apex] * half + [side] * (p - half) + [((1 << half) - 1) * (1 | 1 << p)]
+    _delete_rotations(rows, 0, p, half, range(q + 1))
+    _delete_rotations(rows, half, p + half, p - half, range(q))
+    return rows
 
 
 def apex_construction(n, k):
@@ -267,37 +319,31 @@ def apex_construction(n, k):
     p = (n - 1) // 2
     q = p - k
     half = k // 2
-    rest = p - half
     # the window gives k >= (n+1)/3, so rotations 0..q fit in the block
     if q + 1 > half:
         raise ConstructionError("matching schedule infeasible", prop="matchings")
     apex = n - 1
-    rows = [0] * n
-    left_mask = (1 << p) - 1
-    right_mask = left_mask << p
-    for i in range(p):
-        rows[i] = right_mask
-        rows[p + i] = left_mask
-    for i in range(half):
-        rows[i] |= 1 << apex
-        rows[p + i] |= 1 << apex
-        rows[apex] |= (1 << i) | (1 << (p + i))
-    # (q+1)-regular deletion between the two neighbor blocks, q-regular
-    # between the two non-neighbor blocks
-    _delete_rotations(rows, 0, p, half, range(q + 1))
-    _delete_rotations(rows, half, p + half, rest, range(q))
+    rows = _apex_rows(p, half, q)
     g = Graph(n, tuple(rows))
-    off_apex = induced_subgraph(g, n - 1)
+    # with the rows off the apex mapped onto K2 every triangle holds the
+    # apex, and the triangles are the edges inside its neighbourhood
+    if _maps_onto(g.rows[:apex], [range(p), range(p, apex)], complete_graph(2).rows):
+        off_odd_girth = None
+        near = rows[apex]
+        triangles = sum((rows[u] & near).bit_count() for u in bits(near)) // 2
+    else:
+        off_odd_girth = odd_girth(induced_subgraph(g, apex))
+        triangles = triangle_count(g)
     return _certify(
         "apex",
         {"n": n, "k": k, "p": p, "q": q},
         g,
         [
             ("order", n, g.n),
-            ("regular", True, g.is_regular(k)),
-            ("apex-deleted-bipartite", None, odd_girth(off_apex)),
-            ("triangles", conjectured_triangle_min(n, k), triangle_count(g)),
+            ("apex-deleted-bipartite", None, off_odd_girth),
+            ("triangles", conjectured_triangle_min(n, k), triangles),
         ],
+        regular=k,
     )
 
 
@@ -399,20 +445,19 @@ def multipartite_regular(n, r):
         rows += [complete ^ (f << up | b << down) for f, b in zip(ups, downs)]
     rows += [core_mask] * (x + y)
     g = Graph(n, tuple(rows))
-    # a part is stable iff the union of its rows misses it
-    parts_stable = not any(
-        reduce(or_, rows[a * x:(a + 1) * x]) & part_masks[a] for a in range(t)
-    ) and not reduce(or_, rows[core:]) & top_mask
+    # the parts are stable iff they map the graph onto K_{t+1}
+    parts = [range(a * x, (a + 1) * x) for a in range(t)] + [range(core, n)]
+    parts_stable = _maps_onto(g.rows, parts, complete_graph(t + 1).rows)
     return _certify(
         "multipartite-regular",
         {"n": n, "r": r, "x": x, "y": y, "parts": [x] * t + [x + y]},
         g,
         [
             ("order", n, g.n),
-            ("regular", True, g.is_regular(t * x)),
             ("degree", t * x, g.rows[0].bit_count()),
             ("parts-stable", True, parts_stable),
         ],
+        regular=t * x,
     )
 
 
@@ -512,10 +557,10 @@ def odd_half_construction(n):
         g,
         [
             ("order", n, g.n),
-            ("regular", True, g.is_regular(degree)),
             ("degree", degree, g.rows[0].bit_count()),
             ("kbe-subgraph", True, embeds),
         ],
+        regular=degree,
     )
 
 

@@ -610,6 +610,16 @@ def _leaf_call(visitor, leaf):
     return lambda count, rows, s: visitor(extend_graph(rows, s))
 
 
+def check_run(filt, jobs=1, force=False):
+    """Refuse the arguments of a run of ``enumerate_graphs``, as it does
+    before it visits anything."""
+    filt.validate()
+    if jobs < 1:
+        raise EnumerationError("jobs must be >= 1")
+    if filt.n > HARD_CAP and not force:
+        raise CapError(f"order {filt.n} beyond enumeration cap {HARD_CAP}")
+
+
 def enumerate_graphs(filt, visitor=None, desc=False, force=False, jobs=1, scorer=None, leaf=None):
     """Run the generator over the classes of the filter, in tree order.
 
@@ -632,11 +642,7 @@ def enumerate_graphs(filt, visitor=None, desc=False, force=False, jobs=1, scorer
     so results and counts are those of a serial run.  ``cpu_seconds``
     in the returned GenStats covers this process and the workers.
     """
-    filt.validate()
-    if jobs < 1:
-        raise EnumerationError("jobs must be >= 1")
-    if filt.n > HARD_CAP and not force:
-        raise CapError(f"order {filt.n} beyond enumeration cap {HARD_CAP}")
+    check_run(filt, jobs, force)
     t0, cpu0 = time.perf_counter(), _cpu_seconds()
     split = max(1, filt.n - 2) if jobs > 1 else None
     run = _Run(filt, _leaf_call(visitor, leaf), desc, split=split, scorer=scorer)

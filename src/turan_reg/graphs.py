@@ -3,12 +3,12 @@
 A graph on n vertices is stored as a tuple of n Python ints; bit v of
 ``rows[u]`` is set iff uv is an edge.  Arbitrary-precision ints give one
 representation that is fast for the search range (n <= 11) and still
-workable for construction validation (n up to a few thousand).  There
-the triangle scans ask, per vertex, whether its lower neighbours span an
-edge: the rows of each run of consecutive labels come from a segment tree
-of ORs (``_or_tree``), so the cost follows the number of runs in a
-neighbourhood rather than its size; the rest of the census is big-int
-AND + popcount.
+holds the constructions (n up to a few thousand).  The census here is
+plain code for small graphs: clique, triangle and cycle counts and odd
+girth by big-int AND + popcount and BFS layers.  The builders do not
+census their large graphs: they prove their claims by a generic check of
+a certificate against the rows (``constructions``), and the census is
+the second route that tests read.
 
 All operations treat graphs as immutable values; every function returns
 fresh objects and never mutates its inputs.
@@ -17,7 +17,6 @@ fresh objects and never mutates its inputs.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
@@ -71,6 +70,14 @@ def bits(mask):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _row_union(rows, mask):
+    """OR of the rows of the labels in ``mask``."""
+    union = 0
+    for v in bits(mask):
+        union |= rows[v]
+    return union
 
 
 def from_edges(n, edges):
@@ -187,221 +194,54 @@ def all_cliques_within(rows, mask):
     return total
 
 
-def _twin_classes(g):
-    """Classes of identical rows: ``(keep, twins)``.
-
-    ``keep`` masks the first vertex of each class, and ``twins`` maps the
-    kept vertex of each class of m > 1 vertices to m.  Equal rows force
-    non-adjacency, so a class is a set of false twins: odd girth and
-    triangle existence are the same on the kept vertices, and a triangle
-    of kept vertices stands for the product of its three class sizes.
-    """
-    first = {}
-    twins = {}
-    for v, r in enumerate(g.rows):
-        u = first.setdefault(r, v)
-        if u != v:
-            twins[u] = twins.get(u, 1) + 1
-    keep = 0
-    for u in first.values():
-        keep |= 1 << u
-    return keep, twins
-
-
-def _or_tree(rows):
-    """Segment tree of ORs over ``rows``, as a flat list.
-
-    Node 1 is the root and node i has children 2i and 2i + 1; leaf
-    size + v is ``rows[v]``, where size, half the list, is the least
-    power of two not below the number of rows.  Leaves past the last row
-    are 0.
-    """
-    size = 1 << max(len(rows) - 1, 0).bit_length()
-    tree = [0] * size + list(rows) + [0] * (size - len(rows))
-    for i in range(size - 1, 0, -1):
-        tree[i] = tree[2 * i] | tree[2 * i + 1]
-    return tree
-
-
-def _run_union(tree, mask, until):
-    """The OR of the rows of ``mask``, or a part of it that meets ``until``.
-
-    The set bits of mask ^ (mask << 1) are the ends of the runs of
-    consecutive labels in ``mask``, taken in pairs from the bottom: the
-    first label of a run, then the label just past its last.  The rows
-    of a run are the OR of the O(log n) nodes of ``tree`` (``_or_tree``)
-    that cover it.  The union grows run by run and is returned as soon as
-    it meets ``until``.
-    """
-    size = len(tree) >> 1
-    ends = mask ^ (mask << 1)
-    union = 0
-    while ends:
-        start = ends & -ends
-        ends ^= start
-        stop = ends & -ends
-        ends ^= stop
-        lo = size + start.bit_length() - 1
-        hi = size + stop.bit_length() - 1
-        while lo < hi:
-            if lo & 1:
-                union |= tree[lo]
-                lo += 1
-            if hi & 1:
-                hi -= 1
-                union |= tree[hi]
-            lo >>= 1
-            hi >>= 1
-        if union & until:
-            break
-    return union
-
-
-def _spans_edge(tree, mask):
-    """Whether some vertex of ``mask`` has a neighbour in ``mask``: the
-    union of its rows (``_run_union``) meets it."""
-    return bool(_run_union(tree, mask, mask) & mask)
-
-
 def triangle_count(g):
-    """Triangle census; past one int digit per row, on the twin classes.
-
-    Each triangle is counted once, at its highest vertex u, from the
-    neighbours of u below it, so each AND and popcount runs over about u
-    bits rather than n.  A graph whose rows fit one int digit is counted
-    on its rows: there every AND and popcount costs the same, and the
-    class pass would cost more than the smaller quotient saves.  Larger
-    graphs are counted on the kept vertices of ``_twin_classes``.  A kept
-    u whose kept neighbours below it span no edge (``_spans_edge``) is
-    the top of no triangle and is skipped; on the apex graphs that leaves
-    about one vertex.  At the others the kept common neighbours X of u
-    and v below v weigh |X| + sum over m > 1 of (m - 1)|X & M_m|, where
-    M_m masks the kept vertices of the classes of m vertices, and the
-    count at v is scaled by the class sizes of u and v.
-    """
+    """Triangle census.  Each triangle is counted once, at its highest
+    vertex u, from the neighbours of u below it, so each AND and popcount
+    runs over about u bits rather than n."""
     rows = g.rows
     total = 0
-    if g.n <= sys.int_info.bits_per_digit:
-        for u, ru in enumerate(rows):
-            rest = ru & ((1 << u) - 1)
-            while rest:
-                v = rest.bit_length() - 1
-                rest ^= 1 << v
-                total += (rest & rows[v]).bit_count()
-        return total
-    keep, twins = _twin_classes(g)
-    tree = _or_tree(rows)
-    masks = {}  # m - 1 -> M_m
-    for v, m in twins.items():
-        masks[m - 1] = masks.get(m - 1, 0) | 1 << v
-    left = keep
-    while left:
-        low = left & -left
-        left ^= low
-        u = low.bit_length() - 1
-        rest = rows[u] & keep & (low - 1)
-        if not _spans_edge(tree, rest):
-            continue
-        part = 0
+    for u, ru in enumerate(rows):
+        rest = ru & ((1 << u) - 1)
         while rest:
             v = rest.bit_length() - 1
             rest ^= 1 << v
-            common = rest & rows[v]
-            if common:
-                w = common.bit_count()
-                for e, mask in masks.items():
-                    w += e * (common & mask).bit_count()
-                part += twins.get(v, 1) * w
-        total += twins.get(u, 1) * part
+            total += (rest & rows[v]).bit_count()
     return total
 
 
-def _has_triangle(rows, keep, tree):
-    """Whether the vertices of ``keep`` span a triangle.
-
-    Each triangle is looked for at its highest vertex u: it is there iff
-    the neighbours of u in ``keep`` below u span an edge (``_spans_edge``
-    on ``tree``, the ``_or_tree`` of the rows).  The builders label each
-    part contiguously, so such a neighbourhood is a handful of runs, and
-    the scan ORs a few dozen tree nodes per vertex instead of reading one
-    row per edge.
-    """
-    left = keep
-    while left:
-        u = left.bit_length() - 1
-        left ^= 1 << u
-        if _spans_edge(tree, rows[u] & left):
-            return True
-    return False
-
-
 def is_triangle_free(g):
-    return not _has_triangle(g.rows, _twin_classes(g)[0], _or_tree(g.rows))
-
-
-def _odd_layer(tree, keep, s, bound):
-    """BFS from ``s`` over the vertices of ``keep``, one union per layer.
-
-    The neighbourhood of a layer is the union of its rows, read from
-    ``tree`` (``_or_tree``) over the layer's runs of consecutive labels
-    (``_run_union``), and the layer holds an edge iff that union meets
-    it.  Returns ``(2d + 1, seen)`` for the first layer d that holds an
-    edge, checking only layers with 2d + 1 < ``bound``, else
-    ``(None, seen)``; ``seen`` is the set of vertices reached, which with
-    an infinite ``bound`` and no hit is the component of ``s``.
-    """
-    seen = layer = 1 << s
-    d = 0
-    while layer and 2 * d + 1 < bound:
-        union = _run_union(tree, layer, layer)
-        if union & layer:
-            return 2 * d + 1, seen
-        if 2 * d + 3 >= bound:  # the next layer is not checked
-            break
-        layer = union & keep & ~seen
-        seen |= layer
-        d += 1
-    return None, seen
+    return triangle_count(g) == 0
 
 
 def odd_girth(g):
     """Length of a shortest odd cycle, or None iff bipartite.
 
-    Works on one vertex per identical-row class, with one ``_or_tree``
-    of the rows for every BFS layer and for the triangle scan.  One BFS
-    per component first: if no BFS layer holds an edge the graph is
-    bipartite.  Else the first layer d that holds one closes an odd walk,
-    so 2d + 1 bounds the odd girth from above.  A triangle among the kept
-    vertices makes it 3; ``_has_triangle`` looks for one with the tree
-    scan of ``_spans_edge`` (triangle finding as the first step of a
-    shortest-odd-cycle search: Itai and Rodeh, SIAM J. Comput. 7, 1978).
-    Without one a bound of 5 is exact.  Only a bound of 7 or more runs
-    BFS from every kept vertex s over the kept vertices from s up,
-    stopping at depth d once 2d + 1 reaches the best length so far.  An
-    edge inside the layer at distance d witnesses an odd closed walk of
-    length 2d + 1, and the lowest vertex of a shortest odd cycle attains
-    its length.  Each layer costs the tree nodes over its runs, not one
-    row per vertex: a blow-up's layers are a few whole parts.
+    A BFS from each vertex s over the vertices from s up, while it can
+    beat the best length so far: an edge inside its layer d closes an odd
+    walk of length 2d + 1, and the lowest vertex of a shortest odd cycle
+    attains its length.  A BFS that runs out with no such edge has
+    reached a bipartite piece of the graph above s; no vertex of it is
+    the lowest of an odd cycle, so none is a source later.
     """
     rows = g.rows
-    keep, _ = _twin_classes(g)
-    tree = _or_tree(rows)
-    left = keep
+    best = None
+    left = (1 << g.n) - 1  # sources still to run
     while left:
-        best, comp = _odd_layer(tree, keep, (left & -left).bit_length() - 1, math.inf)
-        if best is not None:
-            break
-        left &= ~comp
-    else:
-        return None
-    if best == 3 or _has_triangle(rows, keep, tree):
-        return 3
-    if best == 5:
-        return 5
-    for s in bits(keep):
-        cand, _ = _odd_layer(tree, keep >> s << s, s, best)
-        if cand is not None:
-            best = cand
+        low = left & -left  # the source s
+        left ^= low
+        keep = -low  # the vertices from s up
+        seen = layer = low
+        d = 0
+        while layer and (best is None or 2 * d + 1 < best):
+            union = _row_union(rows, layer)
+            if union & layer:
+                best = 2 * d + 1
+                break
+            layer = union & keep & ~seen
+            seen |= layer
+            d += 1
+        if not layer:
+            left &= ~seen
     return best
 
 

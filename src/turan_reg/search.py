@@ -346,8 +346,11 @@ def probe_gls_critical(n, r, t=3, witness_cap=8, jobs=1):
 
 def probe_triangle_floor(n_max=11, witness_cap=4, jobs=1):
     """Conjectured triangle minimum vs exhaustive minimum in the window."""
+    # 9 is the first order whose triangle window holds a degree
+    if n_max < 9:
+        raise SearchError(f"n_max must be >= 9, the first order with a window degree (got {n_max})")
     rows = []
-    for n in range(7, n_max + 1, 2):
+    for n in range(9, n_max + 1, 2):
         for k in triangle_window(n):
             bound = conjectured_triangle_min(n, k)
             res = min_triangles_regular(n, k, witness_cap=witness_cap, jobs=jobs)

@@ -102,6 +102,26 @@ def test_enumerate_command(tmp_path, capsys):
     assert graph6_decode(lines[0]).is_regular(2)
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--n", "12"], "beyond enumeration cap 11; pass --force"),
+        (["--n", "5", "--jobs", "0"], "jobs must be >= 1"),
+        (["--n", "5", "--regular-k", "2", "--max-degree", "1"], "max_degree below regular_k"),
+    ],
+    ids=["cap", "jobs", "filter"],
+)
+def test_enumerate_refusal_keeps_out_file(args, message, tmp_path, capsys):
+    """A refused run exits 2 and leaves the --out file byte-identical."""
+    out = tmp_path / "kept.g6"
+    out.write_bytes(b"D?{\nkept\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", *args, "--out", str(out)])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert out.read_bytes() == b"D?{\nkept\n"
+
+
 def test_enumerate_command_jobs(tmp_path):
     outs = []
     for jobs in ("1", "2"):
@@ -219,6 +239,9 @@ def test_max_copies_long_cycle(capsys):
         (["table", "--r", "4", "--n-from", "9", "--n-to", "6"], "empty order range 9..6"),
         (["table", "--r", "4", "--n-from", "0", "--n-to", "2"], "order must be >= 1"),
         (["probe", "gls-critical", "--n", "0", "--r", "4"], "order must be >= 1"),
+        # orders below 9 have no degree in the triangle window: no empty report
+        (["probe", "triangle-floor", "--n-max", "0"], "n_max must be >= 9"),
+        (["probe", "triangle-floor", "--n-max", "8"], "n_max must be >= 9"),
         # a parameter the builder does not take is refused, not ignored
         (["construct", "kbe", "--x", "2", "--y", "1", "--n", "5"], "kbe takes parameters"),
         (
@@ -229,6 +252,7 @@ def test_max_copies_long_cycle(capsys):
     ids=[
         "construct", "exr", "enumerate", "probe", "max-copies-family", "max-degree", "exr-order",
         "jobs", "witness-cap", "table-empty-range", "table-order", "probe-gls-order",
+        "probe-floor-n-max-0", "probe-floor-n-max-8",
         "construct-unknown-param", "construct-parts",
     ],
 )

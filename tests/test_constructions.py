@@ -4,14 +4,17 @@ import random
 
 import pytest
 
-from helpers import multipartite_rows_oracle, odd_girth_oracle, triangle_count_oracle
+from helpers import multipartite_rows_oracle, odd_girth_oracle, random_graph, triangle_count_oracle
 
+from turan_reg import constructions
 from turan_reg.canon import canonical_form
 from turan_reg.cli import load_suites, run_check
 from turan_reg.constructions import (
     BUILDERS,
     ConstructionError,
     _certify,
+    _is_cycle,
+    _maps_onto,
     _multipartite_decompose,
     _multipartite_grid,
     apex_construction,
@@ -26,6 +29,7 @@ from turan_reg.constructions import (
 )
 from turan_reg.formulas import conjectured_triangle_min, triangle_window
 from turan_reg.graphs import (
+    Graph,
     complete_graph,
     contains_subgraph,
     count_cycles,
@@ -143,20 +147,159 @@ def test_triangle_count_builders_vs_oracle(name, args, stride):
         assert triangle_count(g) == triangle_count_oracle(g), params
 
 
+def _no_census(monkeypatch):
+    """Make the builders' census fallback fail the test, so that each
+    certificate is proved by its part map."""
+
+    def refuse(*args):
+        raise AssertionError("the builder fell back to the census")
+
+    for name in ("odd_girth", "triangle_count", "induced_subgraph"):
+        monkeypatch.setattr(constructions, name, refuse)
+
+
+def _measured(result, prop):
+    return next(c["actual"] for c in result.certificate["checks"] if c["property"] == prop)
+
+
 @pytest.mark.parametrize("name", ["pentagon-blowup", "odd-girth-blowup"])
-def test_odd_girth_builders_vs_oracle(name):
-    """Every point of the sweep grid up to n = 301, and n = 401, against a
-    plain BFS from every vertex on the full rows."""
+def test_odd_girth_builders_vs_oracle(name, monkeypatch):
+    """Every point of the sweep grid up to n = 301, and n = 401: the odd
+    girth the part map and the exhibited cycle prove is the census value
+    and that of a plain BFS from every vertex on the full rows."""
+    _no_census(monkeypatch)
     if name == "pentagon-blowup":
         points = [*grid(name, {"n_max": 301}), {"n": 401}]
     else:
         points = list(grid(name, {"n_max": 301, "ell_max": 8}))
         points += [{"n": 401, "ell": ell} for ell in range(2, 9)]
     for params in points:
-        g = build(name, **params).graph
+        res = build(name, **params)
+        g = res.graph
         og = odd_girth_oracle(g)
         assert odd_girth(g) == og == 2 * params.get("ell", 2) + 1, params
-        assert is_triangle_free(g) == (og != 3), params
+        if name == "odd-girth-blowup":
+            assert _measured(res, "odd-girth") == og, params
+        assert is_triangle_free(g) == (og != 3) == _measured(res, "triangle-free"), params
+
+
+@pytest.mark.parametrize(
+    "name, args",
+    [
+        ("apex", {"n_max": 301}),
+        ("split-apex-equality", {"n_max": 301}),
+        ("triangle-min-extremal", {"k_max": 150}),
+    ],
+)
+def test_apex_map_check_vs_census(name, args, monkeypatch):
+    """Every point of the sweep grid up to n = 301: the triangle count
+    that the map of the rows off the apex onto K2 gives is the census
+    count, and the graph off the apex is bipartite by the census too."""
+    _no_census(monkeypatch)
+    for params in grid(name, args):
+        res = build(name, **params)
+        g = res.graph
+        assert _measured(res, "triangles") == triangle_count(g), params
+        if name == "apex":
+            assert _measured(res, "apex-deleted-bipartite") is None
+            assert odd_girth(induced_subgraph(g, g.n - 1)) is None, params
+
+
+def _switched(rows, a, b, c, d):
+    """The rows with the edges ac and bd replaced by ab and cd, which
+    keeps every degree."""
+    rows = list(rows)
+    for u, v, present in ((a, c, 1), (b, d, 1), (a, b, 0), (c, d, 0)):
+        assert rows[u] >> v & 1 == present, (u, v)
+        rows[u] ^= 1 << v
+        rows[v] ^= 1 << u
+    return rows
+
+
+def test_map_check_refuses_an_edge_inside_a_part(monkeypatch):
+    """One edge inside a part, beside one inside the next part so that
+    the graph stays regular: a blow-up is refused under its odd girth and
+    an apex graph under its bipartite rows off the apex.  The refusal
+    names the census value."""
+    build_blowup = constructions._build_cycle_blowup
+
+    def blowup_with_edge(sizes, removed):
+        g, parts, cycle = build_blowup(sizes, removed)
+        (a, b), (c, d) = parts[0][:2], parts[1][:2]
+        return Graph(g.n, tuple(_switched(g.rows, a, b, c, d))), parts, cycle
+
+    monkeypatch.setattr(constructions, "_build_cycle_blowup", blowup_with_edge)
+    for name, params in (("odd-girth-blowup", {"n": 37, "ell": 3}), ("pentagon-blowup", {"n": 23})):
+        with pytest.raises(ConstructionError, match=r"'odd-girth' violated .* measured 3\)") as exc:
+            build(name, **params)
+        assert exc.value.prop == "odd-girth"
+
+    apex_rows = constructions._apex_rows
+
+    def apex_with_edge(p, half, q):
+        rows = apex_rows(p, half, q)
+        c = next(v for v in range(p, 2 * p) if rows[0] >> v & 1)
+        d = next(v for v in range(p, 2 * p) if rows[1] >> v & 1 and v != c)
+        return _switched(rows, 0, 1, c, d)
+
+    monkeypatch.setattr(constructions, "_apex_rows", apex_with_edge)
+    with pytest.raises(ConstructionError, match="'apex-deleted-bipartite' violated") as exc:
+        apex_construction(13, 6)
+    assert exc.value.prop == "apex-deleted-bipartite"
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 31, 32, 33, 63, 64, 65, 128, 129])
+def test_maps_onto_vs_brute_force(n):
+    """Random graphs cut into random runs of labels, each checked against
+    the graph of the parts it spans (with and without its loops), that
+    graph less one arc, and random targets, which need not be symmetric:
+    the map holds iff each edge uv has the part of v next to the part of
+    u in the target and the part of u next to the part of v."""
+    rng = random.Random(20261020 + n)
+    seen = set()
+    for p in (0.02, 0.1, 0.5):
+        g = random_graph(rng, n, p)
+        for _ in range(8):
+            ends = [0, *sorted(rng.sample(range(1, n), min(n - 1, rng.randint(0, 6)))), n] if n else [0, 0]
+            parts = [range(a, b) for a, b in zip(ends, ends[1:])]
+            where = [i for i, part in enumerate(parts) for _ in part]
+            m = len(parts)
+            spanned = [0] * m
+            for u, v in g.edges():
+                spanned[where[u]] |= 1 << where[v]
+                spanned[where[v]] |= 1 << where[u]
+            less = list(spanned)
+            i = rng.randrange(m)
+            less[i] &= less[i] - 1
+            loopless = [r & ~(1 << i) for i, r in enumerate(spanned)]
+            for target in (spanned, loopless, less, [rng.getrandbits(m) for _ in range(m)]):
+                expected = all(
+                    target[where[u]] >> where[v] & 1 and target[where[v]] >> where[u] & 1
+                    for u, v in g.edges()
+                )
+                assert _maps_onto(g.rows, parts, target) == expected, (n, p, ends, target)
+                seen.add(expected)
+    assert seen == {True, False} or n < 2
+
+
+def test_part_map_check_refuses_bad_certificates():
+    """A part map must tile the vertices in order and keep each part's
+    rows inside the parts next to it; a cycle must have distinct vertices
+    joined in turn."""
+    c6 = cycle_graph(6).rows
+    k2 = complete_graph(2).rows
+    assert _maps_onto(c6, [range(6)], complete_graph(1).rows) is False
+    assert _maps_onto(cycle_graph(4).rows, [range(2), range(2, 4)], k2) is False
+    c5 = cycle_graph(5).rows
+    assert _maps_onto(c5, [range(i, i + 1) for i in range(5)], c5)
+    empty = (0,) * 5
+    assert _maps_onto(empty, [range(2), range(2, 5)], k2)
+    for parts in ([range(2), range(2, 4)], [range(3), range(2, 5)], [range(2, 5), range(2)]):
+        assert not _maps_onto(empty, parts, k2), parts
+    assert _is_cycle(c5, [0, 1, 2, 3, 4]) and _is_cycle(c5, [4, 3, 2, 1, 0])
+    assert not _is_cycle(c5, [0, 1, 2, 3])  # 3 and 0 are not adjacent
+    assert not _is_cycle(c5, [0, 1, 0])
+    assert not _is_cycle(c5, [0, 1])
 
 
 def test_odd_girth_apex_vs_oracle():

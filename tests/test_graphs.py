@@ -37,7 +37,6 @@ from turan_reg import graphs
 from turan_reg.graphs import (
     Graph,
     GraphError,
-    bits,
     complement,
     complete_bipartite,
     complete_graph,
@@ -194,7 +193,7 @@ def test_odd_girth_random_with_twins_vs_oracle():
         assert odd_girth(g) == og, g.rows
         assert is_triangle_free(g) == (og != 3), g.rows
         seen[og if og is None or og < 7 else 7] += 1
-    # every branch after the first pass is taken many times
+    # each of the four outcomes occurs many times
     assert min(seen[None], seen[3], seen[5], seen[7]) >= 20, seen
 
 
@@ -236,59 +235,11 @@ def _planted_triangle():
     ids=["C5-first+K3", "C7-first+C5", "C5-blowup-first+C7", "C5-blowup+planted-K3", "K4,6"],
 )
 def test_odd_girth_first_pass_unions(g, expected):
-    """The first pass bounds the odd girth by the component it meets
-    first; each case needs what comes after it to reach the true value."""
+    """The BFS from the lowest labels meets a longer odd cycle first; each
+    case needs the later sources to reach the true value."""
     assert odd_girth_oracle(g) == expected
     assert odd_girth(g) == expected
     assert is_triangle_free(g) == (expected != 3)
-
-
-class _CountingRows(tuple):
-    """Rows that count their reads by index."""
-
-    reads = 0
-
-    def __getitem__(self, i):
-        self.reads += 1
-        return tuple.__getitem__(self, i)
-
-
-class _CountingTree(list):
-    """An ``_or_tree`` that counts its node reads."""
-
-    reads = 0
-
-    def __getitem__(self, i):
-        self.reads += 1
-        return list.__getitem__(self, i)
-
-
-@pytest.mark.parametrize(
-    "g, reads",
-    [(_cycle_blowup([3, 1, 4, 2, 5, 1, 2]), (7, 7)), (petersen_graph(), (10, 14))],
-    ids=["C7-blowup", "petersen"],
-)
-def test_triangle_scan_cost(g, reads, monkeypatch):
-    """On a triangle-free graph the scan reads one row per kept vertex,
-    and one tree per call, covering each run of the lower kept neighbours
-    of a kept vertex by the fewest tree nodes.  A run of one vertex is one
-    node, so on the C7 blow-up, whose kept vertices have no consecutive
-    neighbours, that is one node per kept edge.  On the Petersen graph the
-    run 6..7 below vertex 9 is one node, the parent of leaves 6 and 7,
-    while the run 5..6 below vertex 8 straddles two parents and takes two:
-    14 nodes for 15 edges."""
-    trees = []
-    build = graphs._or_tree
-
-    def counting(r):
-        trees.append(_CountingTree(build(r)))
-        return trees[-1]
-
-    monkeypatch.setattr(graphs, "_or_tree", counting)
-    rows = _CountingRows(g.rows)
-    assert is_triangle_free(Graph(g.n, rows))
-    assert (rows.reads, sum(t.reads for t in trees)) == reads
-    assert len(trees) == 1
 
 
 ORDERS = [0, 1, 2, 31, 32, 33, 63, 64, 65, 128, 129]
@@ -311,57 +262,31 @@ def _test_masks(rng, n):
 
 @pytest.mark.parametrize("n", ORDERS)
 def test_spans_edge_vs_brute_force(n):
+    """Whether a mask holds an edge, the check of each BFS layer in
+    ``odd_girth``, by the union of its rows and by its 2-cliques."""
     rng = random.Random(20261020 + n)
     for p in (0.02, 0.1, 0.5):
         g = random_graph(rng, n, p)
-        tree = graphs._or_tree(g.rows)
-        size = 1
-        while size < n:
-            size *= 2
-        assert len(tree) == 2 * size
         for mask in _test_masks(rng, n):
-            expected = any(g.rows[v] & mask for v in bits(mask))
-            assert graphs._spans_edge(tree, mask) == expected, (n, p, mask)
+            members = list(graphs.bits(mask))
+            expected = any(g.has_edge(u, v) for i, u in enumerate(members) for v in members[:i])
+            assert bool(graphs._row_union(g.rows, mask) & mask) == expected, (n, p, mask)
+            assert (graphs.cliques_within(g.rows, mask, 2) > 0) == expected, (n, p, mask)
 
 
 @pytest.mark.parametrize("n", ORDERS)
 def test_run_union_vs_brute_force(n):
     """The union of the rows of a mask, over contiguous and scattered
-    labels; stopped early, it is part of the union that meets ``until``
-    exactly when the whole union does."""
+    labels."""
     rng = random.Random(20261019 + n)
     for p in (0.05, 0.5):
         g = random_graph(rng, n, p)
-        tree = graphs._or_tree(g.rows)
         for mask in _test_masks(rng, n):
             union = 0
-            for v in bits(mask):
-                union |= g.rows[v]
-            assert graphs._run_union(tree, mask, 0) == union, (n, p, mask)
-            until = rng.getrandbits(n) if n else 0
-            part = graphs._run_union(tree, mask, until)
-            assert part | union == union, (n, p, mask)
-            assert bool(part & until) == bool(union & until), (n, p, mask, until)
-
-
-@pytest.mark.parametrize("n", [n for n in ORDERS if n])
-def test_spans_edge_one_run_reads_few_nodes(n):
-    """A run of consecutive labels costs at most two nodes per tree level,
-    however long it is, and a full run up to the top bit none beyond the
-    tree (a power of two n reads the root alone)."""
-    g = empty_graph(n)
-    tree = _CountingTree(graphs._or_tree(g.rows))
-    depth = (len(tree) // 2).bit_length()
-    rng = random.Random(n)
-    for _ in range(30):
-        lo, hi = sorted(rng.sample(range(n + 1), 2))
-        tree.reads = 0
-        assert not graphs._spans_edge(tree, (1 << hi) - (1 << lo))
-        assert 1 <= tree.reads <= 2 * depth, (lo, hi)
-    tree.reads = 0
-    assert not graphs._spans_edge(tree, (1 << n) - 1)
-    if n & (n - 1) == 0:
-        assert tree.reads == 1
+            for v in range(n):
+                if mask >> v & 1:
+                    union |= g.rows[v]
+            assert graphs._row_union(g.rows, mask) == union, (n, p, mask)
 
 
 def _census_vs_oracles(g, triangles=None):
@@ -372,8 +297,6 @@ def _census_vs_oracles(g, triangles=None):
     assert (og == 3) == (t > 0), g.rows
     assert triangle_count(g) == t, g.rows
     assert is_triangle_free(g) == (t == 0), g.rows
-    tree = graphs._or_tree(g.rows)
-    assert graphs._has_triangle(g.rows, (1 << g.n) - 1, tree) == (t > 0), g.rows
     assert odd_girth(g) == og, g.rows
 
 
@@ -429,8 +352,7 @@ def test_triangle_free_matches_count():
 
 
 def test_triangle_count_twin_classes():
-    # past 30 vertices a row takes two int digits and the count runs on
-    # the twin classes
+    # random blow-ups of 31 to 40 vertices into classes of false twins
     rng = random.Random(20261018)
     mixed = 0
     for _ in range(20000):
