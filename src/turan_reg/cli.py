@@ -66,6 +66,10 @@ from .search import (
 DEFAULT_SEED = 20210831
 
 
+class SuiteError(ValueError):
+    """An unknown suite id."""
+
+
 # ---------------------------------------------------------------------------
 # table reproduction
 
@@ -305,7 +309,7 @@ def run_suite(suite_id, jobs=1, seed=DEFAULT_SEED, stream=None):
         stream = sys.stdout
     suites = load_suites()
     if suite_id not in suites:
-        raise SystemExit(f"unknown suite {suite_id!r}; choose from {sorted(suites)}")
+        raise SuiteError(f"unknown suite {suite_id!r}; choose from {sorted(suites)}")
     ctx = {"jobs": jobs, "seed": seed}
     suite = suites[suite_id]
     report = {"suite": suite_id, "seed": seed, "checks": [], "passed": True}
@@ -411,8 +415,9 @@ def build_parser():
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--max-degree", type=int, required=True)
-    p.add_argument("--t", type=int, help="clique size; omit with --total")
-    p.add_argument("--total", action="store_true", help="maximize the total clique count")
+    size = p.add_mutually_exclusive_group(required=True)
+    size.add_argument("--t", type=int, help="clique size")
+    size.add_argument("--total", action="store_true", help="maximize the total clique count")
     p.add_argument("--witness-cap", type=int, default=16)
     _add_jobs(p)
 
@@ -523,8 +528,6 @@ def _cmd_census_triangles(ns):
 
 
 def _cmd_max_cliques(ns):
-    if ns.total == (ns.t is not None):
-        raise SystemExit("give exactly one of --t or --total")
     if ns.total:
         res = max_k_total(ns.n, ns.m, ns.max_degree, witness_cap=ns.witness_cap, jobs=ns.jobs)
     else:
@@ -589,7 +592,8 @@ COMMANDS = {
 
 # the package's own errors; main reports them as usage errors (exit 2)
 NAMED_ERRORS = (
-    constructions.ConstructionError, EnumerationError, FormulaError, GraphError, SearchError
+    constructions.ConstructionError, EnumerationError, FormulaError, GraphError, SearchError,
+    SuiteError,
 )
 
 

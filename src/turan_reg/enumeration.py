@@ -87,16 +87,7 @@ from dataclasses import dataclass, field
 from itertools import combinations, repeat
 
 from .canon import _refine, _search, _split, orbits_from_generators
-from .graphs import (
-    Graph,
-    PatternCounter,
-    _extend,
-    bits,
-    complement,
-    contains_subgraph,
-    extend_graph,
-    is_connected,
-)
+from .graphs import PatternCounter, _extend, bits, extend_graph, is_connected
 
 HARD_CAP = 11
 
@@ -390,20 +381,6 @@ class _NoScore:
         return lambda s: 0
 
 
-class _Complemented:
-    """A scorer of the complements of the graphs in the tree: the copies
-    through a new vertex j in the complement of a child are those through
-    j joined to the vertices outside s in the complement of its parent."""
-
-    def __init__(self, scorer):
-        self.scorer = scorer
-
-    def through(self, rows):
-        full = (1 << len(rows)) - 1
-        co = self.scorer.through(complement(Graph(len(rows), rows)).rows)
-        return lambda s: co(full ^ s)
-
-
 class _Run:
     def __init__(self, filt, leaf, desc, split=None, scorer=None):
         self.filt = filt
@@ -662,39 +639,3 @@ def enumerate_graphs(filt, visitor=None, desc=False, force=False, jobs=1, scorer
     run.stats.cpu_seconds = _cpu_seconds() - cpu0
     return run.stats
 
-
-def enumerate_regular(
-    n, k, visitor=None, desc=False, forbidden=(), force=False, jobs=1, scorer=None, leaf=None
-):
-    """One representative per isomorphism class of k-regular graphs.
-
-    Enumerates the sparser of the graph and its complement; forbidden
-    patterns prune during generation on the direct side and are checked
-    after complementing on the dense side, where a leaf call gets the
-    complement's parent rows and attachment set and the scorer scores
-    the complements.  ``visitor``, ``scorer`` and ``leaf`` are those of
-    ``enumerate_graphs``, which checks the arguments and flags an odd nk
-    infeasible (nk and n(n - 1 - k) have the same parity).
-    """
-    leaf = _leaf_call(visitor, leaf)
-    kc = n - 1 - k
-    if kc < k:
-
-        def co_leaf(count, rows, s):
-            co, cs = complement(Graph(len(rows), rows)).rows, ((1 << len(rows)) - 1) ^ s
-            if forbidden:
-                g = extend_graph(co, cs)
-                if any(contains_subgraph(g, h) for h in forbidden):
-                    return None
-            return leaf(count, co, cs) if leaf is not None else None
-
-        # stats.classes counts all k-regular classes here; callers needing
-        # exact H-free counts tally matches inside their leaf call.
-        return enumerate_graphs(
-            GenFilter(n=n, regular_k=kc), desc=desc, force=force, jobs=jobs,
-            scorer=None if scorer is None else _Complemented(scorer), leaf=co_leaf,
-        )
-    return enumerate_graphs(
-        GenFilter(n=n, regular_k=k, forbidden=tuple(forbidden)),
-        desc=desc, force=force, jobs=jobs, scorer=scorer, leaf=leaf,
-    )

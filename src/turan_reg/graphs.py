@@ -34,18 +34,9 @@ class Graph:
     n: int
     rows: tuple
 
-    def degree(self, v):
-        return self.rows[v].bit_count()
-
-    def degree_sequence(self):
-        return tuple(sorted(r.bit_count() for r in self.rows))
-
     @property
     def edge_count(self):
         return sum(map(int.bit_count, self.rows)) // 2
-
-    def has_edge(self, u, v):
-        return (self.rows[u] >> v) & 1 == 1
 
     def edges(self):
         for u in range(self.n):

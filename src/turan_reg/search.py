@@ -12,15 +12,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .canon import canonical_form
-from .enumeration import HARD_CAP, GenFilter, GenStats, enumerate_graphs, enumerate_regular
+from .enumeration import HARD_CAP, GenFilter, GenStats, enumerate_graphs
 from .formulas import FamilySpec, conjectured_triangle_min, gls_critical_range, triangle_window
 from .graphs import (
     CliqueTotal,
+    Graph,
     PatternCounter,
     bits,
+    complement,
     complete_bipartite,
     complete_graph,
     connected_components,
+    contains_subgraph,
     count_cycles,
     cycle_graph,
     extend_graph,
@@ -215,6 +218,12 @@ def exr_exact(n, hspec, all_witnesses=False, witness_cap=DEFAULT_WITNESS_CAP, jo
     the first degree admitting a pattern-free class.  By default the
     enumeration short-circuits at the first witness; ``all_witnesses``
     keeps scanning so the extremal class count is exact.
+
+    A degree k <= (n - 1)/2 is scanned on the direct side, where the
+    patterns prune the tree.  A denser k lists the (n - 1 - k)-regular
+    classes and tests each one's complement at the leaf, so there
+    ``stats.classes`` counts every k-regular class, pattern-free or not;
+    ``classes`` of the result counts the pattern-free extremal ones.
     """
     if n < 1:
         raise SearchError("order must be >= 1")
@@ -225,7 +234,20 @@ def exr_exact(n, hspec, all_witnesses=False, witness_cap=DEFAULT_WITNESS_CAP, jo
 
         def scan(update):  # every class scores k; stops at the first unless counting
             leaf = lambda _, rows, s: update(k, rows, s) or not all_witnesses
-            return enumerate_regular(n, k, forbidden=hspec.members, jobs=jobs, leaf=leaf)
+            kc = n - 1 - k
+            if kc >= k:
+                filt = GenFilter(n=n, regular_k=k, forbidden=hspec.members)
+                return enumerate_graphs(filt, jobs=jobs, leaf=leaf)
+
+            def co_leaf(_, rows, s):
+                # the complement's parent is the complement of the parent
+                co, cs = complement(Graph(len(rows), rows)).rows, ((1 << len(rows)) - 1) ^ s
+                g = extend_graph(co, cs)
+                if any(contains_subgraph(g, h) for h in hspec.members):
+                    return False
+                return leaf(_, co, cs)
+
+            return enumerate_graphs(GenFilter(n=n, regular_k=kc), jobs=jobs, leaf=co_leaf)
 
         res = _scan_extreme(+1, witness_cap, scan)
         total.merge(res.stats)
@@ -272,9 +294,10 @@ def max_k_total(n, m, r, witness_cap=DEFAULT_WITNESS_CAP, jobs=1):
 
 def min_triangles_regular(n, k, witness_cap=DEFAULT_WITNESS_CAP, jobs=1):
     """Minimum triangle count over k-regular graphs on n vertices."""
+    filt = GenFilter(n=n, regular_k=k)
     scorer = PatternCounter(complete_graph(3))
-    result = _scan_extreme(-1, witness_cap, lambda update: enumerate_regular(
-        n, k, jobs=jobs, scorer=scorer, leaf=update))
+    result = _scan_extreme(-1, witness_cap, lambda update: enumerate_graphs(
+        filt, jobs=jobs, scorer=scorer, leaf=update))
     if result.stats.infeasible:
         result.extra["reason"] = "no k-regular graph: nk is odd"
     return result

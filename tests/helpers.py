@@ -334,7 +334,7 @@ def naive_cycle_count(g, m):
     for sub in itertools.combinations(range(g.n), m):
         for perm in itertools.permutations(sub[1:]):
             cyc = (sub[0],) + perm
-            if all(g.has_edge(cyc[i], cyc[(i + 1) % m]) for i in range(m)):
+            if all(g.rows[cyc[i]] >> cyc[(i + 1) % m] & 1 for i in range(m)):
                 count += 1
     # every cycle appears twice with the smallest vertex first
     assert count % 2 == 0
@@ -368,7 +368,7 @@ def naive_path_counts(g, length):
         others = [x for x in range(g.n) if x not in (a, b)]
         for inner in itertools.permutations(others, length - 1):
             seq = (a,) + inner + (b,)
-            if all(g.has_edge(seq[i], seq[i + 1]) for i in range(length)):
+            if all(g.rows[seq[i]] >> seq[i + 1] & 1 for i in range(length)):
                 paths[a][b] += 1
     return paths
 
@@ -387,9 +387,9 @@ def climb_count(scorer, g):
 def naive_embedding_count(g, h):
     """Injective edge-preserving maps counted by raw permutation scan."""
     count = 0
-    hedges = [(i, j) for i in range(h.n) for j in range(i + 1, h.n) if h.has_edge(i, j)]
+    hedges = [(i, j) for i in range(h.n) for j in range(i + 1, h.n) if h.rows[i] >> j & 1]
     for image in itertools.permutations(range(g.n), h.n):
-        if all(g.has_edge(image[i], image[j]) for i, j in hedges):
+        if all(g.rows[image[i]] >> image[j] & 1 for i, j in hedges):
             count += 1
     return count
 

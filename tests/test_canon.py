@@ -104,7 +104,7 @@ def test_canonical_form_is_isomorphic():
     for _ in range(30):
         g = random_graph(rng, rng.randint(1, 8))
         cf = canonical_form(g)
-        assert cf.degree_sequence() == g.degree_sequence()
+        assert sorted(map(int.bit_count, cf.rows)) == sorted(map(int.bit_count, g.rows))
         assert canonical_form(cf) == canonical_form(g)
 
 
@@ -123,7 +123,7 @@ def test_generators_are_automorphisms():
         for a in automorphism_generators(g):
             for u in range(g.n):
                 for v in range(u + 1, g.n):
-                    assert g.has_edge(u, v) == g.has_edge(a[u], a[v])
+                    assert g.rows[u] >> v & 1 == g.rows[a[u]] >> a[v] & 1
 
 
 # SHA-256 of one "n desc perm cert" line per graph and order, over 2000

@@ -44,7 +44,7 @@ def edge_switch(rng, g):
         (a, b), (c, d) = rng.sample(edges, 2)
         if rng.random() < 0.5:
             c, d = d, c
-        if len({a, b, c, d}) < 4 or g.has_edge(a, d) or g.has_edge(c, b):
+        if len({a, b, c, d}) < 4 or g.rows[a] >> d & 1 or g.rows[c] >> b & 1:
             continue
         kept = [e for e in edges if e not in ((a, b), (b, a), (c, d), (d, c))]
         return from_edges(g.n, kept + [(a, d), (c, b)])
@@ -98,7 +98,7 @@ def test_strongly_regular_pair():
     # common neighbours, but not isomorphic
     rng = random.Random(16)
     shrikhande, rook = shrikhande_graph(), rook_graph()
-    assert shrikhande.degree_sequence() == rook.degree_sequence() == (6,) * 16
+    assert list(map(int.bit_count, shrikhande.rows + rook.rows)) == [6] * 32
     assert not check_pair(shrikhande, rook)
     for g in (shrikhande, rook):
         assert check_pair(g, shuffled(rng, g))

@@ -244,7 +244,7 @@ def test_cycles_through_last_vertex_random():
 
 def test_copies_search_jobs_agree():
     """Scored by the workers, a search at jobs=2 has the serial result
-    and counts; min_triangles_regular(9, 6) scores the complements."""
+    and counts, at a sparse and a dense degree of min_triangles_regular."""
     for search, args in (
         (max_copies_free, (8, cycle_graph(5), 4)),
         (max_kt, (8, 14, 4, 3)),

@@ -11,6 +11,7 @@ from helpers import count_complete_bipartite
 from turan_reg.cli import (
     CHECK_OPS,
     COMMANDS,
+    SuiteError,
     build_parser,
     emit_table,
     load_suites,
@@ -178,10 +179,11 @@ def test_max_cliques_command(capsys):
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["objective"] == 7
-    with pytest.raises(SystemExit):
-        main(["max-cliques", "--n", "6", "--m", "11", "--max-degree", "4"])
-    with pytest.raises(SystemExit):
-        main(["max-cliques", "--n", "6", "--m", "11", "--max-degree", "4", "--t", "3", "--total"])
+    # neither or both of --t and --total: a usage error
+    for size in ([], ["--t", "3", "--total"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["max-cliques", "--n", "6", "--m", "11", "--max-degree", "4", *size])
+        assert exc.value.code == 2
 
 
 def test_max_copies_command(capsys):
@@ -380,9 +382,13 @@ def test_suite_command(tmp_path, capsys):
     assert [c["id"] for c in report["checks"]] == ["cells-n6", "cells-n7", "cells-n8"]
 
 
-def test_suite_unknown():
-    with pytest.raises(SystemExit):
+def test_suite_unknown(capsys):
+    with pytest.raises(SuiteError, match="choose from .*'table1'"):
         run_suite("not-a-suite")
+    with pytest.raises(SystemExit) as exc:
+        main(["suite", "not-a-suite"])
+    assert exc.value.code == 2
+    assert "unknown suite 'not-a-suite'" in capsys.readouterr().err
 
 
 def test_table_command(tmp_path):

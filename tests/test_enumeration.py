@@ -41,13 +41,13 @@ from turan_reg.enumeration import (
     _one_orbit,
     _Run,
     enumerate_graphs,
-    enumerate_regular,
 )
 from turan_reg.graphs import (
     CliqueTotal,
     Graph,
     PatternCounter,
     bits,
+    complement,
     complete_graph,
     contains_subgraph,
     count_cliques,
@@ -95,7 +95,7 @@ def test_no_duplicates_by_label():
 
 
 def _max_degree(g):
-    return max(g.degree(v) for v in range(g.n))
+    return max(map(int.bit_count, g.rows))
 
 
 def test_filter_pushdown_soundness():
@@ -139,8 +139,9 @@ def test_dual_orders_agree():
         desc, _ = collect(GenFilter(n=n), desc=True)
         assert {canonical_form(g) for g in asc} == {canonical_form(g) for g in desc}
     asc, desc = [], []
-    enumerate_regular(10, 4, visitor=lambda g: asc.append(canonical_form(g)) and None)
-    enumerate_regular(10, 4, visitor=lambda g: desc.append(canonical_form(g)) and None, desc=True)
+    filt = GenFilter(n=10, regular_k=4)
+    enumerate_graphs(filt, visitor=lambda g: asc.append(canonical_form(g)) and None)
+    enumerate_graphs(filt, visitor=lambda g: desc.append(canonical_form(g)) and None, desc=True)
     assert len(asc) == len(desc) == 60
     assert set(asc) == set(desc)
 
@@ -162,7 +163,7 @@ ORDER_GOLDENS = {
         465,
     ),
     "regular-10-4": (
-        lambda visit: enumerate_regular(10, 4, visitor=visit),
+        lambda visit: enumerate_graphs(GenFilter(n=10, regular_k=4), visitor=visit),
         "35ae8be05e217ec8bab5a7cfca900ccb353e8ab9327901f387c54bb732f4406c",
         60,
     ),
@@ -172,12 +173,14 @@ ORDER_GOLDENS = {
         2590,
     ),
     "regular-10-4-desc": (
-        lambda visit: enumerate_regular(10, 4, visitor=visit, desc=True),
+        lambda visit: enumerate_graphs(GenFilter(n=10, regular_k=4), visitor=visit, desc=True),
         "f7e9f2e94ee91a19525fccbd1321ca8d35c9e2273d74762384bc7b41b3943eb7",
         60,
     ),
     "regular-10-3-K3": (
-        lambda visit: enumerate_regular(10, 3, visitor=visit, forbidden=(complete_graph(3),)),
+        lambda visit: enumerate_graphs(
+            GenFilter(n=10, regular_k=3, forbidden=(complete_graph(3),)), visitor=visit
+        ),
         "427a8705c2d2ee4b8f0a53101b4e4ea7db8a3209d227eaf0bf54d3a620352b72",
         6,
     ),
@@ -565,7 +568,6 @@ def test_forbidden_check_builds_no_child(desc, monkeypatch):
     counting(enumeration, "_degree_stage", "staged")
     counting(enumeration, "_degree_stage", "passed", lambda out, *args: out is not None)
     counting(enumeration, "_degree_stage", "unbuilt", _leaf_alone)
-    counting(enumeration, "contains_subgraph", "embedded")
     counting(graphs, "_embeddings", "embedded")
     through = PatternCounter.through
 
@@ -627,14 +629,16 @@ def _pinned_run(case):
     if name == "exr-k3-n10":
         if not desc:
             return exr_exact(10, HSpec.parse("K3"), all_witnesses=True).stats
-        # the degrees exr_exact tries, down to its answer 5
+        # the degrees exr_exact tries, down to its answer 5, each listed
+        # as exr_exact lists it: by the complements, (9 - k)-regular
         stats = GenStats()
         for k in range(9, 4, -1):
-            stats.merge(enumerate_regular(10, k, forbidden=k3, desc=True))
+            stats.merge(enumerate_graphs(GenFilter(n=10, regular_k=9 - k), desc=True))
         return stats
     if name.startswith("regular-10-4-"):
         pattern = {"k3": "K3", "c4": "C4", "k23": "K2,3"}[name.removeprefix("regular-10-4-")]
-        return enumerate_regular(10, 4, forbidden=HSpec.parse(pattern).members, desc=desc)
+        filt = GenFilter(n=10, regular_k=4, forbidden=HSpec.parse(pattern).members)
+        return enumerate_graphs(filt, desc=desc)
     if name == "c3-c5-free-8":
         return enumerate_graphs(GenFilter(n=8, forbidden=HSpec.parse("C3..C5").members), desc=desc)
     return enumerate_graphs(GenFilter(n=8, forbidden=k3), desc=desc)
@@ -650,7 +654,9 @@ def test_pinned_counts(case):
     "run",
     [
         lambda visit, jobs: enumerate_graphs(GenFilter(n=3), visitor=visit, jobs=jobs),
-        lambda visit, jobs: enumerate_regular(11, 10, visitor=visit, jobs=jobs),
+        lambda visit, jobs: enumerate_graphs(
+            GenFilter(n=11, regular_k=10), visitor=visit, jobs=jobs
+        ),
     ],
     ids=["n3", "regular-11-10"],
 )
@@ -675,20 +681,24 @@ def test_regular_examples():
     from turan_reg.graphs import cycle_graph
 
     got = []
-    enumerate_regular(5, 2, visitor=lambda g: got.append(g) and None)
+    enumerate_graphs(GenFilter(n=5, regular_k=2), visitor=lambda g: got.append(g) and None)
     assert len(got) == 1
     assert canonical_form(got[0]) == canonical_form(cycle_graph(5))
-    stats = enumerate_regular(7, 3)
+    stats = enumerate_graphs(GenFilter(n=7, regular_k=3))
     assert stats.infeasible and stats.classes == 0
     count = [0]
-    enumerate_regular(9, 4, visitor=lambda g: count.__setitem__(0, count[0] + 1))
+    enumerate_graphs(
+        GenFilter(n=9, regular_k=4), visitor=lambda g: count.__setitem__(0, count[0] + 1)
+    )
     assert count[0] == 16
 
 
 def test_regular_k3_on_six():
     # pinned: the two cubic classes on 6 vertices
     got = []
-    enumerate_regular(6, 3, visitor=lambda g: got.append(canonical_form(g)) and None)
+    enumerate_graphs(
+        GenFilter(n=6, regular_k=3), visitor=lambda g: got.append(canonical_form(g)) and None
+    )
     from turan_reg.graphs import complete_bipartite, cycle_graph, from_edges
 
     prism = from_edges(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3), (1, 4), (2, 5)])
@@ -696,16 +706,21 @@ def test_regular_k3_on_six():
 
 
 def test_regular_dense_side_uses_complement():
-    # 8-regular graphs on 11 vertices: complements of the 2-regular ones
-    got = []
-    enumerate_regular(11, 8, visitor=lambda g: got.append(g) and None)
-    assert all(g.is_regular(8) for g in got)
-    assert len(got) == 6  # cycle partitions of 11 with parts >= 3
+    # 8-regular graphs on 11 vertices: the complements of the 2-regular ones
+    dense, sparse = [], []
+    enumerate_graphs(GenFilter(n=11, regular_k=8), visitor=lambda g: dense.append(g) and None)
+    enumerate_graphs(
+        GenFilter(n=11, regular_k=2),
+        visitor=lambda g: sparse.append(canonical_form(complement(g))) and None,
+    )
+    assert all(g.is_regular(8) for g in dense)
+    assert len(dense) == 6  # cycle partitions of 11 with parts >= 3
+    assert {canonical_form(g) for g in dense} == set(sparse)
 
 
 def test_regular_k_zero():
     got = []
-    enumerate_regular(4, 0, visitor=lambda g: got.append(g) and None)
+    enumerate_graphs(GenFilter(n=4, regular_k=0), visitor=lambda g: got.append(g) and None)
     assert len(got) == 1 and got[0].edge_count == 0
 
 
@@ -800,8 +815,8 @@ def test_hard_cap():
     # past the cap, a regular order with odd nk raises too, before the
     # parity is read; with force it is flagged infeasible
     with pytest.raises(EnumerationError, match="beyond enumeration cap"):
-        enumerate_regular(13, 3)
-    assert enumerate_regular(13, 3, force=True).infeasible
+        enumerate_graphs(GenFilter(n=13, regular_k=3))
+    assert enumerate_graphs(GenFilter(n=13, regular_k=3), force=True).infeasible
     # explicit override is accepted (tiny filtered run)
     stats = enumerate_graphs(GenFilter(n=12, regular_k=1), force=True)
     assert stats.classes == 1
@@ -835,7 +850,7 @@ def test_jobs_below_one_raise(jobs):
         enumerate_graphs(GenFilter(n=5), jobs=jobs)
     # also where no graph can exist: 5 * 3 is odd
     with pytest.raises(EnumerationError, match="jobs must be >= 1"):
-        enumerate_regular(5, 3, jobs=jobs)
+        enumerate_graphs(GenFilter(n=5, regular_k=3), jobs=jobs)
 
 
 def test_infeasible_flag():
@@ -857,17 +872,16 @@ PARALLEL_CASES = {
     "desc": lambda visit, jobs: enumerate_graphs(
         GenFilter(n=7), visitor=visit, desc=True, jobs=jobs
     ),
-    "regular-9-4": lambda visit, jobs: enumerate_regular(9, 4, visitor=visit, jobs=jobs),
-    "regular-9-4-K3": lambda visit, jobs: enumerate_regular(
-        9, 4, visitor=visit, forbidden=K3, jobs=jobs
-    ),
-    "regular-9-6": lambda visit, jobs: enumerate_regular(9, 6, visitor=visit, jobs=jobs),
-    "regular-9-6-K3": lambda visit, jobs: enumerate_regular(
-        9, 6, visitor=visit, forbidden=K3, jobs=jobs
-    ),
+    **{
+        f"regular-9-{k}{name}": lambda visit, jobs, k=k, forbidden=forbidden: enumerate_graphs(
+            GenFilter(n=9, regular_k=k, forbidden=forbidden), visitor=visit, jobs=jobs
+        )
+        for k in (4, 6)
+        for name, forbidden in (("", ()), ("-K3", K3))
+    },
     # rows of more than 16 bits: leaves are packed in wider array items
-    "regular-18-1": lambda visit, jobs: enumerate_regular(
-        18, 1, visitor=visit, force=True, jobs=jobs
+    "regular-18-1": lambda visit, jobs: enumerate_graphs(
+        GenFilter(n=18, regular_k=1), visitor=visit, force=True, jobs=jobs
     ),
 }
 
@@ -905,7 +919,8 @@ def test_tree_scores_match_whole_graph_counts(mode):
     plus the copies through the new vertex, is the count on the whole
     graph: cycles C3..C7, K3, K4 and all cliques of 2 or more vertices,
     on every class of GenFilter(n=8, max_degree=4), and the triangles of
-    the complements on the dense side of enumerate_regular(9, 6)."""
+    the 6-regular classes on 9 vertices, in a tree that the regular
+    window shapes."""
     kw = {"desc": mode == "desc", "jobs": 2 if mode == "jobs2" else 1}
     for name, (scorer, oracle) in SCORERS.items():
         leaves = []
@@ -919,7 +934,9 @@ def test_tree_scores_match_whole_graph_counts(mode):
             assert score == oracle(g), (name, g.rows)
     scorer, oracle = SCORERS["K3"]
     got = []
-    stats = enumerate_regular(9, 6, scorer=scorer, leaf=lambda *leaf: got.append(leaf), **kw)
+    stats = enumerate_graphs(
+        GenFilter(n=9, regular_k=6), scorer=scorer, leaf=lambda *leaf: got.append(leaf), **kw
+    )
     assert len(got) == stats.classes == 4
     for score, rows, s in got:
         g = extend_graph(rows, s)

@@ -79,7 +79,7 @@ def test_from_edges_examples():
     assert k3.edge_count == 3
     c5 = from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
     assert c5.is_regular(2)
-    assert from_edges(4, []).degree_sequence() == (0, 0, 0, 0)
+    assert from_edges(4, []).rows == (0, 0, 0, 0)
     # duplicates are idempotent
     g = from_edges(3, [(0, 1), (1, 0), (0, 1)])
     assert g.edge_count == 1
@@ -101,8 +101,8 @@ def test_complement_examples():
 
     assert canonical_form(complement(c5)) == canonical_form(c5)
     star = complement(disjoint_union(complete_graph(8), empty_graph(1)))
-    assert star.degree(8) == 8
-    assert all(star.degree(v) == 1 for v in range(8))
+    assert star.rows[8].bit_count() == 8
+    assert all(row.bit_count() == 1 for row in star.rows[:8])
 
 
 def test_complement_involution():
@@ -117,7 +117,7 @@ def test_count_cliques_examples():
     assert count_cliques(cycle_graph(5), 3) == 0
     g = extremal_ktotal_8_18()
     assert g.edge_count == 18
-    assert max(g.degree(v) for v in range(8)) == 5
+    assert max(map(int.bit_count, g.rows)) == 5
     assert count_cliques(g, 3) == 15
     assert count_cliques(g, 4) == 6
     assert count_cliques(g, 5) == 1
@@ -126,7 +126,7 @@ def test_count_cliques_examples():
 def test_extremal_k3_census():
     g = extremal_k3_8_18()
     assert g.edge_count == 18
-    assert max(g.degree(v) for v in range(8)) == 5
+    assert max(map(int.bit_count, g.rows)) == 5
     assert count_cliques(g, 3) == 16
     assert count_cliques(g, 4) == 4
     assert count_cliques(g, 5) == 0
@@ -269,7 +269,7 @@ def test_spans_edge_vs_brute_force(n):
         g = random_graph(rng, n, p)
         for mask in _test_masks(rng, n):
             members = list(graphs.bits(mask))
-            expected = any(g.has_edge(u, v) for i, u in enumerate(members) for v in members[:i])
+            expected = any(g.rows[u] >> v & 1 for i, u in enumerate(members) for v in members[:i])
             assert bool(graphs._row_union(g.rows, mask) & mask) == expected, (n, p, mask)
             assert (graphs.cliques_within(g.rows, mask, 2) > 0) == expected, (n, p, mask)
 
@@ -604,4 +604,4 @@ def test_handshaking_invariant():
     for _ in range(40):
         g = random_graph(rng, rng.randint(1, 15))
         check_invariants(g)
-        assert sum(g.degree(v) for v in range(g.n)) == 2 * g.edge_count
+        assert sum(map(int.bit_count, g.rows)) == 2 * g.edge_count

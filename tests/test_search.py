@@ -30,6 +30,7 @@ from turan_reg.graphs import (
     _classify_pattern,
     _embeddings,
     _extend,
+    complement,
     complete_bipartite,
     complete_graph,
     connected_components,
@@ -40,10 +41,12 @@ from turan_reg.graphs import (
     graph6_decode,
     graph6_encode,
     star_graph,
+    triangle_count,
 )
 from turan_reg.search import (
     HSpec,
     SearchError,
+    _canonical_g6,
     _kr1_component_split,
     exr_exact,
     max_copies_free,
@@ -187,11 +190,58 @@ def test_min_triangles_infeasible():
 def test_min_triangles_window_vs_apex():
     # within the enumeration cap the only odd-order window instance is (9,4):
     # the exhaustive minimum is positive and at most the apex construction's count
-    from turan_reg.graphs import triangle_count
-
     res = min_triangles_regular(9, 4)
     apex = triangle_count(apex_construction(9, 4).graph)
     assert 0 < res.objective <= apex
+
+
+def _extremes(sign, scored):
+    """The extreme score of (score, graph) pairs, how many attain it and
+    their canonical graph6 strings as a set."""
+    best = max(sign * score for score, _ in scored) * sign
+    extremal = [_canonical_g6(g) for score, g in scored if score == best]
+    return best, len(extremal), set(extremal)
+
+
+def test_min_triangles_vs_complements():
+    # the direct-side minimum against the triangles of the complements of
+    # the (n - 1 - k)-regular classes, at every degree with nk even
+    for n in range(1, 11):
+        for k in range(n):
+            if n * k % 2:
+                continue
+            res = min_triangles_regular(n, k, witness_cap=1000)
+            scored = []
+
+            def visit(g):
+                co = complement(g)
+                scored.append((triangle_count(co), co))
+
+            enumerate_graphs(GenFilter(n=n, regular_k=n - 1 - k), visitor=visit)
+            assert (res.objective, res.classes, set(res.witnesses)) == _extremes(-1, scored), (n, k)
+
+
+def _exr_direct(n, hspec):
+    """exr by the direct side at every degree, downward: the first k with
+    a pattern-free k-regular class, scanned with the patterns pruned in
+    the tree, and its classes."""
+    for k in range(n - 1, -1, -1):
+        scored = []
+        filt = GenFilter(n=n, regular_k=k, forbidden=hspec.members)
+        enumerate_graphs(filt, visitor=lambda g: scored.append((k, g)) and None)
+        if scored:
+            return _extremes(+1, scored)
+
+
+@pytest.mark.parametrize("pattern", ["K3", "C4", "C5", "K4", "C3..C5", "K2,3"])
+def test_exr_dense_levels_vs_direct_side(pattern):
+    # exr_exact lists the degrees above (n - 1)/2 by their complements;
+    # the direct side with the patterns pruned in the tree is the second
+    # route for the value, the class count and the witness set
+    hspec = HSpec.parse(pattern)
+    for n in range(4, 11):
+        res = exr_exact(n, hspec, all_witnesses=True, witness_cap=1000)
+        assert (res.objective, res.classes, set(res.witnesses)) == _exr_direct(n, hspec), n
 
 
 def test_witnesses_pairwise_distinct():
@@ -218,7 +268,7 @@ def test_witnesses_reverify():
     for w in res.witnesses:
         g = graph6_decode(w)
         assert g.n == 7 and g.edge_count == 12
-        assert max(g.degree(v) for v in range(g.n)) <= 4
+        assert max(map(int.bit_count, g.rows)) <= 4
         assert count_cliques(g, 3) == res.objective
 
 
@@ -463,16 +513,15 @@ def test_parallel_search_reports_seconds():
 
 # (objective, classes, witnesses, stats.classes, stats.nodes, sorted
 # stats.pruned) of each search, pinned while the searches still scored
-# each class as a whole graph after the tree had emitted it; (9, 6) and
-# (10, 6) are triangle minima on the dense side, scored on complements.
+# each class as a whole graph after the tree had emitted it.
 SEARCH_GOLDENS = {
     "max_kt(8,14,4,3)": (8, 3, ("G_Kx~_", "GwCXyw", "GKXkks"), 136, 291, [("canonical", 391)]),
     "max_kt(8,16,5,4)": (15, 1, ("G`Kxx{",), 515, 784, [("canonical", 750)]),
     "max_k_total(7,12,4)": (9, 2, ("F`Lzo", "F`L|o"), 32, 84, [("canonical", 50)]),
     "max_k_total(8,16,5)": (42, 1, ("G`Kxx{",), 515, 784, [("canonical", 750)]),
     "min_triangles_regular(9,4)": (2, 1, ("HBY[vFc",), 16, 176, [("canonical", 155)]),
-    "min_triangles_regular(9,6)": (27, 1, ("HFzf~z{",), 4, 31, [("canonical", 12)]),
-    "min_triangles_regular(10,6)": (24, 1, ("IBjF~z{~?",), 21, 234, [("canonical", 363)]),
+    "min_triangles_regular(9,6)": (27, 1, ("HFzf~z{",), 4, 58, [("canonical", 6)]),
+    "min_triangles_regular(10,6)": (24, 1, ("IBjF~z{~?",), 21, 332, [("canonical", 238)]),
     "max_copies_free(8,C5,4)": (30, 1, ("GJemnO",), 2590, 3274, [("canonical", 2860)]),
     "max_copies_free(8,K2,3,4)": (48, 1, ("G?~vf_",), 2590, 3274, [("canonical", 2860)]),
     "max_copies_free(7,K4,4)": (5, 2, ("F@Kxw", "F`Kxw"), 510, 684, [("canonical", 312)]),
