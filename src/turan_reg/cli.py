@@ -40,6 +40,7 @@ from .graphs import (
     count_cliques,
     count_cycles,
     cycle_graph,
+    extend_graph,
     format_edge_list,
     from_edges,
     graph6_decode,
@@ -48,6 +49,7 @@ from .graphs import (
     triangle_count,
 )
 from .search import (
+    DEFAULT_WITNESS_CAP,
     HSpec,
     SearchError,
     _canonical_g6,
@@ -179,10 +181,10 @@ def _op_table_cells(args, ctx):
 def _op_goodman_exhaustive(args, ctx):
     worst = 0
     for n in range(1, args["n_max"] + 1):
-        def visit(g):
+        def visit(_, rows, s):
             nonlocal worst
-            worst = max(worst, abs(goodman_defect(g)))
-        enumerate_graphs(GenFilter(n=n), visitor=visit, jobs=ctx["jobs"])
+            worst = max(worst, abs(goodman_defect(extend_graph(rows, s))))
+        enumerate_graphs(GenFilter(n=n), leaf=visit, jobs=ctx["jobs"])
     return worst
 
 
@@ -345,10 +347,6 @@ def run_suite(suite_id, jobs=1, seed=DEFAULT_SEED, stream=None):
 # argument parsing
 
 
-def _add_jobs(p):
-    p.add_argument("--jobs", type=int, default=1, help="worker processes")
-
-
 # every parameter some builder takes, each a construct option of its name
 CONSTRUCT_PARAMS = sorted({a for _, names, _ in constructions.BUILDERS.values() for a in names})
 
@@ -359,15 +357,14 @@ def int_list(text):
 
 
 # probe name -> its function, the options it needs and those it may
-# take, passed on as keywords of the same name; an option left out keeps
-# the probe's own default, and one the probe does not read is refused
+# take: its subcommand takes exactly these, passed on as keywords of the
+# same name, and an option left out keeps the probe's own default
 PROBES = {
     "gls-critical": (probe_gls_critical, ("n", "r"), ("t",)),
     "triangle-floor": (probe_triangle_floor, (), ("n_max",)),
     "odd-girth-question": (probe_odd_girth_question, ("n", "pattern"), ()),
     "cycle-question": (probe_cycle_question, ("m", "r", "n"), ()),
 }
-PROBE_OPTIONS = sorted({opt for _, needed, optional in PROBES.values() for opt in needed + optional})
 
 
 def build_parser():
@@ -376,6 +373,8 @@ def build_parser():
         description="regular Turan numbers: exact search, constructions, checks",
     )
     sub = top.add_subparsers(dest="command", required=True)
+    jobs = argparse.ArgumentParser(add_help=False)
+    jobs.add_argument("--jobs", type=int, default=1, help="worker processes")
 
     p = sub.add_parser("construct", help="build a named construction")
     p.add_argument("name", choices=sorted(constructions.BUILDERS))
@@ -387,7 +386,7 @@ def build_parser():
     p.add_argument("--certify", action="store_true", help="print certificate JSON")
     p.add_argument("--out", type=str, default="-")
 
-    p = sub.add_parser("enumerate", help="stream one graph6 line per class")
+    p = sub.add_parser("enumerate", parents=[jobs], help="stream one graph6 line per class")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--max-degree", type=int)
     p.add_argument("--edges", type=int)
@@ -396,61 +395,53 @@ def build_parser():
     p.add_argument("--desc", action="store_true", help="dual augmentation order")
     p.add_argument("--force", action="store_true", help="override the n cap")
     p.add_argument("--out", type=str, default="-")
-    _add_jobs(p)
 
-    p = sub.add_parser("exr", help="exact regular Turan number by search")
-    p.add_argument("--n", type=int, required=True)
+    # the options every search command takes
+    search = argparse.ArgumentParser(add_help=False, parents=[jobs])
+    search.add_argument("--n", type=int, required=True)
+    search.add_argument("--witness-cap", type=int, default=DEFAULT_WITNESS_CAP)
+
+    def add_search(name, text):
+        return sub.add_parser(name, parents=[search], help=text)
+
+    p = add_search("exr", "exact regular Turan number by search")
     p.add_argument("--forbid", type=str, required=True, help="K3, C7, C3..C9, K1,4, g6:...")
     p.add_argument("--all-witnesses", action="store_true")
-    p.add_argument("--witness-cap", type=int, default=16)
-    _add_jobs(p)
 
-    p = sub.add_parser("census-triangles", help="minimum triangles over k-regular graphs")
-    p.add_argument("--n", type=int, required=True)
+    p = add_search("census-triangles", "minimum triangles over k-regular graphs")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--witness-cap", type=int, default=16)
-    _add_jobs(p)
 
-    p = sub.add_parser("max-cliques", help="maximize clique counts given (n, m, max degree)")
-    p.add_argument("--n", type=int, required=True)
+    p = add_search("max-cliques", "maximize clique counts given (n, m, max degree)")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--max-degree", type=int, required=True)
     size = p.add_mutually_exclusive_group(required=True)
     size.add_argument("--t", type=int, help="clique size")
     size.add_argument("--total", action="store_true", help="maximize the total clique count")
-    p.add_argument("--witness-cap", type=int, default=16)
-    _add_jobs(p)
 
-    p = sub.add_parser("max-copies", help="maximize pattern copies under a degree cap")
-    p.add_argument("--n", type=int, required=True)
+    p = add_search("max-copies", "maximize pattern copies under a degree cap")
     p.add_argument("--pattern", type=str, required=True)
     p.add_argument("--max-degree", type=int, required=True)
-    p.add_argument("--witness-cap", type=int, default=16)
-    _add_jobs(p)
 
     p = sub.add_parser("probe", help="conjecture probes (report only)")
-    p.add_argument("name", choices=PROBES)
-    p.add_argument("--n", type=int)
-    p.add_argument("--r", type=int)
-    p.add_argument("--t", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--n-max", type=int)
-    p.add_argument("--pattern", type=str)
-    _add_jobs(p)
+    probes = p.add_subparsers(dest="name", required=True)
+    for name, (_, needed, optional) in PROBES.items():
+        # no abbreviations: --n must not be read as --n-max
+        q = probes.add_parser(name, parents=[jobs], allow_abbrev=False)
+        for opt in needed + optional:
+            flag, kind = "--" + opt.replace("_", "-"), str if opt == "pattern" else int
+            q.add_argument(flag, type=kind, required=opt in needed)
 
-    p = sub.add_parser("suite", help="run a verification suite")
+    p = sub.add_parser("suite", parents=[jobs], help="run a verification suite")
     p.add_argument("id", type=str)
     p.add_argument("--report", type=str, help="write JSON report here")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="random seed")
-    _add_jobs(p)
 
-    p = sub.add_parser("table", help="reproduce the critical-regime table")
+    p = sub.add_parser("table", parents=[jobs], help="reproduce the critical-regime table")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--n-from", type=int, required=True)
     p.add_argument("--n-to", type=int, required=True)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", type=str, default="-")
-    _add_jobs(p)
 
     return top
 
@@ -492,10 +483,10 @@ def _cmd_enumerate(ns):
         # refused arguments leave --out as it was
         check_run(filt, ns.jobs, ns.force)
         with _open_out(ns.out) as fh:
-            stats = enumerate_graphs(
-                filt, visitor=lambda g: fh.write(graph6_encode(g) + "\n") and None,
-                desc=ns.desc, force=ns.force, jobs=ns.jobs,
-            )
+            def write(_, rows, s):
+                fh.write(graph6_encode(extend_graph(rows, s)) + "\n")
+
+            stats = enumerate_graphs(filt, leaf=write, desc=ns.desc, force=ns.force, jobs=ns.jobs)
     except CapError as exc:
         raise CapError(f"{exc}; pass --force") from None
     if stats.infeasible:
@@ -505,6 +496,12 @@ def _cmd_enumerate(ns):
         file=sys.stderr,
     )
     return 0
+
+
+def _print_result(res, payload=None):
+    """Print ``payload``, else the search result, as JSON; exit 1 when it is infeasible."""
+    print(json.dumps(payload or res.to_json(), indent=2))
+    return 0 if res.feasible else 1
 
 
 def _cmd_exr(ns):
@@ -517,14 +514,12 @@ def _cmd_exr(ns):
     if hspec.family is not None and ns.n >= 3:
         cf = exr_closed_form(ns.n, hspec.family)
         payload["closed_form"] = {"value": cf.value, "exact": cf.exact}
-    print(json.dumps(payload, indent=2))
-    return 0
+    return _print_result(res, payload)
 
 
 def _cmd_census_triangles(ns):
     res = min_triangles_regular(ns.n, ns.k, witness_cap=ns.witness_cap, jobs=ns.jobs)
-    print(json.dumps(res.to_json(), indent=2))
-    return 0 if res.feasible else 1
+    return _print_result(res)
 
 
 def _cmd_max_cliques(ns):
@@ -532,8 +527,7 @@ def _cmd_max_cliques(ns):
         res = max_k_total(ns.n, ns.m, ns.max_degree, witness_cap=ns.witness_cap, jobs=ns.jobs)
     else:
         res = max_kt(ns.n, ns.m, ns.max_degree, ns.t, witness_cap=ns.witness_cap, jobs=ns.jobs)
-    print(json.dumps(res.to_json(), indent=2))
-    return 0 if res.feasible else 1
+    return _print_result(res)
 
 
 def _cmd_max_copies(ns):
@@ -541,23 +535,12 @@ def _cmd_max_copies(ns):
     if len(members) > 1:
         raise SearchError(f"max-copies counts one pattern; {ns.pattern} has {len(members)} members")
     res = max_copies_free(ns.n, members[0], ns.max_degree, witness_cap=ns.witness_cap, jobs=ns.jobs)
-    print(json.dumps(res.to_json(), indent=2))
-    return 0
-
-
-def _flag(option):
-    return "--" + option.replace("_", "-")
+    return _print_result(res)
 
 
 def _cmd_probe(ns):
     probe, needed, optional = PROBES[ns.name]
-    kwargs = {opt: getattr(ns, opt) for opt in PROBE_OPTIONS if getattr(ns, opt) is not None}
-    unread = [_flag(opt) for opt in kwargs if opt not in needed + optional]
-    if unread:
-        raise SearchError(f"probe {ns.name} does not take {' '.join(unread)}")
-    missing = [_flag(opt) for opt in needed if opt not in kwargs]
-    if missing:
-        raise SearchError(f"probe {ns.name} requires {' '.join(missing)}")
+    kwargs = {opt: getattr(ns, opt) for opt in needed + optional if getattr(ns, opt) is not None}
     if "pattern" in kwargs:
         kwargs["hspec"] = HSpec.parse(kwargs.pop("pattern"))
     print(json.dumps(probe(jobs=ns.jobs, **kwargs), indent=2))

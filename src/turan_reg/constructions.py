@@ -96,17 +96,17 @@ def _certify(name, params, graph, checks, regular=None):
     return ConstructionResult(name, params, graph, cert)
 
 
-def _maps_onto(rows, parts, target):
-    """Whether ``parts``, ranges of labels that must tile 0..len(rows) - 1
-    in order, map the graph of ``rows`` onto the graph whose rows over the
-    part indices are ``target``: the OR of the rows of part i misses every
-    part not next to i.  Bits past len(rows) are not read, so a prefix of
-    the rows is checked as the graph it induces."""
-    ends = list(accumulate(map(len, parts), initial=0))
-    if ends[-1] != len(rows) or parts != [range(a, b) for a, b in zip(ends, ends[1:])]:
+def _maps_onto(rows, sizes, target):
+    """Whether the parts, runs of consecutive labels of the ``sizes``,
+    which must sum to len(rows), map the graph of ``rows`` onto the graph
+    whose rows over the part indices are ``target``: the OR of the rows of
+    part i misses every part not next to i.  Bits past len(rows) are not
+    read, so a prefix of the rows is checked as the graph it induces."""
+    if sum(sizes) != len(rows):
         return False
+    ends = list(accumulate(sizes, initial=0))
     masks = [(1 << b) - (1 << a) for a, b in zip(ends, ends[1:])]
-    every = (1 << len(parts)) - 1
+    every = (1 << len(sizes)) - 1
     for a, b, near in zip(ends, ends[1:], target):
         union = reduce(or_, rows[a:b], 0)
         far = every & ~near
@@ -189,11 +189,10 @@ def _blowup_part_sizes(ell, x, y):
 
 
 def _build_cycle_blowup(sizes, matchings_removed):
-    """Blow-up of an odd cycle with rotational matchings removed between
-    the first and last part (their sizes must agree), with its parts as
-    ranges of labels and an odd cycle through one vertex of each part."""
+    """Blow-up of an odd cycle, its parts runs of labels of the ``sizes``,
+    with rotational matchings removed between the first and last part
+    (their sizes must agree), and an odd cycle through one vertex of each."""
     starts = list(accumulate(sizes[:-1], initial=0))
-    parts = [range(a, a + s) for a, s in zip(starts, sizes)]
     masks = [((1 << s) - 1) << a for a, s in zip(starts, sizes)]
     rows = []
     for i, s in enumerate(sizes):
@@ -203,7 +202,7 @@ def _build_cycle_blowup(sizes, matchings_removed):
     _delete_rotations(rows, 0, starts[-1], sizes[0], range(matchings_removed))
     # vertex 0 lost the last part's first matchings_removed vertices
     cycle = starts[:-1] + [starts[-1] + matchings_removed]
-    return Graph(len(rows), tuple(rows)), parts, cycle
+    return Graph(len(rows), tuple(rows)), cycle
 
 
 def odd_girth_blowup(n, ell):
@@ -224,10 +223,10 @@ def odd_girth_blowup(n, ell):
             f"n={n}: need x > y in n = {m_len}x + y (got x={x}, y={y})"
         )
     sizes = _blowup_part_sizes(ell, x, y)
-    g, parts, cycle = _build_cycle_blowup(sizes, y)
+    g, cycle = _build_cycle_blowup(sizes, y)
     # a map onto C_{m_len} takes any odd cycle to an odd closed walk of
     # C_{m_len}, so no odd cycle is shorter than the exhibited one
-    proved = _maps_onto(g.rows, parts, cycle_graph(m_len).rows) and _is_cycle(g.rows, cycle)
+    proved = _maps_onto(g.rows, sizes, cycle_graph(m_len).rows) and _is_cycle(g.rows, cycle)
     odd = m_len if proved else odd_girth(g)
     return _certify(
         "odd-girth-blowup",
@@ -327,7 +326,7 @@ def apex_construction(n, k):
     g = Graph(n, tuple(rows))
     # with the rows off the apex mapped onto K2 every triangle holds the
     # apex, and the triangles are the edges inside its neighbourhood
-    if _maps_onto(g.rows[:apex], [range(p), range(p, apex)], complete_graph(2).rows):
+    if _maps_onto(g.rows[:apex], (p, p), complete_graph(2).rows):
         off_odd_girth = None
         near = rows[apex]
         triangles = sum((rows[u] & near).bit_count() for u in bits(near)) // 2
@@ -446,11 +445,11 @@ def multipartite_regular(n, r):
     rows += [core_mask] * (x + y)
     g = Graph(n, tuple(rows))
     # the parts are stable iff they map the graph onto K_{t+1}
-    parts = [range(a * x, (a + 1) * x) for a in range(t)] + [range(core, n)]
+    parts = [x] * t + [x + y]
     parts_stable = _maps_onto(g.rows, parts, complete_graph(t + 1).rows)
     return _certify(
         "multipartite-regular",
-        {"n": n, "r": r, "x": x, "y": y, "parts": [x] * t + [x + y]},
+        {"n": n, "r": r, "x": x, "y": y, "parts": parts},
         g,
         [
             ("order", n, g.n),

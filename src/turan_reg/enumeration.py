@@ -69,10 +69,10 @@ count plus the copies through the new vertex, ``through(rows)(s)`` (see
 ``PatternCounter``); each node carries its count, and builds its
 ``through`` once, at its first accepted child.  A leaf is handed over as
 (count, parent rows, s), and a leaf that the degree stage accepts
-outright is never built: a visitor that needs the graph builds it from
-those (``extend_graph``).  At ``jobs > 1`` the seeds carry their counts
-and the workers send each leaf's count with its parent rows and set
-(see ``parallel``), so the main process only compares.
+outright is never built: a leaf call that needs the graph builds it
+from those (``extend_graph``).  At ``jobs > 1`` the seeds carry their
+counts and the workers send each leaf's count with its parent rows and
+set (see ``parallel``), so the main process only compares.
 
 The ``desc`` flag flips the cell-ordering convention of the canonical
 form, producing a second, independently structured augmentation tree
@@ -578,15 +578,6 @@ def _cpu_seconds():
     return time.process_time() + children.ru_utime + children.ru_stime
 
 
-def _leaf_call(visitor, leaf):
-    """``leaf``, or for a graph ``visitor`` a leaf call that builds the graph."""
-    if visitor is None:
-        return leaf
-    if leaf is not None:
-        raise EnumerationError("pass a visitor or a leaf call, not both")
-    return lambda count, rows, s: visitor(extend_graph(rows, s))
-
-
 def check_run(filt, jobs=1, force=False):
     """Refuse the arguments of a run of ``enumerate_graphs``, as it does
     before it visits anything."""
@@ -597,32 +588,31 @@ def check_run(filt, jobs=1, force=False):
         raise CapError(f"order {filt.n} beyond enumeration cap {HARD_CAP}")
 
 
-def enumerate_graphs(filt, visitor=None, desc=False, force=False, jobs=1, scorer=None, leaf=None):
+def enumerate_graphs(filt, leaf=None, desc=False, force=False, jobs=1, scorer=None):
     """Run the generator over the classes of the filter, in tree order.
 
-    A graph ``visitor`` sees one Graph per class.  A ``leaf`` call sees
-    each class as (score, rows, s), the rows of its parent in the tree
-    and the attachment set of its last vertex (``extend_graph`` builds
-    it), with no graph built; the score is that of the ``scorer``,
-    anything with ``through(rows)`` as ``PatternCounter`` has, summed
-    down the tree from the root (see ``_Run.descend``), or 0 without
-    one.  Pass at most one of the two.  A visitor or leaf call returning
-    a truthy value stops the run early.  Orders beyond the hard cap
-    (n = 11) require ``force``; without it they raise ``CapError``.
+    The ``leaf`` call sees each class as (score, rows, s), the rows of
+    its parent in the tree and the attachment set of its last vertex
+    (``extend_graph`` builds it), with no graph built; the score is that
+    of the ``scorer``, anything with ``through(rows)`` as
+    ``PatternCounter`` has, summed down the tree from the root (see
+    ``_Run.descend``), or 0 without one.  A leaf call returning a truthy
+    value stops the run early.  Orders beyond the hard cap (n = 11)
+    require ``force``; without it they raise ``CapError``.
 
     With ``jobs > 1`` the descent stops at depth n - 2 and records the
     accepted graphs there as seeds, each with its score; ``jobs`` forked
     processes descend the seeds' subtrees (see ``parallel``; a lone
     seed is descended in this process) and send each leaf's score with
-    its rows, and the leaves are emitted here in seed order.  The
-    visitor runs in this process and sees the classes in serial order,
-    so results and counts are those of a serial run.  ``cpu_seconds``
-    in the returned GenStats covers this process and the workers.
+    its rows, and the leaves are emitted here in seed order.  The leaf
+    call runs in this process and sees the classes in serial order, so
+    results and counts are those of a serial run.  ``cpu_seconds`` in
+    the returned GenStats covers this process and the workers.
     """
     check_run(filt, jobs, force)
     t0, cpu0 = time.perf_counter(), _cpu_seconds()
     split = max(1, filt.n - 2) if jobs > 1 else None
-    run = _Run(filt, _leaf_call(visitor, leaf), desc, split=split, scorer=scorer)
+    run = _Run(filt, leaf, desc, split=split, scorer=scorer)
     if filt.infeasible():
         run.stats.infeasible = True
     else:

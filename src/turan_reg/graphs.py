@@ -117,10 +117,12 @@ def relabel(g, perm):
 
 
 def empty_graph(n):
-    return Graph(n, (0,) * n)
+    return from_edges(n, ())
 
 
 def complete_graph(n):
+    if n < 0:
+        raise GraphError("vertex count must be nonnegative")
     full = (1 << n) - 1
     return Graph(n, tuple(full ^ (1 << v) for v in range(n)))
 
@@ -132,6 +134,8 @@ def cycle_graph(n):
 
 
 def complete_bipartite(a, b):
+    if min(a, b) < 0:
+        raise GraphError("vertex count must be nonnegative")
     left = ((1 << b) - 1) << a
     right = (1 << a) - 1
     return Graph(a + b, tuple([left] * a + [right] * b))

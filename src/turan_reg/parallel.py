@@ -9,12 +9,12 @@ own pipe, the leaves (each one's parent rows and attachment set, packed
 in one ``array``), the leaves' scores and the subtree counts, and the
 parent reads seed i from pipe i mod jobs.  It merges the counts and
 hands each leaf with its score to the run's ``emit``, so the main
-process scores nothing: the visitor sees the classes in serial order
-and stops the scan the same way.  A full scan has the counts of a
+process scores nothing: the leaf call sees the classes in serial
+order and stops the scan the same way.  A full scan has the counts of a
 serial run; one that stops early also counts the nodes past the stop
 that were descended before it.
 
-Forked workers inherit the run, so the visitor need not be picklable.
+Forked workers inherit the run, so the leaf call need not be picklable.
 Every worker is killed and reaped before ``parallel_scan`` returns or
 raises, and a dead worker's closed pipe raises ``EOFError`` when read.
 """

@@ -16,7 +16,13 @@ import random
 
 from turan_reg import constructions
 from turan_reg.canon import canon_core
-from turan_reg.graphs import Graph, GraphError, _embeddings, bits, from_edges, relabel
+from turan_reg.graphs import Graph, GraphError, _embeddings, bits, extend_graph, from_edges, relabel
+
+
+def graph_leaf(visit):
+    """A leaf call of ``enumerate_graphs`` that hands ``visit`` each class
+    as a Graph and returns what it returns."""
+    return lambda count, rows, s: visit(extend_graph(rows, s))
 
 
 def path_graph(n):

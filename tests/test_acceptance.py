@@ -23,6 +23,8 @@ from fnmatch import fnmatchcase
 
 import pytest
 
+from helpers import graph_leaf
+
 from turan_reg.canon import canon_core, canonical_form
 from turan_reg.cli import DEFAULT_SEED, load_suites, run_check
 from turan_reg.enumeration import GenFilter, enumerate_graphs
@@ -113,15 +115,15 @@ def test_criterion_7_enumeration_correctness():
     for n in range(1, 7):
         emitted = set()
         enumerate_graphs(
-            GenFilter(n=n), visitor=lambda g: emitted.add(canon_core(g.rows, g.n)[1]) and None
+            GenFilter(n=n), leaf=graph_leaf(lambda g: emitted.add(canon_core(g.rows, g.n)[1]))
         )
         brute = {canon_core(g.rows, g.n)[1] for g in all_labeled_graphs(n)}
         ok = ok and emitted == brute
     print("  n<=6: emitted classes equal brute-force canonicalization")
     asc, desc = [], []
-    enumerate_graphs(GenFilter(n=8), visitor=lambda g: asc.append(canonical_form(g)) and None)
+    enumerate_graphs(GenFilter(n=8), leaf=graph_leaf(lambda g: asc.append(canonical_form(g))))
     enumerate_graphs(
-        GenFilter(n=8), visitor=lambda g: desc.append(canonical_form(g)) and None, desc=True
+        GenFilter(n=8), leaf=graph_leaf(lambda g: desc.append(canonical_form(g))), desc=True
     )
     ok = ok and len(asc) == 12346 and set(asc) == set(desc)
     ok = ok and len(set(asc)) == len(asc) and len(set(desc)) == len(desc)

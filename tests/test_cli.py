@@ -11,6 +11,7 @@ from helpers import count_complete_bipartite
 from turan_reg.cli import (
     CHECK_OPS,
     COMMANDS,
+    PROBES,
     SuiteError,
     build_parser,
     emit_table,
@@ -244,6 +245,15 @@ def test_max_copies_long_cycle(capsys):
         # orders below 9 have no degree in the triangle window: no empty report
         (["probe", "triangle-floor", "--n-max", "0"], "n_max must be >= 9"),
         (["probe", "triangle-floor", "--n-max", "8"], "n_max must be >= 9"),
+        # a negative clique size is a named graph error, not a shift error
+        (
+            ["max-cliques", "--n", "6", "--m", "5", "--max-degree", "3", "--t", "-1"],
+            "vertex count must be nonnegative",
+        ),
+        (
+            ["probe", "gls-critical", "--n", "8", "--r", "4", "--t", "-2"],
+            "vertex count must be nonnegative",
+        ),
         # a parameter the builder does not take is refused, not ignored
         (["construct", "kbe", "--x", "2", "--y", "1", "--n", "5"], "kbe takes parameters"),
         (
@@ -254,7 +264,8 @@ def test_max_copies_long_cycle(capsys):
     ids=[
         "construct", "exr", "enumerate", "probe", "max-copies-family", "max-degree", "exr-order",
         "jobs", "witness-cap", "table-empty-range", "table-order", "probe-gls-order",
-        "probe-floor-n-max-0", "probe-floor-n-max-8",
+        "probe-floor-n-max-0", "probe-floor-n-max-8", "max-cliques-negative-t",
+        "probe-gls-negative-t",
         "construct-unknown-param", "construct-parts",
     ],
 )
@@ -322,7 +333,7 @@ def test_probe_unknown(capsys):
         (["odd-girth-question", "--n", "7"], "--pattern"),
         (["gls-critical", "--n", "7"], "--r"),
         (["gls-critical", "--r", "3"], "--n"),
-        (["cycle-question", "--n", "7"], "--m --r"),
+        (["cycle-question", "--n", "7"], "--m, --r"),
     ],
     ids=["odd-girth-question", "gls-critical-r", "gls-critical-n", "cycle-question"],
 )
@@ -330,15 +341,20 @@ def test_probe_missing_option(args, missing, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["probe", *args])
     assert exc.value.code == 2
-    assert f"probe {args[0]} requires {missing}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"probe {args[0]}: error: the following arguments are required: {missing}\n" in err
 
 
 @pytest.mark.parametrize(
     "args, unread",
     [
-        (["triangle-floor", "--n", "0"], "--n"),
-        (["gls-critical", "--n", "8", "--r", "4", "--n-max", "9", "--pattern", "K3"], "--n-max --pattern"),
-        (["cycle-question", "--m", "4", "--r", "2", "--n", "6", "--t", "3"], "--t"),
+        # --n is no abbreviation of --n-max
+        (["triangle-floor", "--n", "0"], "--n 0"),
+        (
+            ["gls-critical", "--n", "8", "--r", "4", "--n-max", "9", "--pattern", "K3"],
+            "--n-max 9 --pattern K3",
+        ),
+        (["cycle-question", "--m", "4", "--r", "2", "--n", "6", "--t", "3"], "--t 3"),
     ],
     ids=["triangle-floor", "gls-critical", "cycle-question"],
 )
@@ -347,7 +363,49 @@ def test_probe_refuses_unread_option(args, unread, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["probe", *args])
     assert exc.value.code == 2
-    assert f"probe {args[0]} does not take {unread}" in capsys.readouterr().err
+    assert capsys.readouterr().err.endswith(f"error: unrecognized arguments: {unread}\n")
+
+
+# a value each probe option accepts
+PROBE_VALUES = {"pattern": "K3", "n": "9", "n_max": "9", "m": "4", "r": "2", "t": "3"}
+
+
+def _probe_flag(opt):
+    return "--" + opt.replace("_", "-")
+
+
+def _probe_argv(name, options):
+    return ["probe", name] + [a for opt in options for a in (_probe_flag(opt), PROBE_VALUES[opt])]
+
+
+@pytest.mark.parametrize("name", sorted(PROBES))
+def test_probe_takes_exactly_its_options(name, monkeypatch, capsys):
+    """Each probe subcommand passes on every option it takes, requires
+    each one it needs, and refuses every option of another probe.  The
+    probe itself is replaced, so only the parsing is checked."""
+    _, needed, optional = PROBES[name]
+    calls = []
+    monkeypatch.setitem(PROBES, name, (lambda **kw: calls.append(kw) or {}, needed, optional))
+    assert main(_probe_argv(name, needed + optional)) == 0
+    expected = {"jobs", *needed, *optional}
+    if "pattern" in expected:
+        expected ^= {"pattern", "hspec"}
+    assert set(calls.pop()) == expected
+    for opt in needed:
+        with pytest.raises(SystemExit) as exc:
+            main(_probe_argv(name, [o for o in needed if o != opt]))
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(f"required: {_probe_flag(opt)}\n")
+    taken = set(needed + optional)
+    others = {opt for _, n, o in PROBES.values() for opt in n + o} - taken
+    assert others
+    for opt in sorted(others):
+        with pytest.raises(SystemExit) as exc:
+            main(_probe_argv(name, needed + (opt,)))
+        assert exc.value.code == 2
+        refused = f"unrecognized arguments: {_probe_flag(opt)} {PROBE_VALUES[opt]}\n"
+        assert capsys.readouterr().err.endswith(refused)
+    assert not calls
 
 
 def test_probe_default_is_the_probes_own(capsys):

@@ -224,9 +224,9 @@ def test_map_check_refuses_an_edge_inside_a_part(monkeypatch):
     build_blowup = constructions._build_cycle_blowup
 
     def blowup_with_edge(sizes, removed):
-        g, parts, cycle = build_blowup(sizes, removed)
-        (a, b), (c, d) = parts[0][:2], parts[1][:2]
-        return Graph(g.n, tuple(_switched(g.rows, a, b, c, d))), parts, cycle
+        g, cycle = build_blowup(sizes, removed)
+        a, c = 0, sizes[0]  # the first two vertices of parts 0 and 1
+        return Graph(g.n, tuple(_switched(g.rows, a, a + 1, c, c + 1))), cycle
 
     monkeypatch.setattr(constructions, "_build_cycle_blowup", blowup_with_edge)
     for name, params in (("odd-girth-blowup", {"n": 37, "ell": 3}), ("pentagon-blowup", {"n": 23})):
@@ -250,20 +250,21 @@ def test_map_check_refuses_an_edge_inside_a_part(monkeypatch):
 
 @pytest.mark.parametrize("n", [0, 1, 2, 31, 32, 33, 63, 64, 65, 128, 129])
 def test_maps_onto_vs_brute_force(n):
-    """Random graphs cut into random runs of labels, each checked against
-    the graph of the parts it spans (with and without its loops), that
-    graph less one arc, and random targets, which need not be symmetric:
-    the map holds iff each edge uv has the part of v next to the part of
-    u in the target and the part of u next to the part of v."""
+    """Random graphs cut into random runs of labels, given by their sizes,
+    each cut checked against the graph of the parts it spans (with and
+    without its loops), that graph less one arc, and random targets,
+    which need not be symmetric: the map holds iff each edge uv has the
+    part of v next to the part of u in the target and the part of u next
+    to the part of v."""
     rng = random.Random(20261020 + n)
     seen = set()
     for p in (0.02, 0.1, 0.5):
         g = random_graph(rng, n, p)
         for _ in range(8):
             ends = [0, *sorted(rng.sample(range(1, n), min(n - 1, rng.randint(0, 6)))), n] if n else [0, 0]
-            parts = [range(a, b) for a, b in zip(ends, ends[1:])]
-            where = [i for i, part in enumerate(parts) for _ in part]
-            m = len(parts)
+            sizes = [b - a for a, b in zip(ends, ends[1:])]
+            where = [i for i, size in enumerate(sizes) for _ in range(size)]
+            m = len(sizes)
             spanned = [0] * m
             for u, v in g.edges():
                 spanned[where[u]] |= 1 << where[v]
@@ -277,25 +278,25 @@ def test_maps_onto_vs_brute_force(n):
                     target[where[u]] >> where[v] & 1 and target[where[v]] >> where[u] & 1
                     for u, v in g.edges()
                 )
-                assert _maps_onto(g.rows, parts, target) == expected, (n, p, ends, target)
+                assert _maps_onto(g.rows, sizes, target) == expected, (n, p, sizes, target)
                 seen.add(expected)
     assert seen == {True, False} or n < 2
 
 
 def test_part_map_check_refuses_bad_certificates():
-    """A part map must tile the vertices in order and keep each part's
-    rows inside the parts next to it; a cycle must have distinct vertices
-    joined in turn."""
+    """A part map's sizes must sum to the order, and it must keep each
+    part's rows inside the parts next to it; a cycle must have distinct
+    vertices joined in turn."""
     c6 = cycle_graph(6).rows
     k2 = complete_graph(2).rows
-    assert _maps_onto(c6, [range(6)], complete_graph(1).rows) is False
-    assert _maps_onto(cycle_graph(4).rows, [range(2), range(2, 4)], k2) is False
+    assert _maps_onto(c6, [6], complete_graph(1).rows) is False
+    assert _maps_onto(cycle_graph(4).rows, [2, 2], k2) is False
     c5 = cycle_graph(5).rows
-    assert _maps_onto(c5, [range(i, i + 1) for i in range(5)], c5)
+    assert _maps_onto(c5, [1] * 5, c5)
     empty = (0,) * 5
-    assert _maps_onto(empty, [range(2), range(2, 5)], k2)
-    for parts in ([range(2), range(2, 4)], [range(3), range(2, 5)], [range(2, 5), range(2)]):
-        assert not _maps_onto(empty, parts, k2), parts
+    assert _maps_onto(empty, [2, 3], k2)
+    for sizes in ([2, 2], [3, 3], [5, 1], [4]):
+        assert not _maps_onto(empty, sizes, k2), sizes
     assert _is_cycle(c5, [0, 1, 2, 3, 4]) and _is_cycle(c5, [4, 3, 2, 1, 0])
     assert not _is_cycle(c5, [0, 1, 2, 3])  # 3 and 0 are not adjacent
     assert not _is_cycle(c5, [0, 1, 0])

@@ -14,6 +14,7 @@ from helpers import (
     child_ok_oracle,
     degree_cells,
     disjoint_union,
+    graph_leaf,
     random_graph_with_twins,
     split_round,
 )
@@ -67,7 +68,7 @@ KNOWN_CLASS_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
 
 def collect(filt, **kw):
     out = []
-    stats = enumerate_graphs(filt, visitor=lambda g: out.append(g) and None, **kw)
+    stats = enumerate_graphs(filt, leaf=graph_leaf(out.append), **kw)
     return out, stats
 
 
@@ -140,8 +141,8 @@ def test_dual_orders_agree():
         assert {canonical_form(g) for g in asc} == {canonical_form(g) for g in desc}
     asc, desc = [], []
     filt = GenFilter(n=10, regular_k=4)
-    enumerate_graphs(filt, visitor=lambda g: asc.append(canonical_form(g)) and None)
-    enumerate_graphs(filt, visitor=lambda g: desc.append(canonical_form(g)) and None, desc=True)
+    enumerate_graphs(filt, leaf=graph_leaf(lambda g: asc.append(canonical_form(g))))
+    enumerate_graphs(filt, leaf=graph_leaf(lambda g: desc.append(canonical_form(g))), desc=True)
     assert len(asc) == len(desc) == 60
     assert set(asc) == set(desc)
 
@@ -151,35 +152,39 @@ def test_dual_orders_agree():
 # order shows, not only a change in the emitted set.
 ORDER_GOLDENS = {
     "max-degree-8-4": (
-        lambda visit: enumerate_graphs(GenFilter(n=8, max_degree=4), visitor=visit),
+        lambda visit: enumerate_graphs(GenFilter(n=8, max_degree=4), leaf=graph_leaf(visit)),
         "b642d27f23d4f852c31af94071d02bc13fc6950ec0a216d0b61c341ac37d3a59",
         2590,
     ),
     "edges-max-degree-8-12-4": (
         lambda visit: enumerate_graphs(
-            GenFilter(n=8, edge_count=12, max_degree=4), visitor=visit
+            GenFilter(n=8, edge_count=12, max_degree=4), leaf=graph_leaf(visit)
         ),
         "84cfb16b236c8f42b72ff6b56123b726f87390c6841e5119e35a38bbd2029fc9",
         465,
     ),
     "regular-10-4": (
-        lambda visit: enumerate_graphs(GenFilter(n=10, regular_k=4), visitor=visit),
+        lambda visit: enumerate_graphs(GenFilter(n=10, regular_k=4), leaf=graph_leaf(visit)),
         "35ae8be05e217ec8bab5a7cfca900ccb353e8ab9327901f387c54bb732f4406c",
         60,
     ),
     "max-degree-8-4-desc": (
-        lambda visit: enumerate_graphs(GenFilter(n=8, max_degree=4), visitor=visit, desc=True),
+        lambda visit: enumerate_graphs(
+            GenFilter(n=8, max_degree=4), leaf=graph_leaf(visit), desc=True
+        ),
         "da3f9b4eda84c6dce73dedd2a9034ea9e6b6131fe3ce966df151cdc27b8a058c",
         2590,
     ),
     "regular-10-4-desc": (
-        lambda visit: enumerate_graphs(GenFilter(n=10, regular_k=4), visitor=visit, desc=True),
+        lambda visit: enumerate_graphs(
+            GenFilter(n=10, regular_k=4), leaf=graph_leaf(visit), desc=True
+        ),
         "f7e9f2e94ee91a19525fccbd1321ca8d35c9e2273d74762384bc7b41b3943eb7",
         60,
     ),
     "regular-10-3-K3": (
         lambda visit: enumerate_graphs(
-            GenFilter(n=10, regular_k=3, forbidden=(complete_graph(3),)), visitor=visit
+            GenFilter(n=10, regular_k=3, forbidden=(complete_graph(3),)), leaf=graph_leaf(visit)
         ),
         "427a8705c2d2ee4b8f0a53101b4e4ea7db8a3209d227eaf0bf54d3a620352b72",
         6,
@@ -653,9 +658,9 @@ def test_pinned_counts(case):
 @pytest.mark.parametrize(
     "run",
     [
-        lambda visit, jobs: enumerate_graphs(GenFilter(n=3), visitor=visit, jobs=jobs),
+        lambda visit, jobs: enumerate_graphs(GenFilter(n=3), leaf=graph_leaf(visit), jobs=jobs),
         lambda visit, jobs: enumerate_graphs(
-            GenFilter(n=11, regular_k=10), visitor=visit, jobs=jobs
+            GenFilter(n=11, regular_k=10), leaf=graph_leaf(visit), jobs=jobs
         ),
     ],
     ids=["n3", "regular-11-10"],
@@ -681,14 +686,14 @@ def test_regular_examples():
     from turan_reg.graphs import cycle_graph
 
     got = []
-    enumerate_graphs(GenFilter(n=5, regular_k=2), visitor=lambda g: got.append(g) and None)
+    enumerate_graphs(GenFilter(n=5, regular_k=2), leaf=graph_leaf(got.append))
     assert len(got) == 1
     assert canonical_form(got[0]) == canonical_form(cycle_graph(5))
     stats = enumerate_graphs(GenFilter(n=7, regular_k=3))
     assert stats.infeasible and stats.classes == 0
     count = [0]
     enumerate_graphs(
-        GenFilter(n=9, regular_k=4), visitor=lambda g: count.__setitem__(0, count[0] + 1)
+        GenFilter(n=9, regular_k=4), leaf=graph_leaf(lambda g: count.__setitem__(0, count[0] + 1))
     )
     assert count[0] == 16
 
@@ -697,7 +702,7 @@ def test_regular_k3_on_six():
     # pinned: the two cubic classes on 6 vertices
     got = []
     enumerate_graphs(
-        GenFilter(n=6, regular_k=3), visitor=lambda g: got.append(canonical_form(g)) and None
+        GenFilter(n=6, regular_k=3), leaf=graph_leaf(lambda g: got.append(canonical_form(g)))
     )
     from turan_reg.graphs import complete_bipartite, cycle_graph, from_edges
 
@@ -708,10 +713,10 @@ def test_regular_k3_on_six():
 def test_regular_dense_side_uses_complement():
     # 8-regular graphs on 11 vertices: the complements of the 2-regular ones
     dense, sparse = [], []
-    enumerate_graphs(GenFilter(n=11, regular_k=8), visitor=lambda g: dense.append(g) and None)
+    enumerate_graphs(GenFilter(n=11, regular_k=8), leaf=graph_leaf(dense.append))
     enumerate_graphs(
         GenFilter(n=11, regular_k=2),
-        visitor=lambda g: sparse.append(canonical_form(complement(g))) and None,
+        leaf=graph_leaf(lambda g: sparse.append(canonical_form(complement(g)))),
     )
     assert all(g.is_regular(8) for g in dense)
     assert len(dense) == 6  # cycle partitions of 11 with parts >= 3
@@ -720,20 +725,20 @@ def test_regular_dense_side_uses_complement():
 
 def test_regular_k_zero():
     got = []
-    enumerate_graphs(GenFilter(n=4, regular_k=0), visitor=lambda g: got.append(g) and None)
+    enumerate_graphs(GenFilter(n=4, regular_k=0), leaf=graph_leaf(got.append))
     assert len(got) == 1 and got[0].edge_count == 0
 
 
-def test_visitor_early_stop():
+def test_leaf_call_early_stop():
     firsts = []
     for jobs in (1, 2):
         seen = []
 
-        def visit(g):
-            seen.append(g.rows)
+        def leaf(score, rows, s):
+            seen.append((rows, s))
             return True
 
-        stats = enumerate_graphs(GenFilter(n=6), visitor=visit, jobs=jobs)
+        stats = enumerate_graphs(GenFilter(n=6), leaf=leaf, jobs=jobs)
         assert len(seen) == 1
         assert stats.classes == 1
         firsts.append(seen[0])
@@ -759,7 +764,7 @@ EARLY_STOPS = """
 import multiprocessing as mp
 from turan_reg.enumeration import GenFilter, enumerate_graphs
 for _ in range(300):
-    stats = enumerate_graphs(GenFilter(n=6), visitor=lambda g: True, jobs=2)
+    stats = enumerate_graphs(GenFilter(n=6), leaf=lambda score, rows, s: True, jobs=2)
     assert stats.classes == 1 and not mp.active_children()
 stats = enumerate_graphs(GenFilter(n=6), jobs=2)
 assert stats.classes == 156 and not mp.active_children()
@@ -863,25 +868,27 @@ def test_infeasible_flag():
 K3 = (complete_graph(3),)
 PARALLEL_CASES = {
     **{
-        f"n{n}": lambda visit, jobs, n=n: enumerate_graphs(GenFilter(n=n), visitor=visit, jobs=jobs)
+        f"n{n}": lambda visit, jobs, n=n: enumerate_graphs(
+            GenFilter(n=n), leaf=graph_leaf(visit), jobs=jobs
+        )
         for n in range(1, 9)
     },
     "connected": lambda visit, jobs: enumerate_graphs(
-        GenFilter(n=7, connected=True), visitor=visit, jobs=jobs
+        GenFilter(n=7, connected=True), leaf=graph_leaf(visit), jobs=jobs
     ),
     "desc": lambda visit, jobs: enumerate_graphs(
-        GenFilter(n=7), visitor=visit, desc=True, jobs=jobs
+        GenFilter(n=7), leaf=graph_leaf(visit), desc=True, jobs=jobs
     ),
     **{
         f"regular-9-{k}{name}": lambda visit, jobs, k=k, forbidden=forbidden: enumerate_graphs(
-            GenFilter(n=9, regular_k=k, forbidden=forbidden), visitor=visit, jobs=jobs
+            GenFilter(n=9, regular_k=k, forbidden=forbidden), leaf=graph_leaf(visit), jobs=jobs
         )
         for k in (4, 6)
         for name, forbidden in (("", ()), ("-K3", K3))
     },
     # rows of more than 16 bits: leaves are packed in wider array items
     "regular-18-1": lambda visit, jobs: enumerate_graphs(
-        GenFilter(n=18, regular_k=1), visitor=visit, force=True, jobs=jobs
+        GenFilter(n=18, regular_k=1), leaf=graph_leaf(visit), force=True, jobs=jobs
     ),
 }
 

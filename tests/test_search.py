@@ -12,6 +12,7 @@ from helpers import (
     count_p4,
     count_stars,
     disjoint_union,
+    graph_leaf,
     naive_embedding_count,
     path_graph,
     random_graph,
@@ -217,7 +218,7 @@ def test_min_triangles_vs_complements():
                 co = complement(g)
                 scored.append((triangle_count(co), co))
 
-            enumerate_graphs(GenFilter(n=n, regular_k=n - 1 - k), visitor=visit)
+            enumerate_graphs(GenFilter(n=n, regular_k=n - 1 - k), leaf=graph_leaf(visit))
             assert (res.objective, res.classes, set(res.witnesses)) == _extremes(-1, scored), (n, k)
 
 
@@ -228,7 +229,7 @@ def _exr_direct(n, hspec):
     for k in range(n - 1, -1, -1):
         scored = []
         filt = GenFilter(n=n, regular_k=k, forbidden=hspec.members)
-        enumerate_graphs(filt, visitor=lambda g: scored.append((k, g)) and None)
+        enumerate_graphs(filt, leaf=graph_leaf(lambda g: scored.append((k, g))))
         if scored:
             return _extremes(+1, scored)
 
@@ -277,7 +278,7 @@ def test_max_k_total_reports_above_edge_level():
     best = None
     out = []
     enumerate_graphs(
-        GenFilter(n=6, max_degree=3, edge_count=9), visitor=lambda g: out.append(g) and None
+        GenFilter(n=6, max_degree=3, edge_count=9), leaf=graph_leaf(out.append)
     )
     best = max(sum(count_cliques(g, t) for t in range(3, 7)) for g in out)
     assert res.objective == best
@@ -369,7 +370,7 @@ def test_pattern_counter_from_parent_any_order():
     slow networkx oracle checks every fifth class and all the random
     graphs; the other oracles check every graph."""
     classes = []
-    enumerate_graphs(GenFilter(n=8, max_degree=4), visitor=classes.append)
+    enumerate_graphs(GenFilter(n=8, max_degree=4), leaf=graph_leaf(classes.append))
     rng = seeded_rng()
     mixed = [Graph(0, ())]
     for _ in range(200):
