@@ -367,12 +367,23 @@ PROBES = {
 }
 
 
+class _Subcommand(argparse.ArgumentParser):
+    """A subcommand's parser: it refuses an unknown option under its own
+    usage, where argparse would hand it back to the top parser."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        ns, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error("unrecognized arguments: " + " ".join(extras))
+        return ns, extras
+
+
 def build_parser():
     top = argparse.ArgumentParser(
         prog="turan-reg",
         description="regular Turan numbers: exact search, constructions, checks",
     )
-    sub = top.add_subparsers(dest="command", required=True)
+    sub = top.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
     jobs = argparse.ArgumentParser(add_help=False)
     jobs.add_argument("--jobs", type=int, default=1, help="worker processes")
 

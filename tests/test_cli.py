@@ -366,6 +366,26 @@ def test_probe_refuses_unread_option(args, unread, capsys):
     assert capsys.readouterr().err.endswith(f"error: unrecognized arguments: {unread}\n")
 
 
+@pytest.mark.parametrize(
+    "argv, unread",
+    [
+        (["probe", "triangle-floor", "--n", "0"], "--n 0"),
+        (["exr", "--n", "9", "--forbid", "K3", "--bogus"], "--bogus"),
+        (["suite", "smoke", "--bogus"], "--bogus"),
+    ],
+    ids=["probe", "exr", "suite"],
+)
+def test_unknown_option_is_refused_by_its_subcommand(argv, unread, capsys):
+    # the subcommand's own usage and name, not the top-level list of commands
+    command = " ".join(argv[:2] if argv[0] == "probe" else argv[:1])
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: turan-reg {command} [-h]")
+    assert err.endswith(f"turan-reg {command}: error: unrecognized arguments: {unread}\n")
+
+
 # a value each probe option accepts
 PROBE_VALUES = {"pattern": "K3", "n": "9", "n_max": "9", "m": "4", "r": "2", "t": "3"}
 

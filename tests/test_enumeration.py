@@ -768,6 +768,14 @@ for _ in range(300):
     assert stats.classes == 1 and not mp.active_children()
 stats = enumerate_graphs(GenFilter(n=6), jobs=2)
 assert stats.classes == 156 and not mp.active_children()
+# at n = 8 there are more seeds (34) than the window: stops spread over
+# the scan land while seeds are still being dealt
+for stop in range(1, 12346, 2000):
+    seen = []
+    stats = enumerate_graphs(
+        GenFilter(n=8), leaf=lambda score, rows, s: seen.append(s) or len(seen) == stop, jobs=3
+    )
+    assert stats.classes == len(seen) == stop and not mp.active_children()
 """
 
 
@@ -789,7 +797,7 @@ def dying(run, seed):  # each forked worker inherits the patch and dies on its t
     return descend(run, seed)
 parallel._descend = dying
 try:
-    enumerate_graphs(GenFilter(n=6), jobs=2)
+    enumerate_graphs(GenFilter(n=7), jobs=2)  # 11 seeds
 except EOFError:
     print("EOFError", len(mp.active_children()))
 """
@@ -797,6 +805,79 @@ except EOFError:
 
 def test_parallel_dead_worker_raises():
     assert _run_python(DEAD_WORKER, timeout=60).split() == ["EOFError", "0"]
+
+
+DEAD_ON_SEND = """
+import multiprocessing as mp, os
+from multiprocessing.context import ForkProcess
+from turan_reg import parallel
+from turan_reg.enumeration import GenFilter, enumerate_graphs
+parallel._work = lambda run, conn: os._exit(1)  # each worker dies at once
+start = ForkProcess.start
+def start_and_reap(self):  # so the first seed index goes to a dead worker
+    start(self)
+    self.join()
+ForkProcess.start = start_and_reap
+try:
+    enumerate_graphs(GenFilter(n=7), jobs=2)
+except EOFError as err:
+    print("EOFError", type(err.__cause__).__name__, len(mp.active_children()))
+"""
+
+
+def test_parallel_worker_dead_on_send_raises():
+    # the parent meets the death sending a seed index, not reading a result
+    got = _run_python(DEAD_ON_SEND, timeout=60).split()
+    assert got == ["EOFError", "BrokenPipeError", "0"]
+
+
+WINDOW_BOUND = """
+import multiprocessing as mp, os, tempfile, time
+from multiprocessing.connection import Connection
+from turan_reg import parallel
+from turan_reg.enumeration import GenFilter, enumerate_graphs
+W = parallel.WINDOW = 3
+log = tempfile.TemporaryFile("a+b", buffering=0)  # one write per event, shared by the workers
+main = os.getpid()
+descend, recv, emit = parallel._descend, Connection.recv, parallel._emit
+def slow_first(run, seed):  # in the workers
+    i = run.seeds.index(seed)
+    log.write(b"start %d\\n" % i)
+    if i == 0:
+        time.sleep(0.5)
+    return descend(run, seed)
+def logged_recv(conn):  # a result read, in the parent
+    got = recv(conn)
+    if os.getpid() == main:
+        log.write(b"read\\n")
+    return got
+def logged_emit(run, result):
+    log.write(b"emit\\n")
+    emit(run, result)
+parallel._descend, Connection.recv, parallel._emit = slow_first, logged_recv, logged_emit
+stats = enumerate_graphs(GenFilter(n=7), jobs=2)  # 11 seeds
+assert stats.classes == 1044 and not mp.active_children()
+log.seek(0)
+events = log.read().splitlines()
+starts = [int(e.split()[1]) for e in events if e.startswith(b"start")]
+assert sorted(starts) == list(range(11))
+read = emitted = 0
+for e in events:
+    read += e == b"read"
+    emitted += e == b"emit"
+    assert read - emitted <= W, events  # results held back for emission in order
+    if e.startswith(b"start"):
+        assert int(e.split()[1]) < emitted + W, events  # dealt no further than the window
+# the other worker ran ahead of seed 0 as far as the window allows
+first = events[:events.index(b"emit")]
+assert max(int(e.split()[1]) for e in first if e.startswith(b"start")) == W - 1
+print("ok")
+"""
+
+
+def test_parallel_window_bounds_dealing():
+    # seed 0 is slow: the other worker may run ahead, but not past the window
+    assert _run_python(WINDOW_BOUND, timeout=60).split() == ["ok"]
 
 
 SERIAL_SEARCHES = """
@@ -896,11 +977,11 @@ PARALLEL_CASES = {
 @pytest.mark.parametrize("case", sorted(PARALLEL_CASES))
 def test_parallel_matches_serial(case):
     runs = []
-    for jobs in (1, 2):
+    for jobs in (1, 2, 3):
         rows = []
         stats = PARALLEL_CASES[case](lambda g: rows.append(g.rows) and None, jobs)
         runs.append((rows, stats.classes, stats.nodes, stats.pruned))
-    assert runs[0] == runs[1]
+    assert runs[0] == runs[1] == runs[2]
 
 
 def test_subtree_packs_leaves():
