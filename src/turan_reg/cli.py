@@ -72,6 +72,10 @@ class SuiteError(ValueError):
     """An unknown suite id."""
 
 
+class OutError(ValueError):
+    """An --out or --report path that cannot be opened for writing."""
+
+
 # ---------------------------------------------------------------------------
 # table reproduction
 
@@ -306,16 +310,14 @@ def run_check(check, ctx):
     return actual, actual == check["expect"], time.perf_counter() - t0
 
 
-def run_suite(suite_id, jobs=1, seed=DEFAULT_SEED, stream=None):
-    if stream is None:
-        stream = sys.stdout
+def run_suite(suite_id, jobs=1, seed=DEFAULT_SEED):
     suites = load_suites()
     if suite_id not in suites:
         raise SuiteError(f"unknown suite {suite_id!r}; choose from {sorted(suites)}")
     ctx = {"jobs": jobs, "seed": seed}
     suite = suites[suite_id]
     report = {"suite": suite_id, "seed": seed, "checks": [], "passed": True}
-    print(f"suite {suite_id}: {suite['description']} (seed={seed})", file=stream)
+    print(f"suite {suite_id}: {suite['description']} (seed={seed})")
     for check in suite["checks"]:
         actual, ok, dt = run_check(check, ctx)
         report["checks"].append(
@@ -330,16 +332,10 @@ def run_suite(suite_id, jobs=1, seed=DEFAULT_SEED, stream=None):
         )
         report["passed"] = report["passed"] and ok
         status = "PASS" if ok else "FAIL"
-        print(
-            f"  [{check['tag']}] {check['id']}: expect={check['expect']!r} "
-            f"actual={actual!r} {status} ({dt:.2f}s)",
-            file=stream,
-        )
-    print(
-        f"suite {suite_id}: {'PASS' if report['passed'] else 'FAIL'} "
-        f"({len(report['checks'])} checks)",
-        file=stream,
-    )
+        print(f"  [{check['tag']}] {check['id']}: expect={check['expect']!r} "
+              f"actual={actual!r} {status} ({dt:.2f}s)")
+    print(f"suite {suite_id}: {'PASS' if report['passed'] else 'FAIL'} "
+          f"({len(report['checks'])} checks)")
     return report
 
 
@@ -348,7 +344,7 @@ def run_suite(suite_id, jobs=1, seed=DEFAULT_SEED, stream=None):
 
 
 # every parameter some builder takes, each a construct option of its name
-CONSTRUCT_PARAMS = sorted({a for _, names, _ in constructions.BUILDERS.values() for a in names})
+CONSTRUCT_PARAMS = sorted({a for names in constructions.PARAMS.values() for a in names})
 
 
 def int_list(text):
@@ -458,7 +454,12 @@ def build_parser():
 
 
 def _open_out(out):
-    return contextlib.nullcontext(sys.stdout) if out == "-" else open(out, "w")
+    if out == "-":
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(out, "w")
+    except OSError as exc:
+        raise OutError(f"cannot write {out}: {exc.strerror}") from None
 
 
 def _write(text, out):
@@ -561,8 +562,7 @@ def _cmd_probe(ns):
 def _cmd_suite(ns):
     report = run_suite(ns.id, jobs=ns.jobs, seed=ns.seed)
     if ns.report:
-        with open(ns.report, "w") as fh:
-            json.dump(report, fh, indent=2)
+        _write(json.dumps(report, indent=2), ns.report)
     return 0 if report["passed"] else 1
 
 
@@ -586,8 +586,8 @@ COMMANDS = {
 
 # the package's own errors; main reports them as usage errors (exit 2)
 NAMED_ERRORS = (
-    constructions.ConstructionError, EnumerationError, FormulaError, GraphError, SearchError,
-    SuiteError,
+    constructions.ConstructionError, EnumerationError, FormulaError, GraphError, OutError,
+    SearchError, SuiteError,
 )
 
 

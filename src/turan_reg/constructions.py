@@ -22,15 +22,18 @@ and ``triangle-min-extremal`` are all ``apex_construction``: the last
 two are its window point and its point n = 2k+1.  ``pentagon-blowup``
 is ``odd_girth_blowup`` at ell = 2.
 
-Each builder owns its sweep grid: given the sweep check's arguments as
-keywords, it yields the parameters of each point.  Builders that share
-code share a grid; the pentagon's is the odd-girth grid at ell = 2.
+A ``BUILDERS`` entry is (builder, sweep grid).  The builder's
+signature names the parameters it takes: ``PARAMS`` reads them once,
+and ``build`` and the ``construct`` options follow it.  Given the sweep
+check's arguments as keywords, the grid yields the parameters of each
+point.  Builders that share code share a grid; the pentagon's is the
+odd-girth grid at ell = 2.
 """
 
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate
 from operator import or_
@@ -38,7 +41,8 @@ from operator import or_
 from .formulas import conjectured_triangle_min, triangle_window
 from .graphs import (
     Graph,
-    bits,
+    cliques_within,
+    complement,
     complete_graph,
     cycle_graph,
     induced_subgraph,
@@ -58,10 +62,8 @@ class ConstructionError(ValueError):
 
 @dataclass
 class ConstructionResult:
-    name: str
-    params: dict
     graph: Graph
-    certificate: dict = field(default_factory=dict)
+    certificate: dict
 
 
 def _certify(name, params, graph, checks, regular=None):
@@ -93,7 +95,7 @@ def _certify(name, params, graph, checks, regular=None):
         "size": sum(degrees) // 2,
         "checks": report,
     }
-    return ConstructionResult(name, params, graph, cert)
+    return ConstructionResult(graph, cert)
 
 
 def _maps_onto(rows, sizes, target):
@@ -167,25 +169,11 @@ def _delete_rotations(rows, a, b, size, shifts):
 
 
 def _blowup_part_sizes(ell, x, y):
-    m_parts = 2 * ell + 1
-    sizes = []
-    if ell % 2 == 1:  # M = 3 mod 4
-        for i in range(1, m_parts + 1):
-            if i % 2 == 1:
-                sizes.append(x)
-            elif i % 4 == 2:
-                sizes.append(x + y)
-            else:
-                sizes.append(x - y)
-    else:  # M = 1 mod 4
-        for i in range(1, m_parts + 1):
-            if i % 2 == 0:
-                sizes.append(x)
-            elif i % 4 == 1:
-                sizes.append(x + y)
-            else:
-                sizes.append(x - y)
-    return sizes
+    """The 2*ell+1 part sizes: x, x + y, x, x - y repeating, begun at
+    x + y for even ell and at x for odd ell, so the first and last parts
+    agree in size."""
+    start = 1 - ell % 2
+    return [(x, x + y, x, x - y)[i % 4] for i in range(start, start + 2 * ell + 1)]
 
 
 def _build_cycle_blowup(sizes, matchings_removed):
@@ -262,12 +250,9 @@ def circulant_small_odd(n):
         raise ConstructionError("order must be odd, 5 <= n <= 19 and not 15")
     k_half = n // 5
     diffs = [2 * h + 1 for h in range(k_half)]
-    rows = [0] * n
-    for i in range(n):
-        for d in diffs:
-            rows[i] |= 1 << ((i + d) % n)
-            rows[i] |= 1 << ((i - d) % n)
-    g = Graph(n, tuple(rows))
+    # row i is the mask of the differences +-d rotated up by i
+    fwd, rev = _shift_masks(diffs, n)
+    g = Graph(n, tuple(_rotations(fwd | rev, n)))
     return _certify(
         "circulant-small-odd",
         {"n": n, "differences": diffs},
@@ -328,8 +313,7 @@ def apex_construction(n, k):
     # apex, and the triangles are the edges inside its neighbourhood
     if _maps_onto(g.rows[:apex], (p, p), complete_graph(2).rows):
         off_odd_girth = None
-        near = rows[apex]
-        triangles = sum((rows[u] & near).bit_count() for u in bits(near)) // 2
+        triangles = cliques_within(rows, rows[apex], 2)
     else:
         off_odd_girth = odd_girth(induced_subgraph(g, apex))
         triangles = triangle_count(g)
@@ -476,6 +460,15 @@ def _multipartite_grid(n_max, r_max=8):
 # bipartite-with-matching family
 
 
+def _bipartite_with_pairs(big, small, pairs):
+    """The rows of K_{big,small}, the big side 0..big-1 first, plus the
+    edges 2i -- 2i+1 for i < pairs."""
+    rows = [((1 << small) - 1) << big] * big + [(1 << big) - 1] * small
+    for v in range(2 * pairs):
+        rows[v] |= 1 << (v ^ 1)
+    return rows
+
+
 def kbe_graph(x, y):
     """Complete bipartite K_{2x,y} plus a perfect matching in the 2x side."""
     if x < 1:
@@ -483,18 +476,7 @@ def kbe_graph(x, y):
     if not 0 <= y <= 2 * x:
         raise ConstructionError("y must satisfy 0 <= y <= 2x")
     n = 2 * x + y
-    rows = [0] * n
-    ymask = ((1 << y) - 1) << (2 * x)
-    bigmask = (1 << (2 * x)) - 1
-    for v in range(2 * x):
-        rows[v] = ymask
-    for v in range(2 * x, n):
-        rows[v] = bigmask
-    for i in range(x):
-        a, b = 2 * i, 2 * i + 1
-        rows[a] |= 1 << b
-        rows[b] |= 1 << a
-    g = Graph(n, tuple(rows))
+    g = Graph(n, tuple(_bipartite_with_pairs(2 * x, y, x)))
     return _certify(
         "kbe",
         {"x": x, "y": y},
@@ -516,19 +498,10 @@ def odd_half_construction(n):
     if n % 2 == 0 or n < 5:
         raise ConstructionError("order must be odd and >= 5")
     x = (n - 1) // 2
-    big, small = x + 1, x
-    rows = [0] * n
+    big, small, pairs = x + 1, x, (x + 1) // 2
+    rows = _bipartite_with_pairs(big, small, pairs)
     small_mask = ((1 << small) - 1) << big
     big_mask = (1 << big) - 1
-    for v in range(big):
-        rows[v] = small_mask
-    for v in range(big, n):
-        rows[v] = big_mask
-    pairs = (x + 1) // 2
-    for i in range(pairs):
-        a, b = 2 * i, 2 * i + 1
-        rows[a] |= 1 << b
-        rows[b] |= 1 << a
     if x % 2 == 0:
         # degree-(x+1) vertices: the 2*pairs matched big-side vertices and
         # all small-side vertices; remove the rotational matching between
@@ -580,7 +553,6 @@ def star_forest_complement(n, parts):
     if sum(a + 1 for a in parts) != n:
         raise ConstructionError("star orders must partition n exactly")
     rows = [0] * n
-    full = (1 << n) - 1
     start = 0
     for a in parts:
         center = start
@@ -589,7 +561,7 @@ def star_forest_complement(n, parts):
             rows[leaf] = cmask
             rows[center] |= 1 << leaf
         start += a + 1
-    g = Graph(n, tuple((full ^ rows[v]) & ~(1 << v) for v in range(n)))
+    g = complement(Graph(n, tuple(rows)))
     max_deg = max((r.bit_count() for r in g.rows), default=0)
     return _certify(
         "star-forest-complement",
@@ -602,38 +574,41 @@ def star_forest_complement(n, parts):
     )
 
 
-# name -> (builder, parameter names, sweep grid); see the module
-# docstring for the names that share a builder
+# name -> (builder, sweep grid); see the module docstring for the
+# names that share a builder
 BUILDERS = {
     "pentagon-blowup": (
-        lambda n: odd_girth_blowup(n, 2), ("n",),
+        lambda n: odd_girth_blowup(n, 2),
         lambda n_max: ({"n": p["n"]} for p in _odd_girth_grid(n_max, ell_max=2)),
     ),
     "circulant-small-odd": (
-        circulant_small_odd, ("n",), lambda: ({"n": n} for n in (5, 7, 9, 11, 13, 17, 19))
+        circulant_small_odd, lambda: ({"n": n} for n in (5, 7, 9, 11, 13, 17, 19))
     ),
-    "odd-girth-blowup": (odd_girth_blowup, ("n", "ell"), _odd_girth_grid),
-    "apex": (apex_construction, ("n", "k"), _window_grid),
-    "multipartite-regular": (multipartite_regular, ("n", "r"), _multipartite_grid),
+    "odd-girth-blowup": (odd_girth_blowup, _odd_girth_grid),
+    "apex": (apex_construction, _window_grid),
+    "multipartite-regular": (multipartite_regular, _multipartite_grid),
     "kbe": (
-        kbe_graph, ("x", "y"),
+        kbe_graph,
         lambda x_max=8: ({"x": x, "y": y} for x in range(1, x_max + 1) for y in range(2 * x + 1)),
     ),
     "odd-half": (
-        odd_half_construction, ("n",), lambda n_max: ({"n": n} for n in range(5, n_max + 1, 2))
+        odd_half_construction, lambda n_max: ({"n": n} for n in range(5, n_max + 1, 2))
     ),
     "triangle-min-extremal": (
-        lambda k: apex_construction(2 * k + 1, k), ("k",),
+        lambda k: apex_construction(2 * k + 1, k),
         lambda k_max, spots=(): ({"k": k} for k in [*range(4, k_max + 1, 2), *spots]),
     ),
-    "split-apex-equality": (apex_construction, ("n", "k"), _window_grid),
+    "split-apex-equality": (apex_construction, _window_grid),
     "star-forest-complement": (
-        star_forest_complement, ("n", "parts"),
+        star_forest_complement,
         lambda n_max: (
             {"n": n, "parts": parts} for n in range(2, n_max + 1) for parts in star_partitions(n)
         ),
     ),
 }
+
+# name -> the parameter names its builder's signature lists
+PARAMS = {name: tuple(inspect.signature(fn).parameters) for name, (fn, _) in BUILDERS.items()}
 
 
 def _entry(name):
@@ -643,9 +618,10 @@ def _entry(name):
 
 
 def build(name, **params):
-    """Run the named builder on exactly the parameters it takes; the
-    result and its certificate carry ``name``."""
-    fn, argnames, _ = _entry(name)
+    """Run the named builder on exactly the parameters it takes; its
+    certificate carries ``name``."""
+    fn, _ = _entry(name)
+    argnames = PARAMS[name]
     missing = [a for a in argnames if a not in params]
     if missing:
         raise ConstructionError(f"{name} needs parameters {missing}")
@@ -653,7 +629,7 @@ def build(name, **params):
     if extra:
         raise ConstructionError(f"{name} takes parameters {list(argnames)}, not {extra}")
     result = fn(**params)
-    result.name = result.certificate["name"] = name
+    result.certificate["name"] = name
     return result
 
 
@@ -662,7 +638,7 @@ def grid(name, args):
     for the sweep check's arguments ``args`` (without ``name``); an
     argument the grid does not take, or a missing one, is refused with
     the arguments it takes."""
-    _, _, sweep = _entry(name)
+    _, sweep = _entry(name)
     signature = inspect.signature(sweep)
     try:
         signature.bind(**args)

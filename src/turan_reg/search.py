@@ -214,10 +214,10 @@ def _scan_extreme(sign, cap, scan):
 def exr_exact(n, hspec, all_witnesses=False, witness_cap=DEFAULT_WITNESS_CAP, jobs=1):
     """Largest degree of a regular pattern-free graph on n vertices.
 
-    Iterates the degree downward (skipping odd products nk) and stops at
-    the first degree admitting a pattern-free class.  By default the
-    enumeration short-circuits at the first witness; ``all_witnesses``
-    keeps scanning so the extremal class count is exact.
+    Iterates the degree downward, skipping infeasible filters (nk odd),
+    and stops at the first degree admitting a pattern-free class.  By
+    default the enumeration short-circuits at the first witness;
+    ``all_witnesses`` keeps scanning so the extremal class count is exact.
 
     A degree k <= (n - 1)/2 is scanned on the direct side, where the
     patterns prune the tree.  A denser k lists the (n - 1 - k)-regular
@@ -229,14 +229,14 @@ def exr_exact(n, hspec, all_witnesses=False, witness_cap=DEFAULT_WITNESS_CAP, jo
         raise SearchError("order must be >= 1")
     total = GenStats()
     for k in range(n - 1, -1, -1):
-        if (n * k) % 2 != 0:  # no k-regular graph; scanning it would mark the stats infeasible
+        filt = GenFilter(n=n, regular_k=k, forbidden=hspec.members)
+        if filt.infeasible():  # no k-regular graph; scanning it would mark the stats infeasible
             continue
 
         def scan(update):  # every class scores k; stops at the first unless counting
             leaf = lambda _, rows, s: update(k, rows, s) or not all_witnesses
             kc = n - 1 - k
             if kc >= k:
-                filt = GenFilter(n=n, regular_k=k, forbidden=hspec.members)
                 return enumerate_graphs(filt, jobs=jobs, leaf=leaf)
 
             def co_leaf(_, rows, s):

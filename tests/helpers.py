@@ -246,6 +246,30 @@ def odd_girth_oracle(g):
     return best
 
 
+def blowup_part_sizes_oracle(ell, x, y):
+    """The blow-up part sizes by the rule for each residue of
+    M = 2*ell + 1 mod 4, part i = 1..M."""
+    m_parts = 2 * ell + 1
+    sizes = []
+    if ell % 2 == 1:  # M = 3 mod 4
+        for i in range(1, m_parts + 1):
+            if i % 2 == 1:
+                sizes.append(x)
+            elif i % 4 == 2:
+                sizes.append(x + y)
+            else:
+                sizes.append(x - y)
+    else:  # M = 1 mod 4
+        for i in range(1, m_parts + 1):
+            if i % 2 == 0:
+                sizes.append(x)
+            elif i % 4 == 1:
+                sizes.append(x + y)
+            else:
+                sizes.append(x - y)
+    return sizes
+
+
 def delete_rotations_oracle(rows, a, b, size, shifts):
     """The rotational deletion one pair at a time: for each shift c and
     0 <= i < size, clear the edge a + i -- b + (i + c) % size, in place."""

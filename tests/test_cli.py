@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import json
 import re
@@ -19,7 +20,7 @@ from turan_reg.cli import (
     main,
     run_suite,
 )
-from turan_reg.constructions import BUILDERS, build, star_partitions
+from turan_reg.constructions import BUILDERS, PARAMS, build, star_partitions
 from turan_reg.graphs import graph6_decode, graph6_encode
 from turan_reg.search import HSpec
 
@@ -66,10 +67,13 @@ def test_construct_command(tmp_path, capsys):
 
 
 def test_construct_options_from_registry(capsys):
-    """Each parameter a builder takes is a construct option of its name;
-    --parts reads a list of leaf counts."""
+    """Each parameter a builder's signature lists is a construct option
+    of its name; --parts reads a list of leaf counts."""
     parser = build_parser()
-    for name, (_, params, _) in BUILDERS.items():
+    assert set(PARAMS) == set(BUILDERS)
+    for name, (fn, _) in BUILDERS.items():
+        params = PARAMS[name]
+        assert params == tuple(inspect.signature(fn).parameters), name
         values = {a: [1, 2] if a == "parts" else 1 for a in params}
         argv = [f"--{a}={','.join(map(str, v)) if a == 'parts' else v}" for a, v in values.items()]
         ns = parser.parse_args(["construct", name, *argv])
@@ -458,6 +462,29 @@ def test_suite_command(tmp_path, capsys):
     assert report["passed"] is True
     assert report["seed"] == 20210831
     assert [c["id"] for c in report["checks"]] == ["cells-n6", "cells-n7", "cells-n8"]
+
+
+UNWRITABLE = [
+    ["construct", "kbe", "--x", "1", "--y", "1", "--out"],
+    ["enumerate", "--n", "3", "--out"],
+    ["table", "--r", "4", "--n-from", "6", "--n-to", "6", "--out"],
+    ["suite", "table1", "--report"],
+]
+
+
+@pytest.mark.parametrize("argv", UNWRITABLE, ids=[a[0] for a in UNWRITABLE])
+def test_unwritable_out_is_usage_error(argv, tmp_path, capsys):
+    """An --out or --report path that cannot be opened is a named error,
+    exit 2, raised after the run: the path is a file's child here."""
+    blocker = tmp_path / "file"
+    blocker.write_text("kept\n")
+    path = blocker / "x"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, str(path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: cannot write {path}: Not a directory" in err and "Traceback" not in err
+    assert blocker.read_text() == "kept\n"
 
 
 def test_suite_unknown(capsys):

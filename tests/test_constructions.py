@@ -4,7 +4,13 @@ import random
 
 import pytest
 
-from helpers import multipartite_rows_oracle, odd_girth_oracle, random_graph, triangle_count_oracle
+from helpers import (
+    blowup_part_sizes_oracle,
+    multipartite_rows_oracle,
+    odd_girth_oracle,
+    random_graph,
+    triangle_count_oracle,
+)
 
 from turan_reg import constructions
 from turan_reg.canon import canonical_form
@@ -12,6 +18,8 @@ from turan_reg.cli import load_suites, run_check
 from turan_reg.constructions import (
     BUILDERS,
     ConstructionError,
+    _bipartite_with_pairs,
+    _blowup_part_sizes,
     _certify,
     _is_cycle,
     _maps_onto,
@@ -34,6 +42,7 @@ from turan_reg.graphs import (
     contains_subgraph,
     count_cycles,
     cycle_graph,
+    from_edges,
     graph6_encode,
     induced_subgraph,
     is_triangle_free,
@@ -48,7 +57,7 @@ def test_pentagon_blowup():
     assert r.graph.is_regular(10)
     assert is_triangle_free(r.graph)
     r = build("pentagon-blowup", n=23)
-    assert r.params["part_sizes"] == [7, 4, 1, 4, 7]
+    assert r.certificate["params"]["part_sizes"] == [7, 4, 1, 4, 7]
     assert r.graph.is_regular(8)
     assert is_triangle_free(r.graph)
     with pytest.raises(ConstructionError):
@@ -61,6 +70,34 @@ def test_pentagon_matches_closed_form():
     for n in (5, 11, 15, 17, 21, 35, 101):
         g = build("pentagon-blowup", n=n).graph
         assert g.is_regular(2 * (n // 5))
+
+
+def test_blowup_part_sizes_vs_oracle():
+    for ell in range(2, 13):
+        for x in range(13):
+            for y in range(x):
+                assert _blowup_part_sizes(ell, x, y) == blowup_part_sizes_oracle(ell, x, y)
+
+
+def test_bipartite_with_pairs_vs_edges():
+    """K_{big,small} plus the pairs 2i -- 2i+1, for every pair count the
+    big side holds."""
+    for big in range(7):
+        for small in range(5):
+            cross = [(u, big + w) for u in range(big) for w in range(small)]
+            for pairs in range(big // 2 + 1):
+                edges = cross + [(2 * i, 2 * i + 1) for i in range(pairs)]
+                rows = _bipartite_with_pairs(big, small, pairs)
+                assert tuple(rows) == from_edges(big + small, edges).rows, (big, small, pairs)
+
+
+def test_circulant_rows_vs_edges():
+    """Row i of the circulant holds i +- d for each odd difference d."""
+    for n in (5, 7, 9, 11, 13, 17, 19):
+        r = circulant_small_odd(n)
+        diffs = r.certificate["params"]["differences"]
+        edges = [(i, (i + d) % n) for i in range(n) for d in diffs]
+        assert r.graph.rows == from_edges(n, edges).rows, n
 
 
 def test_circulant_small_odd():
@@ -80,7 +117,7 @@ def test_circulant_small_odd():
 
 def test_odd_girth_blowup():
     r = odd_girth_blowup(37, 3)
-    assert r.params["part_sizes"] == [5, 7, 5, 3, 5, 7, 5]
+    assert r.certificate["params"]["part_sizes"] == [5, 7, 5, 3, 5, 7, 5]
     assert r.graph.is_regular(10)
     assert odd_girth(r.graph) == 7
     assert not contains_subgraph(r.graph, cycle_graph(5))
@@ -123,7 +160,7 @@ def test_multipartite_regular():
     r = multipartite_regular(14, 4)
     assert r.graph.is_regular(8)
     assert r.graph.n == 14
-    assert r.params["parts"] == [4, 4, 6]
+    assert r.certificate["params"]["parts"] == [4, 4, 6]
     r = multipartite_regular(25, 5)
     assert r.graph.is_regular(18)
     with pytest.raises(ConstructionError):
@@ -598,7 +635,7 @@ def test_merged_builders_golden(name):
             continue
         h.update(graph6_encode(res.graph).encode() + b"\n")
         cert = res.certificate
-        assert res.name == cert["name"] == name, params
+        assert cert["name"] == name, params
         assert props <= {c["property"] for c in cert["checks"]}, params
         assert all(c["ok"] for c in cert["checks"]), params
     assert len(points) == count
