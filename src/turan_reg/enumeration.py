@@ -54,24 +54,24 @@ These bounds cut only children whose subtree emits nothing, so they
 lower the node and prune counts and leave the emitted set and its order
 unchanged.
 
-``GenStats.pruned`` counts the children dropped by reason:
-``forbidden`` (the child would contain a forbidden pattern through the
-new vertex, counted from the parent's rows and the attachment set
-without building the child), ``canonical`` (the new vertex has the
-extremal degree but is not in the orbit of the canonical-deletion
-vertex, whether the degree stage decides it before the child is built
-or a refinement after) and ``connectivity`` (a leaf failing the
-``connected`` filter at emission).
-
-Scoring is part of the descent.  A canonical parent is an induced
-subgraph of its child, so a scorer's count of a child is the parent's
-count plus the copies through the new vertex, ``through(rows)(s)`` (see
-``PatternCounter``); each node carries its count, and builds its
-``through`` once, at its first accepted child.  A leaf is handed over as
-(count, parent rows, s), and a leaf that the degree stage accepts
-outright is never built: a leaf call that needs the graph builds it
-from those (``extend_graph``).  At ``jobs > 1`` the seeds carry their
-counts and the workers send each leaf's count with its parent rows and
+A scorer and a per-child test have one shape: built once per node from
+its rows, a function of the attachment set s.  A canonical parent is an
+induced subgraph of its child, so a scorer's count of a child is the
+parent's count plus ``through(rows)(s)``, the copies through the new
+vertex (``PatternCounter``, ``CliqueTotal``, ``_NoScore``); each node
+carries its count and builds ``through`` at its first accepted child.
+A test, rows -> (s -> drop?), is one ``(reason, test)`` entry of the
+run's list, which ``descend`` runs in order before the degree stage: a
+dropped child counts once in ``GenStats.pruned``, under the first
+reason that drops it.  The entries are the forbidden patterns, each H
+as ``PatternCounter(H).through(rows, first=True)``, a copy through the
+new vertex.  The other reasons are ``canonical`` (the new vertex has
+the extremal degree but is not in the orbit of the canonical-deletion
+vertex, found by the degree stage or a refinement) and ``connectivity``
+(a leaf failing ``connected`` at emission).  A leaf is handed over as
+(count, parent rows, s), unbuilt if the degree stage accepts it (a leaf
+call builds it with ``extend_graph``).  At ``jobs > 1`` the seeds carry
+their counts and the workers send each leaf's with its parent rows and
 set (see ``parallel``), so the main process only compares.
 
 The ``desc`` flag flips the cell-ordering convention of the canonical
@@ -84,6 +84,7 @@ from __future__ import annotations
 import resource
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import combinations, repeat
 
 from .canon import _refine, _search, _split, orbits_from_generators
@@ -374,7 +375,7 @@ def _accept(rows, stage, desc, leaf):
 
 
 class _NoScore:
-    """The scorer of an unscored run: every count is 0."""
+    """A scorer whose every count is 0 (see the module docstring)."""
 
     @staticmethod
     def through(rows):
@@ -393,7 +394,13 @@ class _Run:
         if self.k is not None:
             self.m = self.n * self.k // 2
         self.connected = filt.connected
-        self.counters = [PatternCounter(h) for h in filt.forbidden]
+        # the per-child tests, in order (see the module docstring)
+        self.tests = [("forbidden", partial(PatternCounter(h).through, first=True))
+                      for h in filt.forbidden]
+        # from this depth on no child has its generators read: a leaf, and
+        # under a regular filter a child one vertex short of n, whose last
+        # vertex has one forced set
+        self.unread = self.n - 1 if self.k is None else self.n - 2
         self.visit = leaf
         self.scorer = scorer if scorer is not None else _NoScore()
         self.desc = desc
@@ -509,11 +516,8 @@ class _Run:
 
     def descend(self, rows, j, gens, edges, count=0):
         """Descend the node with these rows on j vertices, whose score is
-        ``count``.  A child's score is ``count`` plus the scorer's
-        ``through(rows)`` at its attachment set, that function built once,
-        at the first child accepted.  A child on n vertices is a leaf: it
-        goes to ``self.leaf`` as (score, rows, s) and is built only when
-        acceptance must refine it."""
+        ``count`` (see the module docstring); a child on n vertices is a
+        leaf, and goes to ``self.leaf`` as (score, rows, s)."""
         if j == self.split:
             self.seeds.append((rows, gens, edges, count))
             return
@@ -527,15 +531,14 @@ class _Run:
             return
         degrees = _child_degrees(classes, self.desc)
         last = j + 1 == self.n
-        # under a regular filter the last vertex has one forced set, so a
-        # child one vertex short of n never has its generators read either
-        leaf = last or (self.k is not None and j + 2 == self.n)
-        # per forbidden pattern: is there a copy through j, child unbuilt
-        checks = [c.through(rows, first=True) for c in self.counters]
+        leaf = j >= self.unread
+        tests = [(reason, test(rows)) for reason, test in self.tests]
         through = None
         for s in _attachment_reps(j, gens, window):
-            if checks and any(check(s) for check in checks):
-                self.stats.bump("forbidden")
+            # the first test that drops s; with no test, one truth test
+            hit = tests and next((reason for reason, test in tests if test(s)), None)
+            if hit:
+                self.stats.bump(hit)
                 continue
             stage = _degree_stage(rows, s, degrees, self.desc)
             if stage is None:
@@ -593,12 +596,11 @@ def enumerate_graphs(filt, leaf=None, desc=False, force=False, jobs=1, scorer=No
 
     The ``leaf`` call sees each class as (score, rows, s), the rows of
     its parent in the tree and the attachment set of its last vertex
-    (``extend_graph`` builds it), with no graph built; the score is that
-    of the ``scorer``, anything with ``through(rows)`` as
-    ``PatternCounter`` has, summed down the tree from the root (see
-    ``_Run.descend``), or 0 without one.  A leaf call returning a truthy
-    value stops the run early.  Orders beyond the hard cap (n = 11)
-    require ``force``; without it they raise ``CapError``.
+    (``extend_graph`` builds it), with no graph built; the score is the
+    ``scorer``'s (see the module docstring), or 0 without one.  A leaf
+    call returning a truthy value stops the run early.  Orders beyond
+    the hard cap (n = 11) require ``force``; without it they raise
+    ``CapError``.
 
     With ``jobs > 1`` the descent stops at depth n - 3 and records the
     accepted graphs there as seeds, each with its score; ``jobs`` forked

@@ -250,14 +250,7 @@ def connected_components(g):
         seen = start
         frontier = start
         while frontier:
-            nxt = 0
-            m = frontier
-            while m:
-                low = m & -m
-                v = low.bit_length() - 1
-                m ^= low
-                nxt |= rows[v]
-            frontier = nxt & ~seen
+            frontier = _row_union(rows, frontier) & ~seen
             seen |= frontier
         comps.append(seen)
         left &= ~seen
@@ -567,10 +560,8 @@ class PatternCounter:
       (``_embeddings``), over the order of the pattern's automorphism
       group, its maps into itself.
 
-    A graph's count is its parent's count plus ``through(parent)(s)``, so
-    the augmentation tree scores every class from the node above it (see
-    ``enumeration``): the counter is a scorer, and no whole graph is
-    counted.
+    The counter is a scorer, and with ``first`` a forbidden test (see
+    ``enumeration``), so no whole graph is counted.
     """
 
     def __init__(self, pattern):
@@ -609,9 +600,9 @@ class PatternCounter:
 
 
 class CliqueTotal:
-    """Cliques of 2 or more vertices, a scorer as ``PatternCounter`` is:
-    those through a new vertex joined to s are the nonempty cliques
-    inside s (``all_cliques_within``)."""
+    """Cliques of 2 or more vertices, a scorer (see ``enumeration``): those
+    through a new vertex joined to s are the nonempty cliques inside s
+    (``all_cliques_within``)."""
 
     @staticmethod
     def through(rows):

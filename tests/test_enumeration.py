@@ -505,22 +505,31 @@ def _leaf_alone(stage, rows, *args, n=8):
 
 
 # (children built, refinements from acceptance, refinement rounds in all,
-# searches) of GenFilter(n=8, max_degree=4) in each order.  Building every
-# attachment rep before the degree stage built 6133 and 4730 children, and
-# building the leaves that the stage accepts outright 3581 and 3582.
-# Searching every leaf whose last cell holds more than the new vertex took
-# 11925 and 11821 rounds and 1361 and 1382 searches; an involution that
-# swaps only single-vertex differences took 8961 and 8080 rounds and 898
-# and 767 searches.
-ACCEPT_COST = {False: (1914, 1914, 7778, 767), True: (1936, 1936, 7108, 652)}
+# searches) of each filter, ascending and desc.  Under the degree cap,
+# building every attachment rep before the degree stage built 6133 and
+# 4730 children, and building the leaves that the stage accepts outright
+# 3581 and 3582.  Searching every leaf whose last cell holds more than the
+# new vertex took 11925 and 11821 rounds and 1361 and 1382 searches; an
+# involution that swaps only single-vertex differences took 8961 and 8080
+# rounds and 898 and 767 searches.  Under the regular filter, treating the
+# children one vertex short of n, whose generators are never read, as
+# inner nodes took 762 and 831 searches.
+ACCEPT_COST = {
+    "asc": (GenFilter(n=8, max_degree=4), False, (1914, 1914, 7778, 767)),
+    "desc": (GenFilter(n=8, max_degree=4), True, (1936, 1936, 7108, 652)),
+    "regular-10-4-asc": (GenFilter(n=10, regular_k=4), False, (1226, 1094, 13258, 617)),
+    "regular-10-4-desc": (GenFilter(n=10, regular_k=4), True, (1323, 1238, 14298, 676)),
+}
 
 
-@pytest.mark.parametrize("desc", [False, True], ids=["asc", "desc"])
-def test_acceptance_cost(desc, monkeypatch):
+@pytest.mark.parametrize("run", list(ACCEPT_COST))
+def test_acceptance_cost(run, monkeypatch):
     """A child is built only once the degree stage, read from its parent,
     has passed it; acceptance refines it from the stage's round-2
-    partition, so a change that builds rejected children again, or
-    refines from the degree cells, changes these counts."""
+    partition, and searches no child whose generators are never read, so
+    a change that builds rejected children again, refines from the degree
+    cells or searches such a child changes these counts."""
+    filt, desc, cost = ACCEPT_COST[run]
     counts = dict.fromkeys(("built", "passed", "unbuilt", "refined", "rounds", "searched"), 0)
 
     def counting(module, name, key, test=lambda out, *args: True):
@@ -535,18 +544,19 @@ def test_acceptance_cost(desc, monkeypatch):
 
     counting(enumeration, "_extend", "built")
     counting(enumeration, "_degree_stage", "passed", lambda out, *args: out is not None)
-    counting(enumeration, "_degree_stage", "unbuilt", _leaf_alone)
+    counting(enumeration, "_degree_stage", "unbuilt", partial(_leaf_alone, n=filt.n))
     counting(enumeration, "_refine", "refined")
     counting(enumeration, "_search", "searched")
     counting(canon, "_split", "rounds")
     counting(canon, "_row_split", "rounds")  # a round by one vertex's row
     counting(enumeration, "_split", "rounds")
-    enumerate_graphs(GenFilter(n=8, max_degree=4), desc=desc)
+    enumerate_graphs(filt, desc=desc)
     assert counts["built"] == counts["passed"] - counts["unbuilt"]
-    assert counts["unbuilt"] > 0
+    # a regular leaf has one degree, so its new vertex is never alone
+    assert (counts["unbuilt"] > 0) == (filt.regular_k is None)
     assert (
         counts["built"], counts["refined"], counts["rounds"], counts["searched"]
-    ) == ACCEPT_COST[desc]
+    ) == cost
 
 
 @pytest.mark.parametrize("desc", [False, True], ids=["asc", "desc"])
@@ -595,6 +605,41 @@ def test_forbidden_check_builds_no_child(desc, monkeypatch):
     counts.update(parents=0, checked=0)
     enumerate_graphs(GenFilter(n=8, max_degree=4), desc=desc)
     assert counts["parents"] == counts["checked"] == 0
+
+
+@pytest.mark.parametrize("desc", [False, True], ids=["asc", "desc"])
+def test_forbidden_checks_short_circuit(desc, monkeypatch):
+    """The forbidden checks run in the order of the members, C3 then C5,
+    and a child meets a later check only when every earlier one passed
+    it: C5 never sees a child that C3 dropped.  Each dropped child counts
+    once under ``forbidden``, whichever check dropped it."""
+    members = HSpec.parse("C3..C5").members
+    calls = {}  # (parent rows, s) -> [(member index, verdict)] in call order
+    through = PatternCounter.through
+
+    def logged_through(self, rows, **kwargs):
+        index = next(i for i, h in enumerate(members) if h is self.pattern)
+        check = through(self, rows, **kwargs)
+
+        def logged_check(s):
+            verdict = check(s)
+            calls.setdefault((tuple(rows), s), []).append((index, bool(verdict)))
+            return verdict
+
+        return logged_check
+
+    monkeypatch.setattr(PatternCounter, "through", logged_through)
+    stats = enumerate_graphs(GenFilter(n=8, forbidden=members), desc=desc)
+    dropped = 0
+    for log in calls.values():
+        assert [i for i, _ in log] == list(range(len(log)))
+        assert not any(verdict for _, verdict in log[:-1])
+        dropped += log[-1][1]
+    # both checks drop children, and some pass both
+    ends = {(len(log), log[-1][1]) for log in calls.values()}
+    assert ends == {(1, True), (2, True), (2, False)}
+    assert stats.pruned["forbidden"] == dropped
+    assert stats.classes == PINNED_COUNTS[f"c3-c5-free-8{'-desc' if desc else ''}"][0]
 
 
 # (classes, nodes, sorted pruned) at every order, pinned before canonical
