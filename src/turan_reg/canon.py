@@ -38,6 +38,17 @@ Automorphisms are harvested from leaf-certificate collisions with the
 first and the best leaf; with the pruning rule above the collected
 permutations generate the full automorphism group.
 
+Canonical augmentation asks at a leaf only whether a vertex j of the
+last cell lies in the orbit of the best leaf's last vertex.  Two
+narrower searches of the same tree answer that: the best certificate
+B_j among the leaves ending at j (``keep=j``), then whether any leaf
+lies above B_j (``above=B_j``, which returns at the first such leaf).
+j is in the orbit iff B_j exists and no leaf lies above it: the
+starting partition is invariant, so an automorphism taking the best
+leaf's last vertex to j takes the best leaf to a leaf ending at j with
+the same certificate, and two leaves with equal certificates differ by
+an automorphism.
+
 Everything here is exact; speed is tuned for n <= 11 (the enumeration
 range) but nothing breaks for moderately larger graphs.
 """
@@ -194,13 +205,30 @@ def _pack_cert(rows, perm):
     return cert
 
 
-def _search(rows, n, cells0, desc):
+def _search(rows, n, cells0, desc, keep=None, above=None, autos=None):
+    """Search the individualization-refinement tree below the stable
+    partition ``cells0`` for its best leaf.
+
+    Returns the best leaf's permutation and certificate and the
+    automorphisms found, or (None, -1, autos) when the tree has no leaf.
+    Pruning skips a branch that an automorphism fixing every cell maps to
+    an explored one, so the best certificate is that of the whole tree.
+
+    With ``keep`` set, which must lie in the last cell of ``cells0``,
+    every refinement passes it on (see ``_refine``): the tree shrinks to
+    the leaves whose last vertex is ``keep``, and the automorphisms found,
+    from collisions between those leaves, fix it.  With ``above`` set the
+    search returns at the first leaf whose certificate exceeds it, so the
+    certificate returned exceeds ``above`` iff some leaf's does.
+    ``autos``, automorphisms found by an earlier search of the same
+    graph, start the pruning.
+    """
     best_cert = -1
     best_perm = None
     first_cert = None
     first_perm = None
-    autos = []
-    auto_seen = {tuple(range(n))}
+    autos = list(autos or ())
+    auto_seen = {tuple(range(n)), *autos}
 
     def add_auto(p0, p1):
         a = [0] * n
@@ -212,7 +240,10 @@ def _search(rows, n, cells0, desc):
             autos.append(a)
 
     def descend(cells):
+        """Search below ``cells``; True when a leaf exceeds ``above``."""
         nonlocal best_cert, best_perm, first_cert, first_perm
+        if cells is None:  # ``keep`` left the last cell
+            return False
         if len(cells) == n:
             perm = tuple([c.bit_length() - 1 for c in cells])
             cert = _pack_cert(rows, perm)
@@ -225,7 +256,7 @@ def _search(rows, n, cells0, desc):
                     add_auto(best_perm, perm)
             if cert > best_cert:
                 best_cert, best_perm = cert, perm
-            return
+            return above is not None and cert > above
         idx = 0
         for c in cells:
             if c & (c - 1):
@@ -268,8 +299,11 @@ def _search(rows, n, cells0, desc):
                                 frontier.append(w)
                     if v in orb:
                         continue
-            descend(_refine(rows, n, prefix + [bit, cell ^ bit] + suffix, desc, active=(idx,)))
+            cells1 = prefix + [bit, cell ^ bit] + suffix
+            if descend(_refine(rows, n, cells1, desc, keep=keep, active=(idx,))):
+                return True
             explored.append(v)
+        return False
 
     descend(cells0)
     return best_perm, best_cert, autos

@@ -33,9 +33,12 @@ each other vertex of the cell: the canonical-deletion vertex lies in
 that cell, so the search would accept the child too.  The automorphism
 is an involution of disjoint swaps, each pairing the vertices that the
 ends of an earlier swap see differently (see ``_involution``); when
-some vertex of the cell gets none, the search decides, so every verdict
-stays the same.  Cells are int masks from the
-degree classes to the search (see ``canon``).
+some vertex of the cell gets none, the canonical search decides.  At a
+leaf it asks two narrower questions of the search tree, the best leaf
+ending at the new vertex and then any leaf above it, which a rejected
+leaf usually answers early (see ``canon``); a node whose generators its
+children read keeps the one full search.  So every verdict stays the
+same.  Cells are int masks from the degree classes to the search.
 
 Filters push down only hereditary consequences (degree caps, edge-count
 reachability, regularity deficiency bounds, forbidden-subgraph
@@ -349,11 +352,15 @@ def _accept(rows, stage, desc, leaf):
     child whose generators are never read, whose last cell
     ``_one_orbit`` proves one orbit, j alone there included.  (A leaf
     with j alone in the stage's last cell is accepted before it is
-    built; see ``_Run.descend``.)
+    built; see ``_Run.descend``.)  Any other leaf is accepted iff some
+    leaf of the search tree ends at j and none has a certificate above
+    the best of those, two targeted searches (see ``canon``); any other
+    child is decided by the full search, the orbit of the last vertex of
+    its canonical labeling.
 
     Returns (accepted, generators); generators are only meaningful on
     acceptance and feed the child's own subset deduplication.  A leaf
-    accepted without a search returns none, ``[]``.
+    returns none, ``[]``.
     """
     lower, split = stage
     nc = len(rows)
@@ -366,6 +373,13 @@ def _accept(rows, stage, desc, leaf):
     if len(cells) == nc or leaf and _one_orbit(rows, cells[-1], j):
         # the canonical-last vertex lies in the last cell, all in j's orbit
         return True, []
+    if leaf:
+        # the best leaf ending at j, then any leaf above it (see ``canon``)
+        _, best, autos = _search(rows, nc, cells, desc, keep=j)
+        if best < 0:
+            return False, None
+        _, top, _ = _search(rows, nc, cells, desc, above=best, autos=autos)
+        return top == best, []
     perm, _, autos = _search(rows, nc, cells, desc)
     w = perm[nc - 1]
     if w == j:

@@ -16,7 +16,17 @@ import random
 
 from turan_reg import constructions
 from turan_reg.canon import canon_core
-from turan_reg.graphs import Graph, GraphError, _embeddings, bits, extend_graph, from_edges, relabel
+from turan_reg.graphs import (
+    Graph,
+    GraphError,
+    _embeddings,
+    bits,
+    complement,
+    cycle_graph,
+    extend_graph,
+    from_edges,
+    relabel,
+)
 
 
 def graph_leaf(visit):
@@ -588,3 +598,55 @@ def degree_cells(rows, desc):
         d = row.bit_count()
         by_degree[d] = by_degree.get(d, 0) | 1 << v
     return [by_degree[d] for d in sorted(by_degree, reverse=desc)]
+
+
+def ir_leaves(rows, n, cells, desc):
+    """Every leaf of the individualization-refinement tree below the
+    partition ``cells``, as (perm, certificate), with no automorphism
+    pruning: a node is refined by ``refine_oracle``, and each vertex of
+    its first cell of more than one vertex is individualized in turn, as
+    the first of the two cells it splits into.  A leaf's certificate
+    packs the upper triangle of the relabeled matrix, as ``brute_cert``
+    does."""
+    cells = refine_oracle(rows, cells, desc)
+    if len(cells) == n:
+        perm = tuple(c.bit_length() - 1 for c in cells)
+        cert = 0
+        for i, u in enumerate(perm):
+            for v in perm[i + 1:]:
+                cert = cert << 1 | (rows[u] >> v) & 1
+        return [(perm, cert)]
+    idx = next(i for i, c in enumerate(cells) if c & (c - 1))
+    cell = cells[idx]
+    leaves = []
+    for v in bits(cell):
+        leaves += ir_leaves(rows, n, cells[:idx] + [1 << v, cell ^ 1 << v] + cells[idx + 1:], desc)
+    return leaves
+
+
+# Two graphs on 8 vertices whose last stable cell holds vertex 7, though
+# no leaf of the search tree ends at it: the first, cubic, in ascending
+# order, the second in desc order.  No graph on 6 vertices or fewer has
+# such a vertex, and 20 000 random graphs on 7 vertices showed none.
+NO_LEAF_AT_LAST = (
+    Graph(8, (56, 208, 224, 97, 131, 13, 14, 22)),
+    Graph(8, (70, 5, 3, 176, 40, 24, 129, 72)),
+)
+
+
+def targeted_search_graphs(rng):
+    """Graphs for the targeted search checks: random ones on up to 7
+    vertices, with and without twins, the regular ones on 4 to 7
+    vertices, randomly relabeled, and the ``NO_LEAF_AT_LAST`` graphs."""
+    graphs = [random_graph_with_twins(rng, 7) for _ in range(40)]
+    graphs += [random_graph(rng, rng.randint(4, 7)) for _ in range(40)]
+    prism = from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)])
+    regular = [cycle_graph(n) for n in (4, 5, 6, 7)]
+    regular += [disjoint_union(cycle_graph(3), cycle_graph(3))]
+    regular += [disjoint_union(cycle_graph(3), cycle_graph(4)), prism]
+    regular += [complement(g) for g in regular]
+    for g in regular:
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        graphs.append(relabel(g, perm))
+    return graphs + list(NO_LEAF_AT_LAST)

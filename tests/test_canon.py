@@ -1,6 +1,8 @@
 import hashlib
 import random
 
+import pytest
+
 from helpers import (
     all_labeled_graphs,
     automorphism_generators,
@@ -8,6 +10,7 @@ from helpers import (
     brute_cert,
     brute_orbit_partition,
     degree_cells,
+    ir_leaves,
     path_graph,
     petersen_graph,
     random_graph,
@@ -15,11 +18,14 @@ from helpers import (
     refine_oracle,
     seeded_rng,
     splitter_round,
+    targeted_search_graphs,
 )
 
+from turan_reg import canon
 from turan_reg.canon import (
     _refine,
     _row_split,
+    _search,
     _split,
     canon_core,
     canonical_form,
@@ -208,3 +214,55 @@ def test_one_splitter_keys_match_packed_keys():
                 several = [rng.choice((rng.getrandbits(g.n), rng.choice(cells))) for _ in range(k)]
                 got = _split(g.rows, cells, several, b, desc)
                 assert got == splitter_round(g.rows, cells, several, desc)
+
+
+@pytest.mark.parametrize("desc", [False, True], ids=["asc", "desc"])
+def test_targeted_search_vs_ir_leaves(desc, monkeypatch):
+    # against every leaf of the unpruned tree below the stable partition:
+    # the full search finds the best certificate; with ``keep=j``, j in
+    # the last cell, the best over the leaves ending at j, or -1 with no
+    # such leaf, and automorphisms that fix j; with ``above=c``, started
+    # from those automorphisms, it visits leaves up to the first that
+    # exceeds c and returns there, or visits them all
+    visited = []
+    pack = canon._pack_cert
+
+    def recording(rows, perm):
+        visited.append(pack(rows, perm))
+        return visited[-1]
+
+    monkeypatch.setattr(canon, "_pack_cert", recording)
+    none = stopped = 0
+    for g in targeted_search_graphs(random.Random(3203)):
+        n, rows = g.n, g.rows
+        cells = _refine(rows, n, [(1 << n) - 1], desc)
+        if len(cells) == n:
+            continue
+        leaves = ir_leaves(rows, n, cells, desc)
+        top = max(cert for _, cert in leaves)
+        assert _search(rows, n, cells, desc)[1] == top
+        for j in bits(cells[-1]):
+            want = max((cert for perm, cert in leaves if perm[-1] == j), default=-1)
+            perm, best, autos = _search(rows, n, cells, desc, keep=j)
+            assert best == want, (rows, j)
+            if best < 0:
+                none += 1
+            else:
+                assert perm[-1] == j and (perm, best) in leaves
+            for a in autos:
+                assert a[j] == j
+                assert [sum(1 << a[w] for w in bits(rows[u])) for u in range(n)] == [
+                    rows[a[u]] for u in range(n)
+                ]
+            for c in {-1, want, top - 1, top, *(cert for _, cert in leaves[::3])}:
+                visited.clear()
+                _, got, _ = _search(rows, n, cells, desc, above=c, autos=autos)
+                assert (got > c) == (top > c), (rows, j, c)
+                assert all(cert <= c for cert in visited[:-1])
+                if got > c:
+                    stopped += 1
+                    assert visited[-1] == got
+                else:
+                    assert got == top
+    assert none and stopped, (none, stopped)
+

@@ -15,8 +15,10 @@ from helpers import (
     degree_cells,
     disjoint_union,
     graph_leaf,
+    ir_leaves,
     random_graph_with_twins,
     split_round,
+    targeted_search_graphs,
 )
 
 import turan_reg
@@ -480,7 +482,9 @@ def test_one_orbit_certificate_declines(case, desc, monkeypatch):
     last = _refine(g.rows, n, [(1 << n) - 1], desc)[-1]
     searched = []
     monkeypatch.setattr(
-        enumeration, "_search", lambda *args: searched.append(1) or _search(*args)
+        enumeration,
+        "_search",
+        lambda *args, **kwargs: searched.append(1) or _search(*args, **kwargs),
     )
     for j in bits(last):
         assert not _one_orbit(g.rows, last, j)
@@ -494,6 +498,71 @@ def test_one_orbit_certificate_declines(case, desc, monkeypatch):
         searched.clear()
         got, _ = _accept(child, stage, desc, True)
         assert searched and got == _one_cell_accept(child, desc, True)[0], j
+
+
+def _leaf_verdict(child, desc):
+    """``_accept``'s verdict on ``child`` as a leaf whose new vertex, the
+    last, has the extremal degree, with the degree stage read from its
+    parent."""
+    parent = [row & ~(1 << (len(child) - 1)) for row in child[:-1]]
+    degrees = _child_degrees(_degree_classes(parent), desc)
+    stage = _degree_stage(parent, child[-1], degrees, desc)
+    return stage is not None and _accept(child, stage, desc, True)[0]
+
+
+@pytest.mark.parametrize("desc", [False, True], ids=["asc", "desc"])
+def test_leaf_verdict_vs_ir_leaves(desc, monkeypatch):
+    # each vertex j of the last stable cell as the new vertex of a leaf:
+    # accepted iff the best leaf of the unpruned tree ending at j is the
+    # best leaf of all, as refining from one cell decides, also when no
+    # leaf ends at j
+    searches = {"keep": 0, "none": 0}
+
+    def counted(*args, **kwargs):
+        out = _search(*args, **kwargs)
+        if kwargs.get("keep") is not None:
+            searches["keep"] += 1
+            searches["none"] += out[1] < 0
+        return out
+
+    monkeypatch.setattr(enumeration, "_search", counted)
+    verdicts = [0, 0]
+    for g in targeted_search_graphs(random.Random(4409)):
+        n = g.n
+        cells = _refine(g.rows, n, [(1 << n) - 1], desc)
+        # a relabeling maps the unpruned tree's leaves onto the new tree's
+        leaves = ir_leaves(g.rows, n, cells, desc)
+        top = max(cert for _, cert in leaves)
+        for j in bits(cells[-1]):
+            want = any(cert == top for p, cert in leaves if p[-1] == j)
+            # relabel j as the last vertex, the one the leaf adds
+            perm = list(range(n))
+            perm[j], perm[-1] = perm[-1], perm[j]
+            child = relabel(g, perm).rows
+            got = _leaf_verdict(child, desc)
+            assert got == want == _one_cell_accept(child, desc, True)[0], (g.rows, j)
+            verdicts[got] += 1
+    assert min(verdicts) > 0 and searches["none"] and searches["keep"] > 20, (verdicts, searches)
+
+
+@pytest.mark.parametrize("desc", [False, True], ids=["asc", "desc"])
+@pytest.mark.parametrize("k, n", [(4, 9), (4, 10)])
+def test_regular_leaf_verdicts_vs_one_cell(n, k, desc, monkeypatch):
+    # every child that a regular enumeration decides as a leaf, the
+    # one-cell searches of the regular Turan search: the verdict is the
+    # one that refining from one cell and a full search give
+    checked = []
+
+    def checking(rows, stage, desc, leaf):
+        out = _accept(rows, stage, desc, leaf)
+        if leaf:
+            checked.append(out[0])
+            assert out[0] == _one_cell_accept(rows, desc, True)[0], rows
+        return out
+
+    monkeypatch.setattr(enumeration, "_accept", checking)
+    enumerate_graphs(GenFilter(n=n, regular_k=k), desc=desc)
+    assert any(checked) and not all(checked), len(checked)
 
 
 def _leaf_alone(stage, rows, *args, n=8):
@@ -513,12 +582,17 @@ def _leaf_alone(stage, rows, *args, n=8):
 # involution that swaps only single-vertex differences took 8961 and 8080
 # rounds and 898 and 767 searches.  Under the regular filter, treating the
 # children one vertex short of n, whose generators are never read, as
-# inner nodes took 762 and 831 searches.
+# inner nodes took 762 and 831 searches.  Deciding each searched leaf by
+# one full search, the canonical labeling and its orbits, took 7778,
+# 7108, 13258 and 14298 rounds and 767, 652, 617 and 676 searches; the
+# targeted pair (the best leaf ending at j, then the first leaf above it)
+# searches such a leaf twice unless no leaf ends at j, and stops a
+# rejected one early, with the same children built and refined.
 ACCEPT_COST = {
-    "asc": (GenFilter(n=8, max_degree=4), False, (1914, 1914, 7778, 767)),
-    "desc": (GenFilter(n=8, max_degree=4), True, (1936, 1936, 7108, 652)),
-    "regular-10-4-asc": (GenFilter(n=10, regular_k=4), False, (1226, 1094, 13258, 617)),
-    "regular-10-4-desc": (GenFilter(n=10, regular_k=4), True, (1323, 1238, 14298, 676)),
+    "asc": (GenFilter(n=8, max_degree=4), False, (1914, 1914, 8436, 926)),
+    "desc": (GenFilter(n=8, max_degree=4), True, (1936, 1936, 7260, 691)),
+    "regular-10-4-asc": (GenFilter(n=10, regular_k=4), False, (1226, 1094, 11513, 795)),
+    "regular-10-4-desc": (GenFilter(n=10, regular_k=4), True, (1323, 1238, 12629, 875)),
 }
 
 
