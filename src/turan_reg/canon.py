@@ -16,18 +16,17 @@ the usual scheme:
     last; sub-cells are ordered by their split key, so the cell order of
     the result is itself an isomorphism invariant.
   * The general round packs a vertex's counts in all splitters into one
-    key per vertex.  Three cases need less.  With one splitter the key is
-    the count alone, one AND and popcount.  With one splitter that is a
-    single vertex w, a count is 1 on the row of w and 0 off it, so a cell
-    c splits into ``c & ~rows[w]`` and ``c & rows[w]`` with no key at all
-    (``_row_split``); that is the first round after every
-    individualization in the search, whose only splitter is the new
-    one-vertex cell.  A cell of two vertices is ordered by the first
-    splitter in which their counts differ.  Each gives the cells, their
-    order and the next splitters of the general round, since sorting
-    one count, one bit, or comparing count tuples from the front orders
-    the sub-cells as sorting the packed keys does; so no permutation,
-    certificate or generator depends on which case ran.
+    key per vertex (with one splitter, the count itself).  Two cases need
+    less.  With one splitter that is a single vertex w, a count is 1 on
+    the row of w and 0 off it, so a cell c splits into ``c & ~rows[w]``
+    and ``c & rows[w]`` with no key at all (``_row_split``); that is the
+    first round after every individualization in the search, whose only
+    splitter is the new one-vertex cell.  A cell of two vertices is
+    ordered by the first splitter in which their counts differ.  Each
+    gives the cells, their order and the next splitters of the general
+    round, since sorting one bit or comparing count tuples from the front
+    orders the sub-cells as sorting the packed keys does; so no
+    permutation, certificate or generator depends on which case ran.
   * If the stable partition is discrete the graph is rigid (every
     automorphism preserves the cells) and the single leaf is canonical.
   * Otherwise the search individualizes each vertex of the first
@@ -61,7 +60,6 @@ from .graphs import relabel
 def _split(rows, cells, splitters, b, desc):
     """One refinement round: each cell of ``cells`` split by its vertices'
     counts in the ``splitters``, packed into keys with ``b`` bits per count.
-    With one splitter the key is the count itself, one AND and popcount.
     A cell of two vertices needs no key: the first splitter in which their
     counts differ orders them, as it orders their packed keys.
 
@@ -70,7 +68,6 @@ def _split(rows, cells, splitters, b, desc):
     """
     new_cells = []
     active = []
-    one = splitters[0] if len(splitters) == 1 else None
     for c in cells:
         if not c & (c - 1):
             new_cells.append(c)
@@ -96,21 +93,14 @@ def _split(rows, cells, splitters, b, desc):
             continue
         buckets = {}
         t = c
-        if one is not None:
-            while t:
-                low = t & -t
-                key = (rows[low.bit_length() - 1] & one).bit_count()
-                buckets[key] = buckets.get(key, 0) | low
-                t ^= low
-        else:
-            while t:
-                low = t & -t
-                rv = rows[low.bit_length() - 1]
-                key = 0
-                for m in splitters:
-                    key = (key << b) | (rv & m).bit_count()
-                buckets[key] = buckets.get(key, 0) | low
-                t ^= low
+        while t:
+            low = t & -t
+            rv = rows[low.bit_length() - 1]
+            key = 0
+            for m in splitters:
+                key = (key << b) | (rv & m).bit_count()
+            buckets[key] = buckets.get(key, 0) | low
+            t ^= low
         if len(buckets) == 1:
             new_cells.append(c)
         else:

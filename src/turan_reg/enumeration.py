@@ -618,13 +618,14 @@ def enumerate_graphs(filt, leaf=None, desc=False, force=False, jobs=1, scorer=No
 
     With ``jobs > 1`` the descent stops at depth n - 3 and records the
     accepted graphs there as seeds, each with its score; ``jobs`` forked
-    processes descend the seeds' subtrees, dealt to them on demand (see
-    ``parallel``; a lone seed is descended in this process), and send
-    each leaf's score with its rows, and the leaves are emitted here in
-    seed order.  The leaf call runs in this process and sees the classes
-    in serial order, so results and counts are those of a serial run
-    (a run stopped early counts more nodes).  ``cpu_seconds`` in
-    the returned GenStats covers this process and the workers.
+    processes descend the seeds' subtrees, taking them in turn from one
+    shared queue (see ``parallel``; a lone seed is descended in this
+    process), and send each leaf's score with its rows, and the leaves
+    are emitted here in seed order.  The leaf call runs in this process
+    and sees the classes in serial order, so results and counts are
+    those of a serial run (a run stopped early counts more nodes).
+    ``cpu_seconds`` in the returned GenStats covers this process and the
+    workers.
     """
     check_run(filt, jobs, force)
     t0, cpu0 = time.perf_counter(), _cpu_seconds()

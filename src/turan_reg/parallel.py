@@ -4,32 +4,32 @@ With ``jobs > 1`` the enumeration stops at depth n - 3 and records the
 accepted graphs there as seeds, each with its score.  Their subtrees
 are independent (canonical augmentation decides each child from the
 child alone), so forked workers may descend them in any order.  The
-parent deals seed indices on demand, down one duplex pipe per worker:
-each worker holds at most ``IN_FLIGHT`` seeds it has not finished, and
-no seed is dealt ``WINDOW`` or more places past the next seed to emit.
-For each seed a worker sends back the leaves (each one's parent rows
-and attachment set, packed in one ``array``), the leaves' scores and
-the subtree counts.  The parent keeps the results that come early in a
-reorder buffer, which the window bounds, and emits them strictly in seed
-order: it merges the counts and hands each leaf with its score to the
-run's ``emit``, so the main process scores nothing, the leaf call sees
-the classes in serial order and stops the scan the same way.  A full
-scan has the counts of a serial run; one that stops early also counts
-the nodes of the stopping seed's subtree past the stop.
+parent writes seed indices into one task pipe, which the workers read
+one index at a time under a lock: the first ``WINDOW`` at the start,
+then seed i + ``WINDOW`` once it has emitted seed i.  So no seed is
+taken ``WINDOW`` or more places past the next seed to emit, and a
+worker never waits on the parent for a seed that the window allows.
+For each seed a worker sends back, down a result pipe of its own, the
+seed's index, its leaves (each one's parent rows and attachment set,
+packed in one ``array``), the leaves' scores and the subtree counts.
+The parent keeps the results that come early in a reorder buffer,
+which the window bounds, and emits them strictly in seed order: it
+merges the counts and hands each leaf with its score to the run's
+``emit``, so the main process scores nothing, the leaf call sees the
+classes in serial order and stops the scan the same way.  A full scan
+has the counts of a serial run; one that stops early also counts the
+nodes of the stopping seed's subtree past the stop.
 
 Forked workers inherit the run, so the leaf call need not be picklable.
 Every worker is killed and reaped before ``parallel_scan`` returns or
 raises, and a worker that dies fails the scan at once with ``EOFError``,
-whether the parent meets the death reading a result or sending a seed.
+as the parent waits on every result pipe.
 """
 
 import multiprocessing as mp
 from array import array
 
-# seeds a worker holds unfinished: one to descend, one to start on
-# while the parent reads the first one's result
-IN_FLIGHT = 2
-# no seed is dealt this many places or more past the next seed to emit,
+# no seed is taken this many places or more past the next seed to emit,
 # which bounds the results the parent holds back for emission in order
 WINDOW = 32
 
@@ -50,11 +50,14 @@ def _descend(run, seed):
     return leaves, scores, run.subtree(seed, pack)
 
 
-def _work(run, conn):
-    """A worker: descend each seed index the parent sends, in turn, until
-    the parent kills it."""
+def _work(run, tasks, lock, conn):
+    """A worker: take the next seed index from the task pipe, descend
+    that seed and send the index with its result, until the parent kills
+    it."""
     while True:
-        conn.send(_descend(run, run.seeds[conn.recv()]))
+        with lock:
+            i = tasks.recv()
+        conn.send((i, _descend(run, run.seeds[i])))
 
 
 def parallel_scan(run, jobs):
@@ -67,48 +70,33 @@ def parallel_scan(run, jobs):
     from multiprocessing.connection import wait
 
     ctx = mp.get_context("fork")
-    workers = []
-    held = {}  # each worker's connection: the seeds it holds, in order
+    tasks, queue = ctx.Pipe(duplex=False)
+    lock = ctx.Lock()
+    procs, conns = [], []
     done = {}  # the reorder buffer: results read but not yet emitted
-    dealt = 0
-
-    def deal(first):
-        # top up each worker to IN_FLIGHT seeds, while the window allows
-        nonlocal dealt
-        stop = min(total, first + WINDOW)
-        for conn, queue in held.items():
-            while len(queue) < IN_FLIGHT and dealt < stop:
-                try:
-                    conn.send(dealt)
-                except OSError as err:  # the worker has closed its end
-                    raise EOFError("a worker died") from err
-                queue.append(dealt)
-                dealt += 1
-
     try:
+        for i in range(min(WINDOW, total)):
+            queue.send(i)
         for _ in range(min(jobs, total)):
-            conn, end = ctx.Pipe()
-            proc = ctx.Process(target=_work, args=(run, end))
+            conn, end = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_work, args=(run, tasks, lock, end))
             with end:  # once started, the worker holds the only copy
                 proc.start()
-            workers.append((proc, conn))
-            held[conn] = []
-        deal(0)
+            procs.append(proc)
+            conns.append(conn)
         for i in range(total):
             while i not in done:
-                for conn in wait([conn for conn, queue in held.items() if queue]):
-                    try:
-                        result = conn.recv()
-                    except ConnectionResetError as err:  # died with a seed unread
-                        raise EOFError("a worker died") from err
-                    done[held[conn].pop(0)] = result
-                deal(i)
+                for conn in wait(conns):
+                    j, result = conn.recv()  # EOFError once its worker is gone
+                    done[j] = result
             _emit(run, done.pop(i))
-            deal(i + 1)
+            if i + WINDOW < total:
+                queue.send(i + WINDOW)
     finally:
-        for proc, conn in workers:
+        for proc in procs:
             proc.kill()
             proc.join()
+        for conn in [*conns, tasks, queue]:
             conn.close()
 
 

@@ -103,7 +103,8 @@ class HSpec:
             within_cap(graph6_header(s[3:])[0])
             h = graph6_decode(s[3:])
             return cls(f"g6:{graph6_encode(h)}", (h,))
-        if s.upper() == "K3":  # the triangle is parsed as C3, for the closed form
+        s = s.upper()  # "k4" and "c3..c9" name "K4" and "C3..C9"; a g6 string keeps its case
+        if s == "K3":  # the triangle is parsed as C3, for the closed form
             s = "C3"
         if s.startswith("K") and "," in s:
             a, _, b = s[1:].partition(",")
@@ -141,8 +142,12 @@ class SearchResult:
     classes: int | None
     stats: GenStats
     exact: bool = True
-    feasible: bool = True
     extra: dict = field(default_factory=dict)
+
+    @property
+    def feasible(self):
+        """Whether any class met the filter, and so gave an objective."""
+        return self.objective is not None
 
     def to_json(self):
         return {
@@ -207,7 +212,7 @@ def _scan_extreme(sign, cap, scan):
     acc = ExtremeAccumulator(sign, cap)
     stats = scan(acc.update)
     if acc.best is None:
-        return SearchResult(None, (), 0, stats, feasible=False)
+        return SearchResult(None, (), 0, stats)
     return SearchResult(acc.best, tuple(acc.witnesses), acc.count, stats)
 
 

@@ -931,23 +931,24 @@ import multiprocessing as mp, os
 from multiprocessing.context import ForkProcess
 from turan_reg import parallel
 from turan_reg.enumeration import GenFilter, enumerate_graphs
-parallel._work = lambda run, conn: os._exit(1)  # each worker dies at once
+parallel._work = lambda *args: os._exit(1)  # each worker dies at once
 start = ForkProcess.start
-def start_and_reap(self):  # so the first seed index goes to a dead worker
+def start_and_reap(self):  # so every worker is dead before the parent waits on one
     start(self)
     self.join()
 ForkProcess.start = start_and_reap
 try:
     enumerate_graphs(GenFilter(n=7), jobs=2)
-except EOFError as err:
-    print("EOFError", type(err.__cause__).__name__, len(mp.active_children()))
+except EOFError:
+    print("EOFError", len(mp.active_children()))
 """
 
 
 def test_parallel_worker_dead_on_send_raises():
-    # the parent meets the death sending a seed index, not reading a result
+    # the parent sends a worker nothing: workers that die before taking a
+    # seed still fail the scan, and none is left running
     got = _run_python(DEAD_ON_SEND, timeout=60).split()
-    assert got == ["EOFError", "BrokenPipeError", "0"]
+    assert got == ["EOFError", "0"]
 
 
 WINDOW_BOUND = """

@@ -96,6 +96,18 @@ def test_hspec_members_and_name():
         HSpec("empty", (from_edges(3, []),))
 
 
+@pytest.mark.parametrize(
+    "text, name",
+    [("k3", "K3"), ("c3", "K3"), ("k4", "K4"), ("c5", "C5"), ("c3..c5", "C3..C5"),
+     ("C3..c7", "C3..C7"), ("k1,4", "K1,4"), ("k2,3", "K2,3"), ("g6:Dhc", "g6:Dhc")],
+)
+def test_hspec_parse_either_case(text, name):
+    # letters may be lowercase and are named in uppercase; the graph6
+    # string after "g6:" keeps its case ("DHC" is another graph)
+    assert HSpec.parse(text).name == name
+    assert HSpec.parse(text) == HSpec.parse(name)
+
+
 def test_hspec_sizes_bounded_by_cap():
     """No member past the enumeration cap is built: a family keeps its name
     and closed form with members C3..C11, a single pattern is refused."""
