@@ -24,21 +24,27 @@ before the child exists.  A child whose new vertex leaves the last cell
 there is rejected unbuilt, and a leaf whose new vertex is left alone
 there is accepted unbuilt.  Any other child is built and
 refined from that round-2 partition, round 3 on, stopping at the first
-round that moves the new vertex out of the last cell.  When the refined
-partition is discrete the graph is rigid and the decision needs no
-search at all, nor does it at a leaf whose last cell is the new vertex
-alone.  Nor does it at a leaf whose last cell is one orbit, as shown by
-an automorphism, checked on every row, that swaps the new vertex with
-each other vertex of the cell: the canonical-deletion vertex lies in
-that cell, so the search would accept the child too.  The automorphism
-is an involution of disjoint swaps, each pairing the vertices that the
-ends of an earlier swap see differently (see ``_involution``); when
-some vertex of the cell gets none, the canonical search decides.  At a
-leaf it asks two narrower questions of the search tree, the best leaf
-ending at the new vertex and then any leaf above it, which a rejected
-leaf usually answers early (see ``canon``); a node whose generators its
-children read keeps the one full search.  So every verdict stays the
-same.  Cells are int masks from the degree classes to the search.
+round that moves the new vertex out of the last cell.  The
+canonical-deletion vertex lies in the last refined cell, which holds
+the new vertex too, so a proof that this cell is one orbit accepts the
+child with no search, as the search would.  A node whose generators its
+children read has the proof when every cell with more than one vertex
+is a twin class (rows equal off the two vertices): every automorphism
+keeps each cell and any permutation within a twin class is one, so the
+transpositions within the cells generate the whole group, and a
+discrete, rigid partition is the case with no such cell (see
+``_twin_generators``).  A leaf has it when an automorphism, checked on
+every row, swaps the new vertex with each other vertex of the last
+cell, j alone there included.  The automorphism is an involution of
+disjoint swaps, each pairing, cell by cell, the vertices that the ends
+of an earlier swap see differently (see ``_involution``).  Otherwise
+the canonical search decides.  At a leaf it asks two narrower questions
+of the search tree, the best leaf ending at the new vertex and then any
+leaf above it, which a rejected leaf usually answers early (see
+``canon``); any other node gets the one full search.  So every verdict
+stays the same, and the generators a node hands on generate the same
+group, which is all its children's orbit representatives depend on.
+Cells are int masks from the degree classes to the search.
 
 Filters push down only hereditary consequences (degree caps, edge-count
 reachability, regularity deficiency bounds, forbidden-subgraph
@@ -296,17 +302,18 @@ def _degree_stage(rows, s, degrees, desc):
     return lower, [split[k] for k in sorted(split, reverse=desc)]
 
 
-def _involution(rows, a, b):
+def _involution(rows, cells, a, b):
     """Whether a checked automorphism of disjoint transpositions swaps a
     and b.
 
     Starts from the swap (a b) and adds swaps pair by pair: the
     unswapped vertices that one end of a swapped pair sees and the other
-    does not must go to those that only the other end sees, so when the
-    two sets have the same size they are paired up in bit order and
-    swapped.  Sets of different sizes, or a result that fails the check
-    on every row, are no proof (False), though such an automorphism may
-    still exist.
+    does not must go to those that only the other end sees.  An
+    automorphism keeps every cell of the invariant partition ``cells``,
+    so the two sets are split by cell and each cell's parts, when of one
+    size, are paired up in bit order and swapped.  Parts of different
+    sizes in some cell, or a result that fails the check on every row,
+    are no proof (False), though such an automorphism may still exist.
     """
     n = len(rows)
     image = list(range(n))
@@ -316,12 +323,16 @@ def _involution(rows, a, b):
     for x, y in pairs:  # grows as swaps are added
         rx, ry = rows[x], rows[y]
         dx, dy = rx & ~ry & free, ry & ~rx & free
-        if dx.bit_count() != dy.bit_count():
-            return False
+        if not dx | dy:
+            continue
         free ^= dx | dy
-        for u, w in zip(bits(dx), bits(dy)):
-            image[u], image[w] = w, u
-            pairs.append((u, w))
+        for c in cells:
+            cx, cy = dx & c, dy & c
+            if cx.bit_count() != cy.bit_count():
+                return False
+            for u, w in zip(bits(cx), bits(cy)):
+                image[u], image[w] = w, u
+                pairs.append((u, w))
     swaps = [1 << x | 1 << y for x, y in pairs]
     for u, row in enumerate(rows):
         for both in swaps:
@@ -332,11 +343,38 @@ def _involution(rows, a, b):
     return True
 
 
-def _one_orbit(rows, cell, j):
+def _one_orbit(rows, cells, cell, j):
     """Whether ``cell`` is one orbit, proved by a checked involution that
-    swaps j with each other vertex of it (see ``_involution``); False
+    swaps j with each other vertex of it (see ``_involution``, which
+    pairs within the cells of the invariant partition ``cells``); False
     when some vertex has no such proof."""
-    return all(_involution(rows, j, v) for v in bits(cell & ~(1 << j)))
+    return all(_involution(rows, cells, j, v) for v in bits(cell & ~(1 << j)))
+
+
+def _twin_generators(rows, cells):
+    """The transpositions of each cell's lowest vertex with the others,
+    when every cell of the stable partition ``cells`` is a twin class;
+    otherwise None.
+
+    Two vertices are twins when their rows agree off the two of them, and
+    the twins of one vertex are all true or all false twins, so a cell is
+    a twin class when its lowest vertex is a twin of each other vertex.
+    Any permutation within a twin class is an automorphism, and every
+    automorphism keeps each cell, so the transpositions generate the
+    whole group, the product of the cells' symmetric groups.
+    """
+    n = len(rows)
+    gens = []
+    for c in cells:
+        low = c & -c
+        u = low.bit_length() - 1
+        for v in bits(c ^ low):
+            if (rows[u] ^ rows[v]) & ~(low | 1 << v):
+                return None
+            a = list(range(n))
+            a[u], a[v] = v, u
+            gens.append(tuple(a))
+    return gens
 
 
 def _accept(rows, stage, desc, leaf):
@@ -347,20 +385,21 @@ def _accept(rows, stage, desc, leaf):
     the extremal degree, and the stage those whose new vertex stays in
     the last cell in refinement round 2.  The child finishes round 2 on
     the lower cells and is refined from there, round 3 on, stopping at
-    the first round that moves j out of the last cell; a discrete
-    refinement is rigid and needs no search, nor does a ``leaf``, any
-    child whose generators are never read, whose last cell
-    ``_one_orbit`` proves one orbit, j alone there included.  (A leaf
-    with j alone in the stage's last cell is accepted before it is
-    built; see ``_Run.descend``.)  Any other leaf is accepted iff some
-    leaf of the search tree ends at j and none has a certificate above
-    the best of those, two targeted searches (see ``canon``); any other
-    child is decided by the full search, the orbit of the last vertex of
-    its canonical labeling.
+    the first round that moves j out of the last cell.  No search runs
+    for a ``leaf``, any child whose generators are never read, whose last
+    cell ``_one_orbit`` proves one orbit, j alone there included, nor for
+    another child whose cells are twin classes, a discrete refinement
+    included: ``_twin_generators`` gives its whole group.  (A leaf with
+    j alone in the stage's last cell is accepted before it is built; see
+    ``_Run.descend``.)  Any other leaf is accepted iff some leaf of the
+    search tree ends at j and none has a certificate above the best of
+    those, two targeted searches (see ``canon``); any other child is
+    decided by the full search, the orbit of the last vertex of its
+    canonical labeling.
 
     Returns (accepted, generators); generators are only meaningful on
-    acceptance and feed the child's own subset deduplication.  A leaf
-    returns none, ``[]``.
+    acceptance and feed the child's own subset deduplication, which reads
+    only the group they generate.  A leaf returns none, ``[]``.
     """
     lower, split = stage
     nc = len(rows)
@@ -370,16 +409,20 @@ def _accept(rows, stage, desc, leaf):
     cells = _refine(rows, nc, cells + split, desc, keep=j, active=active, alone=leaf)
     if cells is None:
         return False, None
-    if len(cells) == nc or leaf and _one_orbit(rows, cells[-1], j):
-        # the canonical-last vertex lies in the last cell, all in j's orbit
-        return True, []
     if leaf:
+        if _one_orbit(rows, cells, cells[-1], j):
+            # the canonical-last vertex lies in the last cell, all in j's orbit
+            return True, []
         # the best leaf ending at j, then any leaf above it (see ``canon``)
         _, best, autos = _search(rows, nc, cells, desc, keep=j)
         if best < 0:
             return False, None
         _, top, _ = _search(rows, nc, cells, desc, above=best, autos=autos)
         return top == best, []
+    twins = _twin_generators(rows, cells)
+    if twins is not None:
+        # each cell one orbit, the last one included
+        return True, twins
     perm, _, autos = _search(rows, nc, cells, desc)
     w = perm[nc - 1]
     if w == j:

@@ -10,6 +10,7 @@ star and biclique counts.  The builders' rotational deletions, one pair
 at a time, are the oracles of their whole-mask passes.
 """
 
+import functools
 import itertools
 import math
 import random
@@ -478,20 +479,59 @@ def automorphism_generators(g):
     return autos
 
 
-def automorphism_group_order(g):
-    """Order of Aut(g) by closure enumeration; meant for small patterns."""
-    gens = automorphism_generators(g)
-    identity = tuple(range(g.n))
+def group_order(n, gens):
+    """Order of the permutation group on n points that ``gens`` generate,
+    by closure enumeration."""
+    identity = tuple(range(n))
     group = {identity}
     frontier = [identity]
     while frontier:
         p = frontier.pop()
         for a in gens:
-            q = tuple(a[p[i]] for i in range(g.n))
+            q = tuple(a[p[i]] for i in range(n))
             if q not in group:
                 group.add(q)
                 frontier.append(q)
     return len(group)
+
+
+def automorphism_group_order(g):
+    """Order of Aut(g) by closure enumeration; meant for small patterns."""
+    return group_order(g.n, automorphism_generators(g))
+
+
+def brute_automorphism_count(g):
+    """|Aut(g)|, the permutations that map every row onto a row."""
+    return sum(
+        all(sum(1 << p[w] for w in bits(row)) == g.rows[p[v]] for v, row in enumerate(g.rows))
+        for p in itertools.permutations(range(g.n))
+    )
+
+
+def labeled_count(n, k=None, cap=None):
+    """The number of labeled graphs on n vertices, k-regular or with
+    every degree at most ``cap`` when given.
+
+    Vertex by vertex: the new vertex joins any set of the earlier ones
+    that keeps the bounds reachable, and the number of completions
+    depends only on the sorted degrees so far.
+    """
+    top = k if k is not None else cap if cap is not None else n - 1
+
+    @functools.cache
+    def completions(degrees):
+        i = len(degrees)
+        if i == n:
+            return k is None or all(d == k for d in degrees)
+        total = 0
+        for s in range(1 << i):
+            new = [d + (s >> v & 1) for v, d in enumerate(degrees)] + [s.bit_count()]
+            # a vertex can still gain one edge from each vertex to come
+            if all(d <= top and (k is None or k - d <= n - i - 1) for d in new):
+                total += completions(tuple(sorted(new)))
+        return total
+
+    return completions(())
 
 
 def naive_contains(g, h):

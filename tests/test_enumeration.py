@@ -4,18 +4,24 @@ import random
 import subprocess
 import sys
 from functools import partial
+from math import comb, factorial
 from pathlib import Path
 
 import pytest
 
 from helpers import (
     all_labeled_graphs,
+    automorphism_group_order,
+    brute_automorphism_count,
     brute_orbit_partition,
     child_ok_oracle,
     degree_cells,
     disjoint_union,
     graph_leaf,
+    group_order,
     ir_leaves,
+    labeled_count,
+    petersen_graph,
     random_graph_with_twins,
     split_round,
     targeted_search_graphs,
@@ -43,6 +49,7 @@ from turan_reg.enumeration import (
     _extend,
     _one_orbit,
     _Run,
+    _twin_generators,
     enumerate_graphs,
 )
 from turan_reg.graphs import (
@@ -387,8 +394,10 @@ def test_degree_stage_matches_refine(case):
     # refining would return None; it reads off the degree cells and the
     # round-2 split of the last one, and whether j is then alone there;
     # the round-2 partition it hands on is the full second round; and
-    # acceptance decides as refining from one cell does, with the same
-    # generators for a child that is not a leaf (a leaf's are never read)
+    # acceptance decides as refining from one cell does, with generators
+    # of the same group for a child that is not a leaf (a leaf's are never
+    # read): the same orbit minima of all subsets, which is all that the
+    # child's children read of them
     desc = case.endswith("-desc")
     filt = STAGE_FILTERS[case.removesuffix("-desc")]
     verdicts = {"reject": 0, "alone": 0, "refine": 0}
@@ -423,21 +432,27 @@ def test_degree_stage_matches_refine(case):
                     if alone:
                         cells = _refine(child, nc, one, desc, keep=j, alone=True)
                         assert cells[-1] == 1 << j
+                every = [((1 << nc) - 1, 0, 0, nc)]
                 for leaf in (False, True):
                     want = _one_cell_accept(child, desc, leaf)
                     got = (False, None) if stage is None else _accept(child, stage, desc, leaf)
-                    if leaf:
+                    if leaf or not got[0]:
                         got, want = got[0], want[0]
+                    else:
+                        got, want = (
+                            (ok, _attachment_reps(nc, gens, every)) for ok, gens in (got, want)
+                        )
                     assert got == want, (rows, s, leaf)
     assert min(verdicts.values()) > 0, verdicts
 
 
 def test_one_orbit_certificate_vs_brute_force():
     # every vertex j and its cell of the stable refinement, in both
-    # orders, and every pair of vertices as a cell, which a stable
-    # partition would rarely put together without an automorphism: a cell
-    # the involution certificate proves one orbit is one orbit under all
-    # permutations
+    # orders, with the involution paired within the stable cells, and
+    # every pair of vertices as a cell, which a stable partition would
+    # rarely put together without an automorphism, paired within the one
+    # cell: a cell the involution certificate proves one orbit is one
+    # orbit under all permutations
     rng = random.Random(2311)
     proved = declined = 0
     for _ in range(100):
@@ -445,12 +460,13 @@ def test_one_orbit_certificate_vs_brute_force():
         one = [(1 << g.n) - 1]
         pairs = [1 << a | 1 << b for a in range(g.n) for b in range(a)]
         orbits = brute_orbit_partition(g)
-        for cells in (_refine(g.rows, g.n, one, False), _refine(g.rows, g.n, one, True), pairs):
+        asc, dual = (_refine(g.rows, g.n, one, desc) for desc in (False, True))
+        for partition, cells in ((asc, asc), (dual, dual), (one, pairs)):
             for cell in cells:
                 if not cell & (cell - 1):
                     continue
                 for j in bits(cell):
-                    if not _one_orbit(g.rows, cell, j):
+                    if not _one_orbit(g.rows, partition, cell, j):
                         declined += 1
                         continue
                     proved += 1
@@ -479,7 +495,8 @@ def test_one_orbit_certificate_declines(case, desc, monkeypatch):
     # one cell does
     g = DECLINE_CASES[case]
     n = g.n
-    last = _refine(g.rows, n, [(1 << n) - 1], desc)[-1]
+    cells = _refine(g.rows, n, [(1 << n) - 1], desc)
+    last = cells[-1]
     searched = []
     monkeypatch.setattr(
         enumeration,
@@ -487,7 +504,7 @@ def test_one_orbit_certificate_declines(case, desc, monkeypatch):
         lambda *args, **kwargs: searched.append(1) or _search(*args, **kwargs),
     )
     for j in bits(last):
-        assert not _one_orbit(g.rows, last, j)
+        assert not _one_orbit(g.rows, cells, last, j)
         # relabel j as the last vertex, the one the leaf adds
         perm = list(range(n))
         perm[j], perm[-1] = perm[-1], perm[j]
@@ -500,6 +517,55 @@ def test_one_orbit_certificate_declines(case, desc, monkeypatch):
         assert searched and got == _one_cell_accept(child, desc, True)[0], j
 
 
+@pytest.mark.parametrize("desc", [False, True], ids=["asc", "desc"])
+def test_twin_rule_vs_brute_force(desc):
+    # the stable partition of random graphs with twins: where every
+    # non-singleton cell is a twin class, the rule's transpositions
+    # generate all of Aut, whose order is counted over all permutations
+    # (a rigid graph's discrete partition gives none, and |Aut| = 1); the
+    # cycles and the Petersen graph, whose one cell is no twin class, are
+    # declined
+    rng = random.Random(5813)
+    verdicts = {"declined": 0, "rigid": 0, "twins": 0}
+    for _ in range(120):
+        g = random_graph_with_twins(rng, 7)
+        cells = _refine(g.rows, g.n, [(1 << g.n) - 1], desc)
+        gens = _twin_generators(g.rows, cells)
+        if gens is None:
+            verdicts["declined"] += 1
+            continue
+        verdicts["twins" if gens else "rigid"] += 1
+        assert group_order(g.n, gens) == brute_automorphism_count(g), g.rows
+    assert verdicts["declined"] >= 10 and verdicts["twins"] >= 50, verdicts
+    for g in (cycle_graph(4), cycle_graph(5), petersen_graph()):
+        assert _twin_generators(g.rows, _refine(g.rows, g.n, [(1 << g.n) - 1], desc)) is None
+
+
+ORBIT_STABILIZER_FILTERS = [GenFilter(n=n) for n in range(1, 8)] + [
+    GenFilter(n=8, regular_k=3),
+    GenFilter(n=8, max_degree=3),
+]
+
+
+@pytest.mark.parametrize("desc", [False, True], ids=["asc", "desc"])
+def test_orbit_stabilizer_counts(desc):
+    # a class with automorphism group A has n!/|A| labelings, so the
+    # classes emitted under a filter account for every labeled graph it
+    # admits, once: counted with the generators of canon_core, which no
+    # acceptance shortcut touches, against a vertex-by-vertex count
+    assert [labeled_count(n) for n in range(1, 8)] == [2 ** comb(n, 2) for n in range(1, 8)]
+    assert labeled_count(8, k=3) == 19355
+    for filt in ORBIT_STABILIZER_FILTERS:
+        total = 0
+
+        def visit(g):
+            nonlocal total
+            total += factorial(g.n) // automorphism_group_order(g)
+
+        enumerate_graphs(filt, leaf=graph_leaf(visit), desc=desc)
+        assert total == labeled_count(filt.n, filt.regular_k, filt.max_degree), filt
+
+
 def _leaf_verdict(child, desc):
     """``_accept``'s verdict on ``child`` as a leaf whose new vertex, the
     last, has the extremal degree, with the degree stage read from its
@@ -508,6 +574,22 @@ def _leaf_verdict(child, desc):
     degrees = _child_degrees(_degree_classes(parent), desc)
     stage = _degree_stage(parent, child[-1], degrees, desc)
     return stage is not None and _accept(child, stage, desc, True)[0]
+
+
+def test_one_orbit_pairs_within_cells(monkeypatch):
+    # a leaf of max_copies_free(9, C5, 5): the path 6-0-7-1-8-2 and three
+    # isolated vertices, with new vertex 8 in the last stable cell {0, 8}.
+    # The swap (0 8) must send 0's neighbours 6, 7 to 8's 1, 2 as 6-2 and
+    # 7-1, within the cells {2, 6} and {1, 7}; pairing them in bit order,
+    # as within one cell, gives 6-1 and 7-2 and no proof, while pairing
+    # within the stable cells proves the cell one orbit with no search
+    g = from_edges(9, [(6, 0), (0, 7), (7, 1), (1, 8), (8, 2)])
+    cells = _refine(g.rows, 9, [(1 << 9) - 1], False)
+    assert cells == [0b111000, 0b1000100, 0b10000010, 0b100000001]
+    assert not _one_orbit(g.rows, [(1 << 9) - 1], cells[-1], 8)
+    assert _one_orbit(g.rows, cells, cells[-1], 8)
+    monkeypatch.setattr(enumeration, "_search", None)
+    assert _leaf_verdict(g.rows, False)
 
 
 @pytest.mark.parametrize("desc", [False, True], ids=["asc", "desc"])
@@ -587,12 +669,15 @@ def _leaf_alone(stage, rows, *args, n=8):
 # 7108, 13258 and 14298 rounds and 767, 652, 617 and 676 searches; the
 # targeted pair (the best leaf ending at j, then the first leaf above it)
 # searches such a leaf twice unless no leaf ends at j, and stops a
-# rejected one early, with the same children built and refined.
+# rejected one early, with the same children built and refined.  Before
+# inner children whose cells are twin classes were accepted unsearched,
+# and before the involution paired within cells, the four took 8436,
+# 7260, 11513 and 12629 rounds and 926, 691, 795 and 875 searches.
 ACCEPT_COST = {
-    "asc": (GenFilter(n=8, max_degree=4), False, (1914, 1914, 8436, 926)),
-    "desc": (GenFilter(n=8, max_degree=4), True, (1936, 1936, 7260, 691)),
-    "regular-10-4-asc": (GenFilter(n=10, regular_k=4), False, (1226, 1094, 11513, 795)),
-    "regular-10-4-desc": (GenFilter(n=10, regular_k=4), True, (1323, 1238, 12629, 875)),
+    "asc": (GenFilter(n=8, max_degree=4), False, (1914, 1914, 6114, 350)),
+    "desc": (GenFilter(n=8, max_degree=4), True, (1936, 1936, 6145, 347)),
+    "regular-10-4-asc": (GenFilter(n=10, regular_k=4), False, (1226, 1094, 11085, 620)),
+    "regular-10-4-desc": (GenFilter(n=10, regular_k=4), True, (1323, 1238, 12193, 696)),
 }
 
 
